@@ -904,11 +904,17 @@ let serve ~opts () =
    after one untimed warmup run so first-run effect/fiber setup cost
    does not pollute the distribution:
 
-   - spawn_sync: a 1-worker run of the spawn-bound kernel, where every
-     spawn takes the fast path (deque push, inline child, pop, fast
-     sync); elapsed/spawns is the paper's spawn+sync hot-path cost and
-     the number the heartbeat store must not move;
-   - alloc_per_spawn: Gc.minor_words delta across the same run divided
+   - spawn_sync: a 1-worker run of the spawn-bound kernel (fib 15),
+     where every spawn is steal-free; under lazy exposure nearly all of
+     them run their child inline and only the spine's few spawns take
+     the exposed path.  elapsed/spawns is the paper's spawn+sync
+     hot-path cost and the number the heartbeat store must not move;
+   - exposed_spawn_sync: a flat spawn_unit loop in one scope on 1
+     worker.  The previous child's continuation is popped back before
+     each spawn, so every spawn finds an empty deque and pays the full
+     exposed protocol (deque push, child on a fresh fiber, pop, resume);
+     this row keeps that path gated now that fib rarely takes it;
+   - alloc_per_spawn: Gc.minor_words delta across the fib run divided
      by spawns — the allocation-free-spawn ratchet (ISSUE 9);
    - steal: direct Chase-Lev steal drain, per-element;
    - false_sharing: 2-domain ping-pong on two atomics allocated
@@ -923,8 +929,9 @@ let serve ~opts () =
 
    Emits BENCH_micro.json.  When a committed baseline exists the new
    numbers are compared against it; NOWA_MICRO_GATE=1 makes a
-   regression past NOWA_MICRO_TOLERANCE (default 10%) on
-   spawn_sync/steal p50, alloc_per_spawn words, or the isolated
+   regression past NOWA_MICRO_TOLERANCE (default 10%) on the
+   spawn_sync/exposed_spawn_sync/steal minima, alloc_per_spawn words,
+   an exposed cell that inlined anything, or the isolated
    false-sharing cost, a blown heartbeat budget, or a missed wedge
    fatal — the CI perf gate. *)
 
@@ -994,7 +1001,7 @@ let hotpath ~opts () =
     let conf hb = { (Nowa.Config.with_workers 1) with Nowa.Config.heartbeats = hb } in
     (* A single fib-15 run is ~250us — jitter-bound on a small shared
        host.  Each sample times a batch of runs (a few ms) instead. *)
-    let batch = 10 in
+    let batch = 20 in
     let one hb =
       let w0 = Gc.minor_words () in
       let t0 = Nowa_util.Clock.now_ns () in
@@ -1032,6 +1039,36 @@ let hotpath ~opts () =
     let off_min, off_p50 = summarize !off_times in
     let alloc_min, _ = summarize !allocs in
     (on_min, on_p50, off_min, off_p50, alloc_min)
+  in
+  (* Returns min/p50 ns per spawn, the minor words per exposed spawn,
+     and the number of spawns that ran inline across all samples (0
+     unless the exposure rule broke). *)
+  let exposed_cell () =
+    let n = 20_000 in
+    let conf = Nowa.Config.with_workers 1 in
+    let body () =
+      R.scope (fun sc ->
+          for _ = 1 to n do
+            R.spawn_unit sc ignore
+          done)
+    in
+    let inlined = ref 0 and words = ref infinity in
+    let one () =
+      let w0 = Gc.minor_words () in
+      let t0 = Nowa_util.Clock.now_ns () in
+      R.run ~conf body;
+      let dt = float_of_int (Nowa_util.Clock.now_ns () - t0) in
+      words := Float.min !words ((Gc.minor_words () -. w0) /. float_of_int n);
+      (match R.last_metrics () with
+      | Some m ->
+        inlined := !inlined + Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.inlined)
+      | None -> ());
+      dt /. float_of_int n
+    in
+    ignore (one ());
+    let samples = List.init reps (fun _ -> one ()) in
+    let mn, p50 = summarize samples in
+    (mn, p50, !words, !inlined)
   in
   let steal_cell () =
     let module Q = Nowa_deque.Chase_lev.Make (struct
@@ -1101,6 +1138,7 @@ let hotpath ~opts () =
     (Printf.sprintf "per-operation cost (min and p50 of %d cells, 1 warmup)"
        reps);
   let on_min, on_p50, off_min, off_p50, alloc_words = spawn_cells () in
+  let exp_min, exp_p50, exp_words, exp_inlined = exposed_cell () in
   let steal_min, steal_p50 = steal_cell () in
   let fs_contended, fs_isolated = false_sharing_cell () in
   let fs_sep = fs_contended /. Float.max 1e-9 fs_isolated in
@@ -1123,6 +1161,11 @@ let hotpath ~opts () =
         Printf.sprintf "%.1f" off_p50;
       ];
       [
+        "exposed spawn+sync";
+        Printf.sprintf "%.1f" exp_min;
+        Printf.sprintf "%.1f" exp_p50;
+      ];
+      [
         "steal (chase-lev)";
         Printf.sprintf "%.1f" steal_min;
         Printf.sprintf "%.1f" steal_p50;
@@ -1138,7 +1181,8 @@ let hotpath ~opts () =
         Printf.sprintf "%.1f" fs_isolated;
       ];
     ];
-  Printf.printf "minor alloc per spawn: %.1f words\n" alloc_words;
+  Printf.printf "minor alloc per spawn: %.1f words (%.1f per exposed spawn)\n"
+    alloc_words exp_words;
   Printf.printf "false-sharing separation: %.2fx (contended/isolated)\n" fs_sep;
   Printf.printf "heartbeat overhead on spawn+sync: %+.2f%% (%s)\n" hb_pct
     (if hb_ok then "<=5% ok" else "OVER BUDGET");
@@ -1205,6 +1249,7 @@ let hotpath ~opts () =
               :: !regressions)
       [
         ("spawn_sync", "min_ns", "ns/op", on_min);
+        ("exposed_spawn_sync", "min_ns", "ns/op", exp_min);
         ("steal", "min_ns", "ns/op", steal_min);
         ("alloc_per_spawn", "words", "words", alloc_words);
         ("false_sharing", "isolated_ns", "ns/op", fs_isolated);
@@ -1213,6 +1258,8 @@ let hotpath ~opts () =
   Printf.fprintf oc
     "[\n\
     \  {\"kind\": \"spawn_sync\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
+    \  {\"kind\": \"exposed_spawn_sync\", \"p50_ns\": %.1f, \"min_ns\": %.1f, \
+     \"words\": %.1f},\n\
     \  {\"kind\": \"steal\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
     \  {\"kind\": \"alloc_per_spawn\", \"words\": %.1f},\n\
     \  {\"kind\": \"false_sharing\", \"contended_ns\": %.1f, \
@@ -1222,7 +1269,8 @@ let hotpath ~opts () =
     \  {\"kind\": \"wedge_detection\", \"watchdog_ms\": %d, \"wedge_ms\": \
      %d, \"detected\": %b}\n\
      ]\n"
-    on_p50 on_min steal_p50 steal_min alloc_words fs_contended fs_isolated
+    on_p50 on_min exp_p50 exp_min exp_words steal_p50 steal_min alloc_words
+    fs_contended fs_isolated
     fs_sep on_min off_min hb_pct hb_ok watchdog_ms wedge_ms detected;
   close_out oc;
   Printf.printf "wrote BENCH_micro.json\n";
@@ -1230,6 +1278,8 @@ let hotpath ~opts () =
   let failures =
     !regressions
     @ (if hb_ok then [] else [ Printf.sprintf "heartbeat overhead %.2f%% > 5%%" hb_pct ])
+    @ (if exp_inlined = 0 then []
+       else [ Printf.sprintf "exposed cell ran %d spawns inline" exp_inlined ])
     @ if detected then [] else [ "combiner wedge not detected" ]
   in
   if failures <> [] then begin

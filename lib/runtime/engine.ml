@@ -18,6 +18,18 @@
     lines 4-5).  Suspension is simply the effect handler returning to the
     scheduler loop without resuming anything.
 
+    {2 Lazy continuation exposure}
+
+    The effect path above runs only when the spawning worker's deque is
+    empty.  While the deque already holds a continuation, [spawn] runs
+    the child inline as a plain call (the serial elision) and exposes
+    nothing: each busy worker keeps one stealable continuation, the
+    outermost one it spawned since its deque last emptied.  A steal
+    empties the victim's deque, so the victim's next spawn exposes
+    again.  Running the serial elision is a legal schedule for any fully
+    strict computation, so the inline decision is always safe; it reads
+    only state the worker already owns, hence no knob.
+
     {2 Hot-path allocation discipline (ISSUE 9)}
 
     A spawn+sync round trip performs no minor-heap allocation beyond the
@@ -283,6 +295,8 @@ module Make
        worker as stalled. *)
     Health.Beats.beat pool.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
+    (* Only exposed spawns touch a stack page: an inline child runs on
+       the spawner's own frame, like the call it elides. *)
     (match w.stack with
     | Some s -> Stack_pool.touch s ~pages:1 ~max_pages:pool.conf.Config.stack_pages
     | None -> ());
@@ -953,21 +967,53 @@ module Make
       recycle_frame w fr;
       raise e
 
+  (* Lazy exposure: true when this spawn should run its child inline
+     because the worker already holds a stealable continuation.  The
+     spawn is still a spawn point for the counters, the heartbeat and
+     the trace (arg 1 marks it inline).  A stale size read is harmless
+     either way: a thief racing us to the last element only delays the
+     next exposure, and a push onto a non-empty deque is the eager
+     schedule. *)
+  let[@inline] inline_spawn cl w =
+    if Q.size w.deque > 0 then begin
+      w.m.spawns <- w.m.spawns + 1;
+      w.m.inlined <- w.m.inlined + 1;
+      Health.Beats.beat cl.hb w.id;
+      Ring.emit w.tr Ev.Spawn 1;
+      true
+    end
+    else false
+
+  (* An inline child's exception lands where the exposed path's [exnc]
+     puts it: in the promise and in the frame, to surface at the sync. *)
   let spawn (type a) fr (thunk : unit -> a) : a promise =
     let p : a promise = Promise.make () in
-    (* Uniform-representation coercions: every OCaml function value uses
-       the generic calling convention, so a [unit -> a] thunk and an
-       [a Promise.t] can travel through the monomorphic effect; the value
-       is only ever read back at type [a] (in [Promise.get]). *)
-    Effect.perform
-      (Spawn (fr, (Obj.magic thunk : unit -> Obj.t), (Obj.magic p : Obj.t Promise.t)));
+    let cl, w = get_current () in
+    if inline_spawn cl w then begin
+      match thunk () with
+      | v -> Promise.fill p v
+      | exception e ->
+        Promise.fill_exn p e;
+        note_exn fr e
+    end
+    else
+      (* Uniform-representation coercions: every OCaml function value
+         uses the generic calling convention, so a [unit -> a] thunk and
+         an [a Promise.t] can travel through the monomorphic effect; the
+         value is only ever read back at type [a] (in [Promise.get]). *)
+      Effect.perform
+        (Spawn
+           (fr, (Obj.magic thunk : unit -> Obj.t), (Obj.magic p : Obj.t Promise.t)));
     p
 
   (* Promise-free spawn for request-shaped work: the only allocation on
      the dispatch path is the effect value itself. *)
   let spawn_unit fr thunk =
-    Effect.perform
-      (Spawn (fr, (Obj.magic thunk : unit -> Obj.t), dummy_promise))
+    let cl, w = get_current () in
+    if inline_spawn cl w then (try thunk () with e -> note_exn fr e)
+    else
+      Effect.perform
+        (Spawn (fr, (Obj.magic thunk : unit -> Obj.t), dummy_promise))
 
   let get p = Promise.get ~runtime:name p
   let await p = Promise.await ~runtime:name p

@@ -2,6 +2,7 @@ type worker = {
   id : int;
   pool : string;  (* owning micropool's name; "main" in flat topologies *)
   mutable spawns : int;
+  mutable inlined : int;
   mutable steals : int;
   mutable steal_attempts : int;
   mutable lost_continuations : int;
@@ -41,6 +42,7 @@ let make_worker ?(pool = "main") id =
         id;
         pool;
         spawns = 0;
+        inlined = 0;
         steals = 0;
         steal_attempts = 0;
         lost_continuations = 0;
@@ -70,12 +72,13 @@ let total t f = Array.fold_left (fun acc w -> acc + f w) 0 t.workers
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>workers=%d elapsed=%.4fs spawns=%d steals=%d attempts=%d \
-     lost-conts=%d suspensions=%d fast-syncs=%d fused-syncs=%d resumes=%d \
-     tasks=%d stack-acq=%d parks=%d parked=%.2fms wakeups=%d \
+    "@[<v>workers=%d elapsed=%.4fs spawns=%d inlined=%d steals=%d \
+     attempts=%d lost-conts=%d suspensions=%d fast-syncs=%d fused-syncs=%d \
+     resumes=%d tasks=%d stack-acq=%d parks=%d parked=%.2fms wakeups=%d \
      wake-retries=%d"
     (Array.length t.workers) t.elapsed_s
     (total t (fun w -> w.spawns))
+    (total t (fun w -> w.inlined))
     (total t (fun w -> w.steals))
     (total t (fun w -> w.steal_attempts))
     (total t (fun w -> w.lost_continuations))
@@ -196,6 +199,10 @@ let collect () =
           (Array.length src_workers);
         counter "nowa_scheduler_spawns_total" "Spawn points executed."
           (fun w -> w.spawns);
+        counter "nowa_scheduler_inlined_spawns_total"
+          "Spawn points whose child ran inline because the worker already \
+           held a stealable continuation (lazy exposure)."
+          (fun w -> w.inlined);
         counter "nowa_scheduler_steals_total" "Successful steals committed."
           (fun w -> w.steals);
         counter "nowa_scheduler_steal_attempts_total"

@@ -10,7 +10,11 @@ type worker = {
           pool-labelled variants of the key [nowa_scheduler_*] series
           ([...{pool="name"}]); the unlabelled aggregates are always
           present with unchanged names. *)
-  mutable spawns : int;  (** spawn points executed *)
+  mutable spawns : int;  (** spawn points executed, inline ones included *)
+  mutable inlined : int;
+      (** spawn points whose child ran inline, exposing no continuation,
+          because the worker's deque was non-empty (lazy exposure in
+          [Engine.Make]; always 0 on the other engine families) *)
   mutable steals : int;  (** successful steals committed *)
   mutable steal_attempts : int;  (** steal attempts including failures *)
   mutable lost_continuations : int;

@@ -44,7 +44,11 @@ val release : t -> worker:int -> stack -> unit
     the modelled cost. *)
 
 val touch : stack -> pages:int -> max_pages:int -> unit
-(** A strand dirtied [pages] more pages (owner-local, unsynchronised). *)
+(** A strand dirtied [pages] more pages (owner-local, unsynchronised).
+    The continuation-stealing engines touch one page per {e exposed}
+    spawn only: a spawn whose child runs inline (lazy exposure) stays on
+    the spawner's frame and touches nothing, so the resident-page figures
+    scale with exposures, not with spawn points. *)
 
 val suspend : t -> stack -> unit
 (** The frame at the bottom of [stack] suspended at a sync point; with

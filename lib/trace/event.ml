@@ -10,7 +10,9 @@
 type kind =
   | Task_start  (** a task/strand begins executing on this worker *)
   | Task_end  (** the task returned control to the scheduler loop *)
-  | Spawn  (** a fork point: continuation made stealable *)
+  | Spawn
+      (** a fork point: continuation made stealable (arg = 0), or the
+          child run inline with nothing exposed (arg = 1) *)
   | Steal_attempt  (** probe of a victim deque (arg = victim id) *)
   | Steal_commit  (** successful steal (arg = victim id) *)
   | Steal_abort  (** failed attempt: victim empty or race lost *)

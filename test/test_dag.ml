@@ -187,7 +187,14 @@ let prop_intq_model =
 
 (* -- simulator ------------------------------------------------------------------ *)
 
-let fib_dag = lazy (fst (record_fib 17))
+(* Strand costs are wall-clock readings, so one preempted strand can
+   become the span and sink the scaling checks on a loaded host; clamp
+   the spikes exactly as the bench harness does. *)
+let fib_dag =
+  lazy
+    (let dag = fst (record_fib 17) in
+     ignore (D.Dag.clamp_work dag);
+     dag)
 
 let test_sim_completes_and_conserves () =
   let dag = Lazy.force fib_dag in

@@ -63,24 +63,32 @@ let spin_ms ms =
    injected worker wedges: the watchdog must flag that worker.  The
    stall threshold (50ms x 5 = 250ms) sits well above OS preemption
    jitter (this may be a single-core host time-sharing all workers) and
-   well below the 900ms injected wedge. *)
+   well below the 900ms injected wedge.  The busy work repeats until the
+   verdict lands (bounded): a fixed batch can finish inside the
+   detection window on a 2-core host, and a draining pool is no longer
+   classified. *)
 let test_stall_detected () =
   Health.Inject.clear ();
   Health.Inject.stall ~worker:1 ~ms:900;
-  Nowa.run ~conf:(conf ~watchdog:50 ~stall_scans:5 4) (fun () ->
-      Nowa.parallel_for ~grain:1 0 400 (fun _ -> spin_ms 1));
-  Health.Inject.clear ();
-  let stalled =
+  let stalled () =
     List.filter_map
       (function Health.Worker_stalled { worker; _ } -> Some worker | _ -> None)
       (Health.verdicts ())
   in
+  Nowa.run ~conf:(conf ~watchdog:50 ~stall_scans:5 4) (fun () ->
+      let deadline = Unix.gettimeofday () +. 3.0 in
+      while
+        (not (List.mem 1 (stalled ()))) && Unix.gettimeofday () < deadline
+      do
+        Nowa.parallel_for ~grain:1 0 64 (fun _ -> spin_ms 1)
+      done);
+  Health.Inject.clear ();
   Alcotest.(check bool)
     (Printf.sprintf "worker 1 flagged (verdicts: %s)"
        (String.concat "; "
           (List.map Health.verdict_to_string (Health.verdicts ()))))
     true
-    (List.mem 1 stalled)
+    (List.mem 1 (stalled ()))
 
 (* A pool that parks (tiny workload, park-after policy, long idle tail)
    must never produce a stall or starvation verdict: parked-idle is

@@ -6,6 +6,18 @@
 let presets : (module Nowa.RUNTIME) list = Nowa.Presets.all
 let serial : (module Nowa.RUNTIME) = (module Nowa_runtime.Serial_runtime)
 
+(* The continuation-stealing presets: every [Engine.Make] instantiation. *)
+let engine_presets : (module Nowa.RUNTIME) list =
+  [
+    (module Nowa.Presets.Nowa);
+    (module Nowa.Presets.Nowa_the);
+    (module Nowa.Presets.Nowa_abp);
+    (module Nowa.Presets.Fibril);
+    (module Nowa.Presets.Cilk_plus);
+  ]
+
+let engine_names = List.map (fun (module R : Nowa.RUNTIME) -> R.name) engine_presets
+
 let rec fib_ref n = if n < 2 then n else fib_ref (n - 1) + fib_ref (n - 2)
 
 let conf workers = Nowa.Config.with_workers workers
@@ -168,53 +180,95 @@ let test_exception_from_main () =
           R.run ~conf:(conf 2) (fun () -> raise (Boom 1))))
     (serial :: presets)
 
+(* Each exception test runs its scope in two shapes.  "flat": the raising
+   spawn is the scope's first, so it finds an empty deque and takes the
+   exposed (effect) path.  "nested": the same scope runs inside an
+   exposed child, so its spawns find the child's continuation in the
+   deque and the continuation-stealing engines run them inline (always
+   on 1 worker; on 2 unless a thief took the continuation first). *)
+let raising_shapes = [ ("flat", false, 2); ("nested", true, 1); ("nested", true, 2) ]
+
+module Shape (R : Nowa.RUNTIME) = struct
+  let scope ~nested k =
+    if not nested then R.scope k
+    else
+      R.scope (fun outer ->
+          let p = R.spawn outer (fun () -> R.scope k) in
+          R.sync outer;
+          R.get p)
+end
+
 let test_exception_from_child () =
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
-      let result =
-        try
-          R.run ~conf:(conf 2) (fun () ->
-              R.scope (fun sc ->
-                  let _p = R.spawn sc (fun () -> raise (Boom 2)) in
-                  R.sync sc;
-                  0))
-        with Boom 2 -> 99
-      in
-      Alcotest.(check int) (R.name ^ " child exn surfaces at sync") 99 result)
+      let module S = Shape (R) in
+      List.iter
+        (fun (shape, nested, w) ->
+          let result =
+            try
+              R.run ~conf:(conf w) (fun () ->
+                  S.scope ~nested (fun sc ->
+                      let _p = R.spawn sc (fun () -> raise (Boom 2)) in
+                      R.sync sc;
+                      0))
+            with Boom 2 -> 99
+          in
+          let label = Printf.sprintf "%s %s w=%d" R.name shape w in
+          Alcotest.(check int) (label ^ ": child exn surfaces at sync") 99 result;
+          if nested && w = 1 && List.mem R.name engine_names then
+            match R.last_metrics () with
+            | None -> Alcotest.fail "metrics missing"
+            | Some m ->
+              Alcotest.(check int) (label ^ ": raising spawn ran inline") 1
+                (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.inlined)))
+        raising_shapes)
     presets
 
 let test_exception_via_get () =
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
-      let result =
-        try
-          R.run ~conf:(conf 2) (fun () ->
-              R.scope (fun sc ->
-                  let p = R.spawn sc (fun () -> if true then raise (Boom 3) else 0) in
-                  (try R.sync sc with Boom 3 -> ());
-                  R.get p))
-        with Boom 3 -> 77
-      in
-      Alcotest.(check int) (R.name ^ " get re-raises") 77 result)
+      let module S = Shape (R) in
+      List.iter
+        (fun (shape, nested, w) ->
+          let result =
+            try
+              R.run ~conf:(conf w) (fun () ->
+                  S.scope ~nested (fun sc ->
+                      let p =
+                        R.spawn sc (fun () -> if true then raise (Boom 3) else 0)
+                      in
+                      (try R.sync sc with Boom 3 -> ());
+                      R.get p))
+            with Boom 3 -> 77
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s w=%d: get re-raises" R.name shape w)
+            77 result)
+        raising_shapes)
     presets
 
 let test_sibling_survives_child_exception () =
   (* Fully strict: other children still complete and are joined. *)
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
-      let done_flag = ref false in
-      let result =
-        try
-          R.run ~conf:(conf 2) (fun () ->
-              R.scope (fun sc ->
-                  ignore (R.spawn sc (fun () -> raise (Boom 4)));
-                  ignore (R.spawn sc (fun () -> done_flag := true));
-                  R.sync sc;
-                  0))
-        with Boom 4 -> 1
-      in
-      Alcotest.(check int) (R.name ^ " exn propagated") 1 result;
-      Alcotest.(check bool) (R.name ^ " sibling ran") true !done_flag)
+      let module S = Shape (R) in
+      List.iter
+        (fun (shape, nested, w) ->
+          let done_flag = ref false in
+          let result =
+            try
+              R.run ~conf:(conf w) (fun () ->
+                  S.scope ~nested (fun sc ->
+                      ignore (R.spawn sc (fun () -> raise (Boom 4)));
+                      ignore (R.spawn sc (fun () -> done_flag := true));
+                      R.sync sc;
+                      0))
+            with Boom 4 -> 1
+          in
+          let label = Printf.sprintf "%s %s w=%d" R.name shape w in
+          Alcotest.(check int) (label ^ " exn propagated") 1 result;
+          Alcotest.(check bool) (label ^ " sibling ran") true !done_flag)
+        raising_shapes)
     presets
 
 let test_pending_get_rejected () =
@@ -352,15 +406,6 @@ let test_metrics_steals_with_workers () =
    every continuation-stealing instantiation — both counter families and
    all four deques. *)
 let test_no_steal_invariant_single_worker () =
-  let engines =
-    [
-      (module Nowa.Presets.Nowa : Nowa.RUNTIME);
-      (module Nowa.Presets.Nowa_the);
-      (module Nowa.Presets.Nowa_abp);
-      (module Nowa.Presets.Fibril);
-      (module Nowa.Presets.Cilk_plus);
-    ]
-  in
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
       let rec fib n =
@@ -404,7 +449,7 @@ let test_no_steal_invariant_single_worker () =
           (R.name ^ " fast syncs taken")
           true
           (total (fun w -> w.Nowa.Metrics.fast_syncs) > 0))
-    engines;
+    engine_presets;
   (* The child-stealing and central engines never lose continuations by
      construction (they do not steal continuations at all); their sync
      legitimately helps/suspends, so only the lost-continuation half of
@@ -434,6 +479,37 @@ let test_no_steal_invariant_single_worker () =
       (module Nowa.Presets.Lomp_tied);
       (module Nowa.Presets.Gomp);
     ]
+
+(* Lazy exposure on one worker: nothing is ever stolen, so the deque
+   empties only when the spine's exposed continuation is popped back.
+   fib exposes one spawn per level along the fib(n-2) spine (about n/2)
+   and runs every other spawn inline; an eager regression would expose
+   all 6,765 spawns of fib 20, a broken rule none. *)
+let test_lazy_exposure_single_worker () =
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let rec fib n =
+        if n < 2 then n
+        else
+          R.scope (fun sc ->
+              let a = R.spawn sc (fun () -> fib (n - 1)) in
+              let b = fib (n - 2) in
+              R.sync sc;
+              R.get a + b)
+      in
+      Alcotest.(check int) (R.name ^ " result") (fib_ref 20)
+        (R.run ~conf:(conf 1) (fun () -> fib 20));
+      match R.last_metrics () with
+      | None -> Alcotest.fail "metrics missing"
+      | Some m ->
+        let total f = Nowa.Metrics.total m f in
+        let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
+        let exposed = spawns - total (fun w -> w.Nowa.Metrics.inlined) in
+        Alcotest.(check int) (R.name ^ " every spawn point counted")
+          (Nowa_kernels.Fib.spawn_count 20) spawns;
+        if exposed < 1 || exposed > 20 then
+          Alcotest.failf "%s: %d exposed spawns, expected 1..20" R.name exposed)
+    engine_presets
 
 (* Explicit-sync conservation: every explicit sync resolves through
    exactly one of the three branches — never-forked fast, forked-but-
@@ -469,12 +545,7 @@ let test_fused_sync_conservation () =
               (2 * spawns)
               (fast + fused + resumes))
         [ 1; 2; 4 ])
-    [
-      (module Nowa.Presets.Nowa : Nowa.RUNTIME);
-      (module Nowa.Presets.Nowa_the);
-      (module Nowa.Presets.Fibril);
-      (module Nowa.Presets.Cilk_plus);
-    ]
+    engine_presets
 
 (* A steal forces the frame's explicit sync onto one of the forked
    branches: after the forced-steal roundtrip the run must show at least
@@ -999,6 +1070,8 @@ let () =
         [
           Alcotest.test_case "no-steal invariant single worker" `Quick
             test_no_steal_invariant_single_worker;
+          Alcotest.test_case "lazy exposure single worker" `Quick
+            test_lazy_exposure_single_worker;
           Alcotest.test_case "sync branch conservation" `Slow
             test_fused_sync_conservation;
           Alcotest.test_case "forced steal syncs accounted" `Slow
