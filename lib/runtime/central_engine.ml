@@ -7,10 +7,12 @@
     the one lock — which is why libgomp's speedup collapses in Figure 10
     of the paper, and why this engine's does too.
 
-    Micropools (ISSUE 10) partition the workers into named groups, each
-    with its own central queue, SNZI indicator and sleeper registry; a
-    multi-pool topology therefore also shards the lock, which is the
-    closest thing this engine has to scalability. *)
+    Micropools partition the workers into named groups, each with its
+    own central queue and SNZI indicator; a multi-pool topology
+    therefore also shards the lock, which is the closest thing this
+    engine has to scalability.  The central queues carry spawned tasks
+    only: routed roots, pools, the idle loop and [run] come from
+    {!Shell}, as for the work-stealing families. *)
 
 module Make (Id : sig
   val name : string
@@ -29,15 +31,10 @@ end) : Runtime_intf.S = struct
 
   type task = Task of (unit -> unit)
 
-  (* One named micropool: its own central queue doubles as the inject
-     queue for [spawn_on]-routed roots (they are ordinary tasks here). *)
-  type group = {
-    gid : int;
-    gname : string;
-    glo : int;  (* first global worker id of this pool *)
-    ghi : int;  (* one past the last *)
-    gqueue : task Nowa_deque.Central_queue.t;
-    gwork : Nowa_sync.Snzi.t;
+  (* One pool's central queue. *)
+  type central = {
+    queue : task Nowa_deque.Central_queue.t;
+    work : Nowa_sync.Snzi.t;
         (* Non-zero indicator over the queue: spawners arrive before the
            push, poppers depart after the grab ([depart_n]: one CAS per
            batch), so surplus >= queue length always and [query] = false
@@ -48,19 +45,14 @@ end) : Runtime_intf.S = struct
            single-leaf: the leaf CAS traffic matches what a plain atomic
            counter would cost, while the query side stays one uncontended
            root read. *)
-    gsleepers : Sleepers.t;  (* indexed by pool-local worker id *)
-    gidle : Config.idle_policy;
-    gsweep : int;
   }
-
-  type pool = group
 
   type worker = {
     id : int;
-    grp : group;
+    grp : task Shell.group;
+    central : central;  (* this worker's pool's queue *)
     m : Metrics.worker;
     tr : Ring.t;
-    hb : Health.Beats.t;  (* shared heartbeat words; worker beats its slot *)
     mutable depth : int;  (* task nesting (helping at sync): only the
                              outermost start/end delimits a busy slice *)
     mutable stash : task list;
@@ -69,13 +61,8 @@ end) : Runtime_intf.S = struct
            central queue *)
   }
 
-  type cluster = {
-    conf : Config.t;
-    workers : worker array;  (* all pools, global ids *)
-    groups : group array;
-    spill : bool;  (* cross-pool spill-over polling enabled *)
-    finished : bool Atomic.t;
-  }
+  (* [ext]: every pool's central queue, by pool index. *)
+  type cluster = (task, worker, central array) Shell.cluster
 
   let current : (cluster * worker) option Domain.DLS.key =
     Domain.DLS.new_key (fun () -> None)
@@ -88,350 +75,128 @@ end) : Runtime_intf.S = struct
   let note_exn fr e =
     ignore (Atomic.compare_and_set fr.exn_slot None (Some e))
 
-  (* Task bodies never raise: both [spawn] and the root wrap the thunk in
-     a match, so the straight-line depth bookkeeping is exception-safe. *)
-  let run_task w (Task f) =
+  (* Task bodies never raise: [spawn] and the shell wrap the thunk in a
+     match, so the straight-line depth bookkeeping is exception-safe. *)
+  let run_task (cl : cluster) w (Task f) =
     w.m.tasks <- w.m.tasks + 1;
     w.depth <- w.depth + 1;
     if w.depth = 1 then Ring.emit w.tr Ev.Task_start 0;
     f ();
     if w.depth = 1 then Ring.emit w.tr Ev.Task_end 0;
     w.depth <- w.depth - 1;
-    Health.Beats.beat w.hb w.id
+    Health.Beats.beat cl.Shell.hb w.id
+
+  let unstash w =
+    match w.stash with
+    | t :: rest ->
+      w.stash <- rest;
+      Some t
+    | [] -> None
 
   (* Batched grab from one pool's queue, behind its query-skip. *)
-  let poll_group w (g : group) =
+  let poll (cl : cluster) w (g : task Shell.group) =
+    let c = cl.ext.(g.gid) in
     w.m.steal_attempts <- w.m.steal_attempts + 1;
-    Health.Beats.beat w.hb w.id;
+    Health.Beats.beat cl.hb w.id;
     Ring.emit w.tr Ev.Steal_attempt g.gid;
-    if not (Nowa_sync.Snzi.query g.gwork) then begin
+    if not (Nowa_sync.Snzi.query c.work) then begin
       (* Indicator at zero proves the queue is empty: skip the mutex. *)
       Ring.emit w.tr Ev.Steal_abort g.gid;
       None
     end
     else begin
-      match
-        Nowa_deque.Central_queue.pop_batch g.gqueue ~max:(max 1 g.gsweep)
-      with
+      match Nowa_deque.Central_queue.pop_batch c.queue ~max:(max 1 g.gsweep) with
       | [] ->
         Ring.emit w.tr Ev.Steal_abort g.gid;
         None
       | head :: rest ->
         (* One batched depart retires the whole grab's units. *)
-        Nowa_sync.Snzi.depart_n g.gwork ~leaf:0 (1 + List.length rest);
+        Nowa_sync.Snzi.depart_n c.work ~leaf:0 (1 + List.length rest);
         Ring.emit w.tr Ev.Steal_commit g.gid;
         w.stash <- rest;
         Some head
     end
 
-  let poll cl w =
-    match w.stash with
-    | t :: rest ->
-      w.stash <- rest;
-      Some t
-    | [] -> (
-      match poll_group w w.grp with
+  (* Stash, then routed roots, then the pool's queue. *)
+  let take cl w =
+    match unstash w with
+    | Some _ as r -> r
+    | None -> (
+      match Shell.try_inject w.grp with
       | Some _ as r -> r
-      | None ->
-        if not cl.spill then None
-        else begin
-          (* Spill-over: poll foreign pools round-robin from the next
-             pool over, only after the own pool proved empty. *)
-          let ng = Array.length cl.groups in
-          let rec go k =
-            if k >= ng - 1 then None
-            else
-              match poll_group w cl.groups.((w.grp.gid + 1 + k) mod ng) with
-              | Some _ as r -> r
-              | None -> go (k + 1)
-          in
-          go 0
-        end)
+      | None -> poll cl w w.grp)
+
+  (* The pre-park probe takes the stash (owner-local) and then pops the
+     queue itself: the central pops are mutex-synchronised, and this
+     probe is the park protocol's lost-wakeup guard, so it must not
+     trust the query-skip. *)
+  let probe (cl : cluster) w (g : task Shell.group) ~exhaustive =
+    if not exhaustive then poll cl w g
+    else
+      match unstash w with
+      | Some _ as r -> r
+      | None -> (
+        let c = cl.ext.(g.gid) in
+        match Nowa_deque.Central_queue.pop c.queue with
+        | Some _ as r ->
+          Nowa_sync.Snzi.depart c.work ~leaf:0;
+          r
+        | None -> None)
+
+  module Sh = Shell.Make (struct
+    let name = name
+
+    type nonrec task = task
+    type nonrec worker = worker
+    type ext = central array
+
+    let current = current
+    let id w = w.id
+    let group w = w.grp
+    let metrics w = w.m
+    let ring w = w.tr
+
+    let make_ext _ groups =
+      Array.map
+        (fun _ ->
+          {
+            queue = Nowa_deque.Central_queue.create ();
+            work = Nowa_sync.Snzi.create ~leaves:1 ();
+          })
+        groups
+
+    let make_worker _ ext _ ~id (grp : task Shell.group) m tr =
+      { id; grp; central = ext.(grp.gid); m; tr; depth = 0; stash = [] }
+
+    let task_of_thunk f = Task f
+    let take = take
+    let probe = probe
+    let run_task = run_task
+
+    let ready (cl : cluster) =
+      Array.fold_left
+        (fun acc c -> acc + Nowa_deque.Central_queue.size c.queue)
+        0 cl.ext
+
+    let stack_stats = None
+    let after_join _ = ()
+  end)
+
+  include Sh
 
   let wait_for cl w fr =
     w.m.suspensions <- w.m.suspensions + 1;
     Ring.emit w.tr Ev.Suspend 0;
     let bo = Nowa_util.Backoff.make () in
     while Atomic.get fr.pending > 0 do
-      match poll cl w with
+      match find cl w with
       | Some t ->
         Nowa_util.Backoff.reset bo;
-        run_task w t
+        run_task cl w t
       | None -> Nowa_util.Backoff.once bo
     done
 
-  (* Pre-park re-check: the stash is owner-local and the central pops are
-     mutex-synchronised, so probing each pool's queue is the whole-system
-     sweep — the queues are the only places work can hide.  No
-     query-skip here: this probe is the park protocol's lost-wakeup
-     guard, so it must hit the queues themselves. *)
-  let sweep_all cl w =
-    let take (g : group) =
-      match Nowa_deque.Central_queue.pop g.gqueue with
-      | Some _ as r ->
-        Nowa_sync.Snzi.depart g.gwork ~leaf:0;
-        r
-      | None -> None
-    in
-    match w.stash with
-    | t :: rest ->
-      w.stash <- rest;
-      Some t
-    | [] -> (
-      match take w.grp with
-      | Some _ as r -> r
-      | None ->
-        if not cl.spill then None
-        else begin
-          let ng = Array.length cl.groups in
-          let rec go k =
-            if k >= ng - 1 then None
-            else
-              match take cl.groups.((w.grp.gid + 1 + k) mod ng) with
-              | Some _ as r -> r
-              | None -> go (k + 1)
-          in
-          go 0
-        end)
-
-  let park_round cl w =
-    Health.Beats.beat w.hb w.id;
-    let sleepers = w.grp.gsleepers in
-    let lid = w.id - w.grp.glo in
-    ignore (Sleepers.announce sleepers ~worker:lid);
-    let cancel () =
-      if not (Sleepers.cancel sleepers ~worker:lid) then
-        w.m.wake_retries <- w.m.wake_retries + 1
-    in
-    match sweep_all cl w with
-    | Some _ as r ->
-      cancel ();
-      r
-    | None ->
-      if Atomic.get cl.finished then cancel ()
-      else begin
-        w.m.parks <- w.m.parks + 1;
-        Ring.emit w.tr Ev.Park 0;
-        let t0 = Nowa_util.Clock.now_ns () in
-        Sleepers.park sleepers ~worker:lid;
-        Health.Beats.beat w.hb w.id;
-        w.m.parked_ns <- w.m.parked_ns + (Nowa_util.Clock.now_ns () - t0);
-        Ring.emit w.tr Ev.Unpark 0
-      end;
-      None
-
-  (* Three-phase elastic idle path (spin, yield, park), as in the
-     work-stealing engines.  No mask-width guard needed: [Topology]
-     rejects pools wider than the sleeper registry. *)
-  let worker_loop cl w =
-    let bo = Nowa_util.Backoff.make () in
-    let spin_budget, can_park =
-      match w.grp.gidle with
-      | Config.Spin -> (max_int, false)
-      | Config.Yield_after n -> (max 1 n, false)
-      | Config.Park_after n -> (max 1 n, true)
-    in
-    let rounds = ref 0 in
-    let rec go () =
-      if Atomic.get cl.finished then ()
-      else
-        match poll cl w with
-        | Some t ->
-          Nowa_util.Backoff.reset bo;
-          rounds := 0;
-          run_task w t;
-          go ()
-        | None ->
-          incr rounds;
-          if !rounds <= spin_budget then begin
-            Nowa_util.Backoff.once bo;
-            go ()
-          end
-          else if (not can_park) || !rounds <= 2 * spin_budget then begin
-            Unix.sleepf 0.0;
-            go ()
-          end
-          else begin
-            (match park_round cl w with
-            | Some t ->
-              Nowa_util.Backoff.reset bo;
-              run_task w t
-            | None -> ());
-            Nowa_util.Backoff.reset bo;
-            rounds := 0;
-            go ()
-          end
-    in
-    go ()
-
-  let last_metrics_ref = ref None
-  let last_metrics () = !last_metrics_ref
-  let last_trace_ref = ref None
-  let last_trace () = !last_trace_ref
-
-  let run ?conf main =
-    let conf = match conf with Some c -> c | None -> Config.default () in
-    (* Validate the pool topology before entering the runtime guard so a
-       bad configuration raises without leaking guard state. *)
-    let specs = Topology.of_config conf in
-    let nw = Topology.total specs in
-    let conf = { conf with Config.workers = nw } in
-    Runtime_guard.enter name;
-    Runtime_log.Log.debug (fun m ->
-        m "%s: starting %d workers in %d pool(s)" name nw (Array.length specs));
-    let trace =
-      if conf.Config.trace_capacity > 0 then
-        Some
-          (Nowa_trace.Trace.create ~workers:nw
-             ~capacity:conf.Config.trace_capacity ())
-      else None
-    in
-    let ring_for i =
-      match trace with Some t -> Nowa_trace.Trace.worker t i | None -> Ring.disabled
-    in
-    let hb =
-      if conf.Config.heartbeats then Health.Beats.create ~workers:nw
-      else Health.Beats.disabled
-    in
-    let groups =
-      Array.mapi
-        (fun gi (s : Topology.spec) ->
-          {
-            gid = gi;
-            gname = s.Topology.name;
-            glo = s.Topology.lo;
-            ghi = s.Topology.hi;
-            gqueue = Nowa_deque.Central_queue.create ();
-            gwork = Nowa_sync.Snzi.create ~leaves:1 ();
-            gsleepers = Sleepers.create ~workers:(s.Topology.hi - s.Topology.lo);
-            gidle = s.Topology.idle;
-            gsweep = s.Topology.sweep;
-          })
-        specs
-    in
-    let cl =
-      {
-        conf;
-        groups;
-        spill = conf.Config.spill_over;
-        finished = Atomic.make false;
-        workers =
-          Array.init nw (fun i ->
-              let g = groups.(Topology.group_of specs i) in
-              {
-                id = i;
-                grp = g;
-                m = Metrics.make_worker ~pool:g.gname i;
-                tr = ring_for i;
-                hb;
-                depth = 0;
-                stash = [];
-              });
-      }
-    in
-    Metrics.publish (Array.map (fun w -> w.m) cl.workers);
-    (match trace with
-    | Some t ->
-      Health.Recorder.register ~name:"trace" (fun ~dir ->
-          let evs, _dropped = Nowa_trace.Trace.freeze ~window:4096 t in
-          Nowa_trace.Perfetto.write_events_file
-            (Filename.concat dir "trace.json")
-            evs)
-    | None -> Health.Recorder.unregister ~name:"trace");
-    if conf.Config.watchdog_interval_ms > 0 then
-      Runtime_guard.start_monitor (fun () ->
-          (* Pool-aware probe (ISSUE 10): accessors translate global ids
-             through the worker's group so two pools' worker 0s cannot
-             alias. *)
-          let grp i = cl.workers.(i).grp in
-          let lid i = i - (grp i).glo in
-          let probe =
-            {
-              Health.engine = name;
-              workers = nw;
-              pool_of = (fun i -> ((grp i).gname, lid i));
-              beat_of = (fun i -> Health.Beats.read hb i);
-              announced =
-                (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
-              waiting =
-                (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
-              wake_stamp =
-                (fun i ->
-                  Sleepers.wake_stamp (grp i).gsleepers ~worker:(lid i));
-              ready =
-                (fun () ->
-                  Array.fold_left
-                    (fun acc g -> acc + Nowa_deque.Central_queue.size g.gqueue)
-                    0 cl.groups);
-              sleepers =
-                (fun () ->
-                  Array.fold_left
-                    (fun acc g -> acc + Sleepers.sleepers g.gsleepers)
-                    0 cl.groups);
-              draining = (fun () -> Atomic.get cl.finished);
-            }
-          in
-          let h =
-            Health.Monitor.spawn
-              ~interval_ms:conf.Config.watchdog_interval_ms
-              ~stall_scans:conf.Config.watchdog_stall_scans
-              ~dump:conf.Config.watchdog_dump probe
-          in
-          fun () -> Health.Monitor.stop h);
-    let result = ref None in
-    let wake_everyone () =
-      Array.iter (fun g -> Sleepers.wake_all g.gsleepers) cl.groups
-    in
-    let root =
-      Task
-        (fun () ->
-          (match main () with
-          | v -> result := Some (Ok v)
-          | exception e -> result := Some (Error e));
-          Atomic.set cl.finished true;
-          wake_everyone ())
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init (nw - 1) (fun i ->
-          let w = cl.workers.(i + 1) in
-          Domain.spawn (fun () ->
-              Domain.DLS.set current (Some (cl, w));
-              Nowa_trace.Current.set ~worker:w.id w.tr;
-              Fun.protect
-                ~finally:(fun () ->
-                  Domain.DLS.set current None;
-                  Nowa_trace.Current.clear ())
-                (fun () -> worker_loop cl w)))
-    in
-    let w0 = cl.workers.(0) in
-    Domain.DLS.set current (Some (cl, w0));
-    Nowa_trace.Current.set ~worker:w0.id w0.tr;
-    let teardown () =
-      Domain.DLS.set current None;
-      Nowa_trace.Current.clear ();
-      Atomic.set cl.finished true;
-      wake_everyone ();
-      List.iter Domain.join domains;
-      Runtime_guard.exit ()
-    in
-    Fun.protect ~finally:teardown (fun () ->
-        run_task w0 root;
-        worker_loop cl w0;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        last_trace_ref := trace;
-        if conf.Config.collect_metrics then
-          last_metrics_ref :=
-            Some
-              (Metrics.make
-                 (Array.map (fun w -> w.m) cl.workers)
-                 ~elapsed_s:elapsed));
-    match !result with
-    | Some (Ok v) -> v
-    | Some (Error e) -> raise e
-    | None -> assert false
-
-  let scope_finish fr =
+  let sync fr =
     let cl, w = get_current () in
     if Atomic.get fr.pending > 0 then wait_for cl w fr
     else w.m.fast_syncs <- w.m.fast_syncs + 1;
@@ -444,112 +209,42 @@ end) : Runtime_intf.S = struct
     let fr = { pending = Atomic.make 0; exn_slot = Atomic.make None } in
     match f fr with
     | v ->
-      scope_finish fr;
+      sync fr;
       v
     | exception e ->
-      (try scope_finish fr with _ -> ());
+      (try sync fr with _ -> ());
       raise e
 
-  let sync = scope_finish
-
   (* Arrive before push: a task in the queue always has a visible unit
-     behind it, so a zero indicator proves the queue is empty. *)
-  let push_task w (g : group) t =
-    Nowa_sync.Snzi.arrive g.gwork ~leaf:0;
-    Nowa_deque.Central_queue.push g.gqueue t;
+     behind it, so a zero indicator proves the queue is empty.  [body]
+     lowers the frame's pending count when done. *)
+  let push fr body =
+    let cl, w = get_current () in
+    w.m.spawns <- w.m.spawns + 1;
+    Health.Beats.beat cl.Shell.hb w.id;
+    Ring.emit w.tr Ev.Spawn 0;
+    ignore (Atomic.fetch_and_add fr.pending 1);
+    Nowa_sync.Snzi.arrive w.central.work ~leaf:0;
+    Nowa_deque.Central_queue.push w.central.queue (Task body);
     (* One load when nobody sleeps; CAS + signal only for a sleeper. *)
-    if Sleepers.wake_one g.gsleepers then w.m.wakeups <- w.m.wakeups + 1
+    if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1
 
   let spawn fr thunk =
-    let _, w = get_current () in
-    w.m.spawns <- w.m.spawns + 1;
-    Health.Beats.beat w.hb w.id;
-    Ring.emit w.tr Ev.Spawn 0;
     let p = Promise.make () in
-    ignore (Atomic.fetch_and_add fr.pending 1);
-    let body () =
-      (match thunk () with
-      | v -> Promise.fill p v
-      | exception e ->
-        Promise.fill_exn p e;
-        note_exn fr e);
-      ignore (Atomic.fetch_and_add fr.pending (-1))
-    in
-    push_task w w.grp (Task body);
+    push fr (fun () ->
+        (match thunk () with
+        | v -> Promise.fill p v
+        | exception e ->
+          Promise.fill_exn p e;
+          note_exn fr e);
+        ignore (Atomic.fetch_and_add fr.pending (-1)));
     p
 
   let spawn_unit fr thunk =
-    let _, w = get_current () in
-    w.m.spawns <- w.m.spawns + 1;
-    Health.Beats.beat w.hb w.id;
-    Ring.emit w.tr Ev.Spawn 0;
-    ignore (Atomic.fetch_and_add fr.pending 1);
-    let body () =
-      (match thunk () with () -> () | exception e -> note_exn fr e);
-      ignore (Atomic.fetch_and_add fr.pending (-1))
-    in
-    push_task w w.grp (Task body)
+    push fr (fun () ->
+        (try thunk () with e -> note_exn fr e);
+        ignore (Atomic.fetch_and_add fr.pending (-1)))
 
   let get p = Promise.get ~runtime:name p
   let await p = Promise.await ~runtime:name p
-
-  (* -- pool routing (ISSUE 10) ------------------------------------------ *)
-
-  let find_pool pname =
-    let cl, _ = get_current () in
-    Array.find_opt (fun g -> String.equal g.gname pname) cl.groups
-
-  let pool pname =
-    match find_pool pname with
-    | Some g -> g
-    | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown pool %S (configure it in Config.pools)"
-           name pname)
-
-  let pool_name (g : pool) = g.gname
-
-  let self_pool () =
-    let _, w = get_current () in
-    w.grp.gname
-
-  (* Wake path for a routed root: the target pool's registry first; with
-     spill-over on and no local sleeper, any foreign sleeper will do —
-     the spill poll covers foreign queues. *)
-  let wake_routed cl w (g : group) =
-    if Sleepers.wake_one g.gsleepers then w.m.wakeups <- w.m.wakeups + 1
-    else if cl.spill then begin
-      let ng = Array.length cl.groups in
-      let rec go k =
-        if k >= ng - 1 then ()
-        else if Sleepers.wake_one cl.groups.((g.gid + 1 + k) mod ng).gsleepers
-        then w.m.wakeups <- w.m.wakeups + 1
-        else go (k + 1)
-      in
-      go 0
-    end
-
-  let enqueue_routed (g : pool) body =
-    let cl, w = get_current () in
-    Nowa_sync.Snzi.arrive g.gwork ~leaf:0;
-    Nowa_deque.Central_queue.push g.gqueue (Task body);
-    wake_routed cl w g
-
-  (* Routed roots are plain closures here — spawns inside the task open
-     their own scopes as usual. *)
-  let spawn_on (type a) (g : pool) (thunk : unit -> a) : a promise =
-    let p : a promise = Promise.make_remote () in
-    enqueue_routed g (fun () ->
-        match thunk () with
-        | v -> Promise.fill_remote p v
-        | exception e -> Promise.fill_remote_exn p e);
-    p
-
-  let spawn_unit_on (g : pool) thunk =
-    enqueue_routed g (fun () ->
-        try thunk ()
-        with e ->
-          Runtime_log.Log.err (fun m ->
-              m "%s: spawn_unit_on %S task raised %s" name g.gname
-                (Printexc.to_string e)))
 end

@@ -17,7 +17,10 @@
       constraint pins the waiter to tasks from its own deque; when that
       runs dry it can only spin.  This is the structural reason tied
       tasks over- or under-perform untied ones per benchmark in
-      Figure 10/Table III. *)
+      Figure 10/Table III.
+
+    This module keeps spawn, sync and how work is found; pools, routing,
+    the idle loop and [run] come from {!Shell}. *)
 
 module Waiting = struct
   type t = Steal_anywhere | Local_only
@@ -49,44 +52,17 @@ module Make
     let dummy = Task ignore
   end)
 
-  (* One named micropool (ISSUE 10), mirroring {!Engine}: a contiguous
-     slice of the global worker array with its own sleeper registry
-     (local ids), its own inject queue for [spawn_on]-routed roots, and
-     its own idle/steal knobs. *)
-  type group = {
-    gid : int;
-    gname : string;
-    glo : int;  (* first global worker id of this pool *)
-    ghi : int;  (* one past the last *)
-    gsleepers : Sleepers.t;  (* indexed by pool-local worker id *)
-    ginject : task Nowa_deque.Central_queue.t;
-    ggate : int Atomic.t;
-        (* conservative inject count: raised before a push, lowered
-           after a pop, so 0 proves the queue empty *)
-    gidle : Config.idle_policy;
-    gsweep : int;
-  }
-
-  type pool = group
-
   type worker = {
     id : int;
-    grp : group;
+    grp : task Shell.group;
     deque : Q.t;
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
     tr : Ring.t;
-    hb : Health.Beats.t;  (* shared heartbeat words; worker beats its slot *)
     mutable depth : int;  (* task nesting while helping at a taskwait *)
   }
 
-  type cluster = {
-    conf : Config.t;
-    workers : worker array;  (* all pools, global ids *)
-    groups : group array;
-    spill : bool;  (* cross-pool spill-over stealing enabled *)
-    finished : bool Atomic.t;
-  }
+  type cluster = (task, worker, unit) Shell.cluster
 
   let current : (cluster * worker) option Domain.DLS.key =
     Domain.DLS.new_key (fun () -> None)
@@ -99,125 +75,105 @@ module Make
   let note_exn fr e =
     ignore (Atomic.compare_and_set fr.exn_slot None (Some e))
 
-  (* Task bodies never raise ([spawn] and the root wrap the thunk), so
+  (* Task bodies never raise ([spawn] and the shell wrap the thunk), so
      the depth bookkeeping needs no exception handling. *)
-  let run_task w (Task f) =
+  let run_task (cl : cluster) w (Task f) =
     w.m.tasks <- w.m.tasks + 1;
     w.depth <- w.depth + 1;
     if w.depth = 1 then Ring.emit w.tr Ev.Task_start 0;
     f ();
     if w.depth = 1 then Ring.emit w.tr Ev.Task_end 0;
     w.depth <- w.depth - 1;
-    Health.Beats.beat w.hb w.id
+    Health.Beats.beat cl.Shell.hb w.id
 
   let no_commit _ = ()
 
-  (* Take one routed root from a pool's inject queue; the gate read
-     keeps the common empty case lock-free. *)
-  let try_inject (g : group) =
-    if Atomic.get g.ggate = 0 then None
-    else
-      match Nowa_deque.Central_queue.pop g.ginject with
-      | Some _ as r ->
-        Atomic.decr g.ggate;
-        r
-      | None -> None
+  (* A victim probe: [max] tasks under one acquisition (a batched,
+     [steal_half]-style grab) or a single steal when [max = 1]. *)
+  let steal (cl : cluster) w ~max v =
+    w.m.steal_attempts <- w.m.steal_attempts + 1;
+    Health.Beats.beat cl.hb w.id;
+    Ring.emit w.tr Ev.Steal_attempt v;
+    match Q.steal_batch cl.workers.(v).deque ~max ~on_commit:no_commit with
+    | [] ->
+      Ring.emit w.tr Ev.Steal_abort v;
+      None
+    | head :: extra ->
+      w.m.steals <- w.m.steals + 1 + List.length extra;
+      Ring.emit w.tr Ev.Steal_commit v;
+      (* The surplus moves to the thief's own deque so the next LIFO pops
+         serve it without touching the victim again.  Tasks are plain
+         closures, so re-homing them is always legal. *)
+      List.iter
+        (fun t ->
+          try Q.push_bottom w.deque t
+          with Nowa_deque.Ws_deque_intf.Full -> run_task cl w t)
+        extra;
+      Some head
 
-  (* Sweep up to [gsweep] distinct pool-mates; each probe is a batched
-     ([steal_half]-style) grab of up to [gsweep] tasks under one
-     acquisition.  The head is returned to run now; the surplus moves to
-     the thief's own deque so the next LIFO pops serve it without
-     touching the victim again.  Tasks are plain closures here, so
-     re-homing them is always legal (no continuation ownership).
-     Stealing stays inside the worker's own pool; spill-over runs later,
-     from the idle loop. *)
-  let try_steal cl w =
-    let g = w.grp in
-    let n = g.ghi - g.glo in
-    let from_mates () =
-      if n = 1 then None
-      else begin
-        let sweep = min (max 1 g.gsweep) (n - 1) in
-        let lid = w.id - g.glo in
-        let start = Nowa_util.Xoshiro.int w.rng (n - 1) in
-        let rec probe i =
-          if i >= sweep then begin
-            Nowa_obs.Histogram.observe Metrics.sweep_length sweep;
-            None
-          end
-          else begin
-            let v = g.glo + ((lid + 1 + ((start + i) mod (n - 1))) mod n) in
-            w.m.steal_attempts <- w.m.steal_attempts + 1;
-            Health.Beats.beat w.hb w.id;
-            Ring.emit w.tr Ev.Steal_attempt v;
-            match
-              Q.steal_batch cl.workers.(v).deque ~max:sweep
-                ~on_commit:no_commit
-            with
-            | [] ->
-              Ring.emit w.tr Ev.Steal_abort v;
-              probe (i + 1)
-            | head :: extra ->
-              w.m.steals <- w.m.steals + 1 + List.length extra;
-              Ring.emit w.tr Ev.Steal_commit v;
-              List.iter
-                (fun t ->
-                  try Q.push_bottom w.deque t
-                  with Nowa_deque.Ws_deque_intf.Full -> run_task w t)
-                extra;
-              Nowa_obs.Histogram.observe Metrics.sweep_length (i + 1);
-              Some head
-          end
-        in
-        probe 0
-      end
-    in
-    (* Routed roots are this pool's responsibility and have no other
-       worker to run them; the caller has already drained its own deque. *)
-    match try_inject g with Some _ as r -> r | None -> from_mates ()
+  let steal_one cl w v = steal cl w ~max:1 v
+  let steal_batch cl w ~sweep v = steal cl w ~max:sweep v
+  let first_mate _ w ~mates ~sweep:_ = Nowa_util.Xoshiro.int w.rng mates
 
-  (* Cross-pool spill-over (ISSUE 10, behind [Config.spill_over]): only
-     reached when the worker's own pool came up empty.  Foreign pools
-     are scanned round-robin from the next pool over; within each, the
-     inject queue first, then up to [gsweep] random victims (single
-     steals — batched re-homing would drag a foreign pool's backlog into
-     this pool's deques). *)
-  let try_spill cl w =
-    let ng = Array.length cl.groups in
-    if ng <= 1 then None
-    else begin
-      let attempt v =
-        w.m.steal_attempts <- w.m.steal_attempts + 1;
-        Ring.emit w.tr Ev.Steal_attempt v;
-        match Q.steal cl.workers.(v).deque ~on_commit:no_commit with
-        | Some _ as r ->
-          w.m.steals <- w.m.steals + 1;
-          Ring.emit w.tr Ev.Steal_commit v;
-          r
-        | None -> None
-      in
-      let rec groups k =
-        if k >= ng - 1 then None
-        else begin
-          let g = cl.groups.((w.grp.gid + 1 + k) mod ng) in
-          match try_inject g with
-          | Some _ as r -> r
-          | None ->
-            let n = g.ghi - g.glo in
-            let sweep = min (max 1 w.grp.gsweep) n in
-            let start = Nowa_util.Xoshiro.int w.rng n in
-            let rec probe i =
-              if i >= sweep then None
-              else
-                match attempt (g.glo + ((start + i) mod n)) with
-                | Some _ as r -> r
-                | None -> probe (i + 1)
-            in
-            (match probe 0 with Some _ as r -> r | None -> groups (k + 1))
-        end
-      in
-      groups 0
-    end
+  (* Routed roots first (they have no other worker to run them), then up
+     to [gsweep] pool-mates, each a batched grab of up to [gsweep]
+     tasks.  The caller has already drained its own deque. *)
+  let help (cl : cluster) w =
+    match Shell.try_inject w.grp with
+    | Some _ as r -> r
+    | None -> Shell.sweep_mates w.grp ~self:w.id ~start:first_mate steal_batch cl w
+
+  let take cl w =
+    match Q.pop_bottom w.deque with Some _ as r -> r | None -> help cl w
+
+  (* Single steals on both probes: batched re-homing would drag a
+     foreign pool's backlog into this pool's deques.  The pre-park sweep
+     drains the own deque's bottom first. *)
+  let probe cl w g ~exhaustive =
+    match if exhaustive then Q.pop_bottom w.deque else None with
+    | Some _ as r -> r
+    | None ->
+      Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng
+        ~sweep:w.grp.gsweep steal_one cl w
+
+  module Sh = Shell.Make (struct
+    let name = name
+
+    type nonrec task = task
+    type nonrec worker = worker
+    type ext = unit
+
+    let current = current
+    let id w = w.id
+    let group w = w.grp
+    let metrics w = w.m
+    let ring w = w.tr
+    let make_ext _ _ = ()
+
+    let make_worker conf () (s : Topology.spec) ~id grp m tr =
+      {
+        id;
+        grp;
+        deque = Q.create ~capacity:s.Topology.capacity ();
+        rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
+        m;
+        tr;
+        depth = 0;
+      }
+
+    let task_of_thunk f = Task f
+    let take = take
+    let probe = probe
+    let run_task = run_task
+
+    let ready (cl : cluster) =
+      Array.fold_left (fun acc w -> acc + Q.size w.deque) 0 cl.workers
+
+    let stack_stats = None
+    let after_join _ = ()
+  end)
+
+  include Sh
 
   (* OpenMP taskwait / TBB wait_for_all: execute tasks until the frame's
      children are gone.  LIFO from the own deque keeps the helper on its
@@ -232,333 +188,17 @@ module Make
       match Q.pop_bottom w.deque with
       | Some t ->
         Nowa_util.Backoff.reset bo;
-        run_task w t
+        run_task cl w t
       | None -> (
         match Id.waiting with
         | Waiting.Local_only -> Nowa_util.Backoff.once bo
         | Waiting.Steal_anywhere -> (
-          match try_steal cl w with
+          match help cl w with
           | Some t ->
             Nowa_util.Backoff.reset bo;
-            run_task w t
+            run_task cl w t
           | None -> Nowa_util.Backoff.once bo))
     done
-
-  (* Pre-park re-check: real steal probes over one pool's every deque
-     plus its inject queue (no size reads — they are unsynchronised on
-     the locked deque).  See {!Engine.sweep_group} for the ordering
-     argument; it is identical here. *)
-  let sweep_group cl w (g : group) =
-    let n = g.ghi - g.glo in
-    let off = if w.id >= g.glo && w.id < g.ghi then w.id - g.glo else 0 in
-    let rec go i =
-      if i >= n then try_inject g
-      else begin
-        let v = g.glo + ((off + i) mod n) in
-        w.m.steal_attempts <- w.m.steal_attempts + 1;
-        match Q.steal cl.workers.(v).deque ~on_commit:no_commit with
-        | Some t ->
-          w.m.steals <- w.m.steals + 1;
-          Ring.emit w.tr Ev.Steal_commit v;
-          Some t
-        | None -> go (i + 1)
-      end
-    in
-    match Q.pop_bottom w.deque with Some _ as r -> r | None -> go 0
-
-  let sweep_all cl w =
-    match sweep_group cl w w.grp with
-    | Some _ as r -> r
-    | None ->
-      if not cl.spill then None
-      else begin
-        (* With spill-over on this worker may be the last one awake that
-           could ever run a foreign pool's pending work, so the pre-park
-           sweep must cover the foreign pools too. *)
-        let ng = Array.length cl.groups in
-        let rec go k =
-          if k >= ng - 1 then None
-          else
-            match
-              sweep_group cl w cl.groups.((w.grp.gid + 1 + k) mod ng)
-            with
-            | Some _ as r -> r
-            | None -> go (k + 1)
-        in
-        go 0
-      end
-
-  let park_round cl w =
-    Health.Beats.beat w.hb w.id;
-    let sleepers = w.grp.gsleepers in
-    let lid = w.id - w.grp.glo in
-    ignore (Sleepers.announce sleepers ~worker:lid);
-    let cancel () =
-      if not (Sleepers.cancel sleepers ~worker:lid) then
-        w.m.wake_retries <- w.m.wake_retries + 1
-    in
-    match sweep_all cl w with
-    | Some _ as r ->
-      cancel ();
-      r
-    | None ->
-      if Atomic.get cl.finished then cancel ()
-      else begin
-        w.m.parks <- w.m.parks + 1;
-        Ring.emit w.tr Ev.Park 0;
-        let t0 = Nowa_util.Clock.now_ns () in
-        Sleepers.park sleepers ~worker:lid;
-        Health.Beats.beat w.hb w.id;
-        w.m.parked_ns <- w.m.parked_ns + (Nowa_util.Clock.now_ns () - t0);
-        Ring.emit w.tr Ev.Unpark 0
-      end;
-      None
-
-  (* Same three-phase elastic idle path as the continuation-stealing
-     engine: spin with backoff, then yield the timeslice, then park via
-     the sleeper registry.  No mask-width guard needed: [Topology]
-     (backed by [Sleepers.create]) rejects pools wider than the
-     registry, so every local id can park. *)
-  let worker_loop cl w =
-    let bo = Nowa_util.Backoff.make () in
-    let spin_budget, can_park =
-      match w.grp.gidle with
-      | Config.Spin -> (max_int, false)
-      | Config.Yield_after n -> (max 1 n, false)
-      | Config.Park_after n -> (max 1 n, true)
-    in
-    let rounds = ref 0 in
-    let take () =
-      match Q.pop_bottom w.deque with
-      | Some _ as r -> r
-      | None -> (
-        match try_steal cl w with
-        | Some _ as r -> r
-        | None -> if cl.spill then try_spill cl w else None)
-    in
-    let rec go () =
-      if Atomic.get cl.finished then ()
-      else
-        match take () with
-        | Some t ->
-          Nowa_util.Backoff.reset bo;
-          rounds := 0;
-          run_task w t;
-          go ()
-        | None ->
-          incr rounds;
-          if !rounds <= spin_budget then begin
-            if !rounds mod cl.conf.Config.steal_attempts = 0 then
-              Nowa_util.Backoff.once bo;
-            go ()
-          end
-          else if (not can_park) || !rounds <= 2 * spin_budget then begin
-            Unix.sleepf 0.0;
-            go ()
-          end
-          else begin
-            (match park_round cl w with
-            | Some t ->
-              Nowa_util.Backoff.reset bo;
-              run_task w t
-            | None -> ());
-            Nowa_util.Backoff.reset bo;
-            rounds := 0;
-            go ()
-          end
-    in
-    go ()
-
-  let last_metrics_ref = ref None
-  let last_metrics () = !last_metrics_ref
-  let last_trace_ref = ref None
-  let last_trace () = !last_trace_ref
-
-  let run ?conf main =
-    let conf = match conf with Some c -> c | None -> Config.default () in
-    (* Validate the pool topology before entering the runtime guard so a
-       bad configuration raises without leaking guard state. *)
-    let specs = Topology.of_config conf in
-    let nw = Topology.total specs in
-    let conf = { conf with Config.workers = nw } in
-    Runtime_guard.enter name;
-    Runtime_log.Log.debug (fun m ->
-        m "%s: starting %d workers in %d pool(s)" name nw (Array.length specs));
-    let trace =
-      if conf.Config.trace_capacity > 0 then
-        Some
-          (Nowa_trace.Trace.create ~workers:nw
-             ~capacity:conf.Config.trace_capacity ())
-      else None
-    in
-    let ring_for i =
-      match trace with Some t -> Nowa_trace.Trace.worker t i | None -> Ring.disabled
-    in
-    let hb =
-      if conf.Config.heartbeats then Health.Beats.create ~workers:nw
-      else Health.Beats.disabled
-    in
-    let groups =
-      Array.mapi
-        (fun gi (s : Topology.spec) ->
-          {
-            gid = gi;
-            gname = s.Topology.name;
-            glo = s.Topology.lo;
-            ghi = s.Topology.hi;
-            gsleepers = Sleepers.create ~workers:(s.Topology.hi - s.Topology.lo);
-            ginject = Nowa_deque.Central_queue.create ();
-            ggate = Nowa_util.Padding.atomic 0;
-            gidle = s.Topology.idle;
-            gsweep = s.Topology.sweep;
-          })
-        specs
-    in
-    let cl =
-      {
-        conf;
-        groups;
-        spill = conf.Config.spill_over;
-        finished = Atomic.make false;
-        workers =
-          Array.init nw (fun i ->
-              let g = groups.(Topology.group_of specs i) in
-              {
-                id = i;
-                grp = g;
-                deque = Q.create ~capacity:specs.(g.gid).Topology.capacity ();
-                rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (i * 7919) + 1);
-                m = Metrics.make_worker ~pool:g.gname i;
-                tr = ring_for i;
-                hb;
-                depth = 0;
-              });
-      }
-    in
-    Metrics.publish (Array.map (fun w -> w.m) cl.workers);
-    (match trace with
-    | Some t ->
-      Health.Recorder.register ~name:"trace" (fun ~dir ->
-          let evs, _dropped = Nowa_trace.Trace.freeze ~window:4096 t in
-          Nowa_trace.Perfetto.write_events_file
-            (Filename.concat dir "trace.json")
-            evs)
-    | None -> Health.Recorder.unregister ~name:"trace");
-    if conf.Config.watchdog_interval_ms > 0 then
-      Runtime_guard.start_monitor (fun () ->
-          (* Pool-aware probe (ISSUE 10): every accessor translates the
-             global index through the worker's group, so two pools'
-             worker 0s cannot alias into one sleeper slot or verdict
-             row. *)
-          let grp i = cl.workers.(i).grp in
-          let lid i = i - (grp i).glo in
-          let probe =
-            {
-              Health.engine = name;
-              workers = nw;
-              pool_of = (fun i -> ((grp i).gname, lid i));
-              beat_of = (fun i -> Health.Beats.read hb i);
-              announced =
-                (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
-              waiting =
-                (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
-              wake_stamp =
-                (fun i ->
-                  Sleepers.wake_stamp (grp i).gsleepers ~worker:(lid i));
-              ready =
-                (fun () ->
-                  Array.fold_left
-                    (fun acc w -> acc + Q.size w.deque)
-                    0 cl.workers
-                  + Array.fold_left
-                      (fun acc g -> acc + Atomic.get g.ggate)
-                      0 cl.groups);
-              sleepers =
-                (fun () ->
-                  Array.fold_left
-                    (fun acc g -> acc + Sleepers.sleepers g.gsleepers)
-                    0 cl.groups);
-              draining = (fun () -> Atomic.get cl.finished);
-            }
-          in
-          let h =
-            Health.Monitor.spawn
-              ~interval_ms:conf.Config.watchdog_interval_ms
-              ~stall_scans:conf.Config.watchdog_stall_scans
-              ~dump:conf.Config.watchdog_dump probe
-          in
-          fun () -> Health.Monitor.stop h);
-    let result = ref None in
-    let wake_everyone () =
-      Array.iter (fun g -> Sleepers.wake_all g.gsleepers) cl.groups
-    in
-    let root =
-      Task
-        (fun () ->
-          (match main () with
-          | v -> result := Some (Ok v)
-          | exception e -> result := Some (Error e));
-          Atomic.set cl.finished true;
-          wake_everyone ())
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init (nw - 1) (fun i ->
-          let w = cl.workers.(i + 1) in
-          Domain.spawn (fun () ->
-              Domain.DLS.set current (Some (cl, w));
-              Nowa_trace.Current.set ~worker:w.id w.tr;
-              Fun.protect
-                ~finally:(fun () ->
-                  Domain.DLS.set current None;
-                  Nowa_trace.Current.clear ())
-                (fun () -> worker_loop cl w)))
-    in
-    let w0 = cl.workers.(0) in
-    Domain.DLS.set current (Some (cl, w0));
-    Nowa_trace.Current.set ~worker:w0.id w0.tr;
-    let teardown () =
-      Domain.DLS.set current None;
-      Nowa_trace.Current.clear ();
-      Atomic.set cl.finished true;
-      wake_everyone ();
-      List.iter Domain.join domains;
-      Runtime_guard.exit ()
-    in
-    Fun.protect ~finally:teardown (fun () ->
-        run_task w0 root;
-        worker_loop cl w0;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        last_trace_ref := trace;
-        if conf.Config.collect_metrics then
-          last_metrics_ref :=
-            Some
-              (Metrics.make
-                 (Array.map (fun w -> w.m) cl.workers)
-                 ~elapsed_s:elapsed));
-    match !result with
-    | Some (Ok v) -> v
-    | Some (Error e) -> raise e
-    | None -> assert false
-
-  let scope f =
-    ignore (get_current ());
-    let fr = { pending = Atomic.make 0; exn_slot = Atomic.make None } in
-    let finish () =
-      let cl, w = get_current () in
-      if Atomic.get fr.pending > 0 then wait_for cl w fr
-      else w.m.fast_syncs <- w.m.fast_syncs + 1;
-      match Atomic.exchange fr.exn_slot None with
-      | Some e -> raise e
-      | None -> ()
-    in
-    match f fr with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      (try finish () with _ -> ());
-      raise e
 
   let sync fr =
     let cl, w = get_current () in
@@ -568,100 +208,46 @@ module Make
     | Some e -> raise e
     | None -> ()
 
-  let spawn fr thunk =
-    let _, w = get_current () in
+  let scope f =
+    ignore (get_current ());
+    let fr = { pending = Atomic.make 0; exn_slot = Atomic.make None } in
+    match f fr with
+    | v ->
+      sync fr;
+      v
+    | exception e ->
+      (try sync fr with _ -> ());
+      raise e
+
+  (* Pending is raised before the task is visible to thieves, so the
+     join counter never needs the lock-or-wait-free machinery of the
+     continuation-stealing engines; [body] lowers it when done. *)
+  let push fr body =
+    let cl, w = get_current () in
     w.m.spawns <- w.m.spawns + 1;
-    Health.Beats.beat w.hb w.id;
+    Health.Beats.beat cl.Shell.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
-    let p = Promise.make () in
-    (* Pending is raised before the task is visible to thieves, so the
-       join counter never needs the lock-or-wait-free machinery of the
-       continuation-stealing engines. *)
     ignore (Atomic.fetch_and_add fr.pending 1);
-    let body () =
-      (match thunk () with
-      | v -> Promise.fill p v
-      | exception e ->
-        Promise.fill_exn p e;
-        note_exn fr e);
-      ignore (Atomic.fetch_and_add fr.pending (-1))
-    in
     Q.push_bottom w.deque (Task body);
     (* One load when nobody sleeps; CAS + signal only for a sleeper. *)
-    if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1;
+    if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1
+
+  let spawn fr thunk =
+    let p = Promise.make () in
+    push fr (fun () ->
+        (match thunk () with
+        | v -> Promise.fill p v
+        | exception e ->
+          Promise.fill_exn p e;
+          note_exn fr e);
+        ignore (Atomic.fetch_and_add fr.pending (-1)));
     p
 
   let spawn_unit fr thunk =
-    let _, w = get_current () in
-    w.m.spawns <- w.m.spawns + 1;
-    Health.Beats.beat w.hb w.id;
-    Ring.emit w.tr Ev.Spawn 0;
-    ignore (Atomic.fetch_and_add fr.pending 1);
-    let body () =
-      (match thunk () with () -> () | exception e -> note_exn fr e);
-      ignore (Atomic.fetch_and_add fr.pending (-1))
-    in
-    Q.push_bottom w.deque (Task body);
-    if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1
+    push fr (fun () ->
+        (try thunk () with e -> note_exn fr e);
+        ignore (Atomic.fetch_and_add fr.pending (-1)))
 
   let get p = Promise.get ~runtime:name p
   let await p = Promise.await ~runtime:name p
-
-  (* -- pool routing (ISSUE 10) ------------------------------------------ *)
-
-  let find_pool pname =
-    let cl, _ = get_current () in
-    Array.find_opt (fun g -> String.equal g.gname pname) cl.groups
-
-  let pool pname =
-    match find_pool pname with
-    | Some g -> g
-    | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown pool %S (configure it in Config.pools)"
-           name pname)
-
-  let pool_name (g : pool) = g.gname
-
-  let self_pool () =
-    let _, w = get_current () in
-    w.grp.gname
-
-  let wake_routed cl w (g : group) =
-    if Sleepers.wake_one g.gsleepers then w.m.wakeups <- w.m.wakeups + 1
-    else if cl.spill then begin
-      let ng = Array.length cl.groups in
-      let rec go k =
-        if k >= ng - 1 then ()
-        else if Sleepers.wake_one cl.groups.((g.gid + 1 + k) mod ng).gsleepers
-        then w.m.wakeups <- w.m.wakeups + 1
-        else go (k + 1)
-      in
-      go 0
-    end
-
-  let enqueue_routed (g : pool) body =
-    let cl, w = get_current () in
-    (* Gate up before the push so a zero gate proves an empty queue. *)
-    Atomic.incr g.ggate;
-    Nowa_deque.Central_queue.push g.ginject (Task body);
-    wake_routed cl w g
-
-  (* Routed roots are plain closures here — no effect handler needed;
-     spawns inside the task open their own scopes as usual. *)
-  let spawn_on (type a) (g : pool) (thunk : unit -> a) : a promise =
-    let p : a promise = Promise.make_remote () in
-    enqueue_routed g (fun () ->
-        match thunk () with
-        | v -> Promise.fill_remote p v
-        | exception e -> Promise.fill_remote_exn p e);
-    p
-
-  let spawn_unit_on (g : pool) thunk =
-    enqueue_routed g (fun () ->
-        try thunk ()
-        with e ->
-          Runtime_log.Log.err (fun m ->
-              m "%s: spawn_unit_on %S task raised %s" name g.gname
-                (Printexc.to_string e)))
 end

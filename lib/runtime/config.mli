@@ -96,7 +96,7 @@ type t = {
           store at each scheduler station point (task completion, steal
           attempt, park/unpark).  On by default — the cost is one
           unfenced store — and only turned off by the overhead gate in
-          [bench micro]. *)
+          [bench hotpath]. *)
   watchdog_interval_ms : int;
       (** Scan cadence of the health watchdog monitor thread; 0 (the
           default) leaves the monitor off.  When positive, the engine

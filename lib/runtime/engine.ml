@@ -18,6 +18,12 @@
     lines 4-5).  Suspension is simply the effect handler returning to the
     scheduler loop without resuming anything.
 
+    This module keeps only what the paper varies: spawn, sync and how a
+    worker finds work (its own deque, then pool-mates, with the full
+    steal protocol).  Pools, routing, the idle loop, the park protocol
+    and [run]'s lifecycle come from {!Shell}, which never sits on the
+    spawn/sync path.
+
     {2 Lazy continuation exposure}
 
     The effect path above runs only when the spawning worker's deque is
@@ -113,32 +119,12 @@ module Make
     let dummy = dummy_task
   end)
 
-  (* One named micropool (ISSUE 10): a contiguous slice of the global
-     worker array with its own sleeper registry (local ids), its own
-     inject queue for [spawn_on]-routed roots, and its own idle/steal
-     knobs.  The single-pool topology builds exactly one of these, and
-     the spawn/sync hot path pays only the [w.grp] indirection. *)
-  type group = {
-    gid : int;
-    gname : string;
-    glo : int;  (* first global worker id of this pool *)
-    ghi : int;  (* one past the last *)
-    gsleepers : Sleepers.t;  (* indexed by pool-local worker id *)
-    ginject : task Nowa_deque.Central_queue.t;
-        (* [spawn_on] roots; FIFO per target pool *)
-    ggate : int Atomic.t;
-        (* conservative inject count: raised before a push, lowered
-           after a pop, so 0 proves the queue empty and idle workers
-           skip the queue lock entirely *)
-    gidle : Config.idle_policy;
-    gsweep : int;
-  }
-
-  type pool = group
-
+  (* The per-worker record belongs to the engine, not the shell, so the
+     spawn/sync path reaches every field in one load; the spawn path
+     pays only the [w.grp] indirection for its pool. *)
   type worker = {
     id : int;
-    grp : group;
+    grp : task Shell.group;
     deque : Q.t;
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
@@ -154,15 +140,8 @@ module Make
     mutable nframes : int;
   }
 
-  type cluster = {
-    conf : Config.t;
-    workers : worker array;  (* all pools, global ids *)
-    groups : group array;
-    spill : bool;  (* cross-pool spill-over stealing enabled *)
-    stacks : Stack_pool.t;
-    finished : bool Atomic.t;
-    hb : Health.Beats.t;  (* per-worker heartbeat words; watchdog input *)
-  }
+  (* The shell's run record; [ext] is this run's stack pool. *)
+  type cluster = (task, worker, Stack_pool.t) Shell.cluster
 
   (* The effect carries the untyped thunk and promise directly (the
      uniform-representation coercion confined to [spawn]/[spawn_unit]),
@@ -193,7 +172,7 @@ module Make
     match w.stack with
     | Some s -> s
     | None ->
-      let s = Stack_pool.acquire pool.stacks ~worker:w.id in
+      let s = Stack_pool.acquire pool.Shell.ext ~worker:w.id in
       w.m.stack_acquires <- w.m.stack_acquires + 1;
       Ring.emit w.tr Ev.Stack_acquire 0;
       w.stack <- Some s;
@@ -203,7 +182,7 @@ module Make
     match w.stack with
     | None -> ()
     | Some s ->
-      Stack_pool.release pool.stacks ~worker:w.id s;
+      Stack_pool.release pool.Shell.ext ~worker:w.id s;
       w.m.stack_releases <- w.m.stack_releases + 1;
       Ring.emit w.tr Ev.Stack_release 0;
       w.stack <- None
@@ -253,7 +232,7 @@ module Make
     | None -> ()
     | Some s ->
       drop_stack pool w;
-      Stack_pool.reactivate pool.stacks s;
+      Stack_pool.reactivate pool.Shell.ext s;
       w.stack <- Some s);
     Effect.Deep.continue k ()
 
@@ -293,12 +272,12 @@ module Make
        subtree may not complete a task or probe a victim for a long
        time, and without this beat the watchdog would read that busy
        worker as stalled. *)
-    Health.Beats.beat pool.hb w.id;
+    Health.Beats.beat pool.Shell.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
     (* Only exposed spawns touch a stack page: an inline child runs on
        the spawner's own frame, like the call it elides. *)
     (match w.stack with
-    | Some s -> Stack_pool.touch s ~pages:1 ~max_pages:pool.conf.Config.stack_pages
+    | Some s -> Stack_pool.touch s ~pages:1 ~max_pages:pool.Shell.conf.Config.stack_pages
     | None -> ());
     let t = w.spare in
     let t =
@@ -315,7 +294,7 @@ module Make
        wait-free; the CAS + signal run only against an actual sleeper.
        Only the spawner's own pool is woken: foreign pools find spilled
        work through their pre-park sweep when spill-over is on. *)
-    if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1;
+    if Sleepers.wake_one w.grp.Shell.gsleepers then w.m.wakeups <- w.m.wakeups + 1;
     exec_child w fr thunk p
 
   and handle_sync : frame -> cont -> unit =
@@ -341,7 +320,7 @@ module Make
       let stk =
         match w.stack with
         | Some s ->
-          Stack_pool.suspend pool.stacks s;
+          Stack_pool.suspend pool.Shell.ext s;
           w.stack <- None;
           Some s
         | None -> None
@@ -410,130 +389,62 @@ module Make
 
   let on_commit t = if t.kind == kind_stolen then C.note_steal t.tfr.counter
 
-  (* Take one routed root from a pool's inject queue.  The gate read
-     keeps the common empty case lock-free: the gate is raised before
-     the push, so 0 proves emptiness. *)
-  let try_inject (g : group) =
-    if Atomic.get g.ggate = 0 then None
-    else
-      match Nowa_deque.Central_queue.pop g.ginject with
-      | Some _ as r ->
-        Atomic.decr g.ggate;
-        r
-      | None -> None
+  (* One probe of global worker [v]'s deque with the full steal protocol
+     ([on_commit] notes the steal in the frame's counter).  Each probe
+     is a station point for the heartbeat. *)
+  let attempt (cl : cluster) w v =
+    w.m.steal_attempts <- w.m.steal_attempts + 1;
+    Health.Beats.beat cl.Shell.hb w.id;
+    Ring.emit w.tr Ev.Steal_attempt v;
+    match Q.steal cl.Shell.workers.(v).deque ~on_commit with
+    | Some _ as r ->
+      Ring.emit w.tr Ev.Steal_commit v;
+      r
+    | None ->
+      Ring.emit w.tr Ev.Steal_abort v;
+      None
 
-  let try_steal cl w =
-    let g = w.grp in
-    let n = g.ghi - g.glo in
-    let attempt victim =
-      w.m.steal_attempts <- w.m.steal_attempts + 1;
-      Health.Beats.beat cl.hb w.id;
-      Ring.emit w.tr Ev.Steal_attempt victim.id;
-      match Q.steal victim.deque ~on_commit with
-      | Some _ as r ->
-        Ring.emit w.tr Ev.Steal_commit victim.id;
-        r
-      | None ->
-        Ring.emit w.tr Ev.Steal_abort victim.id;
-        None
-    in
+  let attempt_mate cl w ~sweep:_ v = attempt cl w v
+
+  let first_mate (cl : cluster) w ~mates ~sweep =
+    match cl.conf.Config.victim_policy with
+    | Config.Random -> Nowa_util.Xoshiro.int w.rng mates
+    | Config.Round_robin ->
+      let v = w.next_victim mod mates in
+      w.next_victim <- v + sweep;
+      v
+
+  let take (cl : cluster) w =
     (* Own deque first: it may hold continuations sitting under a frame
        that suspended; converting one into a parallel strand (with the
        full steal protocol) is both legal and necessary for progress. *)
-    match attempt w with
-    | Some t -> Some t
+    match attempt cl w w.id with
+    | Some _ as r -> r
     | None -> (
       (* Routed roots next: they are this pool's responsibility and have
          no other worker to run them. *)
-      match try_inject g with
+      match Shell.try_inject w.grp with
       | Some _ as r -> r
-      | None ->
-        if n = 1 then None
-        else begin
-          (* Sweep up to [steal_sweep] distinct pool-mates before
-             counting the round as failed.  Victims are addressed as
-             offsets in [0, n-2] rotated past the thief's own local id,
-             so the sweep never probes itself and never repeats a
-             victim; stealing stays inside the pool (spill-over runs
-             later, from the idle loop). *)
-          let sweep = min (max 1 g.gsweep) (n - 1) in
-          let lid = w.id - g.glo in
-          let start =
-            match cl.conf.Config.victim_policy with
-            | Config.Random -> Nowa_util.Xoshiro.int w.rng (n - 1)
-            | Config.Round_robin ->
-              let v = w.next_victim mod (n - 1) in
-              w.next_victim <- v + sweep;
-              v
-          in
-          let rec probe i =
-            if i >= sweep then begin
-              Nowa_obs.Histogram.observe Metrics.sweep_length sweep;
-              None
-            end
-            else begin
-              let v = g.glo + ((lid + 1 + ((start + i) mod (n - 1))) mod n) in
-              match attempt cl.workers.(v) with
-              | Some _ as r ->
-                Nowa_obs.Histogram.observe Metrics.sweep_length (i + 1);
-                r
-              | None -> probe (i + 1)
-            end
-          in
-          probe 0
-        end)
+      | None -> Shell.sweep_mates w.grp ~self:w.id ~start:first_mate attempt_mate cl w)
 
-  (* Cross-pool spill-over (ISSUE 10, behind [Config.spill_over]): only
-     reached when the worker's own pool — deque, inject queue and every
-     pool-mate — came up empty, so the ordering argument holds: local
-     work always wins over foreign work.  Foreign pools are scanned
-     round-robin from the next pool over; within each, the inject queue
-     first (routed roots have no other runner) then up to [gsweep]
-     random victims. *)
-  let try_spill cl w =
-    let ng = Array.length cl.groups in
-    if ng <= 1 then None
-    else begin
-      let attempt victim =
-        w.m.steal_attempts <- w.m.steal_attempts + 1;
-        Ring.emit w.tr Ev.Steal_attempt victim.id;
-        match Q.steal victim.deque ~on_commit with
-        | Some _ as r ->
-          Ring.emit w.tr Ev.Steal_commit victim.id;
-          r
-        | None -> None
-      in
-      let rec groups k =
-        if k >= ng - 1 then None
-        else begin
-          let g = cl.groups.((w.grp.gid + 1 + k) mod ng) in
-          match try_inject g with
-          | Some _ as r -> r
-          | None ->
-            let n = g.ghi - g.glo in
-            let sweep = min (max 1 w.grp.gsweep) n in
-            let start = Nowa_util.Xoshiro.int w.rng n in
-            let rec probe i =
-              if i >= sweep then None
-              else
-                match attempt cl.workers.(g.glo + ((start + i) mod n)) with
-                | Some _ as r -> r
-                | None -> probe (i + 1)
-            in
-            (match probe 0 with Some _ as r -> r | None -> groups (k + 1))
-        end
-      in
-      groups 0
-    end
+  let probe cl w g ~exhaustive =
+    Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng
+      ~sweep:w.grp.gsweep attempt cl w
 
-  let execute pool w (t : task) =
+  (* Handler under which a root or routed task runs: spawn/sync effects
+     from the task's scopes resolve here.  The shell's thunks never
+     raise. *)
+  let root_handler : (unit, unit) Effect.Deep.handler =
+    { retc = ignore; exnc = raise; effc }
+
+  let execute (cl : cluster) w (t : task) =
     w.m.tasks <- w.m.tasks + 1;
-    ignore (ensure_stack pool w);
+    ignore (ensure_stack cl w);
     Ring.emit w.tr Ev.Task_start 0;
     (if t.kind == kind_root then begin
        let f = t.tfn in
        recycle_task w t;
-       f ()
+       Effect.Deep.match_with f () root_handler
      end
      else begin
        let k = t.tk and fr = t.tfr in
@@ -547,385 +458,75 @@ module Make
        Effect.Deep.continue k ()
      end);
     Ring.emit w.tr Ev.Task_end 0;
-    Health.Beats.beat pool.hb w.id
-
-  (* Pre-park re-check: a deterministic sweep over EVERY deque (own
-     included) using real steal operations.  Size reads would not do —
-     the locked deque's [size] reads plain mutable fields without the
-     lock — whereas [steal] synchronises properly on every
-     implementation.  Because the caller has already announced its
-     sleeper bit, sequential consistency gives: any task pushed before
-     the spawner's registry load is visible to this sweep, or was taken
-     by a racing thief that is itself awake and holding work. *)
-  let sweep_group cl w (g : group) =
-    let n = g.ghi - g.glo in
-    let off = if w.id >= g.glo && w.id < g.ghi then w.id - g.glo else 0 in
-    let rec go i =
-      if i >= n then try_inject g
-      else begin
-        let victim = cl.workers.(g.glo + ((off + i) mod n)) in
-        w.m.steal_attempts <- w.m.steal_attempts + 1;
-        match Q.steal victim.deque ~on_commit with
-        | Some _ as r ->
-          Ring.emit w.tr Ev.Steal_commit victim.id;
-          r
-        | None -> go (i + 1)
-      end
-    in
-    go 0
-
-  let sweep_all cl w =
-    match sweep_group cl w w.grp with
-    | Some _ as r -> r
-    | None ->
-      if not cl.spill then None
-      else begin
-        (* With spill-over on, this worker may be the last one awake
-           that could ever run a foreign pool's pending work, so the
-           pre-park sweep must cover the foreign pools too — same
-           lost-wakeup argument, registry per pool. *)
-        let ng = Array.length cl.groups in
-        let rec go k =
-          if k >= ng - 1 then None
-          else
-            match
-              sweep_group cl w cl.groups.((w.grp.gid + 1 + k) mod ng)
-            with
-            | Some _ as r -> r
-            | None -> go (k + 1)
-        in
-        go 0
-      end
-
-  (* One park round: announce, re-check everything, then either run what
-     the re-check found, bail out on shutdown, or block until a spawner
-     posts a token.  Returns work if the re-check produced any. *)
-  let park_round cl w =
-    Health.Beats.beat cl.hb w.id;
-    let sleepers = w.grp.gsleepers in
-    let lid = w.id - w.grp.glo in
-    ignore (Sleepers.announce sleepers ~worker:lid);
-    let cancel () =
-      if not (Sleepers.cancel sleepers ~worker:lid) then
-        (* A waker claimed our bit first: its token is in flight and the
-           next park will consume it immediately. *)
-        w.m.wake_retries <- w.m.wake_retries + 1
-    in
-    match sweep_all cl w with
-    | Some _ as r ->
-      cancel ();
-      r
-    | None ->
-      if Atomic.get cl.finished then cancel ()
-      else begin
-        w.m.parks <- w.m.parks + 1;
-        Ring.emit w.tr Ev.Park 0;
-        let t0 = Nowa_util.Clock.now_ns () in
-        Sleepers.park sleepers ~worker:lid;
-        Health.Beats.beat cl.hb w.id;
-        w.m.parked_ns <- w.m.parked_ns + (Nowa_util.Clock.now_ns () - t0);
-        Ring.emit w.tr Ev.Unpark 0
-      end;
-      None
-
-  (* Three-phase elastic idle path: [spin_budget] rounds of pure
-     spinning (with the existing truncated backoff), the same again
-     yielding the OS timeslice each round, then parking.  [finished] is
-     checked on every iteration of every phase, and shutdown wakes all
-     parked workers, so exit is prompt in all phases. *)
-  let worker_loop cl w =
-    let bo = Nowa_util.Backoff.make () in
-    let spin_budget, can_park =
-      match w.grp.gidle with
-      | Config.Spin -> (max_int, false)
-      | Config.Yield_after n -> (max 1 n, false)
-      | Config.Park_after n -> (max 1 n, true)
-    in
-    (* No mask-width guard needed: [Topology.of_config] (backed by
-       [Sleepers.create]) rejects pools wider than the registry, so
-       every local id can park. *)
-    let rounds = ref 0 in
-    let take () =
-      match try_steal cl w with
-      | Some _ as r -> r
-      | None -> if cl.spill then try_spill cl w else None
-    in
-    let rec go () =
-      if Atomic.get cl.finished then ()
-      else
-        match take () with
-        | Some t ->
-          Nowa_util.Backoff.reset bo;
-          rounds := 0;
-          execute cl w t;
-          go ()
-        | None ->
-          incr rounds;
-          if !rounds <= spin_budget then begin
-            if !rounds mod cl.conf.Config.steal_attempts = 0 then
-              Nowa_util.Backoff.once bo;
-            go ()
-          end
-          else if (not can_park) || !rounds <= 2 * spin_budget then begin
-            Unix.sleepf 0.0;
-            go ()
-          end
-          else begin
-            (match park_round cl w with
-            | Some t ->
-              Nowa_util.Backoff.reset bo;
-              execute cl w t
-            | None -> ());
-            (* Fresh spin phase after an unpark (work just appeared) or
-               a shutdown wake (the [finished] check above exits). *)
-            Nowa_util.Backoff.reset bo;
-            rounds := 0;
-            go ()
-          end
-    in
-    go ()
-
-  let last_metrics_ref = ref None
-  let last_metrics () = !last_metrics_ref
-  let last_trace_ref = ref None
-  let last_trace () = !last_trace_ref
+    Health.Beats.beat cl.hb w.id
 
   (* Frames cached per worker; deeper recycling simply falls back to the
      GC.  Completed scopes return frames innermost-first, so the steady-
      state free-list depth is tiny — the slack absorbs bursts. *)
   let frame_cache = 64
 
-  let run ?conf main =
-    let conf = match conf with Some c -> c | None -> Config.default () in
-    (* Validate the pool topology before entering the runtime guard so a
-       bad configuration raises without leaking guard state. *)
-    let specs = Topology.of_config conf in
-    let nw = Topology.total specs in
-    let conf = { conf with Config.workers = nw } in
-    Runtime_guard.enter name;
-    Runtime_log.Log.debug (fun m ->
-        m "%s: starting %d workers in %d pool(s)" name nw (Array.length specs));
-    let trace =
-      if conf.Config.trace_capacity > 0 then
-        Some
-          (Nowa_trace.Trace.create ~workers:nw
-             ~capacity:conf.Config.trace_capacity ())
-      else None
-    in
-    let ring_for i =
-      match trace with Some t -> Nowa_trace.Trace.worker t i | None -> Ring.disabled
-    in
-    let groups =
-      Array.mapi
-        (fun gi (s : Topology.spec) ->
+  module Sh = Shell.Make (struct
+    let name = name
+
+    type nonrec task = task
+    type nonrec worker = worker
+    type ext = Stack_pool.t
+
+    let current = current
+    let id w = w.id
+    let group w = w.grp
+    let metrics w = w.m
+    let ring w = w.tr
+    let make_ext conf _ = Stack_pool.create conf
+
+    let make_worker conf _ (s : Topology.spec) ~id grp m tr =
+      (* Worker records hold hot mutable fields (spare slot, stack,
+         frame-list cursor); isolate each record's birth cache line. *)
+      Nowa_util.Padding.isolate (fun () ->
           {
-            gid = gi;
-            gname = s.Topology.name;
-            glo = s.Topology.lo;
-            ghi = s.Topology.hi;
-            gsleepers = Sleepers.create ~workers:(s.Topology.hi - s.Topology.lo);
-            ginject = Nowa_deque.Central_queue.create ();
-            ggate = Nowa_util.Padding.atomic 0;
-            gidle = s.Topology.idle;
-            gsweep = s.Topology.sweep;
+            id;
+            grp;
+            deque = Q.create ~capacity:s.Topology.capacity ();
+            rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
+            m;
+            tr;
+            stack = None;
+            next_victim = id + 1;
+            spare = dummy_task;
+            child_thunk = dummy_thunk;
+            child_promise = dummy_promise;
+            frames = Array.make frame_cache dummy_frame;
+            nframes = 0;
           })
-        specs
-    in
-    let cl =
-      {
-        conf;
-        groups;
-        spill = conf.Config.spill_over;
-        stacks = Stack_pool.create conf;
-        finished = Atomic.make false;
-        hb =
-          (if conf.Config.heartbeats then Health.Beats.create ~workers:nw
-           else Health.Beats.disabled);
-        workers =
-          (* Worker records hold hot mutable fields (spare slot, stack,
-             frame-list cursor); isolate each record's birth cache line. *)
-          Array.init nw (fun i ->
-              let g = groups.(Topology.group_of specs i) in
-              Nowa_util.Padding.isolate (fun () ->
-                  {
-                    id = i;
-                    grp = g;
-                    deque =
-                      Q.create ~capacity:specs.(g.gid).Topology.capacity ();
-                    rng =
-                      Nowa_util.Xoshiro.make
-                        ~seed:(conf.Config.seed + (i * 7919) + 1);
-                    m = Metrics.make_worker ~pool:g.gname i;
-                    tr = ring_for i;
-                    stack = None;
-                    next_victim = i + 1;
-                    spare = dummy_task;
-                    child_thunk = dummy_thunk;
-                    child_promise = dummy_promise;
-                    frames = Array.make frame_cache dummy_frame;
-                    nframes = 0;
-                  }));
-      }
-    in
-    (* Expose this run's counters live: scrapes read the worker records
-       and pool getters while the computation runs. *)
-    let stack_stats () =
-      {
-        Metrics.allocated_stacks = Stack_pool.allocated_stacks cl.stacks;
-        live_stacks = Stack_pool.live_stacks cl.stacks;
-        max_rss_pages = Stack_pool.max_rss_pages cl.stacks;
-        madvise_calls = Stack_pool.madvise_calls cl.stacks;
-        pool_hits = Stack_pool.global_pool_hits cl.stacks;
-      }
-    in
-    Metrics.publish ~stacks:stack_stats
-      (Array.map (fun w -> w.m) cl.workers);
-    (* Flight-recorder contributor: freeze the live rings' most recent
-       window into a Perfetto file inside the bundle.  Registered even
-       though the watchdog may be off — an explicit dump wants it too. *)
-    (match trace with
-    | Some t ->
-      Health.Recorder.register ~name:"trace" (fun ~dir ->
-          let evs, _dropped = Nowa_trace.Trace.freeze ~window:4096 t in
-          Nowa_trace.Perfetto.write_events_file
-            (Filename.concat dir "trace.json")
-            evs)
-    | None -> Health.Recorder.unregister ~name:"trace");
-    if conf.Config.watchdog_interval_ms > 0 then
-      Runtime_guard.start_monitor (fun () ->
-          (* Pool-aware probe (ISSUE 10): sleeper registries are per
-             pool and keyed by local ids, so every accessor translates
-             the global index through the worker's group — two pools'
-             worker 0s can no longer alias into one sleeper slot or one
-             verdict row. *)
-          let grp i = cl.workers.(i).grp in
-          let lid i = i - (grp i).glo in
-          let probe =
-            {
-              Health.engine = name;
-              workers = nw;
-              pool_of = (fun i -> ((grp i).gname, lid i));
-              beat_of = (fun i -> Health.Beats.read cl.hb i);
-              announced =
-                (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
-              waiting =
-                (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
-              wake_stamp =
-                (fun i ->
-                  Sleepers.wake_stamp (grp i).gsleepers ~worker:(lid i));
-              ready =
-                (fun () ->
-                  Array.fold_left
-                    (fun acc w -> acc + Q.size w.deque)
-                    0 cl.workers
-                  + Array.fold_left
-                      (fun acc g -> acc + Atomic.get g.ggate)
-                      0 cl.groups);
-              sleepers =
-                (fun () ->
-                  Array.fold_left
-                    (fun acc g -> acc + Sleepers.sleepers g.gsleepers)
-                    0 cl.groups);
-              draining = (fun () -> Atomic.get cl.finished);
-            }
-          in
-          let h =
-            Health.Monitor.spawn
-              ~interval_ms:conf.Config.watchdog_interval_ms
-              ~stall_scans:conf.Config.watchdog_stall_scans
-              ~dump:conf.Config.watchdog_dump probe
-          in
-          fun () -> Health.Monitor.stop h);
-    let result = ref None in
-    let wake_everyone () =
-      Array.iter (fun g -> Sleepers.wake_all g.gsleepers) cl.groups
-    in
-    let root =
-      {
-        kind = kind_root;
-        tk = dummy_cont;
-        tfn =
-          (fun () ->
-            Effect.Deep.match_with main ()
-              {
-                retc =
-                  (fun v ->
-                    result := Some (Ok v);
-                    Atomic.set cl.finished true;
-                    wake_everyone ());
-                exnc =
-                  (fun e ->
-                    result := Some (Error e);
-                    Atomic.set cl.finished true;
-                    wake_everyone ());
-                effc;
-              });
-        tfr = dummy_frame;
-      }
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init (nw - 1) (fun i ->
-          let w = cl.workers.(i + 1) in
-          Domain.spawn (fun () ->
-              Domain.DLS.set current (Some (cl, w));
-              Nowa_trace.Current.set ~worker:w.id w.tr;
-              Fun.protect
-                ~finally:(fun () ->
-                  Domain.DLS.set current None;
-                  Nowa_trace.Current.clear ())
-                (fun () -> worker_loop cl w)))
-    in
-    let w0 = cl.workers.(0) in
-    Domain.DLS.set current (Some (cl, w0));
-    Nowa_trace.Current.set ~worker:w0.id w0.tr;
-    let joined = ref false in
-    let join_all () =
-      if not !joined then begin
-        joined := true;
-        (* Make sure helper domains can terminate even if worker 0 died
-           on a scheduler bug; parked workers need the explicit wake. *)
-        Atomic.set cl.finished true;
-        wake_everyone ();
-        List.iter Domain.join domains
-      end
-    in
-    let teardown () =
-      Domain.DLS.set current None;
-      Nowa_trace.Current.clear ();
-      join_all ();
-      Runtime_guard.exit ()
-    in
-    Fun.protect ~finally:teardown (fun () ->
-        execute cl w0 root;
-        worker_loop cl w0;
-        join_all ();
-        (* Fold the pages still held by quiescent workers into the RSS
-           watermark before reporting it. *)
-        Array.iter
-          (fun w ->
-            match w.stack with
-            | Some s -> Stack_pool.sync_rss cl.stacks s
-            | None -> ())
-          cl.workers;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        Runtime_log.Log.debug (fun m ->
-            m "%s: computation finished in %.6f s" name elapsed);
-        (* The domains have joined: the rings are quiescent and safe to
-           hand out for draining. *)
-        last_trace_ref := trace;
-        if conf.Config.collect_metrics then begin
-          let stacks = stack_stats () in
-          last_metrics_ref :=
-            Some
-              (Metrics.make ~stacks
-                 (Array.map (fun w -> w.m) cl.workers)
-                 ~elapsed_s:elapsed)
-        end);
-    match !result with
-    | Some (Ok v) -> v
-    | Some (Error e) -> raise e
-    | None -> assert false
+
+    let task_of_thunk tfn = { kind = kind_root; tk = dummy_cont; tfn; tfr = dummy_frame }
+    let take = take
+    let probe = probe
+    let run_task = execute
+
+    let ready (cl : cluster) =
+      Array.fold_left (fun acc w -> acc + Q.size w.deque) 0 cl.workers
+
+    let stack_stats =
+      Some
+        (fun (cl : cluster) ->
+          let st = cl.ext in
+          {
+            Metrics.allocated_stacks = Stack_pool.allocated_stacks st;
+            live_stacks = Stack_pool.live_stacks st;
+            max_rss_pages = Stack_pool.max_rss_pages st;
+            madvise_calls = Stack_pool.madvise_calls st;
+            pool_hits = Stack_pool.global_pool_hits st;
+          })
+
+    (* Fold the pages still held by quiescent workers into the RSS
+       watermark before it is reported. *)
+    let after_join (cl : cluster) =
+      Array.iter
+        (fun w ->
+          match w.stack with Some s -> Stack_pool.sync_rss cl.ext s | None -> ())
+        cl.workers
+  end)
 
   let sync fr =
     let _, w = get_current () in
@@ -978,7 +579,7 @@ module Make
     if Q.size w.deque > 0 then begin
       w.m.spawns <- w.m.spawns + 1;
       w.m.inlined <- w.m.inlined + 1;
-      Health.Beats.beat cl.hb w.id;
+      Health.Beats.beat cl.Shell.hb w.id;
       Ring.emit w.tr Ev.Spawn 1;
       true
     end
@@ -1018,75 +619,6 @@ module Make
   let get p = Promise.get ~runtime:name p
   let await p = Promise.await ~runtime:name p
 
-  (* -- pool routing (ISSUE 10) ------------------------------------------ *)
-
-  let find_pool pname =
-    let cl, _ = get_current () in
-    Array.find_opt (fun g -> String.equal g.gname pname) cl.groups
-
-  let pool pname =
-    match find_pool pname with
-    | Some g -> g
-    | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown pool %S (configure it in Config.pools)"
-           name pname)
-
-  let pool_name (g : pool) = g.gname
-
-  let self_pool () =
-    let _, w = get_current () in
-    w.grp.gname
-
-  (* Wake path for a routed root: the target pool's registry first; with
-     spill-over on and no local sleeper, any foreign sleeper will do —
-     the pre-park sweep covers foreign inject queues, and this closes
-     the window where every potential runner is already parked. *)
-  let wake_routed cl w (g : group) =
-    if Sleepers.wake_one g.gsleepers then w.m.wakeups <- w.m.wakeups + 1
-    else if cl.spill then begin
-      let ng = Array.length cl.groups in
-      let rec go k =
-        if k >= ng - 1 then ()
-        else if Sleepers.wake_one cl.groups.((g.gid + 1 + k) mod ng).gsleepers
-        then w.m.wakeups <- w.m.wakeups + 1
-        else go (k + 1)
-      in
-      go 0
-    end
-
-  let enqueue_routed (g : pool) tfn =
-    let cl, w = get_current () in
-    let t = { kind = kind_root; tk = dummy_cont; tfn; tfr = dummy_frame } in
-    (* Gate up before the push so a zero gate proves an empty queue. *)
-    Atomic.incr g.ggate;
-    Nowa_deque.Central_queue.push g.ginject t;
-    wake_routed cl w g
-
-  (* Handler under which a routed root runs: spawn/sync effects from the
-     task's scopes resolve here, exactly as under [run]'s root. *)
-  let routed_handler : (unit, unit) Effect.Deep.handler =
-    { retc = ignore; exnc = raise; effc }
-
-  let spawn_on (type a) (g : pool) (thunk : unit -> a) : a promise =
-    let p : a promise = Promise.make_remote () in
-    enqueue_routed g (fun () ->
-        Effect.Deep.match_with
-          (fun () ->
-            match thunk () with
-            | v -> Promise.fill_remote p v
-            | exception e -> Promise.fill_remote_exn p e)
-          () routed_handler);
-    p
-
-  let spawn_unit_on (g : pool) thunk =
-    enqueue_routed g (fun () ->
-        Effect.Deep.match_with
-          (fun () ->
-            try thunk ()
-            with e ->
-              Runtime_log.Log.err (fun m ->
-                  m "%s: spawn_unit_on %S task raised %s" name g.gname
-                    (Printexc.to_string e)))
-          () routed_handler)
+  (* Run, the pool routing and the last-run report come from the shell. *)
+  include Sh
 end

@@ -48,6 +48,9 @@ type stack_stats = {
 type t = {
   workers : worker array;
   elapsed_s : float;
+      (** wall time from just before the helper worker domains are
+          spawned until they have all joined and the engine's post-join
+          hook has run; the same definition for every engine family *)
   stacks : stack_stats option;
       (** only the continuation-stealing engines manage simulated
           cactus stacks *)

@@ -67,7 +67,8 @@ let spin_ms ms =
    verdict lands (bounded): a fixed batch can finish inside the
    detection window on a 2-core host, and a draining pool is no longer
    classified. *)
-let test_stall_detected () =
+let test_stall_detected (module R : Nowa.RUNTIME) () =
+  let module O = Nowa.Ops (R) in
   Health.Inject.clear ();
   Health.Inject.stall ~worker:1 ~ms:900;
   let stalled () =
@@ -75,12 +76,12 @@ let test_stall_detected () =
       (function Health.Worker_stalled { worker; _ } -> Some worker | _ -> None)
       (Health.verdicts ())
   in
-  Nowa.run ~conf:(conf ~watchdog:50 ~stall_scans:5 4) (fun () ->
+  R.run ~conf:(conf ~watchdog:50 ~stall_scans:5 4) (fun () ->
       let deadline = Unix.gettimeofday () +. 3.0 in
       while
         (not (List.mem 1 (stalled ()))) && Unix.gettimeofday () < deadline
       do
-        Nowa.parallel_for ~grain:1 0 64 (fun _ -> spin_ms 1)
+        O.parallel_for ~grain:1 0 64 (fun _ -> spin_ms 1)
       done);
   Health.Inject.clear ();
   Alcotest.(check bool)
@@ -93,7 +94,8 @@ let test_stall_detected () =
 (* A pool that parks (tiny workload, park-after policy, long idle tail)
    must never produce a stall or starvation verdict: parked-idle is
    healthy. *)
-let test_parked_is_not_stalled () =
+let test_parked_is_not_stalled (module R : Nowa.RUNTIME) () =
+  let module O = Nowa.Ops (R) in
   Health.Inject.clear ();
   (* The stall threshold (stall_scans * interval = 150ms) must exceed
      the longest legitimate quiet stretch: the 40ms inter-burst gap on
@@ -107,11 +109,11 @@ let test_parked_is_not_stalled () =
       Config.idle_policy = Config.Park_after 64;
     }
   in
-  Nowa.run ~conf:c (fun () ->
+  R.run ~conf:c (fun () ->
       (* Short bursts separated by idle gaps long enough for every
          worker to park across many watchdog scans. *)
       for _ = 1 to 5 do
-        Nowa.parallel_for ~grain:1 0 16 (fun _ -> spin_ms 1);
+        O.parallel_for ~grain:1 0 16 (fun _ -> spin_ms 1);
         spin_ms 40
       done);
   Alcotest.(check (list string))
@@ -128,6 +130,22 @@ let test_busy_is_not_stalled () =
   Alcotest.(check (list string))
     "no verdicts on a busy pool" []
     (List.map Health.verdict_to_string (Health.verdicts ()))
+
+(* The watchdog probe's accessors ([ready], [pool_of], the sleeper
+   reads) are wired once for every engine family; the two detection
+   tests above run on one preset per family.  The default preset keeps
+   the unsuffixed test names. *)
+let families : (string * (module Nowa.RUNTIME)) list =
+  [
+    ("", (module Nowa.Presets.Nowa));
+    (" [tbb]", (module Nowa.Presets.Tbb));
+    (" [gomp]", (module Nowa.Presets.Gomp));
+  ]
+
+let per_family name f =
+  List.map
+    (fun (suffix, r) -> Alcotest.test_case (name ^ suffix) `Quick (f r))
+    families
 
 (* -- monitor lifecycle --------------------------------------------------- *)
 
@@ -455,10 +473,9 @@ let () =
           Alcotest.test_case "parse_stall" `Quick test_parse_stall;
         ] );
       ( "watchdog",
-        [
-          Alcotest.test_case "stall detected" `Quick test_stall_detected;
-          Alcotest.test_case "parked is not stalled" `Quick
-            test_parked_is_not_stalled;
+        per_family "stall detected" test_stall_detected
+        @ per_family "parked is not stalled" test_parked_is_not_stalled
+        @ [
           Alcotest.test_case "busy is not stalled" `Quick
             test_busy_is_not_stalled;
           Alcotest.test_case "no monitor leak (100 lifecycles)" `Quick
