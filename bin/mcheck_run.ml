@@ -15,17 +15,28 @@ module S = Nowa_mcheck.Specs
 
 type expect =
   | Verified (* Ok and complete: an exhaustive proof at these bounds *)
-  | Safe (* Ok; completeness not required (spin-loop specs truncate) *)
   | Violates (* the checker must exhibit a failing schedule *)
 
 let battery =
   [
-    ("naive_counter", Violates, S.naive_counter_spec ~children:1);
-    ("wait_free_counter", Verified, S.wait_free_counter_spec ~children:1);
-    ("lock_counter", Safe, S.lock_counter_spec ~children:1);
-    ("chase_lev_2_1_1", Verified, S.chase_lev_spec ~pushes:2 ~pops:1 ~thieves:1);
-    ("chase_lev_2_2_1", Verified, S.chase_lev_spec ~pushes:2 ~pops:2 ~thieves:1);
-    ("the_queue_2_1_1", Safe, S.the_queue_spec ~pushes:2 ~pops:1 ~thieves:1);
+    ("naive_counter", Violates, S.naive_counter_spec);
+    ("wait_free_counter", Verified, S.join_counter_spec `Wait_free);
+    ("lock_counter", Verified, S.join_counter_spec `Lock);
+    ("chase_lev_2_1_1", Verified, S.deque_spec `Chase_lev ~pushes:2 ~pops:1 ~thieves:1);
+    ("chase_lev_2_2_1", Verified, S.deque_spec `Chase_lev ~pushes:2 ~pops:2 ~thieves:1);
+    ( "chase_lev_grow",
+      Verified,
+      S.deque_spec `Chase_lev ~capacity:8 ~batch:2 ~pushes:9 ~pops:1 ~thieves:1 );
+    ( "chase_lev_grow_2thieves",
+      Verified,
+      S.deque_spec `Chase_lev ~capacity:8 ~pushes:9 ~pops:1 ~thieves:2 );
+    ("the_queue_2_1_1", Verified, S.deque_spec `The_queue ~pushes:2 ~pops:1 ~thieves:1);
+    ( "the_queue_grow",
+      Verified,
+      S.deque_spec `The_queue ~capacity:8 ~pushes:9 ~pops:1 ~thieves:1 );
+    ( "the_queue_grow_batch",
+      Verified,
+      S.deque_spec `The_queue ~capacity:8 ~batch:2 ~pushes:9 ~pops:1 ~thieves:1 );
     ("sleeper_1w_1t", Verified, S.sleeper_spec ~variant:`Good ~workers:1 ~tasks:1);
     ("sleeper_2w_1t", Verified, S.sleeper_spec ~variant:`Good ~workers:2 ~tasks:1);
     ( "sleeper_check_before_announce",
@@ -35,17 +46,17 @@ let battery =
     ("sleeper_shutdown_2w", Verified, S.sleeper_shutdown_spec ~workers:2);
     ( "chase_lev_batch",
       Verified,
-      S.chase_lev_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1 );
+      S.deque_spec `Chase_lev ~batch:2 ~pushes:3 ~pops:1 ~thieves:1 );
     ( "chase_lev_batch_2thieves",
       Verified,
-      S.chase_lev_batch_spec ~pushes:2 ~pops:0 ~batch:2 ~thieves:2 );
+      S.deque_spec `Chase_lev ~batch:2 ~pushes:2 ~pops:0 ~thieves:2 );
     ( "the_queue_batch",
       Verified,
-      S.the_queue_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1 );
-    ("abp_batch", Verified, S.abp_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1);
+      S.deque_spec `The_queue ~batch:2 ~pushes:3 ~pops:1 ~thieves:1 );
+    ("abp_batch", Verified, S.deque_spec `Abp ~batch:2 ~pushes:3 ~pops:1 ~thieves:1);
     ( "locked_batch",
       Verified,
-      S.locked_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1 );
+      S.deque_spec `Locked ~batch:2 ~pushes:3 ~pops:1 ~thieves:1 );
     ("snzi_2", Verified, S.snzi_spec ~threads:2);
     ("snzi_batch", Verified, S.snzi_batch_spec ~threads:2 ~batch:2);
     ("barrier_sense_2x2", Verified, S.barrier_spec ~variant:`Sense ~n:2 ~rounds:2);
@@ -103,8 +114,7 @@ let () =
           match (expect, result) with
           | Verified, M.Ok o when o.M.complete -> (true, "verified")
           | Verified, M.Ok _ -> (false, "incomplete: raise --budget/--steps")
-          | Safe, M.Ok _ -> (true, "no violation")
-          | (Verified | Safe), M.Violation _ -> (false, "unexpected violation")
+          | Verified, M.Violation _ -> (false, "unexpected violation")
           | Violates, M.Violation _ -> (true, "violation exhibited")
           | Violates, M.Ok _ -> (false, "expected violation not found")
         in

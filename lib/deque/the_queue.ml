@@ -9,7 +9,7 @@
     paper), making the steal and the counter update atomic with respect to
     the owner's conflicting [pop_bottom].
 
-    The buffer grows under the lock when full, so unlike the historical
+    The buffer grows under the lock before it fills, so unlike the historical
     bounded implementation we never refuse a push; growth is rare and
     owner-initiated. *)
 
@@ -49,10 +49,16 @@ struct
     t.slots <- slots;
     t.mask <- mask
 
+  (* Grow while one slot is still free.  [head] is read without the
+     lock, and a thief inside [steal] has already advanced it past a
+     slot it has not yet read.  Thieves are serialised by the lock, so
+     at most one such claimed-but-unread slot sits below the visible
+     [head]; filling the ring to the last slot would wrap onto it and
+     the thief would return the owner's newer element, or a blank. *)
   let push_bottom t v =
     let tail = Atomic.get t.tail in
     let head = Atomic.get t.head in
-    if tail - head > t.mask then begin
+    if tail - head >= t.mask then begin
       Mutex.lock t.lock;
       grow_locked t;
       Mutex.unlock t.lock

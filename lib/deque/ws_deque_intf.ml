@@ -28,7 +28,9 @@ module type S = sig
   (** Short identifier used in benchmark output ("cl", "the", ...). *)
 
   val create : ?capacity:int -> unit -> t
-  (** [capacity] is the initial (CL) or fixed (THE/ABP) slot count. *)
+  (** [capacity] is the initial slot count of the growing deques (CL,
+      THE, locked: rounded up to a power of two, at least 8) and the
+      fixed slot count of ABP. *)
 
   val push_bottom : t -> elt -> unit
   (** Owner only.  May raise {!Full} on bounded implementations. *)

@@ -27,47 +27,85 @@ module Cell = struct
   let next_id = ref 0
   let reset_ids () = next_id := 0
 
+  (* The thread being advanced, or -1 while spec set-up or the final
+     invariant runs.  Outside the scheduler an access is a plain one, so
+     a harness can build and judge state through the module under test's
+     own functions. *)
+  let running = ref (-1)
+
+  (* What each thread last [read]: the cell and a test "does it now hold
+     something else?" — the state [relax] blocks on. *)
+  let no_read = (-1, fun () -> true)
+  let last_read = ref [||]
+
+  let sched op = if !running >= 0 then Effect.perform (Sched op)
+
   let make v =
     let id = !next_id in
     incr next_id;
     { id; v }
 
   let read c =
-    Effect.perform (Sched (Step (Some { cell = c.id; writes = false })));
-    c.v
+    let i = !running in
+    if i < 0 then c.v
+    else begin
+      Effect.perform (Sched (Step (Some { cell = c.id; writes = false })));
+      let v = c.v in
+      !last_read.(i) <- (c.id, fun () -> c.v != v);
+      v
+    end
 
   let write c v =
-    Effect.perform (Sched (Step (Some { cell = c.id; writes = true })));
+    sched (Step (Some { cell = c.id; writes = true }));
     c.v <- v
 
   let cas c expected desired =
-    Effect.perform (Sched (Step (Some { cell = c.id; writes = true })));
-    if c.v = expected then begin
+    sched (Step (Some { cell = c.id; writes = true }));
+    if c.v == expected then begin
       c.v <- desired;
       true
     end
     else false
 
   let fetch_add c d =
-    Effect.perform (Sched (Step (Some { cell = c.id; writes = true })));
+    sched (Step (Some { cell = c.id; writes = true }));
     let v = c.v in
     c.v <- v + d;
     v
 
   let peek c = c.v
 
+  let would_block () =
+    invalid_arg "Mcheck.Cell: blocking operation outside the scheduler"
+
   let await c pred =
-    Effect.perform
-      (Sched (Wait ((fun () -> pred c.v), { cell = c.id; writes = false })));
+    if !running < 0 then (if not (pred c.v) then would_block ())
+    else
+      Effect.perform
+        (Sched (Wait ((fun () -> pred c.v), { cell = c.id; writes = false })));
     c.v
 
   let await_cas c expected desired =
-    Effect.perform
-      (Sched (Wait ((fun () -> c.v = expected), { cell = c.id; writes = true })));
-    (* Scheduled only in a state where [c.v = expected]; the swap is part
-       of the same atomic step. *)
+    if !running < 0 then (if c.v != expected then would_block ())
+    else
+      Effect.perform
+        (Sched (Wait ((fun () -> c.v == expected), { cell = c.id; writes = true })));
+    (* Scheduled only in a state where [c.v == expected]; the swap is
+       part of the same atomic step. *)
     c.v <- desired
 end
+
+(* The spin rule: a spin loop that re-reads a cell nobody wrote only
+   repeats a state, so the spinner is disabled until its last read would
+   return something else.  Sound exactly when the loop's exit depends on
+   that cell alone. *)
+let relax () =
+  let i = !Cell.running in
+  if i >= 0 then begin
+    let cell, changed = !Cell.last_read.(i) in
+    if not (changed ()) then
+      Effect.perform (Sched (Wait (changed, { cell; writes = false })))
+  end
 
 let check cond msg = if not cond then raise (Check_failed msg)
 
@@ -117,12 +155,14 @@ let advance states violation i =
           | _ -> None);
     }
   in
-  match states.(i) with
+  Cell.running := i;
+  (match states.(i) with
   | Not_started f -> Effect.Deep.match_with f () handler
   | Paused (k, _) ->
     states.(i) <- Finished (* overwritten at the next pause *);
     Effect.Deep.continue k ()
-  | Finished -> invalid_arg "Mcheck: scheduled a finished thread"
+  | Finished -> invalid_arg "Mcheck: scheduled a finished thread");
+  Cell.running := -1
 
 let runnable states i =
   match states.(i) with
@@ -176,11 +216,13 @@ let make_exec () =
 
 let restart x ~max_steps spec =
   Cell.reset_ids ();
+  Cell.running := -1;
   let threads, invariant = spec () in
   x.states <- Array.of_list (List.map (fun f -> Not_started f) threads);
   x.invariant <- invariant;
   x.violation := None;
   x.nthreads <- Array.length x.states;
+  Cell.last_read := Array.make x.nthreads Cell.no_read;
   x.clocks <- Array.init x.nthreads (fun _ -> Array.make x.nthreads 0);
   Hashtbl.reset x.cell_writes;
   Hashtbl.reset x.cell_reads;

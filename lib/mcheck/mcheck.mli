@@ -20,6 +20,11 @@
     cross-check baseline; both report identical verdicts, and the test
     suite asserts the reduction factor.
 
+    Spec set-up and the final invariant run outside the scheduler: there
+    a {!Cell} access is a plain one (and a blocking operation whose
+    condition does not hold raises [Invalid_argument]), so a harness can
+    build and judge state through the real module's own functions.
+
     Under OCaml's sequentially-consistent atomics this checks the
     algorithms under SC; it cannot exhibit weak-memory-only bugs, but it
     does exhibit all interleaving races — including the worker/thief
@@ -35,7 +40,8 @@ module Cell : sig
   val write : 'a t -> 'a -> unit
 
   val cas : 'a t -> 'a -> 'a -> bool
-  (** Compare (structural equality) and swap, one atomic action. *)
+  (** Compare (physical equality, as [Atomic.compare_and_set]) and swap,
+      one atomic action. *)
 
   val fetch_add : int t -> int -> int
 
@@ -55,10 +61,18 @@ module Cell : sig
 
   val await_cas : 'a t -> 'a -> 'a -> unit
   (** Blocking compare-and-swap: disabled until the cell holds the
-      expected value, then swaps in the desired value atomically with
-      the check.  Models mutex acquisition ([await_cas lock false true])
-      without the spin loop. *)
+      expected value (physically), then swaps in the desired value
+      atomically with the check.  Models mutex acquisition
+      ([await_cas lock false true]) without the spin loop. *)
 end
+
+val relax : unit -> unit
+(** The spin rule, behind the traced [Domain.cpu_relax]: the calling
+    thread is disabled until the cell it last {!Cell.read} holds a
+    different value, and it is no step at all if it already does.  A
+    spin loop that re-reads an unchanged cell only repeats a state, so
+    blocking it instead keeps exhaustive search finite.  Sound when the
+    loop's exit depends on the cell it last read. *)
 
 val check : bool -> string -> unit
 (** Inline assertion inside a thread body: a violation aborts the

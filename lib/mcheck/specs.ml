@@ -1,4 +1,14 @@
+(* Harnesses over the shipped coordination code.  [Chase_lev],
+   [The_queue], [Abp], [Locked_deque], [Central_queue], [Sleepers],
+   [Snzi], [Wait_free_counter], [Lock_counter] and [Barrier] below are
+   not transcriptions: the dune rules compile the files under lib/ a
+   second time against traced.ml, so each harness drives the code that
+   ships.  Only scenarios, oracles and deliberately broken caller-side
+   controls are written here. *)
+
 module Cell = Mcheck.Cell
+
+type spec = unit -> (unit -> unit) list * (unit -> bool)
 
 let check = Mcheck.check
 
@@ -16,118 +26,45 @@ let conservation ~pushes ~logs ~size_at_end () =
   && List.for_all (fun v -> v >= 1 && v <= pushes) all
   && List.length all + size_at_end () = pushes
 
-let chase_lev_spec ~pushes ~pops ~thieves () =
-  let top = Cell.make 0 in
-  let bottom = Cell.make 0 in
-  let slots = Array.init (max 1 pushes) (fun _ -> Cell.make 0) in
-  let owner_log = { taken = [] } in
-  let thief_logs = List.init thieves (fun _ -> { taken = [] }) in
-  let push v =
-    let b = Cell.read bottom in
-    Cell.write slots.(b) v;
-    Cell.write bottom (b + 1)
-  in
-  let pop () =
-    let b = Cell.read bottom - 1 in
-    Cell.write bottom b;
-    let t = Cell.read top in
-    if b < t then Cell.write bottom t (* empty *)
-    else begin
-      let v = Cell.read slots.(b) in
-      if b > t then owner_log.taken <- v :: owner_log.taken
-      else begin
-        (* Last element: race thieves for it. *)
-        if Cell.cas top t (t + 1) then owner_log.taken <- v :: owner_log.taken;
-        Cell.write bottom (t + 1)
-      end
-    end
-  in
-  let steal log () =
-    let t = Cell.read top in
-    let b = Cell.read bottom in
-    if t < b then begin
-      let v = Cell.read slots.(t) in
-      if Cell.cas top t (t + 1) then log.taken <- v :: log.taken
-    end
-  in
-  let owner () =
-    for v = 1 to pushes do
-      push v
-    done;
-    for _ = 1 to pops do
-      pop ()
-    done
-  in
-  let threads = owner :: List.map (fun l -> steal l) thief_logs in
-  let invariant =
-    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
-        max 0 (Cell.peek bottom - Cell.peek top))
-  in
-  (threads, invariant)
+module Int_elt = struct
+  type t = int
 
-let the_queue_spec ~pushes ~pops ~thieves () =
-  let head = Cell.make 0 in
-  let tail = Cell.make 0 in
-  let lock = Cell.make false in
-  let slots = Array.init (max 1 pushes) (fun _ -> Cell.make 0) in
+  let dummy = 0
+end
+
+let maker : _ -> (module Nowa_deque.Ws_deque_intf.MAKER) = function
+  | `Chase_lev -> (module Chase_lev.Make)
+  | `The_queue -> (module The_queue.Make)
+  | `Abp -> (module Abp.Make)
+  | `Locked -> (module Locked_deque.Make)
+
+(* The owner pushes 1..pushes then pops [pops] times; each thief makes
+   one [steal], or one [steal_batch ~max:batch].  Every element must be
+   consumed exactly once or still be in the deque by its own [size]. *)
+let deque_spec ?capacity ?batch ~pushes ~pops ~thieves kind () =
+  let module Make = (val maker kind) in
+  let module Q = Make (Int_elt) in
+  let q = Q.create ?capacity () in
   let owner_log = { taken = [] } in
   let thief_logs = List.init thieves (fun _ -> { taken = [] }) in
-  let rec acquire () = if not (Cell.cas lock false true) then acquire () in
-  let release () = Cell.write lock false in
-  let push v =
-    let t = Cell.read tail in
-    Cell.write slots.(t) v;
-    Cell.write tail (t + 1)
-  in
-  let pop () =
-    let t = Cell.read tail - 1 in
-    Cell.write tail t;
-    let h = Cell.read head in
-    if h > t then begin
-      (* Conflict with a thief: arbitrate under the lock. *)
-      Cell.write tail (t + 1);
-      acquire ();
-      let t = Cell.read tail - 1 in
-      Cell.write tail t;
-      let h = Cell.read head in
-      if h > t then Cell.write tail h
-      else begin
-        let v = Cell.read slots.(t) in
-        owner_log.taken <- v :: owner_log.taken
-      end;
-      release ()
-    end
-    else begin
-      let v = Cell.read slots.(t) in
-      owner_log.taken <- v :: owner_log.taken
-    end
-  in
-  let steal log () =
-    acquire ();
-    let h = Cell.read head in
-    Cell.write head (h + 1);
-    let t = Cell.read tail in
-    if h + 1 > t then Cell.write head h
-    else begin
-      let v = Cell.read slots.(h) in
-      log.taken <- v :: log.taken
-    end;
-    release ()
-  in
   let owner () =
     for v = 1 to pushes do
-      push v
+      Q.push_bottom q v
     done;
     for _ = 1 to pops do
-      pop ()
+      let v = Q.pop q in
+      if v <> Int_elt.dummy then owner_log.taken <- v :: owner_log.taken
     done
   in
-  let threads = owner :: List.map (fun l -> steal l) thief_logs in
-  let invariant =
-    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
-        max 0 (Cell.peek tail - Cell.peek head))
+  let thief log () =
+    log.taken <-
+      (match batch with
+      | None -> Option.to_list (Q.steal q ~on_commit:ignore)
+      | Some max -> Q.steal_batch q ~max ~on_commit:ignore)
   in
-  (threads, invariant)
+  ( owner :: List.map thief thief_logs,
+    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
+        Q.size q) )
 
 (* -- strand counters ---------------------------------------------------
    One frame, one spawn: the worker pushes the continuation, runs the
@@ -168,8 +105,7 @@ let counter_scenario ~note_steal ~note_resume ~main_sync ~joiner () =
    suspension, so a joiner can decrement to zero in between and the
    wake-up is lost (the sync point is never passed — the "outcome of the
    program execution is undefined" of Section III-C). *)
-let naive_counter_spec ~children () =
-  assert (children = 1);
+let naive_counter_spec () =
   let count = Cell.make 0 in
   let suspended = Cell.make false in
   counter_scenario
@@ -185,707 +121,196 @@ let naive_counter_spec ~children () =
       if v = 1 && Cell.read suspended then pass ())
     ()
 
-(* The wait-free Nowa protocol (Section IV): the counter starts at Imax
-   (scaled down for the model), α is only written on the main path, the
-   continuation is published BEFORE the Equation-5 restore, and the
-   unique zero observer takes the continuation back with a CAS. *)
-let wait_free_counter_spec ~children () =
-  assert (children = 1);
-  let i_max = 1000 in
-  let counter = Cell.make i_max in
-  let alpha = Cell.make 0 in
+(* The shipped counters in [Engine.sync]'s caller order: a never-forked
+   frame passes, a zero [pending_hint] takes the fused path (whose
+   [reach_sync] must succeed), anything else publishes the suspended
+   continuation before [reach_sync].  The zero observer takes the
+   continuation back. *)
+let join_counter_spec kind () =
+  let module C =
+    (val match kind with
+         | `Wait_free ->
+           (module Wait_free_counter : Nowa_sync.Counter_intf.JOIN_COUNTER)
+         | `Lock -> (module Lock_counter))
+  in
+  let c = C.create () in
   let suspended = Cell.make false in
+  let take_back who =
+    check (Cell.cas suspended true false)
+      (who ^ " observed zero but the continuation was gone")
+  in
   counter_scenario
-    ~note_steal:(fun () -> ())
-    ~note_resume:(fun () ->
-      let a = Cell.read alpha in
-      Cell.write alpha (a + 1))
+    ~note_steal:(fun () -> C.note_steal c)
+    ~note_resume:(fun () -> C.note_resume c)
     ~main_sync:(fun ~pass () ->
-      let a = Cell.read alpha in
-      if a = 0 then pass () (* nothing was ever stolen: free fast path *)
-      else begin
-        Cell.write suspended true;
-        let delta = a - i_max in
-        let old = Cell.fetch_add counter delta in
-        if old + delta = 0 then begin
-          check (Cell.cas suspended true false)
-            "restore observed zero but the continuation was gone";
-          pass ()
-        end
-      end)
-    ~joiner:(fun ~pass () ->
-      let v = Cell.fetch_add counter (-1) in
-      if v = 1 then begin
-        check (Cell.cas suspended true false)
-          "join observed zero but the continuation was gone";
-        pass ()
-      end)
-    ()
-
-(* The lock-based Fibril protocol (Listing 2): the count update is
-   coupled with the steal under the lock, and the suspension publication
-   happens in the same critical section as the count check. *)
-let lock_counter_spec ~children () =
-  assert (children = 1);
-  let count = Cell.make 0 in
-  let lock = Cell.make false in
-  let suspended = Cell.make false in
-  let rec acquire () = if not (Cell.cas lock false true) then acquire () in
-  let release () = Cell.write lock false in
-  counter_scenario
-    ~note_steal:(fun () ->
-      acquire ();
-      let c = Cell.read count in
-      Cell.write count (if c = 0 then 2 else c + 1);
-      release ())
-    ~note_resume:(fun () -> ())
-    ~main_sync:(fun ~pass () ->
-      acquire ();
-      let c = Cell.read count in
-      if c = 0 then begin
-        release ();
+      if not (C.forked c) then pass ()
+      else if C.pending_hint c = 0 then begin
+        check (C.reach_sync c) "fused sync found strands outstanding";
         pass ()
       end
       else begin
-        Cell.write count (c - 1);
-        if Cell.read count = 0 then begin
-          release ();
+        Cell.write suspended true;
+        if C.reach_sync c then begin
+          take_back "sync";
           pass ()
-        end
-        else begin
-          Cell.write suspended true;
-          release ()
         end
       end)
     ~joiner:(fun ~pass () ->
-      acquire ();
-      let c = Cell.read count in
-      Cell.write count (c - 1);
-      let zero = c - 1 = 0 in
-      release ();
-      if zero then begin
-        check (Cell.peek suspended) "join hit zero before the frame suspended";
+      if C.child_joined c then begin
+        take_back "join";
         pass ()
       end)
     ()
 
 (* -- the sleeper registry (lib/runtime/sleepers.ml) ---------------------
-   One word packs {sleeper mask, wake epoch}; per-worker token cells model
-   the counting semaphores.  [Cell.await] models parking: a worker blocked
-   on its token cell is disabled until a waker posts, so exploration stays
-   finite and a worker still blocked at the end of the run is exactly a
+   A worker still blocked in [Sleepers.park] at the end of a run is a
    worker asleep forever. *)
 
+(* [Shell.park_round]'s caller order: announce, the pre-park [sweep],
+   then cancel on a hit or at shutdown, else park.  [true] iff the sweep
+   found work. *)
+let park_round s ~worker ~sweep ~finished =
+  ignore (Sleepers.announce s ~worker);
+  if sweep () then begin
+    ignore (Sleepers.cancel s ~worker);
+    true
+  end
+  else begin
+    if finished () then ignore (Sleepers.cancel s ~worker)
+    else Sleepers.park s ~worker;
+    false
+  end
+
+let never () = false
+
 let sleeper_spec ?(variant = `Good) ~workers ~tasks () =
-  let epoch_one = 1 lsl workers in
-  let mask_all = epoch_one - 1 in
-  let word = Cell.make 0 in
-  let tokens = Array.init workers (fun _ -> Cell.make 0) in
+  let s = Sleepers.create ~workers in
   let work = Cell.make 0 in
-  let done_ = Array.make workers false in
+  let awake = Array.make workers false in
   let rec try_take () =
     let v = Cell.read work in
-    if v <= 0 then false
-    else if Cell.cas work v (v - 1) then true
-    else try_take ()
-  in
-  let rec set_bit bit =
-    let cur = Cell.read word in
-    if cur land bit <> 0 then ()
-    else if not (Cell.cas word cur (cur lor bit)) then set_bit bit
-  in
-  (* [false] when a waker claimed the bit first: a token is in flight. *)
-  let rec clear_bit bit =
-    let cur = Cell.read word in
-    if cur land bit = 0 then false
-    else if Cell.cas word cur (cur lxor bit) then true
-    else clear_bit bit
-  in
-  let park w =
-    ignore (Cell.await tokens.(w) (fun t -> t > 0));
-    ignore (Cell.fetch_add tokens.(w) (-1))
+    v > 0 && (Cell.cas work v (v - 1) || try_take ())
   in
   let worker w () =
-    let bit = 1 lsl w in
+    (* Exits awake on a task or when its budget runs out. *)
     let rec run budget =
-      if budget = 0 then () (* retires, still awake *)
-      else if try_take () then () (* got a task, exits awake *)
-      else begin
+      if budget > 0 && not (try_take ()) then
         match variant with
         | `Good ->
-          (* announce, then the final re-check, then park *)
-          set_bit bit;
-          if Cell.read work > 0 then begin
-            if clear_bit bit then run (budget - 1)
-            else begin
-              (* wake/cancel race: the token is in flight, absorb it *)
-              park w;
-              run (budget - 1)
-            end
-          end
-          else begin
-            park w;
+          if not (park_round s ~worker:w ~sweep:try_take ~finished:never) then
             run (budget - 1)
-          end
         | `Check_before_announce ->
           (* the classic lost wake-up: re-check BEFORE announcing, so a
              push+wake landing in between sees an empty mask *)
           if Cell.read work > 0 then run (budget - 1)
           else begin
-            set_bit bit;
-            park w;
+            ignore (Sleepers.announce s ~worker:w);
+            Sleepers.park s ~worker:w;
             run (budget - 1)
           end
-      end
     in
     run 3;
-    done_.(w) <- true
-  in
-  let rec wake_one () =
-    let cur = Cell.read word in
-    let mask = cur land mask_all in
-    if mask = 0 then () (* fast path: nobody sleeps *)
-    else begin
-      let rec lowest i = if mask land (1 lsl i) <> 0 then i else lowest (i + 1) in
-      let w = lowest 0 in
-      let next = (cur lxor (1 lsl w)) + epoch_one in
-      if Cell.cas word cur next then ignore (Cell.fetch_add tokens.(w) 1)
-      else wake_one ()
-    end
+    awake.(w) <- true
   in
   let spawner () =
     for _ = 1 to tasks do
       ignore (Cell.fetch_add work 1);
       (* the push happens before the mask load, as in the engines *)
-      wake_one ()
+      ignore (Sleepers.wake_one s)
     done
   in
-  let threads = List.init workers (fun w -> worker w) @ [ spawner ] in
+  let threads = List.init workers worker @ [ spawner ] in
   (* No lost wake-up: pending work implies some worker is awake (done
      running, hence sweeping again in the real runtime) — never every
      worker parked without a token. *)
-  let invariant () = Cell.peek work = 0 || Array.exists (fun d -> d) done_ in
-  (threads, invariant)
+  (threads, fun () -> Cell.peek work = 0 || Array.exists Fun.id awake)
+
+let tokens s ~worker = s.Sleepers.slots.(worker).Sleepers.tokens
 
 (* Wake-vs-cancel token race: one worker announces then cancels while
    wakers race [wake_one].  Exactly one side must win the bit, at most
    one token may be minted, and the epoch counts the successful wake. *)
 let sleeper_wake_cancel_spec ~wakers () =
-  let word = Cell.make 0 in
-  let tokens = Cell.make 0 in
+  let s = Sleepers.create ~workers:1 in
   let cancelled = ref false in
   let claimed = Array.make wakers false in
   let worker () =
-    let rec set_bit () =
-      let cur = Cell.read word in
-      if not (Cell.cas word cur (cur lor 1)) then set_bit ()
-    in
-    set_bit ();
-    let rec clear_bit () =
-      let cur = Cell.read word in
-      if cur land 1 = 0 then false
-      else if Cell.cas word cur (cur lxor 1) then true
-      else clear_bit ()
-    in
-    if clear_bit () then cancelled := true
-    else begin
-      (* a waker claimed us: its token must arrive; consume it *)
-      ignore (Cell.await tokens (fun t -> t > 0));
-      ignore (Cell.fetch_add tokens (-1))
-    end
+    ignore (Sleepers.announce s ~worker:0);
+    if Sleepers.cancel s ~worker:0 then cancelled := true
+    else (* a waker claimed us: its token must arrive; consume it *)
+      Sleepers.park s ~worker:0
   in
-  let waker i () =
-    let rec go () =
-      let cur = Cell.read word in
-      if cur land 1 = 0 then ()
-      else if Cell.cas word cur ((cur lxor 1) + 2) then begin
-        ignore (Cell.fetch_add tokens 1);
-        claimed.(i) <- true
-      end
-      else go ()
-    in
-    go ()
-  in
-  let threads = worker :: List.init wakers (fun i -> waker i) in
+  let waker i () = claimed.(i) <- Sleepers.wake_one s in
   let invariant () =
-    let claims =
-      Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 claimed
-    in
+    let claims = List.length (List.filter Fun.id (Array.to_list claimed)) in
     claims = (if !cancelled then 0 else 1)
-    && Cell.peek tokens = 0
-    && Cell.peek word lsr 1 = claims
-    && Cell.peek word land 1 = 0
+    && tokens s ~worker:0 = 0
+    && Sleepers.epoch s = claims
+    && Sleepers.sleepers s = 0
+    && Sleepers.wake_stamp s ~worker:0 = 1
+    && not (Sleepers.waiting s ~worker:0)
   in
-  (threads, invariant)
+  (worker :: List.init wakers waker, invariant)
 
-(* Shutdown: workers announce and park while a closer sets [finished]
-   and then [wake_all]s.  No worker may stay parked past shutdown. *)
+(* Shutdown: workers run a park round with nothing to sweep while a
+   closer sets [finished] and then [wake_all]s.  No worker may stay
+   parked past shutdown. *)
 let sleeper_shutdown_spec ~workers () =
-  let epoch_one = 1 lsl workers in
-  let mask_all = epoch_one - 1 in
-  let word = Cell.make 0 in
-  let tokens = Array.init workers (fun _ -> Cell.make 0) in
+  let s = Sleepers.create ~workers in
   let finished = Cell.make false in
   let done_ = Array.make workers false in
   let worker w () =
-    let bit = 1 lsl w in
-    let rec set_bit () =
-      let cur = Cell.read word in
-      if not (Cell.cas word cur (cur lor bit)) then set_bit ()
-    in
-    set_bit ();
-    (* the engines re-check [finished] between announce and park *)
-    let consume () =
-      ignore (Cell.await tokens.(w) (fun t -> t > 0));
-      ignore (Cell.fetch_add tokens.(w) (-1))
-    in
-    if Cell.read finished then begin
-      let rec clear_bit () =
-        let cur = Cell.read word in
-        if cur land bit = 0 then false
-        else if Cell.cas word cur (cur lxor bit) then true
-        else clear_bit ()
-      in
-      if not (clear_bit ()) then consume ()
-    end
-    else consume ();
+    ignore
+      (park_round s ~worker:w ~sweep:never ~finished:(fun () -> Cell.read finished));
     done_.(w) <- true
   in
   let closer () =
     Cell.write finished true;
-    let rec wake_all () =
-      let cur = Cell.read word in
-      let mask = cur land mask_all in
-      if mask = 0 then ()
-      else if Cell.cas word cur (cur - mask + epoch_one) then begin
-        let rec post m i =
-          if m <> 0 then begin
-            if m land 1 <> 0 then ignore (Cell.fetch_add tokens.(i) 1);
-            post (m lsr 1) (i + 1)
-          end
-        in
-        post mask 0
-      end
-      else wake_all ()
-    in
-    wake_all ()
+    Sleepers.wake_all s
   in
-  let threads = List.init workers (fun w -> worker w) @ [ closer ] in
-  (threads, fun () -> Array.for_all (fun d -> d) done_)
+  (List.init workers worker @ [ closer ], fun () -> Array.for_all Fun.id done_)
 
-(* -- steal_batch on the four deques ------------------------------------
-   Each spec races an owner (pushes then pops) against thieves running
-   the deque's own [steal_batch] protocol; the conservation invariant is
-   the re-homing guarantee: every element lands in exactly one log (the
-   thief's stash that the child engine re-homes into its own deque) or
-   stays in the deque. *)
+(* -- SNZI (lib/sync/snzi.ml) -------------------------------------------
+   Threads arrive, check the indicator and depart.  [snzi_spec] puts
+   them on sibling leaves, so their zero→non-zero walks race the claim,
+   the helping path and the surplus undo at the shared parent;
+   [snzi_batch_spec] puts them on one leaf, where thread [i] moves
+   [1 + i mod batch] units through [arrive_n] / [depart_n] and the
+   batched fast path and remainder race the claim there. *)
 
-let chase_lev_batch_spec ~pushes ~pops ~batch ~thieves () =
-  let top = Cell.make 0 in
-  let bottom = Cell.make 0 in
-  let slots = Array.init (max 1 pushes) (fun _ -> Cell.make 0) in
-  let owner_log = { taken = [] } in
-  let thief_logs = List.init thieves (fun _ -> { taken = [] }) in
-  let push v =
-    let b = Cell.read bottom in
-    Cell.write slots.(b) v;
-    Cell.write bottom (b + 1)
-  in
-  let pop () =
-    let b = Cell.read bottom - 1 in
-    Cell.write bottom b;
-    let t = Cell.read top in
-    if b < t then Cell.write bottom t
-    else begin
-      let v = Cell.read slots.(b) in
-      if b > t then owner_log.taken <- v :: owner_log.taken
-      else begin
-        if Cell.cas top t (t + 1) then owner_log.taken <- v :: owner_log.taken;
-        Cell.write bottom (t + 1)
-      end
-    end
-  in
-  (* CAS deque: a batch is [batch] independent steals stopping at the
-     first empty or raced attempt, as in chase_lev.ml. *)
-  let steal_one log =
-    let t = Cell.read top in
-    let b = Cell.read bottom in
-    if t >= b then false
-    else begin
-      let v = Cell.read slots.(t) in
-      if Cell.cas top t (t + 1) then begin
-        log.taken <- v :: log.taken;
-        true
-      end
-      else false
-    end
-  in
-  let steal_batch log () =
-    let rec go n = if n < batch && steal_one log then go (n + 1) in
-    go 0
-  in
-  let owner () =
-    for v = 1 to pushes do
-      push v
-    done;
-    for _ = 1 to pops do
-      pop ()
-    done
-  in
-  let threads = owner :: List.map (fun l -> steal_batch l) thief_logs in
-  let invariant =
-    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
-        max 0 (Cell.peek bottom - Cell.peek top))
-  in
-  (threads, invariant)
-
-let the_queue_batch_spec ~pushes ~pops ~batch ~thieves () =
-  let head = Cell.make 0 in
-  let tail = Cell.make 0 in
-  let lock = Cell.make false in
-  let slots = Array.init (max 1 pushes) (fun _ -> Cell.make 0) in
-  let owner_log = { taken = [] } in
-  let thief_logs = List.init thieves (fun _ -> { taken = [] }) in
-  (* Blocking mutex: spin-free, so the exploration is exhaustive. *)
-  let acquire () = Cell.await_cas lock false true in
-  let release () = Cell.write lock false in
-  let push v =
-    let t = Cell.read tail in
-    Cell.write slots.(t) v;
-    Cell.write tail (t + 1)
-  in
-  let pop () =
-    let t = Cell.read tail - 1 in
-    Cell.write tail t;
-    let h = Cell.read head in
-    if h > t then begin
-      Cell.write tail (t + 1);
-      acquire ();
-      let t = Cell.read tail - 1 in
-      Cell.write tail t;
-      let h = Cell.read head in
-      if h > t then Cell.write tail h
-      else begin
-        let v = Cell.read slots.(t) in
-        owner_log.taken <- v :: owner_log.taken
-      end;
-      release ()
-    end
-    else begin
-      let v = Cell.read slots.(t) in
-      owner_log.taken <- v :: owner_log.taken
-    end
-  in
-  (* Steal-half under ONE critical section, as in the_queue.ml. *)
-  let steal_batch log () =
-    acquire ();
-    let avail = max 0 (Cell.read tail - Cell.read head) in
-    let take = min batch ((avail + 1) / 2) in
-    let rec go n =
-      if n < take then begin
-        let h = Cell.read head in
-        Cell.write head (h + 1);
-        let t = Cell.read tail in
-        if h + 1 > t then Cell.write head h (* raced the owner: stop *)
-        else begin
-          let v = Cell.read slots.(h) in
-          log.taken <- v :: log.taken;
-          go (n + 1)
-        end
-      end
-    in
-    go 0;
-    release ()
-  in
-  let owner () =
-    for v = 1 to pushes do
-      push v
-    done;
-    for _ = 1 to pops do
-      pop ()
-    done
-  in
-  let threads = owner :: List.map (fun l -> steal_batch l) thief_logs in
-  let invariant =
-    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
-        max 0 (Cell.peek tail - Cell.peek head))
-  in
-  (threads, invariant)
-
-let abp_batch_spec ~pushes ~pops ~batch ~thieves () =
-  (* age packs (tag lsl 8) lor top, as abp.ml packs them into one CAS
-     word; the array is not a ring — pop resets both indices on empty. *)
-  let age = Cell.make 0 in
-  let bot = Cell.make 0 in
-  let slots = Array.init (max 1 pushes) (fun _ -> Cell.make 0) in
-  let owner_log = { taken = [] } in
-  let thief_logs = List.init thieves (fun _ -> { taken = [] }) in
-  let top_of a = a land 255 and tag_of a = a lsr 8 in
-  let pack ~tag ~top = (tag lsl 8) lor top in
-  let push v =
-    let b = Cell.read bot in
-    Cell.write slots.(b) v;
-    Cell.write bot (b + 1)
-  in
-  let pop () =
-    let b = Cell.read bot in
-    if b > 0 then begin
-      let b = b - 1 in
-      Cell.write bot b;
-      let v = Cell.read slots.(b) in
-      let old_age = Cell.read age in
-      let tag = tag_of old_age and top = top_of old_age in
-      if b > top then owner_log.taken <- v :: owner_log.taken
-      else begin
-        Cell.write bot 0;
-        let new_age = pack ~tag:(tag + 1) ~top:0 in
-        if b = top && Cell.cas age old_age new_age then
-          owner_log.taken <- v :: owner_log.taken
-        else Cell.write age new_age
-      end
-    end
-  in
-  let steal_one log =
-    let old_age = Cell.read age in
-    let tag = tag_of old_age and top = top_of old_age in
-    let b = Cell.read bot in
-    if b <= top then false
-    else begin
-      let v = Cell.read slots.(top) in
-      if Cell.cas age old_age (pack ~tag ~top:(top + 1)) then begin
-        log.taken <- v :: log.taken;
-        true
-      end
-      else false
-    end
-  in
-  let steal_batch log () =
-    let rec go n = if n < batch && steal_one log then go (n + 1) in
-    go 0
-  in
-  let owner () =
-    for v = 1 to pushes do
-      push v
-    done;
-    for _ = 1 to pops do
-      pop ()
-    done
-  in
-  let threads = owner :: List.map (fun l -> steal_batch l) thief_logs in
-  let invariant =
-    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
-        max 0 (Cell.peek bot - top_of (Cell.peek age)))
-  in
-  (threads, invariant)
-
-let locked_batch_spec ~pushes ~pops ~batch ~thieves () =
-  let head = Cell.make 0 in
-  let tail = Cell.make 0 in
-  let lock = Cell.make false in
-  let slots = Array.init (max 1 pushes) (fun _ -> Cell.make 0) in
-  let owner_log = { taken = [] } in
-  let thief_logs = List.init thieves (fun _ -> { taken = [] }) in
-  let acquire () = Cell.await_cas lock false true in
-  let release () = Cell.write lock false in
-  let push v =
-    acquire ();
-    let t = Cell.read tail in
-    Cell.write slots.(t) v;
-    Cell.write tail (t + 1);
-    release ()
-  in
-  let pop () =
-    acquire ();
-    let t = Cell.read tail in
-    let h = Cell.read head in
-    if t > h then begin
-      Cell.write tail (t - 1);
-      let v = Cell.read slots.(t - 1) in
-      owner_log.taken <- v :: owner_log.taken
-    end;
-    release ()
-  in
-  (* steal_half under one lock acquisition, as in locked_deque.ml *)
-  let steal_batch log () =
-    acquire ();
-    let avail = Cell.read tail - Cell.read head in
-    let take = min batch ((avail + 1) / 2) in
-    let rec go n =
-      if n < take then begin
-        let h = Cell.read head in
-        let v = Cell.read slots.(h) in
-        Cell.write head (h + 1);
-        log.taken <- v :: log.taken;
-        go (n + 1)
-      end
-    in
-    go 0;
-    release ()
-  in
-  let owner () =
-    for v = 1 to pushes do
-      push v
-    done;
-    for _ = 1 to pops do
-      pop ()
-    done
-  in
-  let threads = owner :: List.map (fun l -> steal_batch l) thief_logs in
-  let invariant =
-    conservation ~pushes ~logs:(owner_log :: thief_logs) ~size_at_end:(fun () ->
-        max 0 (Cell.peek tail - Cell.peek head))
-  in
-  (threads, invariant)
-
-(* -- SNZI arrive/depart with helping (lib/sync/snzi.ml) ----------------
-   One shared tree node (c2 doubled, version in the low bits, both under
-   one CAS as in snzi.ml) over the plain root counter.  Exercises the
-   zero→non-zero claim, the helping path and the surplus undo. *)
-
-let snzi_spec ~threads:nthreads () =
-  let node = Cell.make 0 in
-  let root = Cell.make 0 in
-  let pack ~c2 ~v = (c2 lsl 8) lor (v land 255) in
-  let c2_of x = x lsr 8 and v_of x = x land 255 in
-  let depart_root () = ignore (Cell.fetch_add root (-1)) in
-  let arrive () =
-    let undo = ref 0 in
-    let rec loop () =
-      let x = Cell.read node in
-      let c2 = c2_of x and v = v_of x in
-      if c2 >= 2 then begin
-        if not (Cell.cas node x (pack ~c2:(c2 + 2) ~v)) then loop ()
-      end
-      else if c2 = 1 then begin
-        (* help whoever claimed the zero→non-zero transition: increment
-           the parent first, then try to finish the transition *)
-        ignore (Cell.fetch_add root 1);
-        if not (Cell.cas node x (pack ~c2:2 ~v)) then incr undo;
-        loop () (* helping never completes our own arrive *)
-      end
-      else begin
-        if Cell.cas node x (pack ~c2:1 ~v:(v + 1)) then begin
-          ignore (Cell.fetch_add root 1);
-          if not (Cell.cas node (pack ~c2:1 ~v:(v + 1)) (pack ~c2:2 ~v:(v + 1)))
-          then incr undo
-        end
-        else loop ()
-      end
-    in
-    loop ();
-    for _ = 1 to !undo do
-      depart_root ()
-    done
-  in
-  let depart () =
-    let rec loop () =
-      let x = Cell.read node in
-      let c2 = c2_of x and v = v_of x in
-      check (c2 >= 2) "depart found the node surplus already zero";
-      if Cell.cas node x (pack ~c2:(c2 - 2) ~v) then begin
-        if c2 = 2 then depart_root ()
-      end
-      else loop ()
-    in
-    loop ()
-  in
-  let worker () =
-    arrive ();
-    check (Cell.peek root > 0) "arrived but the indicator reads zero";
-    depart ()
-  in
-  let threads = List.init nthreads (fun _ -> worker) in
-  let invariant () = Cell.peek root = 0 && c2_of (Cell.peek node) = 0 in
-  (threads, invariant)
-
-(* -- SNZI batched arrive_n/depart_n (lib/sync/snzi.ml) -----------------
-   The batched forms fold a burst of units into one CAS: only the unit
-   that moves the node away from zero walks to the root; the remainder
-   is a local increment legal because the walker's own completed unit
-   pins the node non-zero.  Threads arrive different batch sizes, check
-   the indicator, and retire their whole batch with one batched depart
-   (parent decremented iff the node reaches zero). *)
-
-let snzi_batch_spec ~threads:nthreads ~batch () =
-  let node = Cell.make 0 in
-  let root = Cell.make 0 in
-  let pack ~c2 ~v = (c2 lsl 8) lor (v land 255) in
-  let c2_of x = x lsr 8 and v_of x = x land 255 in
-  let depart_root () = ignore (Cell.fetch_add root (-1)) in
-  let arrive_one () =
-    let undo = ref 0 in
-    let rec loop () =
-      let x = Cell.read node in
-      let c2 = c2_of x and v = v_of x in
-      if c2 >= 2 then begin
-        if not (Cell.cas node x (pack ~c2:(c2 + 2) ~v)) then loop ()
-      end
-      else if c2 = 1 then begin
-        ignore (Cell.fetch_add root 1);
-        if not (Cell.cas node x (pack ~c2:2 ~v)) then incr undo;
-        loop ()
-      end
-      else begin
-        if Cell.cas node x (pack ~c2:1 ~v:(v + 1)) then begin
-          ignore (Cell.fetch_add root 1);
-          if not (Cell.cas node (pack ~c2:1 ~v:(v + 1)) (pack ~c2:2 ~v:(v + 1)))
-          then incr undo
-        end
-        else loop ()
-      end
-    in
-    loop ();
-    for _ = 1 to !undo do
-      depart_root ()
-    done
-  in
-  let arrive_n n =
-    let x = Cell.read node in
-    let c2 = c2_of x and v = v_of x in
-    if c2 >= 2 && Cell.cas node x (pack ~c2:(c2 + (2 * n)) ~v) then ()
-    else begin
-      arrive_one ();
-      if n > 1 then begin
-        let rec add () =
-          let x = Cell.read node in
-          let c2 = c2_of x and v = v_of x in
-          check (c2 >= 2) "remainder add found the node zero under own unit";
-          if not (Cell.cas node x (pack ~c2:(c2 + (2 * (n - 1))) ~v)) then
-            add ()
-        in
-        add ()
-      end
-    end
-  in
-  let depart_n n =
-    let rec loop () =
-      let x = Cell.read node in
-      let c2 = c2_of x and v = v_of x in
-      check (c2 >= 2 * n) "batched depart found surplus short of the batch";
-      if Cell.cas node x (pack ~c2:(c2 - (2 * n)) ~v) then begin
-        if c2 = 2 * n then depart_root ()
-      end
-      else loop ()
-    in
-    loop ()
-  in
+let snzi_harness ~leaf ~batch ~threads () =
+  let s = Snzi.create ~leaves:2 () in
   let worker i () =
-    let n = 1 + (i mod batch) in
-    arrive_n n;
-    check (Cell.peek root > 0) "batch arrived but the indicator reads zero";
-    depart_n n
+    let leaf = leaf i in
+    match batch with
+    | None ->
+      Snzi.arrive s ~leaf;
+      check (Snzi.query s) "arrived but the indicator reads zero";
+      Snzi.depart s ~leaf
+    | Some b ->
+      let n = 1 + (i mod b) in
+      Snzi.arrive_n s ~leaf n;
+      check (Snzi.query s) "batch arrived but the indicator reads zero";
+      Snzi.depart_n s ~leaf n
   in
-  let threads = List.init nthreads worker in
-  let invariant () = Cell.peek root = 0 && c2_of (Cell.peek node) = 0 in
-  (threads, invariant)
+  let rec drained = function
+    | None -> true
+    | Some n -> Snzi.c2_of (Cell.peek n.Snzi.x) = 0 && drained n.Snzi.parent
+  in
+  ( List.init threads worker,
+    fun () ->
+      (not (Snzi.query s)) && Array.for_all (fun l -> drained (Some l)) s.Snzi.leaves )
+
+let snzi_spec ~threads = snzi_harness ~leaf:(fun i -> i mod 2) ~batch:None ~threads
+let snzi_batch_spec ~threads ~batch =
+  snzi_harness ~leaf:(fun _ -> 0) ~batch:(Some batch) ~threads
 
 (* -- barrier reuse across rounds (lib/sync/barrier.ml) -----------------
-   [`Sense] is the pre-fix sense-reversing barrier (my_sense read from
-   the global flag at entry); [`Sense_reordered] is the same protocol
+   [`Epoch] is the shipped [Barrier].  [`Sense] is the pre-fix
+   sense-reversing barrier (my_sense read from the global flag at
+   entry), kept as history; [`Sense_reordered] is the same protocol
    with the leader's two stores swapped — the weak-memory hazard made
-   explicit as a program so SC search can exhibit it; [`Epoch] is the
-   fixed barrier (monotonic arrivals, per-round parity from the arrival
-   index, no reset window at all). *)
+   explicit as a program so SC search can exhibit it. *)
 
 let barrier_spec ?(variant = `Epoch) ~n ~rounds () =
   let arrived = Array.init rounds (fun _ -> Cell.make 0) in
@@ -895,7 +320,7 @@ let barrier_spec ?(variant = `Epoch) ~n ~rounds () =
     | `Sense | `Sense_reordered ->
       let count = Cell.make 0 in
       let sense = Cell.make false in
-      fun _r ->
+      fun () ->
         let my = not (Cell.read sense) in
         if Cell.fetch_add count 1 = n - 1 then begin
           match variant with
@@ -910,18 +335,13 @@ let barrier_spec ?(variant = `Epoch) ~n ~rounds () =
         end
         else ignore (Cell.await sense (fun s -> s = my))
     | `Epoch ->
-      let arrivals = Cell.make 0 in
-      let rounds_done = Cell.make 0 in
-      fun _r ->
-        let k = Cell.fetch_add arrivals 1 in
-        let r = k / n in
-        if k mod n = n - 1 then ignore (Cell.fetch_add rounds_done 1)
-        else ignore (Cell.await rounds_done (fun d -> d > r))
+      let b = Barrier.create n in
+      fun () -> Barrier.await b
   in
   let participant i () =
     for r = 0 to rounds - 1 do
       ignore (Cell.fetch_add arrived.(r) 1);
-      await_round r;
+      await_round ();
       check
         (Cell.peek arrived.(r) = n)
         "passed a round before every participant arrived"
@@ -930,7 +350,7 @@ let barrier_spec ?(variant = `Epoch) ~n ~rounds () =
   in
   (* All participants must finish: a thread still blocked on its round
      flag at the end of the run is a deadlocked barrier. *)
-  (List.init n participant, fun () -> Array.for_all (fun d -> d) done_)
+  (List.init n participant, fun () -> Array.for_all Fun.id done_)
 
 (* -- KV shard combiner: claim/drain/release/re-check (lib/server/kv.ml) --
    A shard's mailbox is a Treiber-style list; whoever CASes the
@@ -1212,188 +632,130 @@ let kv_parked_retry_spec ?(variant = `Good) () =
   (threads, invariant)
 
 (* The watchdog's parked-vs-stalled classification across the park/wake
-   token race (lib/runtime/health.ml Monitor.scan_once against
-   lib/runtime/sleepers.ml).  One worker starts parked: its mask bit is
-   published and its per-slot waiting flag is set; a waker runs
-   [wake_one] (claim the bit, bump the wake stamp, mint a token) and the
-   worker resumes (consume the token, clear waiting, heartbeat).  A
-   monitor samples {beat, stamp, bit, waiting} per scan and counts a
-   worker stalled after two consecutive quiet unparked scans.
+   token race (lib/runtime/health.ml Monitor.scan_once against the real
+   registry).  The worker has announced and is inside its pre-park
+   sweep, which will find nothing: it parks, and once woken it beats.  A
+   waker runs [wake_one]; a monitor samples {beat, stamp, bit, waiting}
+   per scan and counts a worker stalled after two consecutive quiet
+   unparked scans.
 
    The hazardous window is after the waker claimed the bit but before
    the worker has beaten again: the bit says "not parked" while the
-   worker is blocked with a wake in flight.  The real monitor is safe
-   there for two independent reasons, both modelled: the waiting flag
-   still reads parked, and the stamp bump reads as progress.  The check
-   asserts a stall is only ever declared with no parked indication and
-   no token in flight; [`No_waiting_flag] classifies parked by the mask
-   bit alone, and the checker exhibits the false stall. *)
+   worker is about to block, or blocked, with a wake in flight.  The
+   check asserts a stall is only ever declared with no parked
+   indication and no token in flight; [`No_waiting_flag] classifies
+   parked by the mask bit alone, and the checker exhibits the false
+   stall. *)
 let watchdog_park_spec ?(variant = `Good) ~scans () =
-  let bit = Cell.make true (* mask bit: published before the scenario *) in
-  let waiting = Cell.make 1 in
-  let token = Cell.make 0 in
-  let stamp = Cell.make 0 in
+  let s = Sleepers.create ~workers:1 in
+  ignore (Sleepers.announce s ~worker:0);
   let beat = Cell.make 0 in
-  let done_ = Cell.make false in
+  let done_ = ref false in
   let worker () =
-    (* parked: blocked until the waker mints the token *)
-    ignore (Cell.await token (fun t -> t > 0));
-    ignore (Cell.fetch_add token (-1));
-    Cell.write waiting 0;
+    Sleepers.park s ~worker:0;
     ignore (Cell.fetch_add beat 1);
-    Cell.write done_ true
+    done_ := true
   in
-  let waker () =
-    (* wake_one: claim the bit, bump the epoch stamp, mint the token *)
-    if Cell.cas bit true false then begin
-      ignore (Cell.fetch_add stamp 1);
-      ignore (Cell.fetch_add token 1)
-    end
-  in
+  let waker () = ignore (Sleepers.wake_one s) in
   let monitor () =
     let prev_beat = ref (Cell.read beat) in
-    let prev_stamp = ref (Cell.read stamp) in
+    let prev_stamp = ref (Sleepers.wake_stamp s ~worker:0) in
     let quiet = ref 0 in
     for _ = 1 to scans do
       let b = Cell.read beat in
-      let s = Cell.read stamp in
-      let announced = Cell.read bit in
-      let w = Cell.read waiting in
+      let stamp = Sleepers.wake_stamp s ~worker:0 in
+      let announced = Sleepers.announced s ~worker:0 in
+      let waiting = Sleepers.waiting s ~worker:0 in
       let parked =
         match variant with
-        | `Good -> announced || w = 1
+        | `Good -> announced || waiting
         | `No_waiting_flag -> announced
       in
-      let progressed = b <> !prev_beat || s <> !prev_stamp in
+      let progressed = b <> !prev_beat || stamp <> !prev_stamp in
       prev_beat := b;
-      prev_stamp := s;
+      prev_stamp := stamp;
       if parked || progressed then quiet := 0
       else begin
         incr quiet;
-        if !quiet >= 2 then begin
+        if !quiet >= 2 then
           (* Declaring a stall: by now the worker must be genuinely
              awake and unparked -- no mask bit, no waiting flag, no
              wake token still in flight. *)
-          let t = Cell.read token in
           check
-            ((not announced) && w = 0 && t = 0)
+            ((not announced) && (not waiting) && tokens s ~worker:0 = 0)
             "parked worker flagged stalled during the wake race"
-        end
       end
     done
   in
-  let threads = [ worker; waker; monitor ] in
   (* Liveness framing: the wake always lands, so the worker must have
      retired with the token consumed and the waiting flag down. *)
   let invariant () =
-    Cell.peek done_ && Cell.peek token = 0 && Cell.peek waiting = 0
+    !done_ && tokens s ~worker:0 = 0 && not (Sleepers.waiting s ~worker:0)
   in
-  (threads, invariant)
+  ([ worker; waker; monitor ], invariant)
 
 (* -- cross-pool spill-over: routed roots vs the park protocol ----------
-   (ISSUE 10) A [spawn_on] producer publishes a routed root into a
-   target pool's inject queue — gate raised before the push, so a zero
+   A [spawn_on] producer publishes a routed root into a target pool's
+   [Central_queue] inject queue — gate raised before the push, so a zero
    gate proves the queue empty — then runs [wake_routed] on that pool's
-   sleeper registry.  The pool's only home worker races it through the
-   engines' idle tail (gated take, announce, unconditional pre-park
-   sweep, park); a foreign spill thief probes the same queue behind the
-   gate and retires awake, as a [Config.spill_over] worker from another
-   pool would.
+   registry.  The pool's only home worker races it through
+   [Shell.park_round], whose sweep reads the gate as [Shell.try_inject]
+   does; a foreign spill thief probes the same queue and retires awake,
+   as a [Config.spill_over] worker from another pool would.
 
-   Safety: the routed root executes exactly once and its remote promise
-   is filled exactly once, whichever side wins.  Liveness: the root is
-   never stranded in the queue with the home worker parked — the
-   lost-task scenario the unconditional sweep closes.  [`No_final_sweep]
+   Safety: the routed root executes exactly once, whichever side wins.
+   Liveness: it is never stranded in the queue with the home worker
+   parked — the lost task the pre-park sweep closes.  [`No_final_sweep]
    parks on the gated check alone; with the thief's probes exhausted
    before the push, the producer's wake finds an empty mask and the
    checker exhibits the stranded routed root. *)
 let spillover_spec ?(variant = `Good) () =
+  let s = Sleepers.create ~workers:1 in
+  let inject = Central_queue.create () in
   let gate = Cell.make 0 in
-  let slot = Cell.make false (* the routed root, in the inject queue *) in
   let filled = Cell.make 0 (* remote-promise fill count *) in
   let obs = { passes = 0 } in
-  let word = Cell.make 0 (* target pool's 1-bit sleeper mask *) in
-  let token = Cell.make 0 in
   let execute () =
     check (Cell.fetch_add filled 1 = 0) "routed root executed twice";
     obs.passes <- obs.passes + 1
   in
   let take () =
-    if Cell.read gate = 0 then false (* gate at zero proves empty *)
-    else if Cell.cas slot true false then begin
+    Cell.read gate <> 0
+    &&
+    match Central_queue.pop inject with
+    | Some () ->
       ignore (Cell.fetch_add gate (-1));
       true
-    end
-    else false
-  in
-  (* Pre-park re-check: no gate skip — it must hit the queue itself. *)
-  let sweep_take () =
-    if Cell.cas slot true false then begin
-      ignore (Cell.fetch_add gate (-1));
-      true
-    end
-    else false
-  in
-  let rec set_bit () =
-    let cur = Cell.read word in
-    if not (Cell.cas word cur (cur lor 1)) then set_bit ()
-  in
-  let rec clear_bit () =
-    let cur = Cell.read word in
-    if cur land 1 = 0 then false
-    else if Cell.cas word cur (cur lxor 1) then true
-    else clear_bit ()
-  in
-  let park () =
-    ignore (Cell.await token (fun t -> t > 0));
-    ignore (Cell.fetch_add token (-1))
+    | None -> false
   in
   let home () =
     let rec idle budget =
       if budget = 0 then ()
       else if take () then execute ()
-      else begin
-        set_bit ();
-        let swept =
-          match variant with
-          | `Good -> sweep_take ()
-          | `No_final_sweep -> false
-        in
-        if swept then begin
-          (* Cancel lost to a waker: absorb the in-flight token. *)
-          if not (clear_bit ()) then park ();
-          execute ()
-        end
-        else begin
-          park ();
+      else
+        match variant with
+        | `Good ->
+          if park_round s ~worker:0 ~sweep:take ~finished:never then execute ()
+          else idle (budget - 1)
+        | `No_final_sweep ->
+          ignore (Sleepers.announce s ~worker:0);
+          Sleepers.park s ~worker:0;
           idle (budget - 1)
-        end
-      end
     in
     idle 3
   in
   let producer () =
-    ignore (Cell.fetch_add gate 1) (* gate up before the push *);
-    Cell.write slot true;
-    (* wake_routed: one wake on the target pool's registry *)
-    let rec wake_one () =
-      let cur = Cell.read word in
-      if cur land 1 = 0 then ()
-      else if Cell.cas word cur (cur lxor 1) then
-        ignore (Cell.fetch_add token 1)
-      else wake_one ()
-    in
-    wake_one ()
+    ignore (Cell.fetch_add gate 1);
+    Central_queue.push inject ();
+    ignore (Sleepers.wake_one s)
   in
   let spill_thief () =
     let rec probe budget =
-      if budget = 0 then ()
-      else if take () then execute ()
-      else probe (budget - 1)
+      if budget > 0 then if take () then execute () else probe (budget - 1)
     in
     probe 2
   in
   let invariant () =
-    obs.passes = 1 && Cell.peek gate = 0 && not (Cell.peek slot)
+    obs.passes = 1 && Cell.peek gate = 0 && Central_queue.size inject = 0
   in
   ([ home; producer; spill_thief ], invariant)

@@ -1,130 +1,91 @@
-(** Model-checkable specifications of the platform's coordination
-    algorithms, written against {!Mcheck.Cell} so every shared access is
-    a scheduling point.
+(** Model-checkable scenarios over the platform's coordination code.
 
-    Each spec builds a small closed scenario whose interleavings
-    {!Mcheck.explore} can enumerate exhaustively.  Three strand-counter
-    protocols are modelled:
+    The deques, join counters, sleeper registry, SNZI, barrier and
+    inject queue reach these specs as build-time copies of their
+    [lib/**] sources compiled against traced primitives (see the
+    library's dune rules and [traced.ml]): every [Atomic] operation is
+    a scheduling point, [Mutex] and [Condition] block instead of
+    spinning, and a spin loop blocks until the cell it last read
+    changes.  A spec here is a harness — a scenario, an oracle, and
+    where useful a deliberately broken caller-side control — never a
+    second copy of the protocol.
 
-    - {!naive_counter_spec} — the {e hazardous} protocol of the paper's
-      Figure 6: a plain active-strand counter where the thief increments
-      {e after} stealing and the worker decrements after a failed pop.
-      The checker finds the race (a worker passes the sync point while a
-      strand is still active).
-    - {!wait_free_counter_spec} — the Nowa scheme (Imax initialisation,
-      α on the main path, Equation 5 restore): no interleaving violates.
-    - {!lock_counter_spec} — the Fibril scheme with the Listing-2
-      lock coupling: no interleaving violates.
+    Hand-written models remain only for what ships nowhere: the naive
+    counter of the paper's Figure 6, the historical sense-reversing
+    barriers, and the KV combiner protocols. *)
 
-    Plus deque scenarios for the Chase-Lev and THE queues: an owner
-    pushing/popping races thieves stealing; every element must be
-    consumed exactly once and LIFO/FIFO order respected.
+type spec = unit -> (unit -> unit) list * (unit -> bool)
 
-    PR 5 adds specs for the coordination protocols PR 4 shipped: the
-    wait-free sleeper registry (no lost wake-up, wake-vs-cancel token
-    races, wake_all at shutdown), [steal_batch] on all four deque
-    variants, SNZI arrive/depart with helping, and barrier reuse across
-    rounds.  The blocking operations ({!Mcheck.Cell.await},
-    {!Mcheck.Cell.await_cas}) keep these specs spin-free so exhaustive
-    exploration reports [complete = true] at CI bounds. *)
+val deque_spec :
+  ?capacity:int -> ?batch:int -> pushes:int -> pops:int -> thieves:int ->
+  [ `Chase_lev | `The_queue | `Abp | `Locked ] -> spec
+(** The shipped deque: an owner pushes [1..pushes] and then pops [pops]
+    times, racing [thieves] thieves that each make one [steal], or with
+    [batch] one [steal_batch ~max:batch].  The conservation invariant is
+    the re-homing guarantee: every pushed element is consumed exactly
+    once or still counted by the deque's own [size].  A small
+    [capacity] (the minimum ring is 8 slots) makes the pushes grow the
+    deque under the steals. *)
 
-val chase_lev_spec :
-  pushes:int -> pops:int -> thieves:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
+val naive_counter_spec : spec
+(** The {e hazardous} protocol of the paper's Figure 6: a plain
+    active-strand counter where the thief increments {e after} stealing
+    and the sync point checks the counter before publishing the
+    suspension.  The checker finds the lost wake-up. *)
 
-val the_queue_spec :
-  pushes:int -> pops:int -> thieves:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
-
-val naive_counter_spec :
-  children:int -> unit -> (unit -> unit) list * (unit -> bool)
-
-val wait_free_counter_spec :
-  children:int -> unit -> (unit -> unit) list * (unit -> bool)
-
-val lock_counter_spec :
-  children:int -> unit -> (unit -> unit) list * (unit -> bool)
+val join_counter_spec : [ `Wait_free | `Lock ] -> spec
+(** The shipped [Wait_free_counter] (Nowa, Section IV) or [Lock_counter]
+    (Fibril, Listing 2) in one frame with one spawn: the worker runs the
+    child and pops its continuation while a thief races to steal it,
+    with the main path following [Engine.sync] (never forked, fused, or
+    publish then [reach_sync]).  The sync point must be passed exactly
+    once and never while the child runs. *)
 
 val sleeper_spec :
-  ?variant:[ `Good | `Check_before_announce ] ->
-  workers:int -> tasks:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
-(** The sleeper-registry no-lost-wakeup scenario: [workers] workers
-    running a bounded take/announce/re-check/park loop against a spawner
-    pushing [tasks] tasks, each push followed by [wake_one].  The
-    invariant is that pending work implies some worker exited awake.
-    [`Check_before_announce] is the buggy protocol (final re-check
-    {e before} publishing the mask bit) — the checker exhibits the lost
-    wake-up that the announce-first order in sleepers.ml prevents. *)
+  ?variant:[ `Good | `Check_before_announce ] -> workers:int -> tasks:int -> spec
+(** No lost wake-up over the real [Sleepers]: [workers] workers run a
+    bounded take / [Shell.park_round] loop against a spawner pushing
+    [tasks] tasks, each push followed by [wake_one].  Pending work must
+    imply some worker exited awake.  [`Check_before_announce] is the
+    broken caller order (re-check {e before} announcing) — the checker
+    exhibits the lost wake-up that announce-first prevents. *)
 
-val sleeper_wake_cancel_spec :
-  wakers:int -> unit -> (unit -> unit) list * (unit -> bool)
+val sleeper_wake_cancel_spec : wakers:int -> spec
 (** One worker announces then cancels while [wakers] concurrent
     [wake_one] calls race it: exactly one side wins the mask bit, at
     most one token is minted (and is consumed by the worker when it lost
-    the race), and the wake epoch counts exactly the successful wakes. *)
+    the race), the wake epoch counts exactly the successful wakes and
+    the stamp exactly one ownership transition. *)
 
-val sleeper_shutdown_spec :
-  workers:int -> unit -> (unit -> unit) list * (unit -> bool)
-(** Workers announce and park while a closer stores [finished] and runs
-    [wake_all]; no worker may remain parked after shutdown. *)
+val sleeper_shutdown_spec : workers:int -> spec
+(** Workers run a park round with nothing to sweep while a closer
+    stores [finished] and runs [wake_all]; no worker may remain parked
+    after shutdown. *)
 
-val chase_lev_batch_spec :
-  pushes:int -> pops:int -> batch:int -> thieves:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
+val snzi_spec : threads:int -> spec
+(** [threads] threads each arrive, check the indicator and depart
+    through sibling leaves of the real SNZI tree, so their walks race
+    the zero-to-non-zero claim, the helping path and the surplus undo at
+    the shared parent.  Invariant: the indicator is non-zero while any
+    arrive is unmatched, and every node returns to zero. *)
 
-val the_queue_batch_spec :
-  pushes:int -> pops:int -> batch:int -> thieves:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
-
-val abp_batch_spec :
-  pushes:int -> pops:int -> batch:int -> thieves:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
-
-val locked_batch_spec :
-  pushes:int -> pops:int -> batch:int -> thieves:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
-(** The four [steal_batch] scenarios, one per deque family: an owner
-    pushing then popping races thieves each grabbing a batch of up to
-    [batch] elements (CAS deques: independent steals stopping at the
-    first failure; lock-based deques: steal-half under one critical
-    section).  The conservation invariant is the re-homing guarantee —
-    every pushed element is consumed exactly once or still in the
-    deque. *)
-
-val snzi_spec :
-  threads:int -> unit -> (unit -> unit) list * (unit -> bool)
-(** [threads] threads each arrive / check the indicator / depart through
-    one SNZI tree node (c2 doubled + version packed in one CAS word over
-    a plain root), exercising the zero-to-non-zero claim, the helping
-    path and the surplus undo.  Invariant: the indicator is non-zero
-    while any arrive is unmatched, and everything returns to zero. *)
-
-val snzi_batch_spec :
-  threads:int -> batch:int -> unit -> (unit -> unit) list * (unit -> bool)
-(** The batched SNZI operations ([Snzi.arrive_n]/[depart_n]): each
-    thread arrives a batch of 1..[batch] units (one tree walk for the
-    zero-to-non-zero unit, one local CAS for the remainder), checks the
-    indicator, then retires the whole batch in one batched depart.
-    Invariant: the remainder CAS never runs on a zero node, departs
-    never find the surplus short, and everything returns to zero. *)
+val snzi_batch_spec : threads:int -> batch:int -> spec
+(** The same through [arrive_n]/[depart_n] on one shared leaf: thread
+    [i] moves [1 + i mod batch] units in one batched call each way, so
+    the batched fast path and remainder race the leaf's claim. *)
 
 val barrier_spec :
-  ?variant:[ `Sense | `Sense_reordered | `Epoch ] ->
-  n:int -> rounds:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
+  ?variant:[ `Sense | `Sense_reordered | `Epoch ] -> n:int -> rounds:int -> spec
 (** Barrier reuse across [rounds] rounds by [n] participants, each
     checking that no-one passes round [r] before all [n] arrived at it,
-    with deadlock detection via the all-finished invariant.  [`Sense] is
-    the sense-reversing protocol (correct under SC — the exhaustive run
-    proves it); [`Sense_reordered] swaps the leader's two stores,
-    exhibiting under SC search the hazard that weak memory could
-    introduce into [`Sense]; [`Epoch] is the arrivals-epoch barrier that
-    barrier.ml now uses, with no reset window at all. *)
+    with deadlock detection via the all-finished invariant.  [`Epoch]
+    is the shipped [Barrier].  [`Sense] is the old sense-reversing
+    protocol (correct under SC — the exhaustive run proves it);
+    [`Sense_reordered] swaps the leader's two stores, exhibiting under
+    SC search the hazard that weak memory could introduce into
+    [`Sense]. *)
 
-val kv_combiner_spec :
-  ?variant:[ `Good | `No_recheck ] -> pushers:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
+val kv_combiner_spec : ?variant:[ `Good | `No_recheck ] -> pushers:int -> spec
 (** The KV shard's flat-combining claim protocol (lib/server/kv.ml):
     [pushers] threads each push one operation into the mailbox and make
     one combiner claim attempt.  The invariant is that every pushed
@@ -132,9 +93,7 @@ val kv_combiner_spec :
     after the flag release, exhibiting the stranded-message race the
     real combiner's release fence prevents. *)
 
-val kv_handoff_spec :
-  ?variant:[ `Good | `No_defer ] ->
-  unit -> (unit -> unit) list * (unit -> bool)
+val kv_handoff_spec : ?variant:[ `Good | `No_defer ] -> spec
 (** The KV bucket-handoff protocol: a cross-shard transaction borrows,
     receives and returns a bucket while a concurrent single-key reader
     targets the loaned bucket.  Invariant: no lost ops, no double-apply
@@ -142,9 +101,7 @@ val kv_handoff_spec :
     [`No_defer] applies the racing op into the detached bucket's slot
     instead of deferring it, exhibiting the lost update. *)
 
-val kv_parked_retry_spec :
-  ?variant:[ `Good | `No_recheck_loop ] ->
-  unit -> (unit -> unit) list * (unit -> bool)
+val kv_parked_retry_spec : ?variant:[ `Good | `No_recheck_loop ] -> spec
 (** Combiner release with home transactions parked on loaned buckets:
     a retried txn's completion reattaches a bucket and re-sets the
     shard's recheck flag after the drain loop cleared it, so the
@@ -156,28 +113,23 @@ val kv_parked_retry_spec :
     left to re-enter the combiner). *)
 
 val watchdog_park_spec :
-  ?variant:[ `Good | `No_waiting_flag ] -> scans:int ->
-  unit -> (unit -> unit) list * (unit -> bool)
-(** The watchdog's parked-vs-stalled rule across the sleeper park/wake
-    token race: a parked worker is woken ([wake_one] claims its mask
-    bit, bumps the wake stamp, mints a token) while a monitor samples
-    heartbeat/stamp/bit/waiting and declares a stall after two quiet
-    unparked scans.  The inline check asserts a stall is never declared
-    while any parked indication or an in-flight wake token remains.
-    [`No_waiting_flag] classifies parked by the mask bit alone — the
-    checker exhibits the false stall inside the wake window that the
-    per-slot waiting flag (health.ml reads it alongside the mask)
-    closes. *)
+  ?variant:[ `Good | `No_waiting_flag ] -> scans:int -> spec
+(** The watchdog's parked-vs-stalled rule over the real registry: a
+    worker that has announced and is about to park is woken
+    ([wake_one] claims its mask bit, bumps the wake stamp, posts a
+    token) while a monitor samples heartbeat/stamp/bit/waiting and
+    declares a stall after two quiet unparked scans.  The inline check
+    asserts a stall is never declared while any parked indication or an
+    in-flight wake token remains.  [`No_waiting_flag] classifies parked
+    by the mask bit alone — the checker exhibits the false stall inside
+    the wake window that the waiting flag closes. *)
 
-val spillover_spec :
-  ?variant:[ `Good | `No_final_sweep ] ->
-  unit -> (unit -> unit) list * (unit -> bool)
-(** Cross-pool spill-over handoff (ISSUE 10): a [spawn_on] producer
-    gates and pushes a routed root into a target pool's inject queue
-    then wakes that pool's registry, racing the pool's home worker
-    (gated take, announce, unconditional pre-park sweep, park) and a
-    foreign spill thief probing behind the gate.  Invariant: the root
-    executes exactly once, its remote promise is filled exactly once,
-    and it is never stranded with the home worker parked.
+val spillover_spec : ?variant:[ `Good | `No_final_sweep ] -> spec
+(** Cross-pool spill-over handoff: a [spawn_on] producer gates and
+    pushes a routed root into a target pool's real [Central_queue] then
+    wakes that pool's registry, racing the pool's home worker (gated
+    take, then [Shell.park_round] with the gated sweep) and a foreign
+    spill thief probing behind the gate.  Invariant: the root executes
+    exactly once and is never stranded with the home worker parked.
     [`No_final_sweep] parks on the gated check alone — the checker
     exhibits the stranded routed root (lost task). *)

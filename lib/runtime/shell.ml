@@ -11,8 +11,8 @@
     - routed roots: [spawn_on]/[spawn_unit_on] and their wake path;
     - the idle path: spin → yield → park ([worker_loop]), the park
       protocol ([park_round]) and its pre-park sweep ([sweep_all]),
-      which the [sleeper]/[spillover]/[watchdog_park] model-check specs
-      transcribe;
+      whose caller order the [sleeper]/[spillover]/[watchdog_park]
+      model-check harnesses replay over the real [Sleepers];
     - cross-pool spill-over;
     - [run]'s lifecycle: topology, trace rings, heartbeats, metrics
       publication, the flight recorder, the watchdog probe, domain

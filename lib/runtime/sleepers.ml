@@ -10,13 +10,14 @@ let epoch_one = 1 lsl mask_bits
    [waiting] and [stamp] exist for the health watchdog, which samples
    sleeper state from outside without taking [mu]:
 
-   - [waiting] is 1 for the whole span a worker can block inside {!park}
-     — set before the token check, cleared only after the token is
-     consumed.  It covers the announce-claimed-but-token-in-flight
-     window where the worker's mask bit is already gone (a waker owns
-     it) yet the worker is still, or about to be, blocked: without it a
-     sampler would read "unparked, no progress" and misflag a healthy
-     parked worker.
+   - [waiting] is 1 from {!announce} until the worker leaves the park
+     protocol — raised before the mask bit is published, lowered by
+     {!cancel} (either outcome) or by {!park} once the token is
+     consumed.  It covers the window where a waker has claimed the bit
+     but its token is still in flight, while the worker is still
+     sweeping, about to block or blocked: without it a sampler would
+     read "unparked, no progress" and misflag a healthy parked
+     worker.
    - [stamp] counts ownership transitions of the worker's mask bit
      (claimed by a waker, or cancelled by the worker itself).  A sampler
      that sees the stamp move knows the worker was woken or self-woke
@@ -68,6 +69,7 @@ let announce t ~worker =
       (Printf.sprintf "Sleepers.announce: worker %d outside registry of %d"
          worker (Array.length t.slots));
   let bit = 1 lsl worker in
+  Atomic.set t.slots.(worker).waiting 1;
   let rec go () =
     let cur = Atomic.get t.word in
     if Atomic.compare_and_set t.word cur (cur lor bit) then ()
@@ -78,16 +80,19 @@ let announce t ~worker =
 
 let cancel t ~worker =
   let bit = 1 lsl worker in
+  let slot = t.slots.(worker) in
   let rec go () =
     let cur = Atomic.get t.word in
     if cur land bit = 0 then false (* a waker claimed us first *)
     else if Atomic.compare_and_set t.word cur (cur lxor bit) then begin
-      Atomic.incr t.slots.(worker).stamp;
+      Atomic.incr slot.stamp;
       true
     end
     else go ()
   in
-  go ()
+  let cancelled = go () in
+  Atomic.set slot.waiting 0;
+  cancelled
 
 let post slot =
   Mutex.lock slot.mu;
@@ -97,7 +102,6 @@ let post slot =
 
 let park t ~worker =
   let slot = t.slots.(worker) in
-  Atomic.set slot.waiting 1;
   Mutex.lock slot.mu;
   while slot.tokens = 0 do
     Condition.wait slot.cv slot.mu

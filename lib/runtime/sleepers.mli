@@ -45,20 +45,23 @@ val create : workers:int -> t
     accounting (ISSUE 10 bugfix). *)
 
 val announce : t -> worker:int -> bool
-(** Set this worker's sleeper bit.  Must be called {e before} the final
-    emptiness re-check that precedes {!park}.  Always returns [true];
-    raises [Invalid_argument] on an id outside the registry (impossible
-    from the engines — {!create} already validated the pool size). *)
+(** Raise this worker's {!waiting} flag, then set its sleeper bit.  Must
+    be called {e before} the final emptiness re-check that precedes
+    {!park}.  Always returns [true]; raises [Invalid_argument] on an id
+    outside the registry (impossible from the engines — {!create}
+    already validated the pool size). *)
 
 val cancel : t -> worker:int -> bool
 (** Clear this worker's bit after deciding not to park (work appeared,
-    or shutdown).  Returns [false] if a waker already claimed the bit —
-    a token is then in flight and the next {!park} will consume it
-    immediately; callers count that as a lost-wakeup retry. *)
+    or shutdown), and lower its {!waiting} flag.  Returns [false] if a
+    waker already claimed the bit — a token is then in flight and the
+    next {!park} will consume it immediately; callers count that as a
+    lost-wakeup retry. *)
 
 val park : t -> worker:int -> unit
-(** Block until a token is available for this worker, then consume it.
-    Callers must have [announce]d and re-checked for work first. *)
+(** Block until a token is available for this worker, consume it, and
+    lower the {!waiting} flag raised by {!announce}.  Callers must have
+    [announce]d and re-checked for work first. *)
 
 val wake_one : t -> bool
 (** Wake one parked worker if any.  Fast path: one atomic load returning
@@ -91,10 +94,11 @@ val announced : t -> worker:int -> bool
 (** This worker's sleeper bit is currently set. *)
 
 val waiting : t -> worker:int -> bool
-(** This worker is inside the blocking span of {!park}: the flag rises
-    before the token check and falls only after a token is consumed, so
-    it stays up across the announce-claimed-but-token-in-flight window
-    where the mask bit alone would misread the worker as running. *)
+(** This worker is inside the park protocol: the flag rises in
+    {!announce} before the bit is published and falls only in {!cancel}
+    or after {!park} consumed a token, so it stays up across the window
+    where a waker has claimed the bit but its token is still in flight
+    and the mask bit alone would misread the worker as running. *)
 
 val wake_stamp : t -> worker:int -> int
 (** Count of this worker's bit-ownership transitions (wakes by others,

@@ -142,9 +142,10 @@ module Battery (Q : Ws_deque_intf.S with type elt = int) = struct
           ops)
 
   (* One owner pushes/pops, several thieves steal concurrently; every
-     pushed element must be consumed exactly once. *)
-  let test_concurrent_accounting () =
-    let q = Q.create ~capacity:(1 lsl 16) () in
+     pushed element must be consumed exactly once.  From a small
+     [capacity] the owner grows the deque under the steals. *)
+  let test_concurrent_accounting ~capacity () =
+    let q = Q.create ~capacity () in
     let per_item = Array.make 20_000 0 in
     let stop = Atomic.make false in
     let record v = per_item.(v) <- per_item.(v) + 1 in
@@ -203,8 +204,13 @@ module Battery (Q : Ws_deque_intf.S with type elt = int) = struct
       Alcotest.test_case (Q.name ^ " steal_batch prefix") `Quick test_steal_batch_prefix;
       QCheck_alcotest.to_alcotest prop_model;
       Alcotest.test_case (Q.name ^ " concurrent accounting") `Slow
-        test_concurrent_accounting;
+        (test_concurrent_accounting ~capacity:(1 lsl 16));
     ]
+
+  (* Only for the deques that grow: ABP's capacity is fixed. *)
+  let growing_accounting =
+    Alcotest.test_case (Q.name ^ " concurrent accounting from 8 slots") `Slow
+      (test_concurrent_accounting ~capacity:8)
 end
 
 module Cl_battery = Battery (Cl)
@@ -359,6 +365,7 @@ let () =
       ( "chase-lev",
         Cl_battery.cases
         @ [
+            Cl_battery.growing_accounting;
             Alcotest.test_case "growth" `Quick test_cl_growth;
             Alcotest.test_case "steal_batch to empty" `Quick
               test_cl_steal_batch_to_empty;
@@ -366,6 +373,7 @@ let () =
       ( "the",
         The_battery.cases
         @ [
+            The_battery.growing_accounting;
             Alcotest.test_case "growth" `Quick test_the_growth;
             Alcotest.test_case "steal_batch half" `Quick test_the_steal_half;
           ] );
@@ -379,7 +387,10 @@ let () =
           ] );
       ( "locked",
         Locked_battery.cases
-        @ [ Alcotest.test_case "steal_batch half" `Quick test_locked_steal_half ]
+        @ [
+            Locked_battery.growing_accounting;
+            Alcotest.test_case "steal_batch half" `Quick test_locked_steal_half;
+          ]
       );
       ( "central",
         [

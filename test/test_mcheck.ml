@@ -1,11 +1,10 @@
-(* Model-checking the platform's coordination algorithms (the Section
-   II-D methodology): exhaustive interleaving exploration of the deque
-   and strand-counter protocols, including a mechanical exhibition of
-   the Figure 6 race on a naive counter and its absence from the
-   wait-free and lock-based schemes; plus the PR-5 specs for the sleeper
-   registry, steal_batch on all four deques, SNZI and barrier reuse, the
-   DPOR-vs-naive cross-checks, and pinned-schedule regressions for every
-   bug the checker shook out. *)
+(* Model-checking the platform's coordination code (the Section II-D
+   methodology): exhaustive interleaving exploration of the shipped
+   deques, join counters, sleeper registry, SNZI and barrier, compiled
+   against traced primitives; a mechanical exhibition of the Figure 6
+   race on a naive counter and its absence from the wait-free and
+   lock-based counters; the DPOR-vs-naive cross-checks; and
+   pinned-schedule regressions for every bug the checker shook out. *)
 
 module M = Nowa_mcheck.Mcheck
 module S = Nowa_mcheck.Specs
@@ -147,13 +146,13 @@ let test_dpor_naive_agree () =
   (* Every existing spec, both searches, identical verdicts. *)
   let specs =
     [
-      ("chase_lev 2/1/1", S.chase_lev_spec ~pushes:2 ~pops:1 ~thieves:1);
-      ("chase_lev 1/1/1", S.chase_lev_spec ~pushes:1 ~pops:1 ~thieves:1);
-      ("the_queue 1/1/1", S.the_queue_spec ~pushes:1 ~pops:1 ~thieves:1);
-      ("the_queue 2/1/1", S.the_queue_spec ~pushes:2 ~pops:1 ~thieves:1);
-      ("naive_counter", S.naive_counter_spec ~children:1);
-      ("wait_free_counter", S.wait_free_counter_spec ~children:1);
-      ("lock_counter", S.lock_counter_spec ~children:1);
+      ("chase_lev 2/1/1", S.deque_spec `Chase_lev ~pushes:2 ~pops:1 ~thieves:1);
+      ("chase_lev 1/1/1", S.deque_spec `Chase_lev ~pushes:1 ~pops:1 ~thieves:1);
+      ("the_queue 1/1/1", S.deque_spec `The_queue ~pushes:1 ~pops:1 ~thieves:1);
+      ("the_queue 2/1/1", S.deque_spec `The_queue ~pushes:2 ~pops:1 ~thieves:1);
+      ("naive_counter", S.naive_counter_spec);
+      ("wait_free_counter", S.join_counter_spec `Wait_free);
+      ("lock_counter", S.join_counter_spec `Lock);
     ]
   in
   List.iter
@@ -188,77 +187,94 @@ let test_dpor_reduction_factor () =
       true
       (naive >= 10 * dpor)
   in
-  measure "chase_lev 2/1/1" (S.chase_lev_spec ~pushes:2 ~pops:1 ~thieves:1);
-  measure "the_queue 2/1/1" (S.the_queue_spec ~pushes:2 ~pops:1 ~thieves:1);
-  measure "wait_free_counter" (S.wait_free_counter_spec ~children:1)
+  measure "chase_lev 2/1/1" (S.deque_spec `Chase_lev ~pushes:2 ~pops:1 ~thieves:1);
+  measure "the_queue 2/1/1" (S.deque_spec `The_queue ~pushes:2 ~pops:1 ~thieves:1);
+  measure "wait_free_counter" (S.join_counter_spec `Wait_free)
 
 (* -- deques -------------------------------------------------------------- *)
 
 let test_chase_lev_owner_vs_thief () =
   expect_ok "CL 2 pushes, 1 pop, 1 thief"
-    (M.explore (S.chase_lev_spec ~pushes:2 ~pops:1 ~thieves:1))
+    (M.explore (S.deque_spec `Chase_lev ~pushes:2 ~pops:1 ~thieves:1))
 
 let test_chase_lev_two_thieves () =
   expect_ok "CL 1 push, 2 thieves"
-    (M.explore (S.chase_lev_spec ~pushes:1 ~pops:0 ~thieves:2))
+    (M.explore (S.deque_spec `Chase_lev ~pushes:1 ~pops:0 ~thieves:2))
 
 let test_chase_lev_last_element_race () =
   expect_ok "CL 1 push, 1 pop, 1 thief (single-element race)"
-    (M.explore (S.chase_lev_spec ~pushes:1 ~pops:1 ~thieves:1))
+    (M.explore (S.deque_spec `Chase_lev ~pushes:1 ~pops:1 ~thieves:1))
 
 let test_chase_lev_drain () =
   expect_ok "CL 2 pushes, 2 pops, 1 thief"
-    (M.explore (S.chase_lev_spec ~pushes:2 ~pops:2 ~thieves:1))
+    (M.explore (S.deque_spec `Chase_lev ~pushes:2 ~pops:2 ~thieves:1))
+
+let test_chase_lev_grow () =
+  expect_exhaustive "CL grow, pop + batch steal"
+    (M.explore
+       (S.deque_spec `Chase_lev ~capacity:8 ~batch:2 ~pushes:9 ~pops:1 ~thieves:1));
+  expect_exhaustive "CL grow, two thieves"
+    (M.explore (S.deque_spec `Chase_lev ~capacity:8 ~pushes:9 ~pops:1 ~thieves:2))
 
 let test_the_queue_owner_vs_thief () =
   expect_ok "THE 2 pushes, 1 pop, 1 thief"
-    (M.explore (S.the_queue_spec ~pushes:2 ~pops:1 ~thieves:1))
+    (M.explore (S.deque_spec `The_queue ~pushes:2 ~pops:1 ~thieves:1))
 
 let test_the_queue_conflict_path () =
   expect_ok "THE 1 push, 1 pop, 1 thief (lock arbitration)"
-    (M.explore (S.the_queue_spec ~pushes:1 ~pops:1 ~thieves:1))
+    (M.explore (S.deque_spec `The_queue ~pushes:1 ~pops:1 ~thieves:1))
+
+let test_the_queue_grow () =
+  (* 9 pushes into the 8-slot minimum ring while a thief holds a
+     claimed-but-unread slot: the owner must grow, not wrap onto it *)
+  expect_exhaustive "THE grow, single steal"
+    (M.explore (S.deque_spec `The_queue ~capacity:8 ~pushes:9 ~pops:1 ~thieves:1));
+  expect_exhaustive "THE grow, batch steal"
+    (M.explore
+       (S.deque_spec `The_queue ~capacity:8 ~batch:2 ~pushes:9 ~pops:1 ~thieves:1))
 
 let test_the_queue_two_thieves () =
   expect_ok "THE 2 pushes, 0 pops, 2 thieves"
-    (M.explore ~max_executions:60_000 (S.the_queue_spec ~pushes:2 ~pops:0 ~thieves:2))
+    (M.explore ~max_executions:60_000
+       (S.deque_spec `The_queue ~pushes:2 ~pops:0 ~thieves:2))
 
 (* -- steal_batch on all four deques -------------------------------------- *)
 
 let test_batch_chase_lev () =
   expect_exhaustive "CL batch 3/1/2/1"
-    (M.explore (S.chase_lev_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1))
+    (M.explore (S.deque_spec `Chase_lev ~batch:2 ~pushes:3 ~pops:1 ~thieves:1))
 
 let test_batch_chase_lev_two_thieves () =
   expect_exhaustive "CL batch 2/0/2/2"
-    (M.explore (S.chase_lev_batch_spec ~pushes:2 ~pops:0 ~batch:2 ~thieves:2))
+    (M.explore (S.deque_spec `Chase_lev ~batch:2 ~pushes:2 ~pops:0 ~thieves:2))
 
 let test_batch_the_queue () =
   expect_exhaustive "THE batch 3/1/2/1"
-    (M.explore (S.the_queue_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1))
+    (M.explore (S.deque_spec `The_queue ~batch:2 ~pushes:3 ~pops:1 ~thieves:1))
 
 let test_batch_abp () =
   expect_exhaustive "ABP batch 3/1/2/1"
-    (M.explore (S.abp_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1))
+    (M.explore (S.deque_spec `Abp ~batch:2 ~pushes:3 ~pops:1 ~thieves:1))
 
 let test_batch_locked () =
   expect_exhaustive "locked batch 3/1/2/1"
-    (M.explore (S.locked_batch_spec ~pushes:3 ~pops:1 ~batch:2 ~thieves:1))
+    (M.explore (S.deque_spec `Locked ~batch:2 ~pushes:3 ~pops:1 ~thieves:1))
 
 (* -- strand counters ------------------------------------------------------ *)
 
 let test_naive_counter_has_the_figure6_race () =
   expect_violation "naive counter (Figure 6)"
-    (M.explore (S.naive_counter_spec ~children:1))
+    (M.explore S.naive_counter_spec)
 
 let test_wait_free_counter_is_race_free () =
-  match M.explore (S.wait_free_counter_spec ~children:1) with
+  match M.explore (S.join_counter_spec `Wait_free) with
   | M.Ok o -> Alcotest.(check bool) "exhaustive" true o.M.complete
   | M.Violation { schedule; message } ->
     Alcotest.failf "wait-free counter violated: %S on [%s]" message
       (String.concat ";" (List.map string_of_int schedule))
 
 let test_lock_counter_is_race_free () =
-  match M.explore (S.lock_counter_spec ~children:1) with
+  match M.explore (S.join_counter_spec `Lock) with
   | M.Ok o -> Alcotest.(check bool) "nontrivial" true (o.M.executions > 10)
   | M.Violation { schedule; message } ->
     Alcotest.failf "lock counter violated: %S on [%s]" message
@@ -303,7 +319,7 @@ let test_snzi_arrive_depart () =
 
 let test_snzi_batch () =
   expect_exhaustive "snzi batched, 2 threads"
-    (M.explore (S.snzi_batch_spec ~threads:2 ~batch:2))
+    (M.explore ~max_executions:500_000 (S.snzi_batch_spec ~threads:2 ~batch:2))
 
 let test_barrier_sense_correct_under_sc () =
   expect_exhaustive "sense barrier, 2x2"
@@ -336,15 +352,16 @@ let test_pinned_figure6_schedule () =
   (* worker runs to its sync-point read before the thief's increment
      lands: the Figure-6 window *)
   expect_pinned "naive counter"
-    (S.naive_counter_spec ~children:1)
+    S.naive_counter_spec
     [ 0; 0; 0; 1; 1; 0; 1; 1; 0; 0; 1 ]
 
 let test_pinned_lost_wakeup_schedule () =
-  (* worker re-checks (empty), spawner pushes + wake_one (sees empty
-     mask, skips), worker announces and parks forever *)
+  (* worker re-checks (empty) and starts announcing, spawner pushes +
+     wake_one (the word still has no bit: skips), worker publishes its
+     bit and parks forever *)
   expect_pinned "check-before-announce sleeper"
     (S.sleeper_spec ~variant:`Check_before_announce ~workers:1 ~tasks:1)
-    [ 0; 0; 0; 0; 1; 1; 1; 0 ]
+    [ 0; 0; 0; 0; 0; 1; 1; 1; 0; 0; 0; 0 ]
 
 let test_pinned_barrier_reorder_schedule () =
   (* leader flips sense before resetting count; a fast re-entrant
@@ -356,11 +373,11 @@ let test_pinned_barrier_reorder_schedule () =
 let test_pins_track_explorer () =
   (* The pin must stay in sync with what the explorer reports: derive a
      fresh violating schedule and replay it. *)
-  match M.explore (S.naive_counter_spec ~children:1) with
+  match M.explore S.naive_counter_spec with
   | M.Ok _ -> Alcotest.fail "expected a violation to pin"
   | M.Violation { schedule; _ } ->
     expect_pinned "freshly derived schedule"
-      (S.naive_counter_spec ~children:1)
+      S.naive_counter_spec
       schedule
 
 (* -- random-walk fallback -------------------------------------------------- *)
@@ -368,12 +385,12 @@ let test_pins_track_explorer () =
 let test_random_finds_figure6 () =
   expect_violation "random walk finds the Figure-6 race"
     (M.explore_random ~seed:1 ~max_schedules:2000
-       (S.naive_counter_spec ~children:1))
+       S.naive_counter_spec)
 
 let test_random_never_claims_complete () =
   match
     M.explore_random ~seed:1 ~max_schedules:200
-      (S.wait_free_counter_spec ~children:1)
+      (S.join_counter_spec `Wait_free)
   with
   | M.Ok o ->
     Alcotest.(check bool) "sampling is never a proof" false o.M.complete;
@@ -406,12 +423,14 @@ let () =
           Alcotest.test_case "two thieves" `Quick test_chase_lev_two_thieves;
           Alcotest.test_case "last-element race" `Quick test_chase_lev_last_element_race;
           Alcotest.test_case "drain" `Slow test_chase_lev_drain;
+          Alcotest.test_case "grow under steals" `Quick test_chase_lev_grow;
         ] );
       ( "the queue",
         [
           Alcotest.test_case "owner vs thief" `Slow test_the_queue_owner_vs_thief;
           Alcotest.test_case "conflict path" `Quick test_the_queue_conflict_path;
           Alcotest.test_case "two thieves" `Slow test_the_queue_two_thieves;
+          Alcotest.test_case "grow under a steal" `Quick test_the_queue_grow;
         ] );
       ( "steal batch",
         [
