@@ -724,181 +724,6 @@ let idle ~opts () =
     Printf.printf "wrote %s\n" path
   | None -> Printf.eprintf "idle: runtime produced no trace\n")
 
-(* -- serving layer: open-loop YCSB over the sharded KV store ------------- *)
-
-(* Tail latency is where the idle-policy and deque-family choices of
-   PRs 4-5 actually meet user traffic: a parked worker that wakes late
-   shows up directly in p999.  One open-loop run per cell (the run IS
-   thousands of requests; [--runs] repetition adds nothing a bigger
-   request count doesn't).  Emits BENCH_serve.json plus a Perfetto
-   trace of a park-policy cell. *)
-
-let serve ~opts () =
-  section "Serve: open-loop YCSB mixes on the sharded KV service";
-  let module W = Nowa_server.Workload in
-  let module LG = Nowa_server.Loadgen in
-  let workers = List.fold_left max 2 opts.real_workers in
-  let records, requests, warmup, mix_rate, rates =
-    match opts.real_size with
-    | Registry.Test -> (500, 1_500, 200, 2_000., [ 2_000.; 8_000. ])
-    | Registry.Small -> (5_000, 15_000, 1_500, 10_000., [ 10_000.; 40_000. ])
-    | Registry.Medium ->
-      (20_000, 60_000, 6_000, 25_000., [ 25_000.; 100_000. ])
-    | Registry.Large ->
-      (50_000, 200_000, 20_000, 50_000., [ 50_000.; 200_000. ])
-  in
-  let serve_policies =
-    [ ("spin", Nowa.Config.Spin); ("park", Nowa.Config.Park_after 512) ]
-  in
-  let families =
-    [
-      (module Nowa.Presets.Nowa : Nowa.RUNTIME) (* Chase-Lev deques *);
-      (module Nowa.Presets.Nowa_the) (* THE deques *);
-    ]
-  in
-  let out = Buffer.create 4096 in
-  Buffer.add_string out "[\n";
-  let first = ref true in
-  let total_dropped = ref 0 in
-  let rows = ref [] in
-  let run_cell ?(traced = false) ?(anatomy = true) ?(emit = true)
-      (module R : Nowa.RUNTIME) (pname, policy) mix rate =
-    let module L = LG.Make (R) in
-    let spec = { (W.default_spec ~mix) with W.records; requests; warmup; rate } in
-    let conf =
-      {
-        (Nowa.Config.with_workers workers) with
-        Nowa.Config.idle_policy = policy;
-        trace_capacity = (if traced then default_trace_capacity else 0);
-      }
-    in
-    let r = L.run ~conf ~anatomy spec in
-    if emit then begin
-      total_dropped := !total_dropped + r.LG.dropped;
-      if not !first then Buffer.add_string out ",\n";
-      first := false;
-      let json = LG.json_of_report r in
-      (* Splice the sweep coordinate into the report object. *)
-      Printf.bprintf out "  {\"policy\": %S, %s" pname
-        (String.sub json 1 (String.length json - 1));
-      let t = r.LG.total in
-      rows :=
-        [
-          r.LG.mix; pname; R.name;
-          Printf.sprintf "%.0f" rate;
-          string_of_int r.LG.completed;
-          string_of_int r.LG.dropped;
-          Printf.sprintf "%.0f" r.LG.throughput;
-          Printf.sprintf "%.1f" (t.LG.p50_ns /. 1e3);
-          Printf.sprintf "%.1f" (t.LG.p99_ns /. 1e3);
-          Printf.sprintf "%.1f" (t.LG.p999_ns /. 1e3);
-        ]
-        :: !rows
-    end;
-    if traced then begin
-      (match R.last_trace () with
-      | Some tr ->
-        let path = Nowa_util.Artifacts.path "serve-park.trace.json" in
-        Nowa_trace.Perfetto.write_file
-          ~process_name:(Printf.sprintf "nowa:serve/%dw" workers)
-          path tr;
-        Printf.printf "wrote %s\n" path
-      | None -> Printf.eprintf "serve: runtime produced no trace\n");
-      match r.LG.anatomy with
-      | Some a ->
-        let path = Nowa_util.Artifacts.path "serve-tail.trace.json" in
-        Nowa_server.Anatomy.write_tail_perfetto path a;
-        Printf.printf "wrote %s (%d tail spans)\n" path
-          (List.length a.Nowa_server.Anatomy.tail);
-        (* Where the cell's time went, phase by phase. *)
-        Nowa_server.Anatomy.pp a
-      | None -> ()
-    end;
-    r
-  in
-  let header =
-    [
-      "mix"; "policy"; "runtime"; "rate/s"; "done"; "drop"; "thru/s";
-      "p50 us"; "p99 us"; "p999 us";
-    ]
-  in
-  let flush_rows () =
-    Nowa_util.Table.print ~header (List.rev !rows);
-    rows := []
-  in
-  subsection
-    (Printf.sprintf "YCSB A-F x idle policy (nowa, %d workers, %.0f req/s)"
-       workers mix_rate);
-  List.iter
-    (fun mix ->
-      List.iter
-        (fun pol ->
-          ignore (run_cell (module Nowa.Presets.Nowa) pol mix mix_rate))
-        serve_policies)
-    W.mixes;
-  flush_rows ();
-  subsection "arrival rate x deque family (mix A, park)";
-  let mix_a = Option.get (W.find_mix "A") in
-  List.iter
-    (fun rate ->
-      List.iter
-        (fun fam ->
-          ignore (run_cell fam (List.nth serve_policies 1) mix_a rate))
-        families)
-    rates;
-  flush_rows ();
-  subsection "traced park-policy cell (Perfetto)";
-  ignore
-    (run_cell ~traced:true
-       (module Nowa.Presets.Nowa)
-       (List.nth serve_policies 1) mix_a mix_rate);
-  flush_rows ();
-  (* Instrumentation-cost gate: the span ledger must stay invisible at
-     the median.  min-of-3 per mode damps scheduler jitter on small CI
-     boxes; the conservation audit rides on the anatomy-on runs. *)
-  subsection
-    (Printf.sprintf "anatomy overhead (mix A, %.0f req/s, min of 3)" mix_rate);
-  let pol = List.nth serve_policies 1 in
-  let min_p50 anatomy =
-    let best = ref infinity and violations = ref 0 and max_err = ref 0 in
-    for _ = 1 to 3 do
-      let r =
-        run_cell ~anatomy ~emit:false (module Nowa.Presets.Nowa) pol mix_a
-          mix_rate
-      in
-      if r.LG.total.LG.p50_ns < !best then best := r.LG.total.LG.p50_ns;
-      (match r.LG.anatomy with
-      | Some a ->
-        violations := !violations + a.Nowa_server.Anatomy.violations;
-        max_err := max !max_err a.Nowa_server.Anatomy.max_abs_err_ns
-      | None -> ())
-    done;
-    (!best, !violations, !max_err)
-  in
-  let p50_off, _, _ = min_p50 false in
-  let p50_on, violations, max_err = min_p50 true in
-  let overhead_pct = (p50_on -. p50_off) /. Float.max 1.0 p50_off *. 100.0 in
-  let overhead_ok = overhead_pct <= 10.0 in
-  Printf.printf
-    "anatomy overhead: p50 off=%.1fus on=%.1fus overhead=%+.1f%% (%s); \
-     conservation violations=%d max_err=%dns\n"
-    (p50_off /. 1e3) (p50_on /. 1e3) overhead_pct
-    (if overhead_ok then "<=10% ok" else "OVER BUDGET")
-    violations max_err;
-  if not !first then Buffer.add_string out ",\n";
-  Printf.bprintf out
-    "  {\"kind\": \"anatomy_overhead\", \"mix\": \"%s\", \"rate_rps\": %.1f, \
-     \"p50_off_ns\": %.1f, \"p50_on_ns\": %.1f, \"overhead_pct\": %.2f, \
-     \"overhead_ok\": %b, \"violations\": %d, \"max_abs_err_ns\": %d}"
-    mix_a.W.mname mix_rate p50_off p50_on overhead_pct overhead_ok violations
-    max_err;
-  Buffer.add_string out "\n]\n";
-  let oc = open_out "BENCH_serve.json" in
-  Buffer.output_buffer oc out;
-  close_out oc;
-  Printf.printf "wrote BENCH_serve.json (total dropped across cells: %d)\n"
-    !total_dropped
-
 (* Hot-path cost trajectory and the cost of runtime health.  Micro
    cells, each reported as min-of-N (jitter floor) and p50 (typical),
    after one untimed warmup run so first-run effect/fiber setup cost
@@ -924,63 +749,47 @@ let serve ~opts () =
    - heartbeat_overhead: the spawn cell with Config.heartbeats on vs
      off — the "one plain store" claim, gated at 5%;
 
-   plus an end-to-end wedge_detection cell: a combiner wedge injected
-   under a live watchdog must surface as a convoy verdict.
+   plus two end-to-end cells on a mix-A open-loop KV run (500 records,
+   1,500 requests, 2,000 req/s, 2 workers, Park_after 512):
+
+   - anatomy_overhead: the request-span ledgers on vs off, min of 3
+     runs per mode on the total p50 — the instrumentation must stay
+     within 10% of the uninstrumented run, and every ledger of the
+     anatomy-on runs must balance (conservation violations = 0);
+   - wedge_detection: a combiner wedge injected under a live watchdog
+     must surface as a convoy verdict.
 
    Emits BENCH_micro.json.  When a committed baseline exists the new
    numbers are compared against it; NOWA_MICRO_GATE=1 makes a
    regression past NOWA_MICRO_TOLERANCE (default 10%) on the
    spawn_sync/exposed_spawn_sync/steal minima, alloc_per_spawn words,
    an exposed cell that inlined anything, or the isolated
-   false-sharing cost, a blown heartbeat budget, or a missed wedge
-   fatal — the CI perf gate. *)
+   false-sharing cost, a blown heartbeat or anatomy budget, an
+   unbalanced ledger, or a missed wedge fatal — the CI perf gate. *)
 
-let find_sub hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub hay i m = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-(* Pull ["field": <float>] out of the row object tagged with [kind] in
-   our own BENCH_micro.json — a scanner, not a JSON parser, which is
-   fine for a file this harness itself writes. *)
-let baseline_float ~kind ~field json =
-  match find_sub json (Printf.sprintf "\"kind\": \"%s\"" kind) with
-  | None -> None
-  | Some i -> (
-    let rest = String.sub json i (String.length json - i) in
-    match find_sub rest (Printf.sprintf "\"%s\": " field) with
-    | None -> None
-    | Some j -> (
-      let k = j + String.length field + 4 in
-      let stop = ref k in
-      while
-        !stop < String.length rest
-        && (match rest.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      match float_of_string_opt (String.sub rest k (!stop - k)) with
-      | Some f -> Some f
-      | None -> None))
+(* [field] of the row tagged [kind] in a BENCH_micro.json row list. *)
+let baseline_value rows ~kind ~field =
+  let module J = Nowa_benchmark.Json in
+  List.find_map
+    (function
+      | J.Obj kvs when List.assoc_opt "kind" kvs = Some (J.Str kind) -> (
+        match List.assoc_opt field kvs with Some (J.Num f) -> Some f | _ -> None)
+      | _ -> None)
+    rows
 
 let hotpath ~opts () =
-  section "Hot path: spawn/sync/steal costs, heartbeat tax, wedge detection";
+  section
+    "Hot path: spawn/sync/steal costs, heartbeat and anatomy tax, wedge \
+     detection";
   ignore opts;
   let module R = Nowa.Presets.Nowa in
   let baseline =
-    if Sys.file_exists "BENCH_micro.json" then begin
-      let ic = open_in "BENCH_micro.json" in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some s
-    end
+    if Sys.file_exists "BENCH_micro.json" then
+      let module J = Nowa_benchmark.Json in
+      Some
+        (J.to_list
+           (J.parse
+              (In_channel.with_open_bin "BENCH_micro.json" In_channel.input_all)))
     else None
   in
   let reps = 5 in
@@ -1186,29 +995,63 @@ let hotpath ~opts () =
   Printf.printf "false-sharing separation: %.2fx (contended/isolated)\n" fs_sep;
   Printf.printf "heartbeat overhead on spawn+sync: %+.2f%% (%s)\n" hb_pct
     (if hb_ok then "<=5% ok" else "OVER BUDGET");
+  let module W = Nowa_server.Workload in
+  let module L = Nowa_server.Loadgen.Make (R) in
+  let kv_spec ~warmup =
+    {
+      (W.default_spec ~mix:(Option.get (W.find_mix "A"))) with
+      W.records = 500;
+      requests = 1_500;
+      warmup;
+      rate = 2_000.;
+    }
+  in
+  let kv_conf =
+    {
+      (Nowa.Config.with_workers 2) with
+      Nowa.Config.idle_policy = Nowa.Config.Park_after 512;
+    }
+  in
+  subsection "request-anatomy overhead (mix A, 2,000 req/s, min of 3)";
+  (* Off and on runs alternate, like the heartbeat cell, so both modes
+     sample the same host drift. *)
+  let violations = ref 0 and max_err = ref 0 in
+  let p50 anatomy =
+    let r = L.run ~conf:kv_conf ~anatomy (kv_spec ~warmup:200) in
+    (match r.Nowa_server.Loadgen.anatomy with
+    | Some a ->
+      violations := !violations + a.Nowa_server.Anatomy.violations;
+      max_err := max !max_err a.Nowa_server.Anatomy.max_abs_err_ns
+    | None -> ());
+    r.Nowa_server.Loadgen.total.Nowa_server.Loadgen.p50_ns
+  in
+  let p50_off = ref infinity and p50_on = ref infinity in
+  for _ = 1 to 3 do
+    p50_off := Float.min !p50_off (p50 false);
+    p50_on := Float.min !p50_on (p50 true)
+  done;
+  let p50_off = !p50_off and p50_on = !p50_on in
+  let anatomy_pct = (p50_on -. p50_off) /. Float.max 1.0 p50_off *. 100.0 in
+  let anatomy_fast = anatomy_pct <= 10.0 in
+  let anatomy_ok = anatomy_fast && !violations = 0 in
+  Printf.printf
+    "anatomy overhead: p50 off=%.1fus on=%.1fus overhead=%+.1f%% (%s); \
+     conservation violations=%d max_err=%dns\n"
+    (p50_off /. 1e3) (p50_on /. 1e3) anatomy_pct
+    (if anatomy_fast then "<=10% ok" else "OVER BUDGET")
+    !violations !max_err;
   subsection "combiner wedge detection under a live watchdog";
   let watchdog_ms = 50 and wedge_ms = 300 in
   let detected =
-    let module W = Nowa_server.Workload in
-    let module L = Nowa_server.Loadgen.Make (R) in
-    let spec =
-      {
-        (W.default_spec ~mix:(Option.get (W.find_mix "A"))) with
-        W.records = 500;
-        requests = 1_500;
-        warmup = 0;
-        rate = 2_000.;
-      }
-    in
     let conf =
       {
-        (Nowa.Config.with_workers 2) with
+        kv_conf with
         Nowa.Config.watchdog_interval_ms = watchdog_ms;
         watchdog_dump = false;
       }
     in
     Nowa_server.Kv.inject_wedge ~shard:0 ~ms:wedge_ms;
-    ignore (L.run ~conf spec);
+    ignore (L.run ~conf (kv_spec ~warmup:0));
     Nowa_server.Kv.clear_wedge ();
     List.exists
       (function Nowa.Health.Convoy _ -> true | _ -> false)
@@ -1229,14 +1072,8 @@ let hotpath ~opts () =
     List.iter
       (fun (kind, field, unit_, now) ->
         (* The ratchet compares min-of-N: the one estimator host jitter
-           cannot inflate.  Baselines written before min_ns existed
-           carried a min-of-5 in p50_ns, so fall back to it. *)
-        let old =
-          match baseline_float ~kind ~field b with
-          | Some _ as v -> v
-          | None -> baseline_float ~kind ~field:"p50_ns" b
-        in
-        match old with
+           cannot inflate. *)
+        match baseline_value b ~kind ~field with
         | None -> ()
         | Some old ->
           let pct = (now -. old) /. Float.max 1e-9 old *. 100.0 in
@@ -1266,18 +1103,30 @@ let hotpath ~opts () =
      \"isolated_ns\": %.1f, \"separation\": %.2f},\n\
     \  {\"kind\": \"heartbeat_overhead\", \"min_on_ns\": %.1f, \
      \"min_off_ns\": %.1f, \"overhead_pct\": %.2f, \"overhead_ok\": %b},\n\
+    \  {\"kind\": \"anatomy_overhead\", \"mix\": \"A\", \"rate_rps\": 2000.0, \
+     \"p50_off_ns\": %.1f, \"p50_on_ns\": %.1f, \"overhead_pct\": %.2f, \
+     \"overhead_ok\": %b, \"violations\": %d, \"max_abs_err_ns\": %d},\n\
     \  {\"kind\": \"wedge_detection\", \"watchdog_ms\": %d, \"wedge_ms\": \
      %d, \"detected\": %b}\n\
      ]\n"
     on_p50 on_min exp_p50 exp_min exp_words steal_p50 steal_min alloc_words
     fs_contended fs_isolated
-    fs_sep on_min off_min hb_pct hb_ok watchdog_ms wedge_ms detected;
+    fs_sep on_min off_min hb_pct hb_ok p50_off p50_on anatomy_pct anatomy_ok
+    !violations !max_err watchdog_ms wedge_ms detected;
   close_out oc;
   Printf.printf "wrote BENCH_micro.json\n";
   let gate = Sys.getenv_opt "NOWA_MICRO_GATE" = Some "1" in
   let failures =
     !regressions
     @ (if hb_ok then [] else [ Printf.sprintf "heartbeat overhead %.2f%% > 5%%" hb_pct ])
+    @ (if anatomy_fast then []
+       else [ Printf.sprintf "anatomy_overhead %.2f%% > 10%%" anatomy_pct ])
+    @ (if !violations = 0 then []
+       else
+         [
+           Printf.sprintf "anatomy_overhead: %d span ledgers do not conserve"
+             !violations;
+         ])
     @ (if exp_inlined = 0 then []
        else [ Printf.sprintf "exposed cell ran %d spawns inline" exp_inlined ])
     @ if detected then [] else [ "combiner wedge not detected" ]
@@ -1286,173 +1135,6 @@ let hotpath ~opts () =
     List.iter (fun f -> Printf.eprintf "hotpath gate: %s\n" f) failures;
     if gate then exit 1
   end
-
-(* -- pipeline: staged packet flow across micropools ---------------------- *)
-
-(* The micropool showcase (ISSUE 10): a 3-stage packet pipeline where
-   each stage owns a named pool (parse -> route -> transmit) and a packet
-   hops stages with [spawn_unit_on].  Conservation is the correctness
-   bar: every injected packet must reach transmit exactly once (an
-   atomic completion count plus a payload checksum that any lost,
-   duplicated or reordered-into-the-wrong-stage packet would break).
-   Cells cover the three pool-aware engine families with spill-over
-   stealing off and on.  Emits BENCH_pipeline.json plus a pool-labelled
-   Perfetto trace of the nowa/spill-off cell. *)
-
-let pipeline ~opts () =
-  section "Pipeline: 3-stage packet flow across parse/route/transmit pools";
-  let packets =
-    match opts.real_size with
-    | Registry.Test -> 2_000
-    | Registry.Small -> 20_000
-    | Registry.Medium -> 100_000
-    | Registry.Large -> 400_000
-  in
-  let total_workers = List.fold_left max 3 opts.real_workers in
-  let per_stage = max 1 (total_workers / 3) in
-  let stages = [ "parse"; "route"; "transmit" ] in
-  (* Per-stage transform: an integer mix dense enough that a stage is
-     real work, cheap enough that the bench measures routing, not
-     arithmetic.  Deterministic, so the serial composition below is the
-     reference checksum. *)
-  let stage_mix salt x0 =
-    let x = ref (x0 + salt) in
-    for _ = 1 to 96 do
-      x := (!x * 0x9E3779B1) land 0x3FFFFFFFFFFF;
-      x := !x lxor (!x lsr 13)
-    done;
-    !x
-  in
-  let expected =
-    let sum = ref 0 in
-    for p = 0 to packets - 1 do
-      sum := !sum + stage_mix 3 (stage_mix 2 (stage_mix 1 p))
-    done;
-    !sum
-  in
-  let families =
-    [
-      (module Nowa.Presets.Nowa : Nowa.RUNTIME) (* continuation-stealing *);
-      (module Nowa.Presets.Tbb) (* child-stealing *);
-      (module Nowa.Presets.Gomp) (* central queue *);
-    ]
-  in
-  let header =
-    [ "engine"; "spill"; "w/stage"; "packets"; "lost"; "ms"; "Mpkt/s" ]
-  in
-  let out = Buffer.create 2048 in
-  Buffer.add_string out "[\n";
-  let first = ref true in
-  let rows = ref [] in
-  List.iter
-    (fun (module R : Nowa.RUNTIME) ->
-      List.iter
-        (fun spill ->
-          let traced = R.name = "nowa" && not spill in
-          (* The root strand occupies worker 0 of the FIRST pool and
-             spends the whole run injecting and then spinning on the
-             completion counter — so it gets a dedicated 1-worker "feed"
-             pool rather than eating a stage's only worker (on a small
-             host per_stage is 1, and a stage whose single worker is the
-             busy root would deadlock the pipeline).  Park_after keeps
-             the oversubscribed stage workers off the cores while their
-             stage has no traffic. *)
-          let conf =
-            {
-              (Nowa.Config.with_workers total_workers) with
-              Nowa.Config.pools =
-                Nowa.Config.pool "feed" ~workers:1
-                :: List.map
-                     (fun s -> Nowa.Config.pool s ~workers:per_stage)
-                     stages;
-              spill_over = spill;
-              idle_policy = Nowa.Config.Park_after 256;
-              trace_capacity = (if traced then default_trace_capacity else 0);
-            }
-          in
-          let completed = Nowa_util.Padding.atomic 0 in
-          let checksum = Nowa_util.Padding.atomic 0 in
-          let elapsed_ns =
-            R.run ~conf (fun () ->
-                let route = R.pool "route" and transmit = R.pool "transmit" in
-                let parse = R.pool "parse" in
-                let t0 = Nowa_util.Clock.now_ns () in
-                for p = 0 to packets - 1 do
-                  R.spawn_unit_on parse (fun () ->
-                      let x1 = stage_mix 1 p in
-                      R.spawn_unit_on route (fun () ->
-                          let x2 = stage_mix 2 x1 in
-                          R.spawn_unit_on transmit (fun () ->
-                              let x3 = stage_mix 3 x2 in
-                              ignore (Atomic.fetch_and_add checksum x3);
-                              ignore (Atomic.fetch_and_add completed 1))))
-                done;
-                (* Routed packets are not under any scope: the completion
-                   counter is the join.  The deadline turns a lost packet
-                   into a reported failure instead of a hang. *)
-                let deadline = t0 + 120_000_000_000 in
-                while
-                  Atomic.get completed < packets
-                  && Nowa_util.Clock.now_ns () < deadline
-                do
-                  Domain.cpu_relax ()
-                done;
-                Nowa_util.Clock.now_ns () - t0)
-          in
-          let done_ = Atomic.get completed in
-          let lost = packets - done_ in
-          if lost <> 0 then
-            Printf.eprintf "pipeline: %s spill=%b LOST %d packets\n" R.name
-              spill lost;
-          if done_ = packets && Atomic.get checksum <> expected then
-            failwith
-              (Printf.sprintf "pipeline: %s spill=%b checksum mismatch" R.name
-                 spill);
-          let ms = float_of_int elapsed_ns /. 1e6 in
-          let mpps = float_of_int done_ /. (float_of_int elapsed_ns /. 1e9) /. 1e6 in
-          rows :=
-            [
-              R.name;
-              (if spill then "on" else "off");
-              string_of_int per_stage;
-              string_of_int packets;
-              string_of_int lost;
-              Printf.sprintf "%.1f" ms;
-              Printf.sprintf "%.2f" mpps;
-            ]
-            :: !rows;
-          if not !first then Buffer.add_string out ",\n";
-          first := false;
-          Printf.bprintf out
-            "  {\"engine\": %S, \"spill\": %b, \"workers_per_stage\": %d, \
-             \"packets\": %d, \"lost\": %d, \"elapsed_ms\": %.2f, \
-             \"throughput_mpps\": %.3f}"
-            R.name spill per_stage packets lost ms mpps;
-          if traced then
-            match R.last_trace () with
-            | Some tr ->
-              let label w =
-                if w = 0 then "feed/0"
-                else
-                  Printf.sprintf "%s/%d"
-                    (List.nth stages (min 2 ((w - 1) / per_stage)))
-                    ((w - 1) mod per_stage)
-              in
-              let path = Nowa_util.Artifacts.path "pipeline.trace.json" in
-              Nowa_trace.Perfetto.write_file ~worker_label:label
-                ~process_name:
-                  (Printf.sprintf "pipeline:%s/%dx%dw" R.name 3 per_stage)
-                path tr;
-              Printf.printf "wrote %s\n" path
-            | None -> Printf.eprintf "pipeline: no trace from %s\n" R.name)
-        [ false; true ])
-    families;
-  Nowa_util.Table.print ~header (List.rev !rows);
-  Buffer.add_string out "\n]\n";
-  let oc = open_out "BENCH_pipeline.json" in
-  Buffer.output_buffer oc out;
-  close_out oc;
-  Printf.printf "wrote BENCH_pipeline.json\n"
 
 let all ~opts () =
   table1 ~opts ();
@@ -1481,8 +1163,6 @@ let by_name =
     ("scalability", scalability);
     ("causal", causal);
     ("idle", idle);
-    ("serve", serve);
-    ("pipeline", pipeline);
     ("hotpath", hotpath);
     ("all", all);
   ]

@@ -51,7 +51,7 @@ let main experiments runs real_workers sim_workers real_size sim_size =
 
 let cmd =
   let experiments =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"table1 fig1 fig7 fig8 table2 fig9 fig10 table3 ablation traces scalability causal idle serve pipeline hotpath all")
+    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"table1 fig1 fig7 fig8 table2 fig9 fig10 table3 ablation traces scalability causal idle hotpath all")
   in
   let runs = Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Timed repetitions per real-mode cell.") in
   let real_workers =

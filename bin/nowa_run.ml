@@ -280,16 +280,11 @@ let serve_run ~runtime ~workers ~idle_policy ~steal_sweep ~trace ~anatomy
     match R.last_trace () with
     | Some tr ->
       (try
-         let worker_label =
-           if pools then fun w ->
-             if w = 0 then "inject/0"
-             else Printf.sprintf "serve/%d" (w - 1)
-           else Nowa.Perfetto.default_worker_label
-         in
-         Nowa.Perfetto.write_file ~worker_label
+         Nowa.Perfetto.write_file
            ~process_name:
              (Printf.sprintf "serve:%s:%s/%dw" R.name
-                mix.Nowa_server.Workload.mname workers)
+                mix.Nowa_server.Workload.mname
+                report.Nowa_server.Loadgen.workers)
            file tr
        with Sys_error msg ->
          Printf.eprintf "trace: cannot write %s\n" msg;

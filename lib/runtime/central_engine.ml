@@ -105,7 +105,10 @@ end) : Runtime_intf.S = struct
       None
     end
     else begin
-      match Nowa_deque.Central_queue.pop_batch c.queue ~max:(max 1 g.gsweep) with
+      match
+        Nowa_deque.Central_queue.pop_batch c.queue
+          ~max:(max 1 cl.conf.Config.steal_sweep)
+      with
       | [] ->
         Ring.emit w.tr Ev.Steal_abort g.gid;
         None
@@ -165,7 +168,7 @@ end) : Runtime_intf.S = struct
           })
         groups
 
-    let make_worker _ ext _ ~id (grp : task Shell.group) m tr =
+    let make_worker _ ext ~id (grp : task Shell.group) m tr =
       { id; grp; central = ext.(grp.gid); m; tr; depth = 0; stash = [] }
 
     let task_of_thunk f = Task f

@@ -116,8 +116,8 @@ module Make
   let first_mate _ w ~mates ~sweep:_ = Nowa_util.Xoshiro.int w.rng mates
 
   (* Routed roots first (they have no other worker to run them), then up
-     to [gsweep] pool-mates, each a batched grab of up to [gsweep]
-     tasks.  The caller has already drained its own deque. *)
+     to [Config.steal_sweep] pool-mates, each a batched grab of up to
+     that many tasks.  The caller has already drained its own deque. *)
   let help (cl : cluster) w =
     match Shell.try_inject w.grp with
     | Some _ as r -> r
@@ -133,8 +133,7 @@ module Make
     match if exhaustive then Q.pop_bottom w.deque else None with
     | Some _ as r -> r
     | None ->
-      Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng
-        ~sweep:w.grp.gsweep steal_one cl w
+      Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng steal_one cl w
 
   module Sh = Shell.Make (struct
     let name = name
@@ -150,11 +149,11 @@ module Make
     let ring w = w.tr
     let make_ext _ _ = ()
 
-    let make_worker conf () (s : Topology.spec) ~id grp m tr =
+    let make_worker conf () ~id grp m tr =
       {
         id;
         grp;
-        deque = Q.create ~capacity:s.Topology.capacity ();
+        deque = Q.create ~capacity:Shell.deque_capacity ();
         rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
         m;
         tr;

@@ -5,25 +5,17 @@ type idle_policy = Spin | Yield_after of int | Park_after of int
 type pool_conf = {
   pc_name : string;
   pc_workers : int;
-  pc_idle_policy : idle_policy option;
-  pc_steal_sweep : int option;
-  pc_deque_capacity : int option;
 }
 
 type t = {
   workers : int;
-  deque_capacity : int;
-  steal_attempts : int;
   victim_policy : victim_policy;
   seed : int;
   madvise : bool;
   madvise_cost_ns : int;
   madvise_mode : madvise_mode;
   refault_ns : int;
-  stack_pages : int;
   local_stack_cache : int;
-  stack_limit : int option;
-  collect_metrics : bool;
   trace_capacity : int;
   idle_policy : idle_policy;
   steal_sweep : int;
@@ -42,18 +34,13 @@ let default () =
        the implicit single pool built from the default must stay valid
        on very wide hosts. *)
     workers = min (Nowa_util.Cpu.default_workers ()) Sleepers.mask_bits;
-    deque_capacity = 256;
-    steal_attempts = 4;
     victim_policy = Random;
     seed = 0x5eed;
     madvise = false;
     madvise_cost_ns = 2_000;
     madvise_mode = Madv_free;
     refault_ns = 1_000;
-    stack_pages = 256;
     local_stack_cache = 4;
-    stack_limit = None;
-    collect_metrics = true;
     trace_capacity = 0;
     idle_policy = Park_after 512;
     steal_sweep = 2;
@@ -67,11 +54,4 @@ let default () =
 
 let with_workers n = { (default ()) with workers = max 1 n }
 
-let pool ?idle_policy ?steal_sweep ?deque_capacity name ~workers =
-  {
-    pc_name = name;
-    pc_workers = workers;
-    pc_idle_policy = idle_policy;
-    pc_steal_sweep = steal_sweep;
-    pc_deque_capacity = deque_capacity;
-  }
+let pool name ~workers = { pc_name = name; pc_workers = workers }

@@ -31,29 +31,18 @@ type pool_conf = {
   pc_workers : int;
       (** Workers in this pool (at most [Sleepers.mask_bits]; validated
           loudly at pool construction). *)
-  pc_idle_policy : idle_policy option;
-      (** Per-pool idle policy; [None] inherits the top-level
-          {!t.idle_policy}. *)
-  pc_steal_sweep : int option;
-      (** Per-pool steal sweep width; [None] inherits
-          {!t.steal_sweep}. *)
-  pc_deque_capacity : int option;
-      (** Per-pool initial deque capacity; [None] inherits
-          {!t.deque_capacity}. *)
 }
 (** One named worker pool (a {e micropool}).  Each pool gets its own
-    instances of the engine's deque and counter families, its own
-    sleeper registry, and its own idle policy; workers steal only from
-    pool-mates unless {!t.spill_over} is set. *)
+    instances of the engine's deque and counter families and its own
+    sleeper registry; the idle policy and steal sweep are the top-level
+    ones.  Workers steal only from pool-mates unless {!t.spill_over} is
+    set. *)
 
 type t = {
   workers : int;
       (** Number of workers (the calling domain is worker 0; [workers − 1]
           further domains are spawned).  Ignored when {!t.pools} is
           non-empty — the pool sizes then determine the worker count. *)
-  deque_capacity : int;  (** Initial per-worker deque capacity. *)
-  steal_attempts : int;
-      (** Failed steal attempts before one backoff step is taken. *)
   victim_policy : victim_policy;
   seed : int;  (** Seed for the per-worker victim-selection PRNGs. *)
   madvise : bool;
@@ -68,13 +57,8 @@ type t = {
   refault_ns : int;
       (** With [Madv_dontneed], the modelled page-fault cost paid when a
           previously shrunk stack is reused. *)
-  stack_pages : int;  (** Pages per simulated stack (1 MiB / 4 KiB = 256). *)
   local_stack_cache : int;
       (** Per-worker buffer of free stacks in front of the global pool. *)
-  stack_limit : int option;
-      (** Maximum number of live stacks; [Some n] models Cilk Plus's
-          bounded-stacks behaviour where stealing stalls once exhausted. *)
-  collect_metrics : bool;
   trace_capacity : int;
       (** Per-worker event-trace ring capacity (rounded up to a power of
           two); 0 (the default) disables tracing entirely — the engines
@@ -132,17 +116,10 @@ type t = {
 
 val default : unit -> t
 (** One worker per available core (clamped to [Sleepers.mask_bits]),
-    madvise off, metrics on, single implicit pool. *)
+    madvise off, single implicit pool. *)
 
 val with_workers : int -> t
 (** [default ()] with the given worker count. *)
 
-val pool :
-  ?idle_policy:idle_policy ->
-  ?steal_sweep:int ->
-  ?deque_capacity:int ->
-  string ->
-  workers:int ->
-  pool_conf
-(** [pool name ~workers] builds one {!pool_conf} entry, inheriting any
-    unspecified knob from the top-level configuration. *)
+val pool : string -> workers:int -> pool_conf
+(** [pool name ~workers] builds one {!pool_conf} entry. *)

@@ -277,7 +277,7 @@ module Make
     (* Only exposed spawns touch a stack page: an inline child runs on
        the spawner's own frame, like the call it elides. *)
     (match w.stack with
-    | Some s -> Stack_pool.touch s ~pages:1 ~max_pages:pool.Shell.conf.Config.stack_pages
+    | Some s -> Stack_pool.touch s ~pages:1
     | None -> ());
     let t = w.spare in
     let t =
@@ -428,8 +428,7 @@ module Make
       | None -> Shell.sweep_mates w.grp ~self:w.id ~start:first_mate attempt_mate cl w)
 
   let probe cl w g ~exhaustive =
-    Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng
-      ~sweep:w.grp.gsweep attempt cl w
+    Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng attempt cl w
 
   (* Handler under which a root or routed task runs: spawn/sync effects
      from the task's scopes resolve here.  The shell's thunks never
@@ -479,14 +478,14 @@ module Make
     let ring w = w.tr
     let make_ext conf _ = Stack_pool.create conf
 
-    let make_worker conf _ (s : Topology.spec) ~id grp m tr =
+    let make_worker conf _ ~id grp m tr =
       (* Worker records hold hot mutable fields (spare slot, stack,
          frame-list cursor); isolate each record's birth cache line. *)
       Nowa_util.Padding.isolate (fun () ->
           {
             id;
             grp;
-            deque = Q.create ~capacity:s.Topology.capacity ();
+            deque = Q.create ~capacity:Shell.deque_capacity ();
             rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
             m;
             tr;

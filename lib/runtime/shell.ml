@@ -6,8 +6,8 @@
     and {!Central_engine} (one locked queue per pool) each supply a
     small {!POLICY}.  The shell owns the rest, once:
 
-    - the pools ({!group}: slice, sleepers, gate-counted inject queue,
-      idle policy, sweep width) and the run's {!cluster};
+    - the pools ({!group}: slice, sleepers, gate-counted inject queue)
+      and the run's {!cluster};
     - routed roots: [spawn_on]/[spawn_unit_on] and their wake path;
     - the idle path: spin → yield → park ([worker_loop]), the park
       protocol ([park_round]) and its pre-park sweep ([sweep_all]),
@@ -25,9 +25,9 @@
 module Ring = Nowa_trace.Ring
 
 (* One named micropool: a contiguous slice of the global worker array
-   with its own sleeper registry (local ids), its own inject queue for
-   [spawn_on]-routed roots, and its own idle/steal knobs.  The
-   single-pool topology builds exactly one of these. *)
+   with its own sleeper registry (local ids) and its own inject queue
+   for [spawn_on]-routed roots.  The single-pool topology builds exactly
+   one of these. *)
 type 'task group = {
   gid : int;
   gname : string;
@@ -40,9 +40,12 @@ type 'task group = {
       (* conservative inject count: raised before a push, lowered after
          a pop, so 0 proves the queue empty and idle workers skip the
          queue lock entirely *)
-  gidle : Config.idle_policy;
-  gsweep : int;
 }
+
+(* Initial capacity of every worker's deque.  The growing deques double
+   from here; ABP ([nowa-abp]) cannot grow and keeps exactly this many
+   slots. *)
+let deque_capacity = 256
 
 (* One run.  [ext] is the family's own per-run state: the continuation-
    stealing engine's stack pool, the central engine's per-pool queues. *)
@@ -101,16 +104,16 @@ let rec mates_from g ~lid ~n ~sweep ~start attempt cl w i =
     | None -> mates_from g ~lid ~n ~sweep ~start attempt cl w (i + 1)
 
 (* Steal round inside [w]'s own pool [g] ([self] is [w]'s global id):
-   up to [gsweep] distinct pool-mates before the round counts as
-   failed.  Victims are offsets in [0, n-2] rotated past the thief's
-   local id, so the sweep never probes itself and never repeats a
-   victim.  [start cl w ~mates ~sweep] picks the first offset;
+   up to [Config.steal_sweep] distinct pool-mates before the round
+   counts as failed.  Victims are offsets in [0, n-2] rotated past the
+   thief's local id, so the sweep never probes itself and never repeats
+   a victim.  [start cl w ~mates ~sweep] picks the first offset;
    [attempt cl w ~sweep v] probes global worker [v]. *)
 let sweep_mates g ~self ~start attempt cl w =
   let n = g.ghi - g.glo in
   if n = 1 then None
   else begin
-    let sweep = min (max 1 g.gsweep) (n - 1) in
+    let sweep = min (max 1 cl.conf.Config.steal_sweep) (n - 1) in
     let start = start cl w ~mates:(n - 1) ~sweep in
     mates_from g ~lid:(self - g.glo) ~n ~sweep ~start attempt cl w 0
   end
@@ -125,14 +128,14 @@ let rec victims_from g ~n ~count ~start attempt cl w i =
 (* Victims of a per-pool probe of [g], as global ids, each probed with
    [attempt cl w v].  [exhaustive] (the pre-park sweep) visits every
    worker of [g] once, from [self]'s own slot on; otherwise (spill-over)
-   up to [sweep] from a random slot. *)
-let probe_victims g ~exhaustive ~self ~rng ~sweep attempt cl w =
+   up to [Config.steal_sweep] from a random slot. *)
+let probe_victims g ~exhaustive ~self ~rng attempt cl w =
   let n = g.ghi - g.glo in
   if exhaustive then
     let start = if self >= g.glo && self < g.ghi then self - g.glo else 0 in
     victims_from g ~n ~count:n ~start attempt cl w 0
   else
-    victims_from g ~n ~count:(min (max 1 sweep) n)
+    victims_from g ~n ~count:(min (max 1 cl.conf.Config.steal_sweep) n)
       ~start:(Nowa_util.Xoshiro.int rng n) attempt cl w 0
 
 (** What an engine family supplies.  Every function here runs off the
@@ -157,8 +160,8 @@ module type POLICY = sig
   val make_ext : Config.t -> task group array -> ext
 
   val make_worker :
-    Config.t -> ext -> Topology.spec -> id:int -> task group ->
-    Metrics.worker -> Ring.t -> worker
+    Config.t -> ext -> id:int -> task group -> Metrics.worker -> Ring.t ->
+    worker
 
   val task_of_thunk : (unit -> unit) -> task
   (** A root or routed thunk as a runnable task (the thunk never
@@ -283,8 +286,11 @@ end = struct
       end;
       None
 
+  (* Failed steal rounds per backoff step while spinning. *)
+  let steal_attempts = 4
+
   (* Three-phase elastic idle path: [spin_budget] rounds of pure
-     spinning (one backoff step every [Config.steal_attempts] failed
+     spinning (one backoff step every [steal_attempts] failed
      rounds), the same again yielding the OS timeslice each round, then
      parking.  [finished] is checked on every iteration of every phase,
      and shutdown wakes all parked workers, so exit is prompt in all
@@ -294,7 +300,7 @@ end = struct
   let worker_loop cl w =
     let bo = Nowa_util.Backoff.make () in
     let spin_budget, can_park =
-      match (P.group w).gidle with
+      match cl.conf.Config.idle_policy with
       | Config.Spin -> (max_int, false)
       | Config.Yield_after n -> (max 1 n, false)
       | Config.Park_after n -> (max 1 n, true)
@@ -312,7 +318,7 @@ end = struct
         | None ->
           incr rounds;
           if !rounds <= spin_budget then begin
-            if !rounds mod cl.conf.Config.steal_attempts = 0 then
+            if !rounds mod steal_attempts = 0 then
               Nowa_util.Backoff.once bo;
             go ()
           end
@@ -385,8 +391,14 @@ end = struct
         m "%s: starting %d workers in %d pool(s)" P.name nw (Array.length specs));
     let trace =
       if conf.Config.trace_capacity > 0 then
+        (* Tracks are named the way the watchdog keys its rows: pool and
+           pool-local id. *)
+        let name i =
+          let s = specs.(Topology.group_of specs i) in
+          Printf.sprintf "%s/%d" s.Topology.name (i - s.Topology.lo)
+        in
         Some
-          (Nowa_trace.Trace.create ~workers:nw
+          (Nowa_trace.Trace.create ~workers:nw ~names:(Array.init nw name)
              ~capacity:conf.Config.trace_capacity ())
       else None
     in
@@ -404,8 +416,6 @@ end = struct
             gsleepers = Sleepers.create ~workers:(s.Topology.hi - s.Topology.lo);
             ginject = Nowa_deque.Central_queue.create ();
             ggate = Nowa_util.Padding.atomic 0;
-            gidle = s.Topology.idle;
-            gsweep = s.Topology.sweep;
           })
         specs
     in
@@ -424,7 +434,7 @@ end = struct
           Array.init nw (fun i ->
               let gi = Topology.group_of specs i in
               let g = groups.(gi) in
-              P.make_worker conf ext specs.(gi) ~id:i g
+              P.make_worker conf ext ~id:i g
                 (Metrics.make_worker ~pool:g.gname i)
                 (ring_for i));
       }
@@ -440,8 +450,8 @@ end = struct
     (match trace with
     | Some t ->
       Health.Recorder.register ~name:"trace" (fun ~dir ->
-          let evs, _dropped = Nowa_trace.Trace.freeze ~window:4096 t in
-          Nowa_trace.Perfetto.write_events_file (Filename.concat dir "trace.json") evs)
+          Nowa_trace.Perfetto.write_frozen_file ~window:4096
+            (Filename.concat dir "trace.json") t)
     | None -> Health.Recorder.unregister ~name:"trace");
     if conf.Config.watchdog_interval_ms > 0 then start_watchdog cl;
     let result = ref None in
@@ -502,12 +512,11 @@ end = struct
         Runtime_log.Log.debug (fun m ->
             m "%s: computation finished in %.6f s" P.name elapsed);
         last_trace_ref := trace;
-        if conf.Config.collect_metrics then
-          last_metrics_ref :=
-            Some
-              (Metrics.make
-                 ?stacks:(Option.map (fun f -> f ()) stack_stats)
-                 (metrics ()) ~elapsed_s:elapsed));
+        last_metrics_ref :=
+          Some
+            (Metrics.make
+               ?stacks:(Option.map (fun f -> f ()) stack_stats)
+               (metrics ()) ~elapsed_s:elapsed));
     match !result with
     | Some (Ok v) -> v
     | Some (Error e) -> raise e

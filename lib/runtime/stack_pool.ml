@@ -11,7 +11,7 @@ type t = {
   mutable global : stack list;  (* protected by [lock] *)
   caches : stack list ref array;  (* owner-only local caches *)
   next_id : int Atomic.t;
-  allocated : int Atomic.t;  (* stacks ever created; bounds Cilk-style limits *)
+  allocated : int Atomic.t;  (* stacks ever created *)
   live : int Atomic.t;  (* stacks currently checked out *)
   rss : int Atomic.t;
   max_rss : int Atomic.t;
@@ -59,8 +59,11 @@ let sync_rss t stack =
     if delta > 0 then bump_watermark t
   end
 
-let touch stack ~pages ~max_pages =
-  stack.resident <- min max_pages (stack.resident + pages)
+(* Pages per simulated stack: 1 MiB / 4 KiB. *)
+let stack_pages = 256
+
+let touch stack ~pages =
+  stack.resident <- min stack_pages (stack.resident + pages)
 
 (* Modelled madvise(MADV_FREE): pay the syscall/page-table cost and drop
    residency to the one page still backing the suspended frame. *)
@@ -97,7 +100,7 @@ let refault t s =
     end
   end
 
-let rec acquire_stack t ~worker =
+let acquire_stack t ~worker =
   let cache = t.caches.(worker) in
   match !cache with
   | s :: rest ->
@@ -115,18 +118,11 @@ let rec acquire_stack t ~worker =
       | [] -> None
     in
     Nowa_sync.Spinlock.release t.lock;
-    (match taken with
+    match taken with
     | Some s ->
       refault t s;
       s
-    | None -> (
-      match t.conf.Config.stack_limit with
-      | Some limit when Atomic.get t.allocated >= limit ->
-        (* Cilk Plus-style stall: wait until a stack is recirculated. *)
-        Domain.cpu_relax ();
-        Unix.sleepf 0.0;
-        acquire_stack t ~worker
-      | _ -> fresh t))
+    | None -> fresh t
 
 let acquire t ~worker =
   let s = acquire_stack t ~worker in

@@ -5,8 +5,8 @@
     behaviour the paper evaluates — per-worker stack caches in front of a
     global pool (the cholesky bottleneck of Section V-A), the madvise()
     cost and RSS saving of the practical cactus-stack solution
-    (Section V-B, Figure 8, Table II), and Cilk Plus's bounded stack count
-    — is reproduced by this explicit model.  A stack is a page-accounted
+    (Section V-B, Figure 8, Table II) — is reproduced by this explicit
+    model.  A stack is a page-accounted
     record; acquiring one goes through a per-worker cache and falls back
     to a spinlocked global pool, exactly the recirculation scheme the
     paper describes for Nowa and Fibril; "madvise" charges a calibrated
@@ -34,17 +34,16 @@ val create : Config.t -> t
 
 val acquire : t -> worker:int -> stack
 (** Take a stack: per-worker cache, then global pool, then fresh
-    allocation.  With a configured {!Config.t.stack_limit}, blocks
-    (spinning) when the limit is reached and no stack is free — the
-    Cilk Plus behaviour of stalling steals. *)
+    allocation. *)
 
 val release : t -> worker:int -> stack -> unit
 (** Return a stack to the worker cache (overflow goes to the global
     pool).  With madvise on, the stack is shrunk to one resident page at
     the modelled cost. *)
 
-val touch : stack -> pages:int -> max_pages:int -> unit
-(** A strand dirtied [pages] more pages (owner-local, unsynchronised).
+val touch : stack -> pages:int -> unit
+(** A strand dirtied [pages] more pages (owner-local, unsynchronised);
+    residency saturates at a whole stack, 1 MiB / 4 KiB = 256 pages.
     The continuation-stealing engines touch one page per {e exposed}
     spawn only: a spawn whose child runs inline (lazy exposure) stays on
     the spawner's frame and touches nothing, so the resident-page figures
@@ -64,8 +63,7 @@ val sync_rss : t -> stack -> unit
     free of shared-counter traffic. *)
 
 val allocated_stacks : t -> int
-(** Stacks ever created by this pool (never decreases; with a
-    {!Config.t.stack_limit} this is the bounded quantity). *)
+(** Stacks ever created by this pool (never decreases). *)
 
 val live_stacks : t -> int
 (** Stacks currently checked out ([acquire]d and not yet [release]d). *)

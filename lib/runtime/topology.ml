@@ -8,9 +8,6 @@ type spec = {
   name : string;
   lo : int;  (* first global worker id of this pool *)
   hi : int;  (* one past the last global worker id *)
-  idle : Config.idle_policy;
-  sweep : int;
-  capacity : int;  (* initial deque capacity for this pool's workers *)
 }
 
 let validate_pool ~name ~workers =
@@ -32,16 +29,7 @@ let of_config (conf : Config.t) =
   | [] ->
     let workers = max 1 conf.Config.workers in
     validate_pool ~name:"main" ~workers;
-    [|
-      {
-        name = "main";
-        lo = 0;
-        hi = workers;
-        idle = conf.Config.idle_policy;
-        sweep = conf.Config.steal_sweep;
-        capacity = conf.Config.deque_capacity;
-      };
-    |]
+    [| { name = "main"; lo = 0; hi = workers } |]
   | pools ->
     let seen = Hashtbl.create 8 in
     let off = ref 0 in
@@ -56,20 +44,7 @@ let of_config (conf : Config.t) =
           Hashtbl.add seen p.Config.pc_name ();
           let lo = !off in
           off := lo + p.Config.pc_workers;
-          {
-            name = p.Config.pc_name;
-            lo;
-            hi = !off;
-            idle =
-              Option.value p.Config.pc_idle_policy
-                ~default:conf.Config.idle_policy;
-            sweep =
-              Option.value p.Config.pc_steal_sweep
-                ~default:conf.Config.steal_sweep;
-            capacity =
-              Option.value p.Config.pc_deque_capacity
-                ~default:conf.Config.deque_capacity;
-          })
+          { name = p.Config.pc_name; lo; hi = !off })
         pools
     in
     Array.of_list specs

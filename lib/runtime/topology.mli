@@ -4,8 +4,7 @@
     {!Config.t.pools}) or several named micropools; [of_config] turns
     both into the same validated shape — an array of pool specs carving
     the global worker-id space [0, total) into contiguous ranges, one
-    per pool, with per-pool idle/steal knobs resolved against the
-    top-level defaults.
+    per pool.
 
     Validation is loud and early (before the runtime guard is entered
     or any domain spawned): empty or duplicate names, non-positive
@@ -17,9 +16,6 @@ type spec = {
   name : string;
   lo : int;  (** first global worker id of this pool *)
   hi : int;  (** one past the last global worker id *)
-  idle : Config.idle_policy;
-  sweep : int;
-  capacity : int;
 }
 
 val of_config : Config.t -> spec array

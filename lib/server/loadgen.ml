@@ -116,11 +116,6 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
     let inflight = Nowa_sync.Snzi.create ~leaves:8 () in
     let admit_chunk = 32 in
     let t0 = ref 0 and t_done = ref 0 in
-    let workers =
-      match conf with
-      | Some c -> c.Nowa_runtime.Config.workers
-      | None -> Nowa_util.Cpu.default_workers ()
-    in
     R.run ?conf (fun () ->
         for k = 0 to spec.records - 1 do
           ignore (Kv.exec kv (Kv.Put (k, k)))
@@ -212,6 +207,13 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
       Float.max 1e-9 (float_of_int (!t_done - measure_start) /. 1e9)
     in
     let completed = Atomic.get completed in
+    (* The workers that ran, as the run recorded them: under
+       [Config.pools] the pool sizes, not [Config.workers]. *)
+    let workers =
+      match R.last_metrics () with
+      | Some m -> Array.length m.Nowa_runtime.Metrics.workers
+      | None -> 0
+    in
     let per_class =
       Array.to_list
         (Array.mapi (fun i c -> stats_of_hist (Some c) hists.(i)) Workload.classes)

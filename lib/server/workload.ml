@@ -4,8 +4,8 @@
    The schedule (operation + scheduled arrival time per request) is
    fully pre-generated from a seed before the run starts, so (a) the
    generator costs nothing on the measurement path and (b) two runs
-   with the same spec issue bit-identical request streams — the
-   A/B sweeps in `bench serve` compare schedulers, not workloads. *)
+   with the same spec send bit-identical request streams — an A/B
+   comparison of two runtimes compares schedulers, not workloads. *)
 
 type op_class = Read | Update | Insert | Scan | Rmw
 

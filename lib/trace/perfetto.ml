@@ -29,21 +29,16 @@ let buf_meta b ~first ~name ~pid ?tid value =
 
 let us_of_ns ns = float_of_int ns /. 1e3
 
-(** Render per-worker event arrays to a Buffer.  [process_name] labels
-    the single process row ("nowa", "wsim:nowa/256w", ...).
-    [worker_label] names each worker's track — the default is
-    ["worker %d"]; a pool-aware caller (ISSUE 10) passes the topology's
-    labels (["parse/0"], ...) so a multi-pool trace reads by pool.
-    [counters] adds named counter tracks ("ph":"C") — e.g. the
-    queue-depth-per-resource tracks of the convoy detector — rebased
-    onto the same timeline as the events.  Taking plain event arrays
-    (rather than a {!Trace.t}) lets the flight recorder export a frozen
-    {!Trace.freeze} window through the same code path as a post-join
-    drain. *)
-let default_worker_label w = Printf.sprintf "worker %d" w
-
-let events_to_buffer ?(process_name = "nowa")
-    ?(worker_label = default_worker_label) ?(counters = [])
+(* Render per-worker event arrays to a Buffer.  [process_name] labels
+   the single process row ("nowa", "wsim:nowa/256w", ...); each worker's
+   track takes the trace's name for it ({!Trace.name}: ["pool/0"] from a
+   runtime, ["worker 0"] otherwise).  [counters] adds named counter
+   tracks ("ph":"C") — e.g. the queue-depth-per-resource tracks of the
+   convoy detector — rebased onto the same timeline as the events.
+   Taking the event arrays apart from the trace lets the flight recorder
+   export a frozen {!Trace.freeze} window through the same code path as
+   a post-join drain. *)
+let events_to_buffer ?(process_name = "nowa") ?(counters = []) (t : Trace.t)
     (per_worker : Event.t array array) =
   let b = Buffer.create 65536 in
   let first = ref true in
@@ -60,7 +55,7 @@ let events_to_buffer ?(process_name = "nowa")
   Array.iteri
     (fun w evs ->
       if Array.length evs > 0 then
-        buf_meta b ~first ~name:"thread_name" ~pid ~tid:w (worker_label w);
+        buf_meta b ~first ~name:"thread_name" ~pid ~tid:w (Trace.name t w);
       (* Pair task-start/task-end into complete slices; a start lost to
          ring overwrite leaves its end unmatched, which we drop rather
          than emit a malformed slice. *)
@@ -138,25 +133,24 @@ let events_to_buffer ?(process_name = "nowa")
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
   b
 
-let to_buffer ?process_name ?worker_label ?counters (t : Trace.t) =
-  events_to_buffer ?process_name ?worker_label ?counters
-    (Trace.per_worker_events t)
+let to_buffer ?process_name ?counters (t : Trace.t) =
+  events_to_buffer ?process_name ?counters t (Trace.per_worker_events t)
 
-(** Write per-worker event arrays (e.g. a {!Trace.freeze} window) as a
-    Perfetto JSON file. *)
-let write_events_file ?process_name ?worker_label ?counters path per_worker =
+let to_string ?process_name ?counters t =
+  Buffer.contents (to_buffer ?process_name ?counters t)
+
+let write_channel ?process_name ?counters oc t =
+  Buffer.output_buffer oc (to_buffer ?process_name ?counters t)
+
+let write_file ?process_name ?counters path t =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      Buffer.output_buffer oc
-        (events_to_buffer ?process_name ?worker_label ?counters per_worker))
+      write_channel ?process_name ?counters oc t)
 
-let to_string ?process_name ?worker_label ?counters t =
-  Buffer.contents (to_buffer ?process_name ?worker_label ?counters t)
-
-let write_channel ?process_name ?worker_label ?counters oc t =
-  Buffer.output_buffer oc (to_buffer ?process_name ?worker_label ?counters t)
-
-let write_file ?process_name ?worker_label ?counters path t =
+(** Write a live {!Trace.freeze} window of [t] (the flight recorder's
+    view of rings still being written) as a Perfetto JSON file. *)
+let write_frozen_file ?window path t =
+  let evs, _dropped = Trace.freeze ?window t in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      write_channel ?process_name ?worker_label ?counters oc t)
+      Buffer.output_buffer oc (events_to_buffer t evs))

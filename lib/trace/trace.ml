@@ -8,17 +8,28 @@
 
 type clock = Wall | Virtual
 
-type t = { rings : Ring.t array; capacity : int; clock : clock }
+type t = {
+  rings : Ring.t array;
+  names : string array;  (* one track name per worker *)
+  capacity : int;
+  clock : clock;
+}
 
-let create ?(clock = Wall) ~workers ~capacity () =
+(** [names] labels each worker's track in exported timelines; a runtime
+    passes ["pool/local"], and the default is ["worker N"]. *)
+let create ?(clock = Wall) ?names ~workers ~capacity () =
   let workers = max 1 workers in
   {
     rings = Array.init workers (fun _ -> Ring.create ~capacity);
+    names =
+      Option.value names
+        ~default:(Array.init workers (Printf.sprintf "worker %d"));
     capacity;
     clock;
   }
 
 let workers t = Array.length t.rings
+let name t i = t.names.(i)
 
 (** The ring a worker writes to.  Out-of-range ids get the shared
     disabled ring so integration points never need a bounds check. *)

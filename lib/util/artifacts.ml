@@ -8,7 +8,7 @@ let ensure_dir () =
   try Unix.mkdir dir 0o755
   with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
 
-(** [path "serve-park.trace.json"] = ["artifacts/serve-park.trace.json"],
+(** [path "serve-f.trace.json"] = ["artifacts/serve-f.trace.json"],
     creating the directory if needed.  Absolute or slash-containing
     names pass through untouched so explicit [--trace a/b.json] style
     destinations keep working. *)

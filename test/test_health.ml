@@ -322,6 +322,35 @@ let test_dump_now_manual () =
   Alcotest.(check bool) "sanitised dir" true
     (Sys.file_exists (Filename.concat dir "verdicts.json"))
 
+(* The runtime names every trace track [pool/local], the key the
+   verdict table uses, so a two-pool timeline reads by pool in both
+   exports: the post-run Perfetto file and the recorder's frozen
+   window. *)
+let test_trace_tracks_named_by_pool () =
+  let module R = Nowa.Presets.Nowa in
+  let c =
+    {
+      (Config.default ()) with
+      Config.pools = [ Config.pool "main" ~workers:1; Config.pool "aux" ~workers:1 ];
+      trace_capacity = 4096;
+    }
+  in
+  R.run ~conf:c (fun () -> R.await (R.spawn_on (R.pool "aux") (fun () -> ())));
+  let has_sub s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let track = "\"name\":\"aux/0\"" in
+  Alcotest.(check bool) "Perfetto JSON names aux/0" true
+    (has_sub (Nowa.Perfetto.to_string (Option.get (R.last_trace ()))) track);
+  let dir = Health.dump_now ~reason:"pool tracks" in
+  let body =
+    In_channel.with_open_bin (Filename.concat dir "trace.json")
+      In_channel.input_all
+  in
+  Alcotest.(check bool) "bundle trace.json names aux/0" true (has_sub body track)
+
 (* -- ring freeze under concurrent writers -------------------------------- *)
 
 (* Property: a snapshot taken while 4 domains hammer their own rings
@@ -498,6 +527,8 @@ let () =
           Alcotest.test_case "dump on verdict" `Quick
             test_dump_on_verdict_writes_bundle;
           Alcotest.test_case "manual dump" `Quick test_dump_now_manual;
+          Alcotest.test_case "pool-named trace tracks" `Quick
+            test_trace_tracks_named_by_pool;
         ] );
       ( "ring-freeze",
         [

@@ -685,7 +685,7 @@ let test_stack_pool_rss_watermark () =
   let conf = Nowa.Config.with_workers 1 in
   let pool = Nowa_runtime.Stack_pool.create conf in
   let s = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
-  Nowa_runtime.Stack_pool.touch s ~pages:9 ~max_pages:256;
+  Nowa_runtime.Stack_pool.touch s ~pages:9;
   Nowa_runtime.Stack_pool.sync_rss pool s;
   Alcotest.(check int) "rss counts touched pages" 10
     (Nowa_runtime.Stack_pool.current_rss_pages pool);
@@ -693,7 +693,7 @@ let test_stack_pool_rss_watermark () =
     (Nowa_runtime.Stack_pool.max_rss_pages pool);
   Alcotest.(check int) "touch clamps at stack size" 256
     (let s2 = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
-     Nowa_runtime.Stack_pool.touch s2 ~pages:500 ~max_pages:256;
+     Nowa_runtime.Stack_pool.touch s2 ~pages:500;
      s2.Nowa_runtime.Stack_pool.resident)
 
 let test_stack_pool_madvise () =
@@ -702,7 +702,7 @@ let test_stack_pool_madvise () =
   in
   let pool = Nowa_runtime.Stack_pool.create conf in
   let s = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
-  Nowa_runtime.Stack_pool.touch s ~pages:31 ~max_pages:256;
+  Nowa_runtime.Stack_pool.touch s ~pages:31;
   Nowa_runtime.Stack_pool.suspend pool s;
   Alcotest.(check int) "pages returned on suspension" 1
     s.Nowa_runtime.Stack_pool.resident;
@@ -724,7 +724,7 @@ let test_stack_pool_madvise_dontneed_refaults () =
   in
   let pool = Nowa_runtime.Stack_pool.create conf in
   let s = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
-  Nowa_runtime.Stack_pool.touch s ~pages:10 ~max_pages:256;
+  Nowa_runtime.Stack_pool.touch s ~pages:10;
   Nowa_runtime.Stack_pool.release pool ~worker:0 s;
   Alcotest.(check bool) "stack marked shrunk" true s.Nowa_runtime.Stack_pool.shrunk;
   let s' = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
@@ -745,7 +745,7 @@ let test_stack_pool_madv_free_no_refault () =
   in
   let pool = Nowa_runtime.Stack_pool.create conf in
   let s = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
-  Nowa_runtime.Stack_pool.touch s ~pages:10 ~max_pages:256;
+  Nowa_runtime.Stack_pool.touch s ~pages:10;
   Nowa_runtime.Stack_pool.release pool ~worker:0 s;
   ignore (Nowa_runtime.Stack_pool.acquire pool ~worker:0);
   Alcotest.(check int) "lazy freeing never refaults" 0
@@ -772,7 +772,7 @@ let test_stack_pool_no_madvise_keeps_pages () =
   let conf = { (Nowa.Config.with_workers 1) with Nowa.Config.madvise = false } in
   let pool = Nowa_runtime.Stack_pool.create conf in
   let s = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
-  Nowa_runtime.Stack_pool.touch s ~pages:31 ~max_pages:256;
+  Nowa_runtime.Stack_pool.touch s ~pages:31;
   Nowa_runtime.Stack_pool.suspend pool s;
   Alcotest.(check int) "pages stay resident" 32 s.Nowa_runtime.Stack_pool.resident;
   Alcotest.(check int) "no madvise calls" 0 (Nowa_runtime.Stack_pool.madvise_calls pool)
@@ -1019,6 +1019,60 @@ let test_spill_over_completion () =
         !escaped)
     presets
 
+(* A routed pipeline: the root injects from a 1-worker feed pool and
+   every packet hops three 1-worker stage pools with [spawn_unit_on],
+   outside any scope, so no structured sync can join them.  A completion
+   count and a checksum composed through the three stage transforms
+   catch a lost, duplicated or stage-skipping packet; the deadline turns
+   a lost packet into a failure instead of a hang. *)
+let test_routed_pipeline_conserves () =
+  let packets = 2_000 in
+  let stage salt x =
+    let x = (x + salt) * 0x9E3779B1 land 0x3FFFFFFFFFFF in
+    x lxor (x lsr 13)
+  in
+  let expected =
+    let sum = ref 0 in
+    for p = 0 to packets - 1 do
+      sum := !sum + stage 3 (stage 2 (stage 1 p))
+    done;
+    !sum
+  in
+  let stages = [ "s1"; "s2"; "s3" ] in
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      List.iter
+        (fun spill ->
+          let completed = Atomic.make 0 and checksum = Atomic.make 0 in
+          R.run
+            ~conf:
+              (pools_conf ~spill
+                 (Nowa.Config.pool "feed" ~workers:1
+                 :: List.map (fun s -> Nowa.Config.pool s ~workers:1) stages))
+            (fun () ->
+              let s1 = R.pool "s1" and s2 = R.pool "s2" and s3 = R.pool "s3" in
+              for p = 0 to packets - 1 do
+                R.spawn_unit_on s1 (fun () ->
+                    let x1 = stage 1 p in
+                    R.spawn_unit_on s2 (fun () ->
+                        let x2 = stage 2 x1 in
+                        R.spawn_unit_on s3 (fun () ->
+                            ignore (Atomic.fetch_and_add checksum (stage 3 x2));
+                            Atomic.incr completed)))
+              done;
+              let deadline = Unix.gettimeofday () +. 30.0 in
+              while
+                Atomic.get completed < packets && Unix.gettimeofday () < deadline
+              do
+                Unix.sleepf 0.0005
+              done);
+          let what = Printf.sprintf "%s spill=%b" R.name spill in
+          Alcotest.(check int) (what ^ ": every packet delivered") packets
+            (Atomic.get completed);
+          Alcotest.(check int) (what ^ ": checksum") expected (Atomic.get checksum))
+        [ false; true ])
+    presets
+
 let test_pool_api_serial_elision () =
   let module S = Nowa_runtime.Serial_runtime in
   S.run (fun () ->
@@ -1127,6 +1181,8 @@ let () =
             test_spawn_on_exception_via_await;
           Alcotest.test_case "spill-over completion" `Slow
             test_spill_over_completion;
+          Alcotest.test_case "routed pipeline conserves packets" `Quick
+            test_routed_pipeline_conserves;
           Alcotest.test_case "serial elision pool api" `Quick
             test_pool_api_serial_elision;
         ] );

@@ -262,7 +262,69 @@ let test_loadgen_smoke () =
   (* The JSON row is well-formed enough for the bench harness greps. *)
   let json = Nowa_server.Loadgen.json_of_report r in
   Alcotest.(check bool) "json has mix" true
-    (String.length json > 0 && json.[0] = '{')
+    (String.length json > 0 && json.[0] = '{');
+  (* Every YCSB mix on nowa under a parking and a spinning idle policy
+     at 2,000 req/s, and mix A on the Chase-Lev and THE deques at 2,000
+     and 8,000 req/s, on 2 workers: below saturation, so admission
+     control must never engage. *)
+  let input (module R : Nowa.RUNTIME) policy mix_name rate =
+    let module L = Nowa_server.Loadgen.Make (R) in
+    let spec =
+      {
+        (Workload.default_spec ~mix:(Option.get (Workload.find_mix mix_name))) with
+        Workload.records = 200;
+        rate;
+        warmup = 50;
+        requests = 400;
+      }
+    in
+    let conf =
+      { (Nowa.Config.with_workers 2) with Nowa.Config.idle_policy = policy }
+    in
+    let r = L.run ~conf spec in
+    let what = Printf.sprintf "%s mix %s at %.0f/s" R.name mix_name rate in
+    Alcotest.(check int) (what ^ ": all completed") r.Nowa_server.Loadgen.offered
+      r.Nowa_server.Loadgen.completed;
+    Alcotest.(check int) (what ^ ": no drops") 0 r.Nowa_server.Loadgen.dropped
+  in
+  let park = Nowa.Config.Park_after 512 in
+  List.iter
+    (fun (m : Workload.mix) ->
+      List.iter
+        (fun policy ->
+          input (module Nowa.Presets.Nowa) policy m.Workload.mname 2_000.0)
+        [ park; Nowa.Config.Spin ])
+    Workload.mixes;
+  input (module Nowa.Presets.Nowa_the) park "A" 2_000.0;
+  input (module Nowa.Presets.Nowa) park "A" 8_000.0;
+  input (module Nowa.Presets.Nowa_the) park "A" 8_000.0
+
+(* The pooled path: the dispatch loop on a 1-worker inject pool, every
+   request routed to a 1-worker serve pool.  Two workers run, whatever
+   [Config.workers] says, and the report must say so. *)
+let test_loadgen_pooled () =
+  let module L = Nowa_server.Loadgen.Make (Nowa.Presets.Nowa) in
+  let spec =
+    {
+      (Workload.default_spec ~mix:(Option.get (Workload.find_mix "A"))) with
+      Workload.records = 200;
+      rate = 2_000.0;
+      warmup = 50;
+      requests = 400;
+    }
+  in
+  let conf =
+    {
+      (Nowa.Config.with_workers 1) with
+      Nowa.Config.pools =
+        [ Nowa.Config.pool "inject" ~workers:1; Nowa.Config.pool "serve" ~workers:1 ];
+    }
+  in
+  let r = L.run ~conf ~pools:("inject", "serve") spec in
+  Alcotest.(check int) "completed = offered" r.Nowa_server.Loadgen.offered
+    r.Nowa_server.Loadgen.completed;
+  Alcotest.(check int) "no drops" 0 r.Nowa_server.Loadgen.dropped;
+  Alcotest.(check int) "workers that ran" 2 r.Nowa_server.Loadgen.workers
 
 (* -- request spans & anatomy ---------------------------------------------- *)
 
@@ -456,6 +518,7 @@ let () =
           Alcotest.test_case "workload deterministic" `Quick
             test_workload_deterministic;
           Alcotest.test_case "open-loop smoke" `Quick test_loadgen_smoke;
+          Alcotest.test_case "pooled open loop" `Quick test_loadgen_pooled;
         ] );
       ( "anatomy",
         [
