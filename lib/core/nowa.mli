@@ -36,9 +36,8 @@ module Health = Nowa_runtime.Health
 
     The metrics registry ({!Obs.Registry}) carries the scheduler, stack
     and coordination counters while a run is executing: scrape it over
-    TCP ({!Obs.Server}), snapshot it periodically ({!Obs.Sampler}) or
-    dump it as Prometheus text ({!Obs.Expose}).  The engines publish
-    into it automatically ({!Metrics.publish}). *)
+    TCP ({!Obs.Server}) or dump it as Prometheus text ({!Obs.Expose}).
+    The engines publish into it automatically ({!Metrics.publish}). *)
 
 module Obs = Nowa_obs
 

@@ -1,100 +1,129 @@
-(** Child-stealing scheduler engine (Section II-B's alternative scheme),
-    the structural model for TBB and for LLVM libomp's task scheduler.
+(** Help-first scheduler engines (Section II-B's child-stealing
+    alternative): the structural models of TBB, LLVM libomp and GCC
+    libgomp, the Figure 10 / Table III baselines.
 
-    At a fork point the {e child task} is pushed to the worker's deque and
-    the parent continues immediately (help-first).  Because the parent
-    increments its frame's pending count {e before} publishing the child,
-    the worker/thief race of Figure 6 does not arise here — the price is
+    At a fork point the {e child task} is published and the parent
+    continues immediately (help-first).  Because the parent increments
+    its frame's pending count {e before} publishing the child, the
+    worker/thief race of Figure 6 does not arise here — the price is
     paid elsewhere: every child is a heap-allocated task, and joins are
     blocking-with-helping rather than suspending.
 
     [sync] is modelled on OpenMP's [taskwait]: the waiting strand loops,
-    executing tasks until its children have all finished.
+    executing tasks until its children have all finished.  The baselines
+    differ only in where a spawned child goes and where a waiting strand
+    looks for work, so the join exists once ({!Make}) over a small
+    {!STORE}:
 
-    - [Waiting.Steal_anywhere] (TBB, libomp untied tasks): the waiter
-      helps from its own deque first and steals from victims otherwise.
-    - [Waiting.Local_only] (libomp tied tasks): the task-scheduling
+    - {!Deques} (TBB, libomp): per-worker deques; the owner pops LIFO
+      and idle workers grab batches from pool-mates.  Its {!Waiting.t}
+      says what a waiter may run.  [Steal_anywhere] (TBB, libomp untied
+      tasks) helps from its own deque first and steals from victims
+      otherwise.  [Local_only] (libomp tied tasks): the task-scheduling
       constraint pins the waiter to tasks from its own deque; when that
       runs dry it can only spin.  This is the structural reason tied
       tasks over- or under-perform untied ones per benchmark in
       Figure 10/Table III.
+    - {!Fifo} (libgomp): every spawned task goes through one
+      mutex-protected FIFO per pool, the shell's inject queue, which
+      routed roots share; every idle worker and every waiting strand
+      polls it.  With fine-grained tasks all scheduling traffic
+      serialises on the one lock — which is why libgomp's speedup
+      collapses in Figure 10, and why this store's does too.  A
+      multi-pool topology shards the lock.
 
-    This module keeps spawn, sync and how work is found; pools, routing,
-    the idle loop and [run] come from {!Shell}. *)
+    Helping at a taskwait stays inside the pool even with spill-over
+    on: a blocked waiter dragging foreign work onto its stack would
+    couple the pools' latency.  Pools, routing, the idle loop and [run]
+    come from {!Shell}. *)
+
+module Ring = Nowa_trace.Ring
+module Ev = Nowa_trace.Event
+
+type task = Task of (unit -> unit)
+
+type 'st worker = {
+  id : int;
+  grp : task Shell.group;
+  m : Metrics.worker;
+  tr : Ring.t;
+  mutable depth : int;  (* task nesting (helping at a taskwait): only the
+                           outermost start/end delimits a busy slice *)
+  st : 'st;  (* the store's per-worker half *)
+}
+
+type 'st cluster = (task, 'st worker, unit) Shell.cluster
+
+(* Task bodies never raise ([spawn] and the shell wrap the thunk), so
+   the depth bookkeeping needs no exception handling. *)
+let run_task (cl : _ cluster) w (Task f) =
+  w.m.tasks <- w.m.tasks + 1;
+  w.depth <- w.depth + 1;
+  if w.depth = 1 then Ring.emit w.tr Ev.Task_start 0;
+  f ();
+  if w.depth = 1 then Ring.emit w.tr Ev.Task_end 0;
+  w.depth <- w.depth - 1;
+  Health.Beats.beat cl.Shell.hb w.id
+
+(** Where a spawned child goes and where a worker looks for one: the
+    only code that differs between the help-first presets. *)
+module type STORE = sig
+  type t
+
+  val make : Config.t -> id:int -> t
+
+  val push : t worker -> task -> unit
+  (** Publish a spawned child; the join wakes a pool sleeper after it. *)
+
+  val take : t cluster -> t worker -> task option
+  (** {!Shell.POLICY.take}. *)
+
+  val help : t cluster -> t worker -> task option
+  (** One round of a strand waiting at [sync]; never leaves the pool. *)
+
+  val probe :
+    t cluster -> t worker -> task Shell.group -> exhaustive:bool ->
+    task option
+  (** {!Shell.POLICY.probe}. *)
+
+  val ready : t cluster -> int
+  (** {!Shell.POLICY.ready}. *)
+end
 
 module Waiting = struct
   type t = Steal_anywhere | Local_only
 end
 
-module Make
+module Deques
     (QM : Nowa_deque.Ws_deque_intf.MAKER)
-    (Id : sig
-      val name : string
-      val description : string
+    (W : sig
       val waiting : Waiting.t
-    end) : Runtime_intf.S = struct
-  let name = Id.name
-  let description = Id.description
-
-  module Ring = Nowa_trace.Ring
-  module Ev = Nowa_trace.Event
-
-  type 'a promise = 'a Promise.t
-
-  type frame = { pending : int Atomic.t; exn_slot : exn option Atomic.t }
-  type scope = frame
-
-  type task = Task of (unit -> unit)
-
+    end) : STORE = struct
   module Q = QM (struct
     type t = task
 
     let dummy = Task ignore
   end)
 
-  type worker = {
-    id : int;
-    grp : task Shell.group;
-    deque : Q.t;
-    rng : Nowa_util.Xoshiro.t;
-    m : Metrics.worker;
-    tr : Ring.t;
-    mutable depth : int;  (* task nesting while helping at a taskwait *)
-  }
+  type t = { deque : Q.t; rng : Nowa_util.Xoshiro.t }
 
-  type cluster = (task, worker, unit) Shell.cluster
+  let make conf ~id =
+    {
+      deque = Q.create ~capacity:Shell.deque_capacity ();
+      rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
+    }
 
-  let current : (cluster * worker) option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let get_current () =
-    match Domain.DLS.get current with
-    | Some pw -> pw
-    | None -> failwith (name ^ ": spawn/sync/scope used outside of run")
-
-  let note_exn fr e =
-    ignore (Atomic.compare_and_set fr.exn_slot None (Some e))
-
-  (* Task bodies never raise ([spawn] and the shell wrap the thunk), so
-     the depth bookkeeping needs no exception handling. *)
-  let run_task (cl : cluster) w (Task f) =
-    w.m.tasks <- w.m.tasks + 1;
-    w.depth <- w.depth + 1;
-    if w.depth = 1 then Ring.emit w.tr Ev.Task_start 0;
-    f ();
-    if w.depth = 1 then Ring.emit w.tr Ev.Task_end 0;
-    w.depth <- w.depth - 1;
-    Health.Beats.beat cl.Shell.hb w.id
+  let push w t = Q.push_bottom w.st.deque t
 
   let no_commit _ = ()
 
   (* A victim probe: [max] tasks under one acquisition (a batched,
      [steal_half]-style grab) or a single steal when [max = 1]. *)
-  let steal (cl : cluster) w ~max v =
+  let steal (cl : t cluster) w ~max v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
     Health.Beats.beat cl.hb w.id;
     Ring.emit w.tr Ev.Steal_attempt v;
-    match Q.steal_batch cl.workers.(v).deque ~max ~on_commit:no_commit with
+    match Q.steal_batch cl.workers.(v).st.deque ~max ~on_commit:no_commit with
     | [] ->
       Ring.emit w.tr Ev.Steal_abort v;
       None
@@ -106,40 +135,115 @@ module Make
          closures, so re-homing them is always legal. *)
       List.iter
         (fun t ->
-          try Q.push_bottom w.deque t
+          try Q.push_bottom w.st.deque t
           with Nowa_deque.Ws_deque_intf.Full -> run_task cl w t)
         extra;
       Some head
 
   let steal_one cl w v = steal cl w ~max:1 v
   let steal_batch cl w ~sweep v = steal cl w ~max:sweep v
-  let first_mate _ w ~mates ~sweep:_ = Nowa_util.Xoshiro.int w.rng mates
+  let first_mate _ w ~mates ~sweep:_ = Nowa_util.Xoshiro.int w.st.rng mates
 
-  (* Routed roots first (they have no other worker to run them), then up
-     to [Config.steal_sweep] pool-mates, each a batched grab of up to
-     that many tasks.  The caller has already drained its own deque. *)
-  let help (cl : cluster) w =
-    match Shell.try_inject w.grp with
-    | Some _ as r -> r
-    | None -> Shell.sweep_mates w.grp ~self:w.id ~start:first_mate steal_batch cl w
-
+  (* Own deque bottom (LIFO keeps the worker on its own subtree), then
+     routed roots (they have no other worker to run them), then up to
+     [Config.steal_sweep] pool-mates, each a batched grab of up to that
+     many tasks. *)
   let take cl w =
-    match Q.pop_bottom w.deque with Some _ as r -> r | None -> help cl w
+    match Q.pop_bottom w.st.deque with
+    | Some _ as r -> r
+    | None -> (
+      match Shell.try_inject w.grp with
+      | Some _ as r -> r
+      | None ->
+        Shell.sweep_mates w.grp ~self:w.id ~start:first_mate steal_batch cl w)
+
+  let help =
+    match W.waiting with
+    | Waiting.Steal_anywhere -> take
+    | Waiting.Local_only -> fun _ w -> Q.pop_bottom w.st.deque
 
   (* Single steals on both probes: batched re-homing would drag a
      foreign pool's backlog into this pool's deques.  The pre-park sweep
      drains the own deque's bottom first. *)
   let probe cl w g ~exhaustive =
-    match if exhaustive then Q.pop_bottom w.deque else None with
+    match if exhaustive then Q.pop_bottom w.st.deque else None with
     | Some _ as r -> r
     | None ->
-      Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng steal_one cl w
+      Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.st.rng steal_one cl w
+
+  let ready (cl : t cluster) =
+    Array.fold_left (fun acc w -> acc + Q.size w.st.deque) 0 cl.workers
+end
+
+module Fifo : STORE = struct
+  (* The surplus of the last batched grab, served before the lock is
+     touched again: the [steal_half]-style amortisation for one queue. *)
+  type t = task list ref
+
+  let make _ ~id:_ = ref []
+
+  let push w t = Shell.inject w.grp t
+
+  (* Stash, then one batched grab of up to [Config.steal_sweep] tasks
+     from the pool's FIFO, oldest first. *)
+  let take (cl : t cluster) w =
+    match !(w.st) with
+    | t :: rest ->
+      w.st := rest;
+      Some t
+    | [] -> (
+      let gid = w.grp.gid in
+      w.m.steal_attempts <- w.m.steal_attempts + 1;
+      Health.Beats.beat cl.hb w.id;
+      Ring.emit w.tr Ev.Steal_attempt gid;
+      match Shell.take_inject w.grp ~max:(max 1 cl.conf.Config.steal_sweep) with
+      | [] ->
+        Ring.emit w.tr Ev.Steal_abort gid;
+        None
+      | head :: rest ->
+        Ring.emit w.tr Ev.Steal_commit gid;
+        w.st := rest;
+        Some head)
+
+  let help = take
+
+  (* Every queued task sits in an inject queue, which the shell sweeps,
+     spills from and counts for the watchdog itself; the stash is empty
+     whenever [take] has come up empty. *)
+  let probe _ _ _ ~exhaustive:_ = None
+  let ready _ = 0
+end
+
+module Make
+    (S : STORE)
+    (Id : sig
+      val name : string
+      val description : string
+    end) : Runtime_intf.S = struct
+  let name = Id.name
+  let description = Id.description
+
+  type 'a promise = 'a Promise.t
+
+  type frame = { pending : int Atomic.t; exn_slot : exn option Atomic.t }
+  type scope = frame
+
+  let current : (S.t cluster * S.t worker) option Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> None)
+
+  let get_current () =
+    match Domain.DLS.get current with
+    | Some pw -> pw
+    | None -> failwith (name ^ ": spawn/sync/scope used outside of run")
+
+  let note_exn fr e =
+    ignore (Atomic.compare_and_set fr.exn_slot None (Some e))
 
   module Sh = Shell.Make (struct
     let name = name
 
     type nonrec task = task
-    type nonrec worker = worker
+    type nonrec worker = S.t worker
     type ext = unit
 
     let current = current
@@ -150,53 +254,35 @@ module Make
     let make_ext _ _ = ()
 
     let make_worker conf () ~id grp m tr =
-      {
-        id;
-        grp;
-        deque = Q.create ~capacity:Shell.deque_capacity ();
-        rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
-        m;
-        tr;
-        depth = 0;
-      }
+      { id; grp; m; tr; depth = 0; st = S.make conf ~id }
 
     let task_of_thunk f = Task f
-    let take = take
-    let probe = probe
+    let take = S.take
+    let probe = S.probe
     let run_task = run_task
-
-    let ready (cl : cluster) =
-      Array.fold_left (fun acc w -> acc + Q.size w.deque) 0 cl.workers
-
+    let ready = S.ready
     let stack_stats = None
     let after_join _ = ()
   end)
 
   include Sh
 
-  (* OpenMP taskwait / TBB wait_for_all: execute tasks until the frame's
-     children are gone.  LIFO from the own deque keeps the helper on its
-     own subtree most of the time.  Helping stays inside the pool even
-     with spill-over on: a blocked waiter dragging foreign work onto its
-     stack would couple the pools' latency. *)
+  (* OpenMP taskwait / TBB wait_for_all: run tasks until the frame's
+     children are gone.  An empty round is a scheduler station point,
+     like a steal attempt, so it beats: a waiter whose children run on
+     pool-mates is waiting, not stalled. *)
   let wait_for cl w fr =
     w.m.suspensions <- w.m.suspensions + 1;
     Ring.emit w.tr Ev.Suspend 0;
     let bo = Nowa_util.Backoff.make () in
     while Atomic.get fr.pending > 0 do
-      match Q.pop_bottom w.deque with
+      match S.help cl w with
       | Some t ->
         Nowa_util.Backoff.reset bo;
         run_task cl w t
-      | None -> (
-        match Id.waiting with
-        | Waiting.Local_only -> Nowa_util.Backoff.once bo
-        | Waiting.Steal_anywhere -> (
-          match help cl w with
-          | Some t ->
-            Nowa_util.Backoff.reset bo;
-            run_task cl w t
-          | None -> Nowa_util.Backoff.once bo))
+      | None ->
+        Health.Beats.beat cl.Shell.hb w.id;
+        Nowa_util.Backoff.once bo
     done
 
   let sync fr =
@@ -218,8 +304,8 @@ module Make
       (try sync fr with _ -> ());
       raise e
 
-  (* Pending is raised before the task is visible to thieves, so the
-     join counter never needs the lock-or-wait-free machinery of the
+  (* Pending is raised before the task is visible to other workers, so
+     the join counter never needs the lock-or-wait-free machinery of the
      continuation-stealing engines; [body] lowers it when done. *)
   let push fr body =
     let cl, w = get_current () in
@@ -227,7 +313,7 @@ module Make
     Health.Beats.beat cl.Shell.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
     ignore (Atomic.fetch_and_add fr.pending 1);
-    Q.push_bottom w.deque (Task body);
+    S.push w (Task body);
     (* One load when nobody sleeps; CAS + signal only for a sleeper. *)
     if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1
 

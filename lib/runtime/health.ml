@@ -183,7 +183,7 @@ type probe = {
   announced : int -> bool;
   waiting : int -> bool;
   wake_stamp : int -> int;
-  ready : unit -> int;  (** visible queued work: deque sizes / central depth *)
+  ready : unit -> int;  (** visible queued work: deque sizes + inject gates *)
   sleepers : unit -> int;
   draining : unit -> bool;
       (** Pool shutdown in progress: workers exit their domains and

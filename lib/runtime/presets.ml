@@ -43,41 +43,48 @@ module Cilk_plus =
         "continuation stealing, lock-based strand counter, locked deque"
     end)
 
-module Tbb =
-  Child_engine.Make (Nowa_deque.Locked_deque.Make)
+module Untied =
+  Child_engine.Deques (Nowa_deque.Locked_deque.Make)
     (struct
-      let name = "tbb"
-      let description = "child stealing, locked per-worker deques"
       let waiting = Child_engine.Waiting.Steal_anywhere
     end)
 
+module Tbb =
+  Child_engine.Make (Untied)
+    (struct
+      let name = "tbb"
+      let description = "child stealing, locked per-worker deques"
+    end)
+
 module Lomp_untied =
-  Child_engine.Make (Nowa_deque.Locked_deque.Make)
+  Child_engine.Make (Untied)
     (struct
       let name = "lomp-untied"
 
       let description =
         "child stealing (libomp model), waiters steal anywhere (untied tasks)"
-
-      let waiting = Child_engine.Waiting.Steal_anywhere
     end)
 
 module Lomp_tied =
-  Child_engine.Make (Nowa_deque.Locked_deque.Make)
+  Child_engine.Make
+    (Child_engine.Deques (Nowa_deque.Locked_deque.Make)
+       (struct
+         let waiting = Child_engine.Waiting.Local_only
+       end))
     (struct
       let name = "lomp-tied"
 
       let description =
         "child stealing (libomp model), waiters pinned to their own deque \
          (tied tasks)"
-
-      let waiting = Child_engine.Waiting.Local_only
     end)
 
-module Gomp = Central_engine.Make (struct
-  let name = "gomp"
-  let description = "single global locked FIFO task queue (libgomp model)"
-end)
+module Gomp =
+  Child_engine.Make (Child_engine.Fifo)
+    (struct
+      let name = "gomp"
+      let description = "single global locked FIFO task queue (libgomp model)"
+    end)
 
 let all : (module Runtime_intf.S) list =
   [

@@ -2,12 +2,13 @@
     paper's evaluation does not vary between platforms.  Sections II-B
     and V vary three things — the stealing scheme, the deque and the
     join counter — and each engine family keeps exactly those:
-    {!Engine} (continuation stealing), {!Child_engine} (child stealing)
-    and {!Central_engine} (one locked queue per pool) each supply a
-    small {!POLICY}.  The shell owns the rest, once:
+    {!Engine} (continuation stealing) and {!Child_engine} (the
+    help-first join over per-worker deques or one FIFO per pool) each
+    supply a small {!POLICY}.  The shell owns the rest, once:
 
     - the pools ({!group}: slice, sleepers, gate-counted inject queue)
-      and the run's {!cluster};
+      and the run's {!cluster}; the inject gate is read and written
+      here only;
     - routed roots: [spawn_on]/[spawn_unit_on] and their wake path;
     - the idle path: spin → yield → park ([worker_loop]), the park
       protocol ([park_round]) and its pre-park sweep ([sweep_all]),
@@ -18,24 +19,24 @@
       publication, the flight recorder, the watchdog probe, domain
       spawn/join/teardown and result capture.
 
-    The spawn/sync hot path never calls into the shell: the family owns
+    The spawn/sync hot path never calls into [Make]: the family owns
     the per-worker record and its domain-local slot, and the shell
-    reaches a worker's id, pool, counters and ring through the policy. *)
+    reaches a worker's id, pool, counters and ring through the policy.
+    The one shell function a spawn calls is gomp's push, {!inject}. *)
 
 module Ring = Nowa_trace.Ring
 
 (* One named micropool: a contiguous slice of the global worker array
    with its own sleeper registry (local ids) and its own inject queue
-   for [spawn_on]-routed roots.  The single-pool topology builds exactly
-   one of these. *)
+   for [spawn_on]-routed roots (and, under gomp, spawned children).  The
+   single-pool topology builds exactly one of these. *)
 type 'task group = {
   gid : int;
   gname : string;
   glo : int;  (* first global worker id of this pool *)
   ghi : int;  (* one past the last *)
   gsleepers : Sleepers.t;  (* indexed by pool-local worker id *)
-  ginject : 'task Nowa_deque.Central_queue.t;
-      (* routed roots; FIFO per target pool *)
+  ginject : 'task Nowa_deque.Central_queue.t;  (* FIFO *)
   ggate : int Atomic.t;
       (* conservative inject count: raised before a push, lowered after
          a pop, so 0 proves the queue empty and idle workers skip the
@@ -48,7 +49,7 @@ type 'task group = {
 let deque_capacity = 256
 
 (* One run.  [ext] is the family's own per-run state: the continuation-
-   stealing engine's stack pool, the central engine's per-pool queues. *)
+   stealing engine's stack pool (the help-first engines have none). *)
 type ('task, 'worker, 'ext) cluster = {
   conf : Config.t;
   workers : 'worker array;  (* all pools, global ids *)
@@ -59,9 +60,15 @@ type ('task, 'worker, 'ext) cluster = {
   ext : 'ext;
 }
 
-(* Take one routed root from a pool's inject queue.  The gate read
-   keeps the common empty case lock-free: the gate is raised before the
-   push, so 0 proves emptiness. *)
+(* The inject queue's one push: the gate goes up before the task is
+   visible and comes down by the number of tasks each pop takes, so a
+   zero gate proves the queue empty and keeps the common empty case off
+   the queue lock. *)
+let inject g t =
+  Atomic.incr g.ggate;
+  Nowa_deque.Central_queue.push g.ginject t
+
+(* Take one task from a pool's inject queue. *)
 let try_inject g =
   if Atomic.get g.ggate = 0 then None
   else
@@ -70,6 +77,17 @@ let try_inject g =
       Atomic.decr g.ggate;
       r
     | None -> None
+
+(* Take up to [max] tasks from a pool's inject queue under one lock
+   acquisition, oldest first. *)
+let take_inject g ~max =
+  if Atomic.get g.ggate = 0 then []
+  else
+    match Nowa_deque.Central_queue.pop_batch g.ginject ~max with
+    | [] -> []
+    | ts ->
+      ignore (Atomic.fetch_and_add g.ggate (-List.length ts));
+      ts
 
 (* The first hit of [f] over every pool but [g], scanned round-robin
    from the next pool over. *)
@@ -174,8 +192,8 @@ module type POLICY = sig
   val probe :
     (task, worker, ext) cluster -> worker -> task group ->
     exhaustive:bool -> task option
-  (** Look for work in one pool's deques or queue (not its inject
-      queue).  [exhaustive] is the pre-park sweep: it must use real,
+  (** Look for work in one pool's deques (not its inject queue).
+      [exhaustive] is the pre-park sweep: it must use real,
       synchronising steal operations and leave no victim unprobed.
       Otherwise it is a spill-over probe of a foreign pool. *)
 
@@ -193,9 +211,6 @@ end
 
 module Make (P : POLICY) : sig
   type pool = P.task group
-
-  val find : (P.task, P.worker, P.ext) cluster -> P.worker -> P.task option
-  (** [take], then spill-over when enabled: what an idle worker runs. *)
 
   val run : ?conf:Config.t -> (unit -> 'a) -> 'a
   val last_metrics : unit -> Metrics.t option
@@ -556,10 +571,7 @@ end = struct
 
   let enqueue_routed (g : pool) f =
     let cl, w = get_current () in
-    let t = P.task_of_thunk f in
-    (* Gate up before the push so a zero gate proves an empty queue. *)
-    Atomic.incr g.ggate;
-    Nowa_deque.Central_queue.push g.ginject t;
+    inject g (P.task_of_thunk f);
     wake_routed cl w g
 
   let spawn_on (g : pool) thunk =

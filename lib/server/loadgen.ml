@@ -275,35 +275,3 @@ let pp_report (r : report) =
     ~header:[ "op"; "count"; "mean us"; "p50 us"; "p99 us"; "p999 us" ]
     (List.map row r.per_class @ [ row r.total ]);
   match r.anatomy with None -> () | Some a -> Anatomy.pp a
-
-let json_of_report (r : report) =
-  let b = Buffer.create 512 in
-  let stats_json (s : class_stats) =
-    Printf.sprintf
-      "{\"count\": %d, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \"p99_ns\": %.1f, \"p999_ns\": %.1f}"
-      s.count
-      (if Float.is_nan s.mean_ns then 0.0 else s.mean_ns)
-      (if Float.is_nan s.p50_ns then 0.0 else s.p50_ns)
-      (if Float.is_nan s.p99_ns then 0.0 else s.p99_ns)
-      (if Float.is_nan s.p999_ns then 0.0 else s.p999_ns)
-  in
-  Printf.bprintf b
-    "{\"mix\": \"%s\", \"runtime\": \"%s\", \"workers\": %d, \"rate_rps\": %.1f, \"records\": %d, \"offered\": %d, \"completed\": %d, \"dropped\": %d, \"handoffs\": %d, \"elapsed_s\": %.4f, \"throughput_rps\": %.1f, \"latency\": {"
-    r.mix r.runtime r.workers r.rate r.records r.offered r.completed r.dropped
-    r.handoffs r.elapsed_s r.throughput;
-  Printf.bprintf b "\"total\": %s" (stats_json r.total);
-  List.iter
-    (fun s ->
-      Printf.bprintf b ", \"%s\": %s" (class_label s) (stats_json s))
-    r.per_class;
-  Buffer.add_string b "}";
-  (match r.slo_ns with
-  | Some slo ->
-    Printf.bprintf b ", \"slo_ns\": %d, \"deadline_misses\": %d" slo
-      r.deadline_misses
-  | None -> ());
-  (match r.anatomy with
-  | None -> ()
-  | Some a -> Printf.bprintf b ", \"anatomy\": %s" (Anatomy.json a));
-  Buffer.add_string b "}";
-  Buffer.contents b

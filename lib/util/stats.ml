@@ -49,41 +49,3 @@ let speedup_of_runs ~serial_mean times =
   { geo = geomean speedups; sd = stddev speedups; runs = List.length times }
 
 let ratio_geomean pairs = geomean (List.map (fun (a, b) -> a /. b) pairs)
-
-module Welford = struct
-  (* Welford's online algorithm; [merge] is the pairwise update of
-     Chan, Golub & LeVeque (1983), which keeps the accumulators
-     mergeable across workers without loss of precision. *)
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-  let copy t = { n = t.n; mean = t.mean; m2 = t.m2 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let d = x -. t.mean in
-    t.mean <- t.mean +. (d /. float_of_int t.n);
-    t.m2 <- t.m2 +. (d *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = if t.n = 0 then nan else t.mean
-
-  let variance t =
-    if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let stddev t = sqrt (variance t)
-
-  let merge a b =
-    if a.n = 0 then copy b
-    else if b.n = 0 then copy a
-    else begin
-      let na = float_of_int a.n and nb = float_of_int b.n in
-      let n = na +. nb in
-      let d = b.mean -. a.mean in
-      {
-        n = a.n + b.n;
-        mean = a.mean +. (d *. nb /. n);
-        m2 = a.m2 +. b.m2 +. (d *. d *. na *. nb /. n);
-      }
-    end
-end

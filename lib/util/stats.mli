@@ -33,28 +33,3 @@ val speedup_of_runs : serial_mean:float -> float list -> speedup
 val ratio_geomean : (float * float) list -> float
 (** [ratio_geomean pairs] is the geometric mean of [fst /. snd] — the
     paper's "average performance change between runtime systems". *)
-
-(** Online mean/variance (Welford's algorithm), O(1) per observation and
-    mergeable across workers via the pairwise combination of Chan, Golub
-    & LeVeque — so per-worker accumulators can be folded into a global
-    one after a join without retaining samples. *)
-module Welford : sig
-  type t
-
-  val create : unit -> t
-  val copy : t -> t
-  val add : t -> float -> unit
-  val count : t -> int
-
-  val mean : t -> float
-  (** [nan] when no observation has been added. *)
-
-  val variance : t -> float
-  (** Sample variance (Bessel-corrected); 0 for fewer than 2 observations. *)
-
-  val stddev : t -> float
-
-  val merge : t -> t -> t
-  (** Functional: returns a fresh accumulator equivalent to having
-      observed both inputs' streams; arguments are unchanged. *)
-end

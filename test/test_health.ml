@@ -147,6 +147,30 @@ let per_family name f =
     (fun (suffix, r) -> Alcotest.test_case (name ^ suffix) `Quick (f r))
     families
 
+(* A libomp tied waiter runs only its own deque.  Here the root's one
+   child is stolen by the other worker and runs 400ms of 1ms tasks,
+   so the root spins at [sync] with nothing to help with, for longer
+   than the stall threshold (25ms x 4).  Waiting is not stalling: every
+   empty taskwait round must beat. *)
+let test_tied_waiter_is_not_stalled () =
+  let module R = Nowa.Presets.Lomp_tied in
+  Health.Inject.clear ();
+  let started = Atomic.make false in
+  R.run ~conf:(conf ~watchdog:25 ~stall_scans:4 2) (fun () ->
+      R.scope (fun sc ->
+          R.spawn_unit sc (fun () ->
+              Atomic.set started true;
+              R.scope (fun inner ->
+                  for _ = 1 to 400 do
+                    R.spawn_unit inner (fun () -> spin_ms 1)
+                  done));
+          while not (Atomic.get started) do
+            Domain.cpu_relax ()
+          done));
+  Alcotest.(check (list string))
+    "no verdicts on a tied waiter" []
+    (List.map Health.verdict_to_string (Health.verdicts ()))
+
 (* -- monitor lifecycle --------------------------------------------------- *)
 
 let test_no_monitor_leak_across_lifecycles () =
@@ -507,6 +531,8 @@ let () =
         @ [
           Alcotest.test_case "busy is not stalled" `Quick
             test_busy_is_not_stalled;
+          Alcotest.test_case "tied waiter is not stalled" `Quick
+            test_tied_waiter_is_not_stalled;
           Alcotest.test_case "no monitor leak (100 lifecycles)" `Quick
             test_no_monitor_leak_across_lifecycles;
           Alcotest.test_case "scan gauge exported" `Quick

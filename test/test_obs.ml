@@ -1,7 +1,6 @@
 (* Tests for the live observability layer: metric primitives, registry
-   snapshots under concurrent writers, Prometheus exposition (golden),
-   the TCP endpoint while a real Nowa computation runs, and the
-   background sampler. *)
+   snapshots under concurrent writers, Prometheus exposition (golden)
+   and the TCP endpoint while a real Nowa computation runs. *)
 
 module Obs = Nowa_obs
 
@@ -298,29 +297,6 @@ let test_server_malformed_addr () =
   | Ok (_, 9090) -> ()
   | _ -> Alcotest.fail "bare port must parse"
 
-(* -- sampler -------------------------------------------------------------- *)
-
-let test_sampler_rates () =
-  let registry = Obs.Registry.create () in
-  let c = Obs.Registry.counter ~registry "test_ticks_total" in
-  let sampler = Obs.Sampler.start ~registry ~interval_s:0.01 () in
-  for _ = 1 to 10 do
-    Obs.Counter.add c 100;
-    Unix.sleepf 0.015
-  done;
-  Obs.Sampler.stop sampler;
-  Alcotest.(check bool) "took several samples" true
-    (Obs.Sampler.ticks sampler >= 3);
-  Alcotest.(check bool) "rows retained" true
-    (List.length (Obs.Sampler.samples sampler) >= 3);
-  match List.assoc_opt "test_ticks_total" (Obs.Sampler.rates sampler) with
-  | None -> Alcotest.fail "no rate accumulated for the counter"
-  | Some w ->
-    Alcotest.(check bool) "rate observations" true
-      (Nowa_util.Stats.Welford.count w >= 1);
-    Alcotest.(check bool) "rate positive" true
-      (Nowa_util.Stats.Welford.mean w > 0.0)
-
 let () =
   Alcotest.run "nowa_obs"
     [
@@ -352,5 +328,4 @@ let () =
             test_server_scrape_during_run;
           Alcotest.test_case "malformed addr" `Quick test_server_malformed_addr;
         ] );
-      ("sampler", [ Alcotest.test_case "rates" `Quick test_sampler_rates ]);
     ]

@@ -934,22 +934,37 @@ let test_bad_topology_rejected () =
     (R.run ~conf:(two_pools ()) (fun () -> 3))
 
 (* With spill-over off, a task routed to pool "aux" must only ever run
-   on an "aux" worker — strict isolation is the default. *)
+   on an "aux" worker — strict isolation is the default.  A 1-worker
+   "aux" must also start its routed tasks in injection order: routed
+   tasks are FIFO per pool ([Runtime_intf.S.spawn_on]). *)
 let test_spawn_on_routing_isolation () =
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
-      R.run ~conf:(two_pools ()) (fun () ->
-          let aux = R.pool "aux" in
-          let ps =
-            List.init 64 (fun i -> R.spawn_on aux (fun () -> (i, R.self_pool ())))
+      List.iter
+        (fun aux_workers ->
+          let conf =
+            pools_conf
+              [ Nowa.Config.pool "main" ~workers:2;
+                Nowa.Config.pool "aux" ~workers:aux_workers ]
           in
-          List.iteri
-            (fun i p ->
-              let j, where = R.await p in
-              Alcotest.(check int) "payload intact" i j;
-              Alcotest.(check string) (R.name ^ ": routed task stays put")
-                "aux" where)
-            ps))
+          let started = Atomic.make 0 in
+          R.run ~conf (fun () ->
+              let aux = R.pool "aux" in
+              let ps =
+                List.init 64 (fun i ->
+                    R.spawn_on aux (fun () ->
+                        (i, Atomic.fetch_and_add started 1, R.self_pool ())))
+              in
+              List.iteri
+                (fun i p ->
+                  let j, start, where = R.await p in
+                  Alcotest.(check int) "payload intact" i j;
+                  Alcotest.(check string) (R.name ^ ": routed task stays put")
+                    "aux" where;
+                  if aux_workers = 1 then
+                    Alcotest.(check int) (R.name ^ ": routed FIFO order") i start)
+                ps))
+        [ 2; 1 ])
     presets
 
 (* Routed tasks may open scopes and spawn; the nested work stays in the

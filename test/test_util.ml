@@ -64,52 +64,6 @@ let test_percentile_edges () =
   check_float "p>100 clamps" 9.0 (Stats.percentile 150.0 [ 1.0; 9.0 ]);
   check_float "p<0 clamps" 1.0 (Stats.percentile (-5.0) [ 1.0; 9.0 ])
 
-(* -- Welford --------------------------------------------------------- *)
-
-let welford_of l =
-  let w = Stats.Welford.create () in
-  List.iter (Stats.Welford.add w) l;
-  w
-
-let test_welford_closed_form () =
-  (* Same reference sample as test_stddev: mean 5, variance 32/7. *)
-  let data = [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
-  let w = welford_of data in
-  Alcotest.(check int) "count" 8 (Stats.Welford.count w);
-  check_float "online mean = closed form" (Stats.mean data)
-    (Stats.Welford.mean w);
-  check_float "online variance" (32.0 /. 7.0) (Stats.Welford.variance w);
-  check_float "online stddev = closed form" (Stats.stddev data)
-    (Stats.Welford.stddev w)
-
-let test_welford_edge_cases () =
-  let w = Stats.Welford.create () in
-  Alcotest.(check bool) "empty mean is nan" true
-    (Float.is_nan (Stats.Welford.mean w));
-  check_float "empty variance" 0.0 (Stats.Welford.variance w);
-  Stats.Welford.add w 3.0;
-  check_float "singleton mean" 3.0 (Stats.Welford.mean w);
-  check_float "singleton variance" 0.0 (Stats.Welford.variance w)
-
-let test_welford_merge () =
-  (* Chan et al. pairwise merge must equal the single-stream result,
-     regardless of how the stream is split across workers. *)
-  let data = [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9.; 11.; 0.5 ] in
-  let whole = welford_of data in
-  let a = welford_of [ 2.; 4.; 4. ] in
-  let b = welford_of [ 4.; 5.; 5.; 7.; 9.; 11.; 0.5 ] in
-  let merged = Stats.Welford.merge a b in
-  Alcotest.(check int) "merged count" (Stats.Welford.count whole)
-    (Stats.Welford.count merged);
-  check_float "merged mean" (Stats.Welford.mean whole)
-    (Stats.Welford.mean merged);
-  check_float "merged variance" (Stats.Welford.variance whole)
-    (Stats.Welford.variance merged);
-  (* Merging with an empty accumulator is the identity. *)
-  let with_empty = Stats.Welford.merge whole (Stats.Welford.create ()) in
-  check_float "merge with empty" (Stats.Welford.mean whole)
-    (Stats.Welford.mean with_empty)
-
 (* -- Xoshiro --------------------------------------------------------- *)
 
 let test_xoshiro_deterministic () =
@@ -382,12 +336,6 @@ let () =
           Alcotest.test_case "ratio geomean" `Quick test_ratio_geomean;
           Alcotest.test_case "percentile nearest-rank" `Quick test_percentile;
           Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
-        ] );
-      ( "welford",
-        [
-          Alcotest.test_case "closed form" `Quick test_welford_closed_form;
-          Alcotest.test_case "edge cases" `Quick test_welford_edge_cases;
-          Alcotest.test_case "merge" `Quick test_welford_merge;
         ] );
       ( "xoshiro",
         [
