@@ -748,6 +748,12 @@ let idle ~opts () =
      separation shows what the padding sweep buys;
    - heartbeat_overhead: the spawn cell with Config.heartbeats on vs
      off — the "one plain store" claim, gated at 5%;
+   - inline_overhead: fib at the registry's Small size on 1 worker,
+     Presets.Nowa over the serial elision, interleaved, min of 15 each.
+     All but the spine's few spawns run inline, so the ratio of minima
+     is the inline path's tax per node, gated at an absolute 3.5x.  The
+     elision's own tax over the hand-written Fib.serial is recorded
+     beside it, ungated;
 
    plus two end-to-end cells on a mix-A open-loop KV run (500 records,
    1,500 requests, 2,000 req/s, 2 workers, Park_after 512):
@@ -764,7 +770,7 @@ let idle ~opts () =
    regression past NOWA_MICRO_TOLERANCE (default 10%) on the
    spawn_sync/exposed_spawn_sync/steal minima, alloc_per_spawn words,
    an exposed cell that inlined anything, or the isolated
-   false-sharing cost, a blown heartbeat or anatomy budget, an
+   false-sharing cost, a blown heartbeat, inline or anatomy budget, an
    unbalanced ledger, or a missed wedge fatal — the CI perf gate. *)
 
 (* [field] of the row tagged [kind] in a BENCH_micro.json row list. *)
@@ -779,8 +785,8 @@ let baseline_value rows ~kind ~field =
 
 let hotpath ~opts () =
   section
-    "Hot path: spawn/sync/steal costs, heartbeat and anatomy tax, wedge \
-     detection";
+    "Hot path: spawn/sync/steal costs, heartbeat, inline and anatomy tax, \
+     wedge detection";
   ignore opts;
   let module R = Nowa.Presets.Nowa in
   let baseline =
@@ -943,6 +949,32 @@ let hotpath ~opts () =
     let isol, _ = summarize !isolated in
     (cont, isol)
   in
+  let fib_n = 24 (* fib's Registry.Small input *) in
+  let inline_cell () =
+    let module S = Nowa_kernels.Kernel_intf.Serial in
+    let module Kn = Nowa_kernels.Fib.Make (R) in
+    let module Ks = Nowa_kernels.Fib.Make (S) in
+    let conf = Nowa.Config.with_workers 1 in
+    let time f =
+      let t0 = Nowa_util.Clock.now_ns () in
+      ignore (Sys.opaque_identity (f ()));
+      float_of_int (Nowa_util.Clock.now_ns () - t0)
+    in
+    let nowa_min = ref infinity and elision_min = ref infinity in
+    let serial_min = ref infinity in
+    (* Round 0 is the untimed warmup. *)
+    for round = 0 to 15 do
+      let tn = time (fun () -> R.run ~conf (fun () -> Kn.run fib_n)) in
+      let te = time (fun () -> S.run (fun () -> Ks.run fib_n)) in
+      let ts = time (fun () -> Nowa_kernels.Fib.serial fib_n) in
+      if round > 0 then begin
+        nowa_min := Float.min !nowa_min tn;
+        elision_min := Float.min !elision_min te;
+        serial_min := Float.min !serial_min ts
+      end
+    done;
+    (!nowa_min, !elision_min, !serial_min)
+  in
   subsection
     (Printf.sprintf "per-operation cost (min and p50 of %d cells, 1 warmup)"
        reps);
@@ -951,6 +983,10 @@ let hotpath ~opts () =
   let steal_min, steal_p50 = steal_cell () in
   let fs_contended, fs_isolated = false_sharing_cell () in
   let fs_sep = fs_contended /. Float.max 1e-9 fs_isolated in
+  let inl_nowa, inl_elision, inl_serial = inline_cell () in
+  let inl_ratio = inl_nowa /. Float.max 1.0 inl_elision in
+  let elision_tax = inl_elision /. Float.max 1.0 inl_serial in
+  let inl_ok = inl_ratio <= 3.5 in
   (* The heartbeat is a constant per-spawn store, so the jitter-robust
      min-of-N difference is the estimator for its cost; p50s carry the
      host's tail noise and would flag phantom overheads. *)
@@ -995,6 +1031,12 @@ let hotpath ~opts () =
   Printf.printf "false-sharing separation: %.2fx (contended/isolated)\n" fs_sep;
   Printf.printf "heartbeat overhead on spawn+sync: %+.2f%% (%s)\n" hb_pct
     (if hb_ok then "<=5% ok" else "OVER BUDGET");
+  Printf.printf
+    "inline overhead (fib %d, 1 worker, min of 15): nowa %.2f ms / elision \
+     %.2f ms = %.2fx (%s); elision tax over Fib.serial (%.3f ms): %.2fx\n"
+    fib_n (inl_nowa /. 1e6) (inl_elision /. 1e6) inl_ratio
+    (if inl_ok then "<=3.5x ok" else "OVER BUDGET")
+    (inl_serial /. 1e6) elision_tax;
   let module W = Nowa_server.Workload in
   let module L = Nowa_server.Loadgen.Make (R) in
   let kv_spec ~warmup =
@@ -1103,6 +1145,9 @@ let hotpath ~opts () =
      \"isolated_ns\": %.1f, \"separation\": %.2f},\n\
     \  {\"kind\": \"heartbeat_overhead\", \"min_on_ns\": %.1f, \
      \"min_off_ns\": %.1f, \"overhead_pct\": %.2f, \"overhead_ok\": %b},\n\
+    \  {\"kind\": \"inline_overhead\", \"fib_n\": %d, \"min_nowa_ns\": %.0f, \
+     \"min_elision_ns\": %.0f, \"min_serial_ns\": %.0f, \"ratio\": %.2f, \
+     \"elision_tax\": %.2f, \"overhead_ok\": %b},\n\
     \  {\"kind\": \"anatomy_overhead\", \"mix\": \"A\", \"rate_rps\": 2000.0, \
      \"p50_off_ns\": %.1f, \"p50_on_ns\": %.1f, \"overhead_pct\": %.2f, \
      \"overhead_ok\": %b, \"violations\": %d, \"max_abs_err_ns\": %d},\n\
@@ -1111,7 +1156,8 @@ let hotpath ~opts () =
      ]\n"
     on_p50 on_min exp_p50 exp_min exp_words steal_p50 steal_min alloc_words
     fs_contended fs_isolated
-    fs_sep on_min off_min hb_pct hb_ok p50_off p50_on anatomy_pct anatomy_ok
+    fs_sep on_min off_min hb_pct hb_ok fib_n inl_nowa inl_elision inl_serial
+    inl_ratio elision_tax inl_ok p50_off p50_on anatomy_pct anatomy_ok
     !violations !max_err watchdog_ms wedge_ms detected;
   close_out oc;
   Printf.printf "wrote BENCH_micro.json\n";
@@ -1119,6 +1165,8 @@ let hotpath ~opts () =
   let failures =
     !regressions
     @ (if hb_ok then [] else [ Printf.sprintf "heartbeat overhead %.2f%% > 5%%" hb_pct ])
+    @ (if inl_ok then []
+       else [ Printf.sprintf "inline_overhead %.2fx > 3.5x" inl_ratio ])
     @ (if anatomy_fast then []
        else [ Printf.sprintf "anatomy_overhead %.2f%% > 10%%" anatomy_pct ])
     @ (if !violations = 0 then []

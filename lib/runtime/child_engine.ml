@@ -253,7 +253,7 @@ module Make
     let ring w = w.tr
     let make_ext _ _ = ()
 
-    let make_worker conf () ~id grp m tr =
+    let make_worker conf () ~id ~hb:_ grp m tr =
       { id; grp; m; tr; depth = 0; st = S.make conf ~id }
 
     let task_of_thunk f = Task f

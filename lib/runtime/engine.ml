@@ -36,6 +36,37 @@
     strict computation, so the inline decision is always safe; it reads
     only state the worker already owns, hence no knob.
 
+    {2 Frame stamps}
+
+    A domain-local lookup of the current worker on every path would cost
+    five per fib node.  Instead [scope] does one lookup and stamps the
+    frame with the worker and that worker's [epoch]; [spawn],
+    [spawn_unit], both syncs and scope exit use the stamped worker while
+    [epoch] still equals the stamp, and otherwise look the worker up
+    once and restamp.  A worker bumps its epoch just before it makes a
+    continuation resumable elsewhere: before the deque push in
+    [handle_spawn], and before the publication in a suspending
+    [handle_sync].  The rule needs no new synchronisation:
+
+    - a strand reaches another worker only through one of those two
+      handovers (a stolen spawn continuation moves every frame open on
+      its fiber, not only the spawner's), and the bump happens-before
+      the release that hands the continuation over, the deque push or
+      the counter's read-modify-write; so the new worker, having
+      acquired it, reads a bumped epoch, and an outer frame whose inline
+      child migrated fails the same check;
+    - a strand still on its stamping worker reads that worker's own
+      latest write, so a match is exact.
+
+    The three places that resume a continuation with the worker already
+    in hand restamp the frame they resume: [after_child]'s pop hit,
+    [execute]'s steal branch and [resume_frame].  [handle_spawn] and
+    [handle_sync] run right after their caller validated the stamp, so
+    an exposed spawn makes one lookup, in [after_child], where the child
+    may have finished on another worker.  The worker record also carries
+    its run's heartbeat words and stack pool, so the spawn/sync path
+    reads no [cluster].
+
     {2 Hot-path allocation discipline (ISSUE 9)}
 
     A spawn+sync round trip performs no minor-heap allocation beyond the
@@ -80,6 +111,8 @@ module Make
 
   type frame = {
     counter : C.t;
+    mutable fw : Obj.t;  (* the stamping worker; read through [frame_worker] *)
+    mutable stamp : int;  (* that worker's [epoch] when it stamped the frame *)
     mutable susp_k : cont;  (* valid iff susp_state = 1 *)
     mutable susp_stack : Stack_pool.stack option;
     susp_state : int Atomic.t;  (* 0 = empty, 1 = published *)
@@ -129,6 +162,11 @@ module Make
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
     tr : Ring.t;  (* wait-free event ring; Ring.disabled when not tracing *)
+    hb : Health.Beats.t;  (* this run's heartbeat words *)
+    sp : Stack_pool.t;  (* this run's stack pool *)
+    mutable epoch : int;
+        (* bumped before this worker makes a continuation resumable
+           elsewhere; written only by this worker *)
     mutable stack : Stack_pool.stack option;
     mutable next_victim : int;  (* Round_robin victim scan position *)
     mutable spare : task;  (* recycled task box; [dummy_task] when empty *)
@@ -136,7 +174,7 @@ module Make
         (* in-flight child relay: written by [handle_spawn], read back at
            the top of the child fiber — never lives across an effect *)
     mutable child_promise : Obj.t Promise.t;
-    frames : frame array;  (* free list of pristine frames *)
+    frames : frame array;  (* free list: pristine frames below [nframes] *)
     mutable nframes : int;
   }
 
@@ -156,6 +194,13 @@ module Make
      physical inequality in [child_body]). *)
   let dummy_promise : Obj.t Promise.t = Promise.make ()
 
+  (* The frame's worker field is untyped because frame → worker → deque
+     → task → frame would otherwise be one recursive type across the
+     deque functor's application.  This is its one reader and [stamp]
+     its one writer, and [scope] stamps every frame before its first
+     use, so the reader only ever finds a [worker] there. *)
+  let[@inline] frame_worker fr : worker = Obj.obj fr.fw
+
   let current : (cluster * worker) option Domain.DLS.key =
     Domain.DLS.new_key (fun () -> None)
 
@@ -165,24 +210,48 @@ module Make
     | None ->
       failwith (name ^ ": spawn/sync/scope used outside of run")
 
+  (* Stamp [fr] as running on [w], which must be the calling domain's
+     worker.  The pointer store (a write barrier) is skipped when the
+     frame already names [w], the common case for a frame reused from
+     [w]'s own free list or resumed where it was stamped. *)
+  let[@inline] stamp fr w =
+    if fr.fw != Obj.repr w then fr.fw <- Obj.repr w;
+    fr.stamp <- w.epoch
+
+  let[@inline never] restamp fr =
+    let _, w = get_current () in
+    stamp fr w;
+    w
+
+  (* The worker running [fr]'s strand.  The stamp holds while its worker
+     has not bumped [epoch] since stamping.  A strand that moved reads a
+     bumped epoch: its old worker bumped before the release that handed
+     the continuation over (the deque push, or the counter RMW after a
+     suspending sync's publication), and the new worker acquired it
+     before running the strand.  A strand still on its stamping worker
+     reads that worker's own latest write, so a match is exact. *)
+  let[@inline] worker_of fr =
+    let w = frame_worker fr in
+    if w.epoch = fr.stamp then w else restamp fr
+
   let note_exn fr e =
     ignore (Atomic.compare_and_set fr.exn_slot None (Some e))
 
-  let ensure_stack pool w =
+  let ensure_stack w =
     match w.stack with
     | Some s -> s
     | None ->
-      let s = Stack_pool.acquire pool.Shell.ext ~worker:w.id in
+      let s = Stack_pool.acquire w.sp ~worker:w.id in
       w.m.stack_acquires <- w.m.stack_acquires + 1;
       Ring.emit w.tr Ev.Stack_acquire 0;
       w.stack <- Some s;
       s
 
-  let drop_stack pool w =
+  let drop_stack w =
     match w.stack with
     | None -> ()
     | Some s ->
-      Stack_pool.release pool.Shell.ext ~worker:w.id s;
+      Stack_pool.release w.sp ~worker:w.id s;
       w.m.stack_releases <- w.m.stack_releases + 1;
       Ring.emit w.tr Ev.Stack_release 0;
       w.stack <- None
@@ -216,7 +285,7 @@ module Make
      published continuation (exactly one strand ever gets here per sync),
      re-arm the counter for a possible next spawn phase, adopt the
      suspended stack if one travelled with the frame. *)
-  let rec resume_frame pool w fr =
+  let rec resume_frame w fr =
     let claimed = Atomic.exchange fr.susp_state 0 in
     (* claimed = 1 always: the counter designates a unique zero-observer,
        and the continuation is published before the counter can reach 0. *)
@@ -231,14 +300,17 @@ module Make
     (match stk with
     | None -> ()
     | Some s ->
-      drop_stack pool w;
-      Stack_pool.reactivate pool.Shell.ext s;
+      drop_stack w;
+      Stack_pool.reactivate w.sp s;
       w.stack <- Some s);
+    stamp fr w;
     Effect.Deep.continue k ()
 
-  (* Figure 5, lines 4-5: runs after a spawned child returned. *)
+  (* Figure 5, lines 4-5: runs after a spawned child returned.  The child
+     may have finished on another worker than the one that spawned it,
+     so this is the exposed path's one domain-local lookup. *)
   and after_child fr =
-    let pool, w = get_current () in
+    let _, w = get_current () in
     let t = Q.pop w.deque in
     if t != dummy_task then begin
       (* Not stolen: this is necessarily the continuation pushed for this
@@ -249,13 +321,14 @@ module Make
       t.tk <- dummy_cont;
       t.tfr <- dummy_frame;
       w.spare <- t;
+      stamp fr w;
       Effect.Deep.continue k ()
     end
     else begin
       (* The continuation was stolen: implicit sync. *)
       w.m.lost_continuations <- w.m.lost_continuations + 1;
       Ring.emit w.tr Ev.Lost_continuation 0;
-      if C.child_joined fr.counter then resume_frame pool w fr
+      if C.child_joined fr.counter then resume_frame w fr
     end
 
   and exec_child w fr thunk p =
@@ -263,16 +336,19 @@ module Make
     w.child_promise <- p;
     Effect.Deep.match_with child_body w fr.handler
 
+  (* [spawn] validated [fr]'s stamp just before performing the effect,
+     and nothing bumps an epoch in between: the stamped worker is this
+     domain's. *)
   and handle_spawn : frame -> (unit -> Obj.t) -> Obj.t Promise.t -> cont -> unit
       =
    fun fr thunk p k ->
-    let pool, w = get_current () in
+    let w = frame_worker fr in
     w.m.spawns <- w.m.spawns + 1;
     (* Spawn is a station point too: a worker descending a deep inline
        subtree may not complete a task or probe a victim for a long
        time, and without this beat the watchdog would read that busy
        worker as stalled. *)
-    Health.Beats.beat pool.Shell.hb w.id;
+    Health.Beats.beat w.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
     (* Only exposed spawns touch a stack page: an inline child runs on
        the spawner's own frame, like the call it elides. *)
@@ -289,6 +365,9 @@ module Make
       end
       else { kind = kind_stolen; tk = k; tfn = ignore; tfr = fr }
     in
+    (* [k] carries every frame open on this fiber: once a thief can take
+       it, none of their stamps may name this worker. *)
+    w.epoch <- w.epoch + 1;
     Q.push_bottom w.deque t;
     (* One atomic load when nobody sleeps — the spawn path stays
        wait-free; the CAS + signal run only against an actual sleeper.
@@ -297,9 +376,11 @@ module Make
     if Sleepers.wake_one w.grp.Shell.gsleepers then w.m.wakeups <- w.m.wakeups + 1;
     exec_child w fr thunk p
 
+  (* Performed by [sync] right after validating [fr]'s stamp, like
+     [handle_spawn]. *)
   and handle_sync : frame -> cont -> unit =
    fun fr k ->
-    let pool, w = get_current () in
+    let w = frame_worker fr in
     if C.pending_hint fr.counter = 0 then begin
       (* Fused fast path: every stolen strand has already joined (the
          hint is exact here — no continuation of this frame sits in any
@@ -320,15 +401,18 @@ module Make
       let stk =
         match w.stack with
         | Some s ->
-          Stack_pool.suspend pool.Shell.ext s;
+          Stack_pool.suspend w.sp s;
           w.stack <- None;
           Some s
         | None -> None
       in
       fr.susp_k <- k;
       fr.susp_stack <- stk;
+      (* Whoever resumes [k] may be another worker: bump before the
+         publication and the counter RMW that hand it over. *)
+      w.epoch <- w.epoch + 1;
       Atomic.set fr.susp_state 1;
-      if C.reach_sync fr.counter then resume_frame pool w fr
+      if C.reach_sync fr.counter then resume_frame w fr
       else begin
         w.m.suspensions <- w.m.suspensions + 1;
         Ring.emit w.tr Ev.Suspend 0
@@ -350,6 +434,8 @@ module Make
     let fr =
       {
         counter = C.create ();
+        fw = Obj.repr ();
+        stamp = 0;
         susp_k = dummy_cont;
         susp_stack = None;
         susp_state = Atomic.make 0;
@@ -370,20 +456,22 @@ module Make
 
   (* Frames returned to the free list are pristine: the counter was reset
      on every completed-sync path, the exn slot was drained by [sync] and
-     the suspension slot was cleared by its unique claimer. *)
+     the suspension slot was cleared by its unique claimer.  Slots above
+     [nframes] keep their last frame, so the LIFO common case (a scope
+     returns the frame it just took) stores nothing: each array store is
+     a write barrier. *)
   let recycle_frame w fr =
-    if w.nframes < Array.length w.frames then begin
-      w.frames.(w.nframes) <- fr;
-      w.nframes <- w.nframes + 1
+    let n = w.nframes in
+    if n < Array.length w.frames then begin
+      if w.frames.(n) != fr then w.frames.(n) <- fr;
+      w.nframes <- n + 1
     end
 
   let take_frame w =
-    if w.nframes > 0 then begin
-      let n = w.nframes - 1 in
-      w.nframes <- n;
-      let fr = w.frames.(n) in
-      w.frames.(n) <- dummy_frame;
-      fr
+    let n = w.nframes in
+    if n > 0 then begin
+      w.nframes <- n - 1;
+      w.frames.(n - 1)
     end
     else make_frame ()
 
@@ -438,7 +526,7 @@ module Make
 
   let execute (cl : cluster) w (t : task) =
     w.m.tasks <- w.m.tasks + 1;
-    ignore (ensure_stack cl w);
+    ignore (ensure_stack w);
     Ring.emit w.tr Ev.Task_start 0;
     (if t.kind == kind_root then begin
        let f = t.tfn in
@@ -454,6 +542,7 @@ module Make
        (* Invariant II: α is bumped by the (unique) main-path control
           flow, here, just before the stolen continuation resumes. *)
        C.note_resume fr.counter;
+       stamp fr w;
        Effect.Deep.continue k ()
      end);
     Ring.emit w.tr Ev.Task_end 0;
@@ -478,7 +567,7 @@ module Make
     let ring w = w.tr
     let make_ext conf _ = Stack_pool.create conf
 
-    let make_worker conf _ ~id grp m tr =
+    let make_worker conf sp ~id ~hb grp m tr =
       (* Worker records hold hot mutable fields (spare slot, stack,
          frame-list cursor); isolate each record's birth cache line. *)
       Nowa_util.Padding.isolate (fun () ->
@@ -489,6 +578,9 @@ module Make
             rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
             m;
             tr;
+            hb;
+            sp;
+            epoch = 0;
             stack = None;
             next_victim = id + 1;
             spare = dummy_task;
@@ -528,7 +620,7 @@ module Make
   end)
 
   let sync fr =
-    let _, w = get_current () in
+    let w = worker_of fr in
     (if C.forked fr.counter then begin
        if C.pending_hint fr.counter = 0 then begin
          (* Fused explicit sync: all stolen strands have joined, so
@@ -544,27 +636,32 @@ module Make
        else Effect.perform (Sync fr)
      end
      else w.m.fast_syncs <- w.m.fast_syncs + 1);
-    match Atomic.exchange fr.exn_slot None with
-    | Some e -> raise e
+    (* Every writer of the slot has joined by now, so a plain read
+       suffices and the slot is almost always empty. *)
+    match Atomic.get fr.exn_slot with
     | None -> ()
+    | Some e ->
+      Atomic.set fr.exn_slot None;
+      raise e
 
+  (* The scope's one domain-local lookup; its spawns and syncs read the
+     worker from the frame's stamp. *)
   let scope f =
     let _, w = get_current () in
     let fr = take_frame w in
+    stamp fr w;
     match f fr with
     | v ->
       sync fr;
-      (* [sync] may have migrated this strand: recycle to wherever the
-         main path landed. *)
-      let _, w = get_current () in
-      recycle_frame w fr;
+      (* The strand may have migrated: recycle to wherever the main path
+         landed. *)
+      recycle_frame (worker_of fr) fr;
       v
     | exception e ->
       (* Fully strict: join the children even on the exceptional path;
          the original exception wins over any child exception. *)
       (try sync fr with _ -> ());
-      let _, w = get_current () in
-      recycle_frame w fr;
+      recycle_frame (worker_of fr) fr;
       raise e
 
   (* Lazy exposure: true when this spawn should run its child inline
@@ -574,11 +671,11 @@ module Make
      either way: a thief racing us to the last element only delays the
      next exposure, and a push onto a non-empty deque is the eager
      schedule. *)
-  let[@inline] inline_spawn cl w =
+  let[@inline] inline_spawn w =
     if Q.size w.deque > 0 then begin
       w.m.spawns <- w.m.spawns + 1;
       w.m.inlined <- w.m.inlined + 1;
-      Health.Beats.beat cl.Shell.hb w.id;
+      Health.Beats.beat w.hb w.id;
       Ring.emit w.tr Ev.Spawn 1;
       true
     end
@@ -588,8 +685,7 @@ module Make
      puts it: in the promise and in the frame, to surface at the sync. *)
   let spawn (type a) fr (thunk : unit -> a) : a promise =
     let p : a promise = Promise.make () in
-    let cl, w = get_current () in
-    if inline_spawn cl w then begin
+    if inline_spawn (worker_of fr) then begin
       match thunk () with
       | v -> Promise.fill p v
       | exception e ->
@@ -609,8 +705,7 @@ module Make
   (* Promise-free spawn for request-shaped work: the only allocation on
      the dispatch path is the effect value itself. *)
   let spawn_unit fr thunk =
-    let cl, w = get_current () in
-    if inline_spawn cl w then (try thunk () with e -> note_exn fr e)
+    if inline_spawn (worker_of fr) then (try thunk () with e -> note_exn fr e)
     else
       Effect.perform
         (Spawn (fr, (Obj.magic thunk : unit -> Obj.t), dummy_promise))

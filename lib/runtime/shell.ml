@@ -178,8 +178,8 @@ module type POLICY = sig
   val make_ext : Config.t -> task group array -> ext
 
   val make_worker :
-    Config.t -> ext -> id:int -> task group -> Metrics.worker -> Ring.t ->
-    worker
+    Config.t -> ext -> id:int -> hb:Health.Beats.t -> task group ->
+    Metrics.worker -> Ring.t -> worker
 
   val task_of_thunk : (unit -> unit) -> task
   (** A root or routed thunk as a runnable task (the thunk never
@@ -435,21 +435,23 @@ end = struct
         specs
     in
     let ext = P.make_ext conf groups in
+    let hb =
+      if conf.Config.heartbeats then Health.Beats.create ~workers:nw
+      else Health.Beats.disabled
+    in
     let cl =
       {
         conf;
         groups;
         spill = conf.Config.spill_over;
         finished = Atomic.make false;
-        hb =
-          (if conf.Config.heartbeats then Health.Beats.create ~workers:nw
-           else Health.Beats.disabled);
+        hb;
         ext;
         workers =
           Array.init nw (fun i ->
               let gi = Topology.group_of specs i in
               let g = groups.(gi) in
-              P.make_worker conf ext ~id:i g
+              P.make_worker conf ext ~id:i ~hb g
                 (Metrics.make_worker ~pool:g.gname i)
                 (ring_for i));
       }

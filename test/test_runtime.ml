@@ -329,6 +329,88 @@ let test_forced_steal_roundtrip () =
       (module Nowa.Presets.Cilk_plus);
     ]
 
+(* A frame remembers the worker that opened it, and that memory must not
+   outlive a move of its strand.  Outer scope [O] opens [I]; [I]'s one
+   spawn exposes, and the child waits until the continuation runs on the
+   other worker.  The continuation waits for the child to finish, so [I]'s
+   sync fuses on the thief and [O] goes on there, away from the worker
+   that opened it.  Each spawn point is noted on the worker the strand
+   stands on just before the call; the runtime must count every spawn on
+   that same worker.  With [raise_at], [O] raises after the move instead
+   of finishing its loop, and the exception must surface from [run].  A
+   run in which [I]'s sync happened to suspend, so [O] stayed home, is
+   retried. *)
+exception Migrated_raise
+
+let test_stamp_follows_migration () =
+  let wait_for flag =
+    let deadline = Unix.gettimeofday () +. 20.0 in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 1e-4
+    done
+  in
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let attempt ~raise_at =
+        let noted = Array.make 2 0 in
+        let note () =
+          let w = Nowa_trace.Current.worker () in
+          noted.(w) <- noted.(w) + 1
+        in
+        let moved = ref false in
+        let body () =
+          R.scope (fun o ->
+              let home = Nowa_trace.Current.worker () in
+              R.scope (fun i ->
+                  let cont_ran = Atomic.make false in
+                  let child_done = Atomic.make false in
+                  note ();
+                  R.spawn_unit i (fun () ->
+                      wait_for cont_ran;
+                      Atomic.set child_done true);
+                  Atomic.set cont_ran true;
+                  wait_for child_done;
+                  (* Let the child's join land before the sync. *)
+                  Unix.sleepf 0.01;
+                  R.sync i);
+              moved := Nowa_trace.Current.worker () <> home;
+              for k = 1 to 1_000 do
+                if raise_at = Some k then raise Migrated_raise;
+                note ();
+                R.spawn_unit o ignore
+              done)
+        in
+        let raised =
+          match R.run ~conf:(conf 2) body with
+          | () -> false
+          | exception Migrated_raise -> true
+        in
+        (match R.last_metrics () with
+        | None -> Alcotest.fail "metrics missing"
+        | Some m ->
+          Array.iter
+            (fun (w : Nowa.Metrics.worker) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s worker %d spawns" R.name w.id)
+                noted.(w.id) w.spawns)
+            m.Nowa.Metrics.workers);
+        (!moved, raised)
+      in
+      List.iter
+        (fun raise_at ->
+          let rec go tries =
+            let moved, raised = attempt ~raise_at in
+            Alcotest.(check bool)
+              (R.name ^ " exception surfaced iff raised")
+              (Option.is_some raise_at) raised;
+            if (not moved) && tries > 1 then go (tries - 1)
+            else
+              Alcotest.(check bool) (R.name ^ " outer scope migrated") true moved
+          in
+          go 5)
+        [ None; Some 500 ])
+    engine_presets
+
 (* -- guard ------------------------------------------------------------- *)
 
 let test_no_nested_runs () =
@@ -1124,7 +1206,11 @@ let () =
           Alcotest.test_case "pending get rejected" `Quick test_pending_get_rejected;
         ] );
       ( "steal paths",
-        [ Alcotest.test_case "forced steal roundtrip" `Slow test_forced_steal_roundtrip ] );
+        [
+          Alcotest.test_case "forced steal roundtrip" `Slow test_forced_steal_roundtrip;
+          Alcotest.test_case "stamped frame follows a migrated strand" `Slow
+            test_stamp_follows_migration;
+        ] );
       ( "guard",
         [
           Alcotest.test_case "no nested runs" `Quick test_no_nested_runs;
