@@ -65,10 +65,14 @@ let battery =
       S.barrier_spec ~variant:`Sense_reordered ~n:2 ~rounds:2 );
     ("barrier_epoch_2x2", Verified, S.barrier_spec ~variant:`Epoch ~n:2 ~rounds:2);
     ("barrier_epoch_3x2", Verified, S.barrier_spec ~variant:`Epoch ~n:3 ~rounds:2);
-    ("kv_combiner_2", Verified, S.kv_combiner_spec ~variant:`Good ~pushers:2);
+    ("kv_combiner_2", Verified, S.kv_combiner_spec ~variant:`Good ~fast:0 ~pushers:2);
     ( "kv_combiner_no_recheck",
       Violates,
-      S.kv_combiner_spec ~variant:`No_recheck ~pushers:2 );
+      S.kv_combiner_spec ~variant:`No_recheck ~fast:0 ~pushers:2 );
+    ("kv_combiner_fast", Verified, S.kv_combiner_spec ~variant:`Good ~fast:1 ~pushers:1);
+    ( "kv_combiner_fast_no_recheck",
+      Violates,
+      S.kv_combiner_spec ~variant:`Fast_no_recheck ~fast:1 ~pushers:1 );
     ("kv_handoff", Verified, S.kv_handoff_spec ~variant:`Good);
     ( "kv_handoff_no_defer",
       Violates,

@@ -359,12 +359,23 @@ let barrier_spec ?(variant = `Epoch) ~n ~rounds () =
    pushed between the combiner's last drain and the release would
    otherwise be stranded, because its pusher saw [combining = true] and
    walked away.  [`No_recheck] omits exactly that fence and the checker
-   exhibits the lost operation. *)
+   exhibits the lost operation.
 
-let kv_combiner_spec ?(variant = `Good) ~pushers () =
+   [fast] claimants model [Kv.exec]'s idle-shard path: seeing the
+   mailbox empty, a claimant CASes the flag itself, applies its own op
+   and then runs the same drain/release/re-check as every combiner; if
+   the mailbox holds mail or the CAS fails, it pushes like anyone else.
+   [`Fast_no_recheck] drops the re-check from the fast claimant's own
+   release only, so a pusher that saw its flag held is stranded. *)
+
+let kv_combiner_spec ?(variant = `Good) ~fast ~pushers () =
   let mail = Cell.make [] in
   let combining = Cell.make false in
   let store = Cell.make 0 in
+  let apply () =
+    let v = Cell.read store in
+    Cell.write store (v + 1)
+  in
   let push v =
     let rec go () =
       let cur = Cell.read mail in
@@ -376,35 +387,41 @@ let kv_combiner_spec ?(variant = `Good) ~pushers () =
     let rec go () =
       let batch = Cell.read mail in
       if batch <> [] then begin
-        if Cell.cas mail batch [] then
-          List.iter
-            (fun _ ->
-              let v = Cell.read store in
-              Cell.write store (v + 1))
-            batch;
+        if Cell.cas mail batch [] then List.iter (fun _ -> apply ()) batch;
         go ()
       end
     in
     go ()
   in
+  (* Drain, release and (unless [recheck] is off) re-check, as in
+     combine; the re-check's own claim is a full one. *)
+  let rec release ~recheck () =
+    drain ();
+    Cell.write combining false;
+    if recheck && Cell.read mail <> [] then combine ()
   (* One claim attempt, as in try_combine: failure means the current
      holder is responsible (and its own release re-check is what makes
      that responsibility real). *)
-  let rec combine () =
-    if Cell.cas combining false true then begin
-      drain ();
-      Cell.write combining false;
-      match variant with
-      | `Good -> if Cell.read mail <> [] then combine ()
-      | `No_recheck -> ()
+  and combine () =
+    if Cell.cas combining false true then
+      release ~recheck:(variant <> `No_recheck) ()
+  in
+  let pusher i () =
+    push (i + 1);
+    combine ()
+  in
+  let fast_claimant i () =
+    if Cell.read mail = [] && Cell.cas combining false true then begin
+      apply ();
+      release ~recheck:(variant <> `Fast_no_recheck) ()
     end
+    else pusher i ()
   in
   let threads =
-    List.init pushers (fun i () ->
-        push (i + 1);
-        combine ())
+    List.init pushers pusher
+    @ List.init fast (fun i -> fast_claimant (pushers + i))
   in
-  let invariant () = Cell.peek store = pushers && Cell.peek mail = [] in
+  let invariant () = Cell.peek store = pushers + fast && Cell.peek mail = [] in
   (threads, invariant)
 
 (* -- KV bucket handoff: Borrow/Grant/Return vs a concurrent reader -----

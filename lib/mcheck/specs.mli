@@ -85,13 +85,22 @@ val barrier_spec :
     SC search the hazard that weak memory could introduce into
     [`Sense]. *)
 
-val kv_combiner_spec : ?variant:[ `Good | `No_recheck ] -> pushers:int -> spec
+val kv_combiner_spec :
+  ?variant:[ `Good | `No_recheck | `Fast_no_recheck ] ->
+  fast:int ->
+  pushers:int ->
+  spec
 (** The KV shard's flat-combining claim protocol (lib/server/kv.ml):
     [pushers] threads each push one operation into the mailbox and make
-    one combiner claim attempt.  The invariant is that every pushed
-    operation is applied.  [`No_recheck] drops the mailbox re-check
-    after the flag release, exhibiting the stranded-message race the
-    real combiner's release fence prevents. *)
+    one combiner claim attempt.  [fast] more threads take
+    [Kv.exec]'s idle-shard path: with the mailbox empty they claim the
+    flag first, apply their own operation, then drain, release and
+    re-check like any combiner; otherwise they push.  The invariant is
+    that every operation is applied and the mailbox ends empty.
+    [`No_recheck] drops the mailbox re-check after every flag release,
+    exhibiting the stranded-message race the real combiner's release
+    fence prevents; [`Fast_no_recheck] drops it from the fast
+    claimant's release only. *)
 
 val kv_handoff_spec : ?variant:[ `Good | `No_defer ] -> spec
 (** The KV bucket-handoff protocol: a cross-shard transaction borrows,

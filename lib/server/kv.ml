@@ -1,6 +1,7 @@
 module H = Hashtbl
 module Span = Nowa_trace.Span
 module Current = Nowa_trace.Current
+module Ring = Nowa_trace.Ring
 module Ev = Nowa_trace.Event
 
 type key = int
@@ -29,16 +30,20 @@ type log_entry = {
   wrote : value option;
 }
 
-type req = { id : int; op : op; out : outcome Atomic.t }
+(* [foot] is a multi-key op's footprint ([footprint]), built once at
+   submission; [[||]] for a single-key op, whose bucket is re-derived
+   from its key. *)
+type req = { id : int; op : op; foot : int array; out : outcome Atomic.t }
 
-(* A multi-key transaction in flight at its home shard.  [needed] is
-   sorted in global (shard, bucket) order and acquired left to right:
-   the ordering is the deadlock-freedom argument (see kv.mli).  All
-   fields are only touched by the home shard's current combiner. *)
+(* A multi-key transaction in flight at its home shard.  [needed] is its
+   request's footprint: packed slots [shard * nbuckets + bucket], sorted
+   as ints, which is the global (shard, bucket) order, and acquired left
+   to right: the ordering is the deadlock-freedom argument (see kv.mli).
+   All fields are only touched by the home shard's current combiner. *)
 type txn = {
   t_req : req;
   home : int;
-  needed : (int * int) array;
+  needed : int array;
   mutable cursor : int;
   mutable held : (int * int * (key, value) H.t) list;
 }
@@ -61,12 +66,12 @@ type shard = {
   mail : msg list Atomic.t;  (* Treiber-style LIFO; drained by exchange *)
   depth : int Atomic.t;  (* messages in [mail], for admission control *)
   combining : bool Atomic.t;
-  claimed_at_ns : int Atomic.t;
-      (* when the current combiner won the flag; 0 while released.  The
-         watchdog's convoy probe reads it racily — a stale nonzero value
-         is filtered by re-checking [combining]. *)
   buckets : bucket array;
   (* Combiner-private state below: protected by [combining]. *)
+  mutable claims : int;
+      (* claims won so far, bumped by each winner while it holds the
+         flag.  The convoy probe reads it racily to tell one long claim
+         from a release and a re-claim between two of its scans. *)
   mutable waiting : txn list;  (* home txns parked on a Grant or a local loan *)
   mutable to_poke : int list;  (* shards to kick after releasing the flag *)
   mutable recheck : bool;  (* a bucket came home; retry parked txns *)
@@ -84,6 +89,10 @@ type t = {
   dropped_ : int Atomic.t;
   handoffs_ : int Atomic.t;
   span : Span.t;  (* request-phase ledger; Span.disabled when not profiling *)
+  (* The convoy probe's own state, per shard: the held claim it last
+     saw and when it first saw it (0: none). *)
+  seen_claim : int array;
+  seen_ns : int array;
 }
 
 let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
@@ -97,10 +106,10 @@ let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
       mail = Nowa_util.Padding.atomic [];
       depth = Nowa_util.Padding.atomic 0;
       combining = Nowa_util.Padding.atomic false;
-      claimed_at_ns = Nowa_util.Padding.atomic 0;
       buckets =
         Array.init buckets_per_shard (fun _ ->
             { tbl = H.create 16; loaned = None });
+      claims = 0;
       waiting = [];
       to_poke = [];
       recheck = false;
@@ -121,41 +130,48 @@ let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
     dropped_ = Nowa_util.Padding.atomic 0;
     handoffs_ = Nowa_util.Padding.atomic 0;
     span;
+    seen_claim = Array.make shards 0;
+    seen_ns = Array.make shards 0;
   }
 
 (* Scrambled placement so that adjacent (e.g. zipf-hot) keys spread
-   over shards instead of piling into one bucket. *)
-let[@inline] place t k =
-  let h = Nowa_util.Splitmix.scramble k in
-  (h mod t.nshards, h / t.nshards mod t.nbuckets)
-
-let shard_of_key t k = fst (place t k)
+   over shards instead of piling into one bucket.  A key's slot packs
+   its place as [shard * nbuckets + bucket], so slots compared as ints
+   order like (shard, bucket) pairs. *)
+let[@inline] shard_of_hash t h = h mod t.nshards
+let[@inline] bucket_of_hash t h = h / t.nshards mod t.nbuckets
+let[@inline] bucket_of_key t k = bucket_of_hash t (Nowa_util.Splitmix.scramble k)
+let shard_of_key t k = shard_of_hash t (Nowa_util.Splitmix.scramble k)
 let shards t = t.nshards
 
-(* Sorted, de-duplicated (shard, bucket) footprint of a multi-key op. *)
-let needed_of t keys =
-  let pairs = Array.map (place t) keys in
-  Array.sort compare pairs;
-  let uniq = ref [] in
-  Array.iter
-    (fun p -> match !uniq with q :: _ when q = p -> () | _ -> uniq := p :: !uniq)
-    pairs;
-  Array.of_list (List.rev !uniq)
+let slot t k =
+  let h = Nowa_util.Splitmix.scramble k in
+  (shard_of_hash t h * t.nbuckets) + bucket_of_hash t h
 
-let keys_of_op = function
-  | Get k | Put (k, _) | Add (k, _) -> [| k |]
-  | Multi_get ks -> ks
-  | Multi_put kvs -> Array.map fst kvs
+(* Sorted, de-duplicated slots of a multi-key op. *)
+let footprint t op =
+  let a =
+    match op with
+    | Multi_get ks -> Array.map (slot t) ks
+    | Multi_put kvs -> Array.map (fun (k, _) -> slot t k) kvs
+    | Get _ | Put _ | Add _ -> assert false
+  in
+  Array.sort Int.compare a;
+  let n = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    if !n = 0 || a.(!n - 1) <> a.(i) then begin
+      a.(!n) <- a.(i);
+      incr n
+    end
+  done;
+  if !n = Array.length a then a else Array.sub a 0 !n
 
-(* Home shard: owner of the single key, or of the first needed bucket
-   for a multi-key op (any choice works; this one is deterministic). *)
-let home_of t op = fst (needed_of t (keys_of_op op)).(0)
-
+(* Callers test [t.log_on] first, so a store without a log builds none
+   of the entry's arguments. *)
 let[@inline] observe t s ~(r : req) ~k ~read ~wrote =
-  if t.log_on then
-    s.log <-
-      { seq = Atomic.fetch_and_add t.seq 1; req_id = r.id; l_key = k; read; wrote }
-      :: s.log
+  s.log <-
+    { seq = Atomic.fetch_and_add t.seq 1; req_id = r.id; l_key = k; read; wrote }
+    :: s.log
 
 let[@inline] fill (r : req) o = Atomic.set r.out o
 
@@ -174,12 +190,16 @@ let push_msg (s : shard) m =
   ignore (Atomic.fetch_and_add s.depth 1);
   push_raw s m
 
-(* Park a message behind a loaned bucket.  [handle] already gave back
-   the admission slot; re-take it so work queued behind the loan keeps
+(* Park a message behind a loaned bucket.  It takes an admission slot
+   (a drained message gave its own back in [handle]; an idle-path
+   request never took one), so work queued behind the loan keeps
    counting against [queue_cap] for the whole loan window. *)
 let defer (s : shard) q m =
   ignore (Atomic.fetch_and_add s.depth 1);
   Queue.add m q
+
+let[@inline] has_mail (s : shard) =
+  match Atomic.get s.mail with [] -> false | _ :: _ -> true
 
 let[@inline] poke_later (s : shard) j =
   if j <> s.sid && not (List.mem j s.to_poke) then s.to_poke <- j :: s.to_poke
@@ -200,17 +220,16 @@ let apply_single t s (r : req) tbl =
     match r.op with
     | Get k ->
       let v = H.find_opt tbl k in
-      observe t s ~r ~k ~read:v ~wrote:None;
+      if t.log_on then observe t s ~r ~k ~read:v ~wrote:None;
       (match v with Some v -> Hit v | None -> Miss)
     | Put (k, v) ->
-      let prev = if t.log_on then H.find_opt tbl k else None in
-      observe t s ~r ~k ~read:prev ~wrote:(Some v);
+      if t.log_on then observe t s ~r ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
       H.replace tbl k v;
       Ack
     | Add (k, d) ->
       let prev = H.find_opt tbl k in
       let nv = match prev with Some v -> v + d | None -> d in
-      observe t s ~r ~k ~read:prev ~wrote:(Some nv);
+      if t.log_on then observe t s ~r ~k ~read:prev ~wrote:(Some nv);
       H.replace tbl k nv;
       Hit nv
     | Multi_get _ | Multi_put _ -> assert false
@@ -224,7 +243,8 @@ let rec handle t (s : shard) msg =
     (* First claim closes Mailbox_wait; a re-claim after a loan
        deferral closes Loan_defer.  Either way the request is now owned
        by this combiner, so the plain span stores are race-free. *)
-    Span.claim t.span r.id ~worker:(Current.worker ());
+    if Span.tracked t.span r.id then
+      Span.claim t.span r.id ~worker:(Current.worker ());
     Current.emit Ev.Req_claim ~arg:s.sid ~arg2:r.id;
     handle_request t s r
   | Borrow { txn; bucket } ->
@@ -254,8 +274,7 @@ let rec handle t (s : shard) msg =
 and handle_request t s (r : req) =
   match r.op with
   | Get k | Put (k, _) | Add (k, _) ->
-    let _, bk = place t k in
-    let b = s.buckets.(bk) in
+    let b = s.buckets.(bucket_of_key t k) in
     (match b.loaned with
     | Some q ->
       Span.note_defer t.span r.id;
@@ -267,7 +286,7 @@ and handle_request t s (r : req) =
       {
         t_req = r;
         home = s.sid;
-        needed = needed_of t (keys_of_op r.op);
+        needed = r.foot;
         cursor = 0;
         held = [];
       }
@@ -281,7 +300,8 @@ and advance t s txn =
     true
   end
   else begin
-    let sh, bk = txn.needed.(txn.cursor) in
+    let slot = txn.needed.(txn.cursor) in
+    let sh = slot / t.nbuckets and bk = slot mod t.nbuckets in
     if sh = s.sid then begin
       let b = s.buckets.(bk) in
       match b.loaned with
@@ -305,7 +325,8 @@ and apply_txn t s txn =
      acquisitions, Borrow round-trips, loans ahead of us). *)
   Span.mark t.span r.id Span.Handoff_wait;
   let tbl_for k =
-    let sh, bk = place t k in
+    let h = Nowa_util.Splitmix.scramble k in
+    let sh = shard_of_hash t h and bk = bucket_of_hash t h in
     let rec find = function
       | (s', b', tbl) :: _ when s' = sh && b' = bk -> tbl
       | _ :: rest -> find rest
@@ -319,7 +340,7 @@ and apply_txn t s txn =
       Array.map
         (fun k ->
           let v = H.find_opt (tbl_for k) k in
-          observe t s ~r ~k ~read:v ~wrote:None;
+          if t.log_on then observe t s ~r ~k ~read:v ~wrote:None;
           v)
         keys
     in
@@ -328,8 +349,7 @@ and apply_txn t s txn =
     Array.iter
       (fun (k, v) ->
         let tbl = tbl_for k in
-        let prev = if t.log_on then H.find_opt tbl k else None in
-        observe t s ~r ~k ~read:prev ~wrote:(Some v);
+        if t.log_on then observe t s ~r ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
         H.replace tbl k v)
       kvs;
     finish_apply t s r Ack
@@ -368,25 +388,11 @@ let retry_waiting t s =
       (fun txn ->
         let parked_local =
           txn.cursor < Array.length txn.needed
-          && fst txn.needed.(txn.cursor) = s.sid
+          && txn.needed.(txn.cursor) / t.nbuckets = s.sid
         in
         if parked_local then not (advance t s txn) else true)
       s.waiting
 
-(* Drain until the mailbox is empty AND no reattach is pending, then
-   release and re-check the mailbox.  Both halves of the condition are
-   load-bearing fences, each model-checked:
-
-   - mailbox: a message pushed between our last exchange and the flag
-     release would otherwise be stranded, because its pusher saw
-     [combining = true] and went away (kv_combiner spec);
-   - recheck: [retry_waiting] can itself complete a transaction whose
-     reattach sets [s.recheck] again after we cleared it.  A txn parked
-     on the just-reattached bucket — already filtered earlier in the
-     same pass — would then be stranded with an empty mailbox, and
-     nothing would ever wake the combiner for it ([try_combine] only
-     enters on mail).  Looping on [s.recheck] re-runs the retry before
-     release (kv_parked_retry spec). *)
 (* Fault injection for the watchdog's convoy detector: a one-shot
    (shard, ms) wedge consumed by the next combiner to claim that shard,
    which then spins while holding the flag — exactly the pathology the
@@ -414,6 +420,20 @@ let[@inline never] maybe_wedge sid =
     end
   | _ -> ()
 
+(* Drain until the mailbox is empty AND no reattach is pending, then
+   release and re-check the mailbox.  Both halves of the condition are
+   load-bearing fences, each model-checked:
+
+   - mailbox: a message pushed between our last exchange and the flag
+     release would otherwise be stranded, because its pusher saw
+     [combining = true] and went away (kv_combiner spec);
+   - recheck: [retry_waiting] can itself complete a transaction whose
+     reattach sets [s.recheck] again after we cleared it.  A txn parked
+     on the just-reattached bucket — already filtered earlier in the
+     same pass — would then be stranded with an empty mailbox, and
+     nothing would ever wake the combiner for it ([try_combine] only
+     enters on mail).  Looping on [s.recheck] re-runs the retry before
+     release (kv_parked_retry spec). *)
 let rec combine t (s : shard) =
   if !wedge_armed then maybe_wedge s.sid;
   (match Atomic.exchange s.mail [] with
@@ -423,93 +443,156 @@ let rec combine t (s : shard) =
     s.recheck <- false;
     retry_waiting t s
   end;
-  if s.recheck || Atomic.get s.mail <> [] then combine t s
+  if s.recheck || has_mail s then combine t s
   else begin
     let pokes = s.to_poke in
     s.to_poke <- [];
-    Atomic.set s.claimed_at_ns 0;
     Atomic.set s.combining false;
-    List.iter (fun j -> try_combine t j) pokes;
-    if Atomic.get s.mail <> [] then try_combine t s.sid
+    (match pokes with [] -> () | _ -> List.iter (try_combine t) pokes);
+    if has_mail s then try_combine t s.sid
   end
 
 and try_combine t j =
   let s = t.shards_.(j) in
   if
-    Atomic.get s.mail <> []
+    has_mail s
     && (not (Atomic.get s.combining))
     && Atomic.compare_and_set s.combining false true
   then begin
-    Atomic.set s.claimed_at_ns (Nowa_util.Clock.now_ns ());
+    s.claims <- s.claims + 1;
     combine t s
   end
 
-(* Watchdog probe: shards whose combiner has held the claim past
-   [hold_ms] with at least [min_depth] messages backed up behind it.
-   All reads are racy by design; [combining] is re-checked last so a
-   released-then-reclaimed shard reports the fresh claim time. *)
+(* Watchdog probe.  A shard is reported once the probe has seen the
+   same claim (same [claims] count, flag held) on an earlier scan more
+   than [hold_ms] ago, with at least [min_depth] messages backed up
+   behind it; [held_ms] counts from that first sighting.  The combiner's
+   fields are read racily by design: a count read just before its
+   winner bumps it costs one more scan.  [seen_claim]/[seen_ns] are the
+   probe's own, so it takes one caller at a time. *)
 let convoys ?(hold_ms = 50.0) ?(min_depth = 1) t =
   let now = Nowa_util.Clock.now_ns () in
   let out = ref [] in
   Array.iter
     (fun s ->
-      let t0 = Atomic.get s.claimed_at_ns in
-      let depth = Atomic.get s.depth in
-      if
-        t0 > 0
-        && depth >= min_depth
-        && float (now - t0) /. 1e6 > hold_ms
-        && Atomic.get s.combining
-      then
-        out :=
-          Nowa_runtime.Health.Convoy
-            { shard = s.sid; depth; held_ms = float (now - t0) /. 1e6 }
-          :: !out)
+      let i = s.sid and claim = s.claims in
+      if not (Atomic.get s.combining) then t.seen_ns.(i) <- 0
+      else if t.seen_ns.(i) = 0 || t.seen_claim.(i) <> claim then begin
+        t.seen_claim.(i) <- claim;
+        t.seen_ns.(i) <- now
+      end
+      else begin
+        let depth = Atomic.get s.depth in
+        let held_ms = float (now - t.seen_ns.(i)) /. 1e6 in
+        if depth >= min_depth && held_ms > hold_ms then
+          out := Nowa_runtime.Health.Convoy { shard = i; depth; held_ms } :: !out
+      end)
     t.shards_;
   !out
 
 (* -- client API ----------------------------------------------------------- *)
 
+(* Wait for a request that is still [Pending] after its submitter's own
+   combining pass, helping the combiners meanwhile. *)
+let rec wait t home (r : req) bo =
+  match Atomic.get r.out with
+  | Pending ->
+    try_combine t home;
+    (* A parked transaction makes progress on other shards; sweep them
+       occasionally so a foreign mailbox with no local traffic cannot
+       sit idle under us. *)
+    if Nowa_util.Backoff.steps bo land 15 = 15 then
+      for j = 0 to t.nshards - 1 do
+        try_combine t j
+      done;
+    Nowa_util.Backoff.once bo;
+    wait t home r bo
+  | o -> o
+
+let[@inline] outcome t home (r : req) =
+  match Atomic.get r.out with
+  | Pending -> wait t home r (Nowa_util.Backoff.make ())
+  | o -> o
+
+(* Admission control: reject when the shard's pending-message count is
+   at the cap. *)
+let over_cap t (s : shard) rid =
+  Atomic.get s.depth >= t.queue_cap
+  && begin
+       ignore (Atomic.fetch_and_add t.dropped_ 1);
+       Span.drop t.span rid;
+       true
+     end
+
+(* An internal id is drawn only when something reads it: the apply log,
+   or the calling domain's trace ring, whose request flows join on it.
+   Otherwise the request stays unnamed (-1) and the store-wide counter
+   is left alone. *)
+let[@inline] request_id t (c : Current.ctx) rid =
+  if rid >= 0 then rid
+  else if t.log_on || c.ring.Ring.enabled then Atomic.fetch_and_add t.next_id 1
+  else -1
+
+let submit t (s : shard) (c : Current.ctx) ~rid (r : req) =
+  (* Scheduled arrival -> here is pure scheduling: injector lag, the
+     spawn, any steal or park-wake.  Bank it before the push so the
+     mailbox CAS orders the store against the claiming combiner. *)
+  Span.mark t.span rid Span.Sched_wait;
+  Ring.emit2 c.ring Ev.Req_submit s.sid r.id;
+  push_msg s (Request r);
+  try_combine t s.sid;
+  outcome t s.sid r
+
+(* A point op whose submitter won an idle shard's flag: it is its own
+   combiner.  It handles its request as it would a drained one (apply,
+   or defer behind a loaned bucket), then enters the same drain ->
+   release -> re-check loop as every claim.  Sched_wait and the claim
+   bank from one clock read, so Mailbox_wait is exactly 0. *)
+let exec_idle t (s : shard) (c : Current.ctx) ~rid (r : req) =
+  s.claims <- s.claims + 1;
+  if Span.tracked t.span rid then begin
+    let ts = Nowa_util.Clock.now_ns () in
+    Span.mark_at t.span rid Span.Sched_wait ~ts;
+    Span.claim_at t.span rid ~worker:c.worker ~ts
+  end;
+  Ring.emit2 c.ring Ev.Req_submit s.sid r.id;
+  Ring.emit2 c.ring Ev.Req_claim s.sid r.id;
+  handle_request t s r;
+  combine t s;
+  outcome t s.sid r
+
 let exec ?(rid = -1) t op =
   match op with
+  | Get k | Put (k, _) | Add (k, _) ->
+    let s = t.shards_.(shard_of_key t k) in
+    if over_cap t s rid then Dropped
+    else begin
+      let c = Domain.DLS.get Current.key in
+      let r =
+        { id = request_id t c rid; op; foot = [||]; out = Atomic.make Pending }
+      in
+      (* Idle: nothing queued, flag free.  An armed wedge sends every
+         request through the mailbox, so the wedged claim always has
+         one queued behind it for the convoy probe to see. *)
+      if
+        (not (has_mail s))
+        && (not (Atomic.get s.combining))
+        && (not !wedge_armed)
+        && Atomic.compare_and_set s.combining false true
+      then exec_idle t s c ~rid r
+      else submit t s c ~rid r
+    end
   | Multi_get [||] -> Many [||]  (* no footprint, no home shard *)
   | Multi_put [||] -> Ack
-  | _ ->
-  let home = home_of t op in
-  let s = t.shards_.(home) in
-  if Atomic.get s.depth >= t.queue_cap then begin
-    ignore (Atomic.fetch_and_add t.dropped_ 1);
-    Span.drop t.span rid;
-    Dropped
-  end
-  else begin
-    let id = if rid >= 0 then rid else Atomic.fetch_and_add t.next_id 1 in
-    let r = { id; op; out = Atomic.make Pending } in
-    (* Scheduled arrival -> here is pure scheduling: injector lag, the
-       spawn, any steal or park-wake.  Bank it before the push so the
-       mailbox CAS orders the store against the claiming combiner. *)
-    Span.mark t.span rid Span.Sched_wait;
-    Current.emit Ev.Req_submit ~arg:home ~arg2:id;
-    push_msg s (Request r);
-    try_combine t home;
-    let bo = Nowa_util.Backoff.make () in
-    let rec wait () =
-      match Atomic.get r.out with
-      | Pending ->
-        try_combine t home;
-        (* A parked transaction makes progress on other shards; sweep
-           them occasionally so a foreign mailbox with no local traffic
-           cannot sit idle under us. *)
-        if Nowa_util.Backoff.steps bo land 15 = 15 then
-          for j = 0 to t.nshards - 1 do
-            try_combine t j
-          done;
-        Nowa_util.Backoff.once bo;
-        wait ()
-      | o -> o
-    in
-    wait ()
-  end
+  | Multi_get _ | Multi_put _ ->
+    let foot = footprint t op in
+    let s = t.shards_.(foot.(0) / t.nbuckets) in
+    if over_cap t s rid then Dropped
+    else begin
+      let c = Domain.DLS.get Current.key in
+      submit t s c ~rid
+        { id = request_id t c rid; op; foot; out = Atomic.make Pending }
+    end
 
 let size t =
   Array.fold_left

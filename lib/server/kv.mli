@@ -80,9 +80,18 @@ val exec : ?rid:int -> t -> op -> outcome
 (** Execute one operation to completion.  Never returns [Pending].
     Empty [Multi_get]/[Multi_put] complete immediately with
     [Many [||]] / [Ack].  [rid] is a span request id from
-    [Span.alloc] — it becomes the request id (internal ids are offset
-    past the span capacity, so they never collide); omit it (or pass
-    [-1]) for untracked traffic. *)
+    [Span.alloc] — it becomes the request id; omit it (or pass [-1])
+    for untracked traffic.  Without a [rid], an internal id (offset
+    past the span capacity, so it never collides with one) is drawn
+    from a store-wide counter only when something reads it: the store
+    was created with [~log:true], or the calling domain's trace ring
+    is on.  Otherwise the request's id is [-1].
+
+    A single-key op whose shard is idle (empty mailbox, flag free)
+    skips the mailbox: the caller claims the flag, applies its op or
+    defers it behind a loaned bucket, then runs the same drain,
+    release and re-check loop as any combiner.  Every other request
+    goes through the shard's mailbox. *)
 
 val shard_of_key : t -> key -> int
 (** Home shard of a key (exposed for tests and placement experiments). *)
@@ -109,16 +118,24 @@ val log : t -> log_entry list
 val convoys :
   ?hold_ms:float -> ?min_depth:int -> t -> Nowa_runtime.Health.verdict list
 (** Live-convoy probe for the health watchdog: one
-    [Health.Convoy {shard; depth; held_ms}] per shard whose current
-    combiner has held the combining flag for more than [hold_ms]
-    (default 50) milliseconds while at least [min_depth] (default 1)
-    messages wait behind it.  All reads are racy snapshots; safe to
-    call from the monitor thread at any time. *)
+    [Health.Convoy {shard; depth; held_ms}] per shard whose combining
+    flag is held by the same claim that an earlier call saw held more
+    than [hold_ms] (default 50) milliseconds ago, while at least
+    [min_depth] (default 1) messages wait behind it.  Claims are
+    counted, not timed, so [held_ms] is the time since the probe first
+    saw the claim: a lower bound on the hold.  A claim is therefore
+    reported one scan later than a timed claim would be.  The reads of
+    the store are racy snapshots, but the probe keeps its own
+    per-shard state, so call it from one thread at a time (the
+    monitor's). *)
 
 val inject_wedge : shard:int -> ms:int -> unit
 (** Arm a one-shot fault: the next combiner to claim [shard] spins for
     [ms] milliseconds while holding the flag, manufacturing exactly the
-    convoy that {!convoys} detects.  Test/bench only. *)
+    convoy that {!convoys} detects.  While a wedge is armed, every
+    request goes through its shard's mailbox (no idle-shard claim), so
+    even a lone request waits behind the wedged claim.  Test/bench
+    only. *)
 
 val clear_wedge : unit -> unit
 (** Disarm a pending {!inject_wedge}. *)

@@ -1,11 +1,15 @@
 (** Request-scoped span ledgers for the serving layer.
 
-    A span collector owns flat int arrays indexed by a compact request id
-    (rid), allocated from a plain fetch-and-add counter at injection time
-    — no SplitMix, no hashing, ids are dense so every per-request field
-    is an O(1) array slot.  As a request moves through the serving
-    pipeline each station calls {!mark}/{!claim}/{!finish}, which close
-    the interval since the previous mark into a named phase:
+    A span collector owns one flat int array holding a fixed-size record
+    per compact request id (rid), allocated from a plain fetch-and-add
+    counter at injection time — no SplitMix, no hashing, ids are dense
+    so every per-request field is an O(1) array slot.  A record is
+    [stride] words: a request's fields sit in two or three adjacent
+    cache lines, few of them shared with the neighbouring rids that the
+    injector and another worker write at the same time.  As a request
+    moves through the serving pipeline each station calls
+    {!mark}/{!claim}/{!finish}, which close the interval since the
+    previous mark into a named phase:
 
     - [Sched_wait]    scheduled arrival -> mailbox push (injector lag,
                       spawn, steal, park-wake latency)
@@ -16,14 +20,14 @@
     - [Reply]         outcome published -> injector observes it
 
     {b Conservation.}  Every write advances the single per-request
-    watermark [last.(rid)] by exactly the amount it banks, so the phase
+    watermark [last] by exactly the amount it banks, so the phase
     sums telescope: [sum_p phase_ns(rid,p) = done_ns(rid) -
     sched_ns(rid)] holds {e exactly} (integer nanoseconds, zero
     accounting error) for every finished request, not just in
     expectation.  The checker {!conservation_error} returns the residual,
     which tests pin to 0.
 
-    {b Memory model.}  The arrays are plain (non-atomic), yet writes come
+    {b Memory model.}  The records are plain (non-atomic), yet writes come
     from whichever domain holds the request at that moment.  This is
     data-race-free because at any instant exactly one domain owns a
     request, and every ownership transfer is an atomic edge that the
@@ -81,22 +85,31 @@ let pack ~lat ~rid = ((min lat max_lat) lsl rid_bits) lor (rid + 1)
 let lat_of p = p asr rid_bits
 let rid_of p = (p land ((1 lsl rid_bits) - 1)) - 1
 
+(* Word offsets within a rid's record.  The fields every mark touches
+   come first. *)
+let o_last = 0  (* watermark: ts of the request's previous mark *)
+let o_ledger = 1  (* n_phases accumulated ns *)
+let o_flags = o_ledger + n_phases
+let o_sched = o_flags + 1  (* scheduled-arrival ns (absolute) *)
+let o_fin = o_sched + 1  (* completion ns; meaningful once finished *)
+let o_cls = o_fin + 1  (* op-class index from the workload *)
+let o_combined = o_cls + 1  (* worker id of the last claiming combiner *)
+let o_defers = o_combined + 1  (* times parked behind a bucket loan *)
+let stride = 16
+
 type t = {
   on : bool;
   cap : int;
   next : int Atomic.t;  (* rid allocator: plain fetch-and-add *)
   overflow : int Atomic.t;  (* allocs refused because cap was reached *)
-  sched : int array;  (* scheduled-arrival ns (absolute) *)
-  last : int array;  (* watermark: ts of the request's previous mark *)
-  fin : int array;  (* completion ns; meaningful once finished *)
-  ledger : int array;  (* cap * n_phases accumulated ns *)
-  cls : int array;  (* op-class index from the workload *)
-  combined_by : int array;  (* worker id of the last claiming combiner *)
-  defers : int array;  (* times parked behind a bucket loan *)
-  flags : int array;
+  recs : int array;  (* cap * stride: one record per rid *)
   tail : int Atomic.t array;  (* top-K packed (lat, rid) slots *)
   threshold : int Atomic.t;  (* cached lower bound on the tail minimum *)
 }
+
+(* The word [off] of [rid]'s record. *)
+let[@inline] get t rid off = t.recs.((rid * stride) + off)
+let[@inline] set t rid off v = t.recs.((rid * stride) + off) <- v
 
 let disabled =
   {
@@ -104,14 +117,7 @@ let disabled =
     cap = 0;
     next = Atomic.make 0;
     overflow = Atomic.make 0;
-    sched = [||];
-    last = [||];
-    fin = [||];
-    ledger = [||];
-    cls = [||];
-    combined_by = [||];
-    defers = [||];
-    flags = [||];
+    recs = [||];
     tail = [||];
     threshold = Atomic.make 0;
   }
@@ -126,14 +132,9 @@ let create ?(tail = 64) ~capacity () =
       cap;
       next = Atomic.make 0;
       overflow = Atomic.make 0;
-      sched = Array.make cap 0;
-      last = Array.make cap 0;
-      fin = Array.make cap 0;
-      ledger = Array.make (cap * n_phases) 0;
-      cls = Array.make cap 0;
-      combined_by = Array.make cap (-1);
-      defers = Array.make cap 0;
-      flags = Array.make cap 0;
+      recs =
+        Array.init (cap * stride) (fun i ->
+            if i mod stride = o_combined then -1 else 0);
       tail = Array.init tail (fun _ -> Atomic.make 0);
       threshold = Atomic.make 0;
     }
@@ -156,43 +157,51 @@ let alloc t ~cls ~measured ~sched_ns =
       -1
     end
     else begin
-      t.sched.(rid) <- sched_ns;
-      t.last.(rid) <- sched_ns;
-      t.cls.(rid) <- cls;
-      t.flags.(rid) <- (if measured then f_measured else 0);
+      set t rid o_sched sched_ns;
+      set t rid o_last sched_ns;
+      set t rid o_cls cls;
+      set t rid o_flags (if measured then f_measured else 0);
       rid
     end
   end
 
 let[@inline] tracked t rid = t.on && rid >= 0 && rid < t.cap
 
-(** Bank [ts - last.(rid)] into [phase] and advance the watermark. *)
+(** Bank [ts - last] into [phase] and advance the watermark. *)
 let[@inline] mark_at t rid phase ~ts =
   if tracked t rid then begin
-    let i = (rid * n_phases) + phase_index phase in
-    t.ledger.(i) <- t.ledger.(i) + (ts - t.last.(rid));
-    t.last.(rid) <- ts
+    let b = rid * stride in
+    let i = b + o_ledger + phase_index phase in
+    t.recs.(i) <- t.recs.(i) + (ts - t.recs.(b + o_last));
+    t.recs.(b + o_last) <- ts
   end
 
 let[@inline] mark t rid phase =
   if tracked t rid then mark_at t rid phase ~ts:(Nowa_util.Clock.now_ns ())
 
-(** A combiner picked the request out of a drained batch.  The first
-    claim closes [Mailbox_wait]; a re-claim after a bucket-loan deferral
-    closes [Loan_defer].  Records the claiming worker either way. *)
-let claim t rid ~worker =
+(** A combiner picked the request out of a drained batch (at [ts]).
+    The first claim closes [Mailbox_wait]; a re-claim after a
+    bucket-loan deferral closes [Loan_defer].  Records the claiming
+    worker either way. *)
+let claim_at t rid ~worker ~ts =
   if tracked t rid then begin
-    let f = t.flags.(rid) in
+    let f = get t rid o_flags in
     if f land f_claimed = 0 then begin
-      t.flags.(rid) <- f lor f_claimed;
-      mark t rid Mailbox_wait
+      set t rid o_flags (f lor f_claimed);
+      mark_at t rid Mailbox_wait ~ts
     end
-    else mark t rid Loan_defer;
-    t.combined_by.(rid) <- worker
+    else mark_at t rid Loan_defer ~ts;
+    set t rid o_combined worker
   end
 
-let note_defer t rid = if tracked t rid then t.defers.(rid) <- t.defers.(rid) + 1
-let drop t rid = if tracked t rid then t.flags.(rid) <- t.flags.(rid) lor f_dropped
+let claim t rid ~worker =
+  if tracked t rid then claim_at t rid ~worker ~ts:(Nowa_util.Clock.now_ns ())
+
+let note_defer t rid =
+  if tracked t rid then set t rid o_defers (get t rid o_defers + 1)
+
+let drop t rid =
+  if tracked t rid then set t rid o_flags (get t rid o_flags lor f_dropped)
 
 (* --- tail reservoir ----------------------------------------------------- *)
 
@@ -254,29 +263,29 @@ let tail_threshold t = Atomic.get t.threshold
 let finish t rid ~ts =
   if tracked t rid then begin
     mark_at t rid Reply ~ts;
-    t.fin.(rid) <- ts;
-    let f = t.flags.(rid) lor f_finished in
-    t.flags.(rid) <- f;
+    set t rid o_fin ts;
+    let f = get t rid o_flags lor f_finished in
+    set t rid o_flags f;
     if f land f_measured <> 0 then
-      offer_tail t ~rid ~lat_ns:(ts - t.sched.(rid))
+      offer_tail t ~rid ~lat_ns:(ts - get t rid o_sched)
   end
 
 (* --- accessors ----------------------------------------------------------- *)
 
 let phase_ns t rid phase =
-  if tracked t rid then t.ledger.((rid * n_phases) + phase_index phase) else 0
+  if tracked t rid then get t rid (o_ledger + phase_index phase) else 0
 
-let sched_ns t rid = if tracked t rid then t.sched.(rid) else 0
-let done_ns t rid = if tracked t rid then t.fin.(rid) else 0
-let cls_of t rid = if tracked t rid then t.cls.(rid) else 0
-let combiner_of t rid = if tracked t rid then t.combined_by.(rid) else -1
-let defers_of t rid = if tracked t rid then t.defers.(rid) else 0
-let finished t rid = tracked t rid && t.flags.(rid) land f_finished <> 0
-let measured t rid = tracked t rid && t.flags.(rid) land f_measured <> 0
-let was_dropped t rid = tracked t rid && t.flags.(rid) land f_dropped <> 0
+let sched_ns t rid = if tracked t rid then get t rid o_sched else 0
+let done_ns t rid = if tracked t rid then get t rid o_fin else 0
+let cls_of t rid = if tracked t rid then get t rid o_cls else 0
+let combiner_of t rid = if tracked t rid then get t rid o_combined else -1
+let defers_of t rid = if tracked t rid then get t rid o_defers else 0
+let finished t rid = tracked t rid && get t rid o_flags land f_finished <> 0
+let measured t rid = tracked t rid && get t rid o_flags land f_measured <> 0
+let was_dropped t rid = tracked t rid && get t rid o_flags land f_dropped <> 0
 
 let total_ns t rid =
-  if finished t rid then t.fin.(rid) - t.sched.(rid) else 0
+  if finished t rid then get t rid o_fin - get t rid o_sched else 0
 
 (** [total_ns - sum of phases]; exactly 0 for every finished request (the
     marks telescope), any other value is an accounting bug. *)
@@ -285,7 +294,7 @@ let conservation_error t rid =
   else begin
     let sum = ref 0 in
     for p = 0 to n_phases - 1 do
-      sum := !sum + t.ledger.((rid * n_phases) + p)
+      sum := !sum + get t rid (o_ledger + p)
     done;
     total_ns t rid - !sum
   end

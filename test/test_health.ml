@@ -309,6 +309,122 @@ let test_kv_wedge_detected () =
           (List.map Health.verdict_to_string (Health.verdicts ()))))
     true (List.mem 0 convoys)
 
+(* A key homed on shard 0, so the wedge and the traffic meet. *)
+let shard0_key kv =
+  let rec go k =
+    if Nowa_server.Kv.shard_of_key kv k = 0 then k else go (k + 1)
+  in
+  go 0
+
+(* The watchdog's shape with one request in flight: a wedge armed on
+   shard 0 and a single request there.  The armed wedge keeps that
+   request off the idle-shard path, so it waits in the mailbox behind
+   the wedged claim and the convoy is visible (depth 1). *)
+let test_kv_wedge_single_request () =
+  Health.Inject.clear ();
+  let kv = Nowa_server.Kv.create ~shards:4 ~buckets_per_shard:8 () in
+  Health.register_source ~name:"kv-test" (fun () -> Nowa_server.Kv.convoys kv);
+  let key = shard0_key kv in
+  Nowa_server.Kv.inject_wedge ~shard:0 ~ms:300;
+  Nowa.run ~conf:(conf ~watchdog:50 2) (fun () ->
+      ignore (Nowa_server.Kv.exec kv (Nowa_server.Kv.Add (key, 1))));
+  Nowa_server.Kv.clear_wedge ();
+  Health.unregister_source ~name:"kv-test";
+  let convoys =
+    List.filter_map
+      (function Health.Convoy { shard; _ } -> Some shard | _ -> None)
+      (Health.verdicts ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "lone wedged request flagged (verdicts: %s)"
+       (String.concat "; "
+          (List.map Health.verdict_to_string (Health.verdicts ()))))
+    true (List.mem 0 convoys)
+
+(* -- convoy probe: counted claims ----------------------------------------- *)
+
+(* One request on shard 0 behind an armed wedge, from its own domain:
+   its claim holds shard 0's flag for [ms] with the request queued
+   behind it.  Returns once the domain is about to submit. *)
+let wedged_request kv ~ms =
+  Nowa_server.Kv.inject_wedge ~shard:0 ~ms;
+  let key = shard0_key kv in
+  let started = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        ignore (Nowa_server.Kv.exec kv (Nowa_server.Kv.Add (key, 1))))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  d
+
+let shard0_held_ms ~hold_ms kv =
+  List.find_map
+    (function
+      | Health.Convoy { shard = 0; held_ms; _ } -> Some held_ms | _ -> None)
+    (Nowa_server.Kv.convoys ~hold_ms kv)
+
+(* With [hold_ms = 0] a claim is reported by the second scan that sees
+   it held: polling until then leaves the probe having seen it. *)
+let poll_until_seen kv =
+  let stop = Unix.gettimeofday () +. 2.0 in
+  let rec go () =
+    match shard0_held_ms ~hold_ms:0.0 kv with
+    | Some _ -> true
+    | None when Unix.gettimeofday () < stop ->
+      Unix.sleepf 0.002;
+      go ()
+    | None -> false
+  in
+  go ()
+
+let test_probe_reports_held_claim () =
+  let kv = Nowa_server.Kv.create ~shards:4 ~buckets_per_shard:8 () in
+  let d = wedged_request kv ~ms:500 in
+  let seen = poll_until_seen kv in
+  Unix.sleepf 0.08;
+  let later = shard0_held_ms ~hold_ms:50.0 kv in
+  Domain.join d;
+  Nowa_server.Kv.clear_wedge ();
+  Alcotest.(check bool) "probe saw the wedged claim" true seen;
+  match later with
+  | Some held_ms ->
+    Alcotest.(check bool)
+      (Printf.sprintf "held_ms %.1f >= hold_ms 50" held_ms)
+      true (held_ms >= 50.0)
+  | None -> Alcotest.fail "claim held across scans 80ms apart not reported"
+
+(* A release and a re-claim between two scans is a new claim: it is
+   timed from the scan that first sees it, not from the old one. *)
+let test_probe_reclaim_is_new () =
+  let kv = Nowa_server.Kv.create ~shards:4 ~buckets_per_shard:8 () in
+  let d1 = wedged_request kv ~ms:100 in
+  let seen = poll_until_seen kv in
+  Domain.join d1;
+  (* No scan while the flag is free: only the claim count can tell. *)
+  let d2 = wedged_request kv ~ms:500 in
+  Unix.sleepf 0.05;
+  let at_reclaim = shard0_held_ms ~hold_ms:20.0 kv in
+  let after_scan = Unix.gettimeofday () in
+  Unix.sleepf 0.05;
+  let before_scan = Unix.gettimeofday () in
+  let later = shard0_held_ms ~hold_ms:20.0 kv in
+  Domain.join d2;
+  Nowa_server.Kv.clear_wedge ();
+  Alcotest.(check bool) "probe saw the first claim" true seen;
+  Alcotest.(check (option (float 0.0))) "re-claim not reported" None at_reclaim;
+  match later with
+  | Some held_ms ->
+    (* First seen by the [at_reclaim] scan, so that scan saw it held. *)
+    let since = (before_scan -. after_scan) *. 1e3 in
+    Alcotest.(check bool)
+      (Printf.sprintf "held_ms %.1f counts from the re-claim scan (%.1f)"
+         held_ms since)
+      true (held_ms >= since)
+  | None -> Alcotest.fail "re-claim never reported"
+
 (* -- flight recorder ------------------------------------------------------ *)
 
 let test_dump_on_verdict_writes_bundle () =
@@ -541,6 +657,12 @@ let () =
             test_source_feeds_watchdog;
           Alcotest.test_case "kv wedge -> convoy verdict" `Quick
             test_kv_wedge_detected;
+          Alcotest.test_case "kv wedge, one request -> convoy verdict" `Quick
+            test_kv_wedge_single_request;
+          Alcotest.test_case "probe reports a claim held across scans"
+            `Quick test_probe_reports_held_claim;
+          Alcotest.test_case "probe times a re-claim afresh" `Quick
+            test_probe_reclaim_is_new;
         ] );
       ( "burn-rate",
         [

@@ -60,6 +60,34 @@ let test_kv_admission_control () =
     (Kv.exec kv (Kv.Put (1, 1)) = Kv.Dropped);
   Alcotest.(check int) "drop counted" 1 (Kv.dropped kv)
 
+(* Allocation of the point path, pinned the way bench hotpath pins
+   alloc_per_spawn.  A preloaded idle store, no log, no span, ops built
+   beforehand, so the count is [Kv.exec]'s own: the request record
+   (5 words) and its outcome cell (2) per op, plus [Hashtbl.find_opt]'s
+   option (2) and the [Hit] (2) for a Get.  Half Gets, half Puts of
+   existing keys measured 9.0 words per op; the pin allows one more
+   small block (3 words).  Before the idle-shard path it read 116. *)
+let point_alloc_pin = 12.0
+
+let test_kv_point_alloc () =
+  let kv = Kv.create () in
+  let keys = 1_000 and n = 20_000 in
+  for k = 0 to keys - 1 do
+    ignore (Kv.exec kv (Kv.Put (k, k)))
+  done;
+  let ops =
+    Array.init n (fun i ->
+        if i land 1 = 0 then Kv.Get (i mod keys) else Kv.Put (i mod keys, i))
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun op -> ignore (Kv.exec kv op)) ops;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per point op (pinned <= %.1f)" words
+       point_alloc_pin)
+    true
+    (words <= point_alloc_pin)
+
 (* -- linearizability: log replay ------------------------------------------ *)
 
 (* Replay the apply log (global seq order) against a sequential
@@ -379,6 +407,36 @@ let prop_conservation =
           (a.Nowa_server.Anatomy.sampled + a.Nowa_server.Anatomy.dropped));
       true)
 
+(* On an idle shard a point request claims the flag itself: its ledger
+   still telescopes exactly, and Sched_wait and the claim bank from one
+   clock read, so Mailbox_wait is exactly 0.  (Through the mailbox, the
+   push and the claim read the clock apart.) *)
+let test_idle_shard_ledger () =
+  let n = 1_000 in
+  let span = Span.create ~capacity:n () in
+  let kv = Kv.create ~shards:4 ~buckets_per_shard:8 ~span () in
+  for i = 0 to n - 1 do
+    let rid =
+      Span.alloc span ~cls:0 ~measured:true
+        ~sched_ns:(Nowa_util.Clock.now_ns ())
+    in
+    let op = if i land 1 = 0 then Kv.Put (i mod 64, i) else Kv.Get (i mod 64) in
+    ignore (Kv.exec ~rid kv op);
+    Span.finish span rid ~ts:(Nowa_util.Clock.now_ns ())
+  done;
+  for rid = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "rid %d finished" rid) true
+      (Span.finished span rid);
+    Alcotest.(check int)
+      (Printf.sprintf "rid %d conserves" rid)
+      0
+      (Span.conservation_error span rid);
+    Alcotest.(check int)
+      (Printf.sprintf "rid %d mailbox_wait" rid)
+      0
+      (Span.phase_ns span rid Span.Mailbox_wait)
+  done
+
 (* The reservoir must hold exactly the top-K offered latencies even when
    the offers race from several domains. *)
 let test_tail_topk_domains () =
@@ -497,6 +555,8 @@ let () =
           Alcotest.test_case "log replay sequential" `Quick
             test_kv_log_replay_sequential;
           Alcotest.test_case "stress domains" `Quick test_kv_stress_domains;
+          Alcotest.test_case "point path allocation" `Quick
+            test_kv_point_alloc;
         ] );
       ( "linearizability",
         [
@@ -519,6 +579,8 @@ let () =
       ( "anatomy",
         [
           QCheck_alcotest.to_alcotest prop_conservation;
+          Alcotest.test_case "idle-shard ledger conserves" `Quick
+            test_idle_shard_ledger;
           Alcotest.test_case "tail reservoir top-K across domains" `Quick
             test_tail_topk_domains;
           Alcotest.test_case "recorder span determinism" `Quick

@@ -459,6 +459,10 @@ let test_perfetto_req_flow () =
   Ring.emit_at2 w1 ~ts:2_000 Ev.Req_claim 3 rid;
   Ring.emit_at2 w1 ~ts:2_500 Ev.Req_apply 3 rid;
   Ring.emit_at2 w0 ~ts:3_000 Ev.Req_done 0 rid;
+  (* A request submitted from an untraced domain has no id (-1): its
+     stations stay instants, with no flow to join. *)
+  Ring.emit_at2 w1 ~ts:3_500 Ev.Req_claim 1 (-1);
+  Ring.emit_at2 w1 ~ts:3_600 Ev.Req_apply 1 (-1);
   let json = Json.parse (Perfetto.to_string t) in
   let evs =
     match Json.member "traceEvents" json with
@@ -503,7 +507,12 @@ let test_perfetto_req_flow () =
   let dones =
     List.filter (fun e -> Json.member "name" e = Json.Str "req-done") evs
   in
-  Alcotest.(check int) "req-done stays a plain instant" 1 (List.length dones)
+  Alcotest.(check int) "req-done stays a plain instant" 1 (List.length dones);
+  let claims =
+    List.filter (fun e -> Json.member "name" e = Json.Str "req-claim") evs
+  in
+  Alcotest.(check int) "an unnamed request keeps its instants" 2
+    (List.length claims)
 
 (* -- analysis ---------------------------------------------------------- *)
 
