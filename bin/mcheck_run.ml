@@ -57,14 +57,6 @@ let battery =
     ( "locked_batch",
       Verified,
       S.deque_spec `Locked ~batch:2 ~pushes:3 ~pops:1 ~thieves:1 );
-    ("snzi_2", Verified, S.snzi_spec ~threads:2);
-    ("snzi_batch", Verified, S.snzi_batch_spec ~threads:2 ~batch:2);
-    ("barrier_sense_2x2", Verified, S.barrier_spec ~variant:`Sense ~n:2 ~rounds:2);
-    ( "barrier_sense_reordered_2x2",
-      Violates,
-      S.barrier_spec ~variant:`Sense_reordered ~n:2 ~rounds:2 );
-    ("barrier_epoch_2x2", Verified, S.barrier_spec ~variant:`Epoch ~n:2 ~rounds:2);
-    ("barrier_epoch_3x2", Verified, S.barrier_spec ~variant:`Epoch ~n:3 ~rounds:2);
     ("kv_combiner_2", Verified, S.kv_combiner_spec ~variant:`Good ~fast:0 ~pushers:2);
     ( "kv_combiner_no_recheck",
       Violates,

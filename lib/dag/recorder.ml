@@ -15,8 +15,8 @@ type state = {
   mutable strand_start : float;  (* ns *)
 }
 
-let overhead_ns = ref 120.0
-let set_overhead_ns v = overhead_ns := Float.max 0.0 v
+(* Per-event timer overhead subtracted from each strand's cost. *)
+let overhead_ns = 120.0
 
 let state : state option ref = ref None
 let last : Dag.t option ref = ref None
@@ -29,10 +29,10 @@ let get_state () =
 let now_ns () = Unix.gettimeofday () *. 1e9
 
 (* Close the running strand: materialise it as a vertex charged with the
-   elapsed time (minus calibrated overhead) and hang it off [source]. *)
+   elapsed time (minus the timer overhead) and hang it off [source]. *)
 let close_strand st =
   let elapsed = now_ns () -. st.strand_start in
-  let work = Float.max 1.0 (elapsed -. !overhead_ns) in
+  let work = Float.max 1.0 (elapsed -. overhead_ns) in
   let v = Dag.add_strand st.dag ~work in
   if st.source >= 0 then Dag.add_edge st.dag st.source v
   else Dag.set_root st.dag v;

@@ -9,8 +9,8 @@
     how this reproduction scales the paper's experiments to 256 workers
     on a small host.
 
-    Per-event timer overhead is subtracted from the strand costs
-    ({!set_overhead_ns}); costs are floored at 1 ns. *)
+    A fixed per-event timer overhead of 120 ns is subtracted from the
+    strand costs, which are floored at 1 ns. *)
 
 include Nowa_runtime.Runtime_intf.S
 
@@ -20,7 +20,3 @@ val record : (unit -> 'a) -> Dag.t * 'a
 val last_dag : unit -> Dag.t option
 (** The DAG of the most recent {!run} (for use through the generic
     runtime interface, e.g. with {!Nowa_kernels.Registry}). *)
-
-val set_overhead_ns : float -> unit
-(** Calibrate the per-event recording overhead to subtract (default
-    120 ns). *)

@@ -52,7 +52,7 @@ module Cell : sig
   (** Blocking read: the thread is {e disabled} (never scheduled) while
       the predicate is false on the cell's current value, and the read
       runs atomically with the enabledness check once it holds.  This is
-      how specs model parking, condition variables and barrier waits
+      how specs model parking, condition variables and reply waits
       without unbounded spin loops, keeping exhaustive exploration
       finite.  A thread still blocked when no thread can run leaves the
       execution in a terminal state that the final invariant judges —

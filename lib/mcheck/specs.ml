@@ -1,10 +1,10 @@
 (* Harnesses over the shipped coordination code.  [Chase_lev],
    [The_queue], [Abp], [Locked_deque], [Central_queue], [Sleepers],
-   [Snzi], [Wait_free_counter], [Lock_counter] and [Barrier] below are
-   not transcriptions: the dune rules compile the files under lib/ a
-   second time against traced.ml, so each harness drives the code that
-   ships.  Only scenarios, oracles and deliberately broken caller-side
-   controls are written here. *)
+   [Wait_free_counter] and [Lock_counter] below are not transcriptions:
+   the dune rules compile the files under lib/ a second time against
+   traced.ml, so each harness drives the code that ships.  Only
+   scenarios, oracles and deliberately broken caller-side controls are
+   written here. *)
 
 module Cell = Mcheck.Cell
 
@@ -269,88 +269,6 @@ let sleeper_shutdown_spec ~workers () =
     Sleepers.wake_all s
   in
   (List.init workers worker @ [ closer ], fun () -> Array.for_all Fun.id done_)
-
-(* -- SNZI (lib/sync/snzi.ml) -------------------------------------------
-   Threads arrive, check the indicator and depart.  [snzi_spec] puts
-   them on sibling leaves, so their zero→non-zero walks race the claim,
-   the helping path and the surplus undo at the shared parent;
-   [snzi_batch_spec] puts them on one leaf, where thread [i] moves
-   [1 + i mod batch] units through [arrive_n] / [depart_n] and the
-   batched fast path and remainder race the claim there. *)
-
-let snzi_harness ~leaf ~batch ~threads () =
-  let s = Snzi.create ~leaves:2 () in
-  let worker i () =
-    let leaf = leaf i in
-    match batch with
-    | None ->
-      Snzi.arrive s ~leaf;
-      check (Snzi.query s) "arrived but the indicator reads zero";
-      Snzi.depart s ~leaf
-    | Some b ->
-      let n = 1 + (i mod b) in
-      Snzi.arrive_n s ~leaf n;
-      check (Snzi.query s) "batch arrived but the indicator reads zero";
-      Snzi.depart_n s ~leaf n
-  in
-  let rec drained = function
-    | None -> true
-    | Some n -> Snzi.c2_of (Cell.peek n.Snzi.x) = 0 && drained n.Snzi.parent
-  in
-  ( List.init threads worker,
-    fun () ->
-      (not (Snzi.query s)) && Array.for_all (fun l -> drained (Some l)) s.Snzi.leaves )
-
-let snzi_spec ~threads = snzi_harness ~leaf:(fun i -> i mod 2) ~batch:None ~threads
-let snzi_batch_spec ~threads ~batch =
-  snzi_harness ~leaf:(fun _ -> 0) ~batch:(Some batch) ~threads
-
-(* -- barrier reuse across rounds (lib/sync/barrier.ml) -----------------
-   [`Epoch] is the shipped [Barrier].  [`Sense] is the pre-fix
-   sense-reversing barrier (my_sense read from the global flag at
-   entry), kept as history; [`Sense_reordered] is the same protocol
-   with the leader's two stores swapped — the weak-memory hazard made
-   explicit as a program so SC search can exhibit it. *)
-
-let barrier_spec ?(variant = `Epoch) ~n ~rounds () =
-  let arrived = Array.init rounds (fun _ -> Cell.make 0) in
-  let done_ = Array.make n false in
-  let await_round =
-    match variant with
-    | `Sense | `Sense_reordered ->
-      let count = Cell.make 0 in
-      let sense = Cell.make false in
-      fun () ->
-        let my = not (Cell.read sense) in
-        if Cell.fetch_add count 1 = n - 1 then begin
-          match variant with
-          | `Sense ->
-            Cell.write count 0;
-            Cell.write sense my
-          | _ ->
-            (* store order flipped: sense becomes visible while count
-               still holds the previous round's arrivals *)
-            Cell.write sense my;
-            Cell.write count 0
-        end
-        else ignore (Cell.await sense (fun s -> s = my))
-    | `Epoch ->
-      let b = Barrier.create n in
-      fun () -> Barrier.await b
-  in
-  let participant i () =
-    for r = 0 to rounds - 1 do
-      ignore (Cell.fetch_add arrived.(r) 1);
-      await_round ();
-      check
-        (Cell.peek arrived.(r) = n)
-        "passed a round before every participant arrived"
-    done;
-    done_.(i) <- true
-  in
-  (* All participants must finish: a thread still blocked on its round
-     flag at the end of the run is a deadlocked barrier. *)
-  (List.init n participant, fun () -> Array.for_all Fun.id done_)
 
 (* -- KV shard combiner: claim/drain/release/re-check (lib/server/kv.ml) --
    A shard's mailbox is a Treiber-style list; whoever CASes the

@@ -1,7 +1,7 @@
 (** Model-checkable scenarios over the platform's coordination code.
 
-    The deques, join counters, sleeper registry, SNZI, barrier and
-    inject queue reach these specs as build-time copies of their
+    The deques, join counters (with their spinlock), sleeper registry
+    and inject queue reach these specs as build-time copies of their
     [lib/**] sources compiled against traced primitives (see the
     library's dune rules and [traced.ml]): every [Atomic] operation is
     a scheduling point, [Mutex] and [Condition] block instead of
@@ -11,8 +11,7 @@
     second copy of the protocol.
 
     Hand-written models remain only for what ships nowhere: the naive
-    counter of the paper's Figure 6, the historical sense-reversing
-    barriers, and the KV combiner protocols. *)
+    counter of the paper's Figure 6 and the KV combiner protocols. *)
 
 type spec = unit -> (unit -> unit) list * (unit -> bool)
 
@@ -61,29 +60,6 @@ val sleeper_shutdown_spec : workers:int -> spec
 (** Workers run a park round with nothing to sweep while a closer
     stores [finished] and runs [wake_all]; no worker may remain parked
     after shutdown. *)
-
-val snzi_spec : threads:int -> spec
-(** [threads] threads each arrive, check the indicator and depart
-    through sibling leaves of the real SNZI tree, so their walks race
-    the zero-to-non-zero claim, the helping path and the surplus undo at
-    the shared parent.  Invariant: the indicator is non-zero while any
-    arrive is unmatched, and every node returns to zero. *)
-
-val snzi_batch_spec : threads:int -> batch:int -> spec
-(** The same through [arrive_n]/[depart_n] on one shared leaf: thread
-    [i] moves [1 + i mod batch] units in one batched call each way, so
-    the batched fast path and remainder race the leaf's claim. *)
-
-val barrier_spec :
-  ?variant:[ `Sense | `Sense_reordered | `Epoch ] -> n:int -> rounds:int -> spec
-(** Barrier reuse across [rounds] rounds by [n] participants, each
-    checking that no-one passes round [r] before all [n] arrived at it,
-    with deadlock detection via the all-finished invariant.  [`Epoch]
-    is the shipped [Barrier].  [`Sense] is the old sense-reversing
-    protocol (correct under SC — the exhaustive run proves it);
-    [`Sense_reordered] swaps the leader's two stores, exhibiting under
-    SC search the hazard that weak memory could introduce into
-    [`Sense]. *)
 
 val kv_combiner_spec :
   ?variant:[ `Good | `No_recheck | `Fast_no_recheck ] ->

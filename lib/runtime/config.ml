@@ -15,7 +15,6 @@ type t = {
   madvise_cost_ns : int;
   madvise_mode : madvise_mode;
   refault_ns : int;
-  local_stack_cache : int;
   trace_capacity : int;
   idle_policy : idle_policy;
   steal_sweep : int;
@@ -40,7 +39,6 @@ let default () =
     madvise_cost_ns = 2_000;
     madvise_mode = Madv_free;
     refault_ns = 1_000;
-    local_stack_cache = 4;
     trace_capacity = 0;
     idle_policy = Park_after 512;
     steal_sweep = 2;

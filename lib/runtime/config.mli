@@ -57,8 +57,6 @@ type t = {
   refault_ns : int;
       (** With [Madv_dontneed], the modelled page-fault cost paid when a
           previously shrunk stack is reused. *)
-  local_stack_cache : int;
-      (** Per-worker buffer of free stacks in front of the global pool. *)
   trace_capacity : int;
       (** Per-worker event-trace ring capacity (rounded up to a power of
           two); 0 (the default) disables tracing entirely — the engines

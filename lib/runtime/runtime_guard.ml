@@ -28,8 +28,6 @@ let start_monitor start =
   | Some _ -> ()
   | None -> monitor_stop := Some (start ())
 
-let monitor_attached () = Option.is_some !monitor_stop
-
 let exit () =
   (match !monitor_stop with
   | Some stop ->

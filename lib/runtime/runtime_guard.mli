@@ -15,8 +15,6 @@ val start_monitor : (unit -> unit -> unit) -> unit
     run's monitor via [start ()] and retain the returned stop-and-join
     thunk for {!exit}.  A no-op when a monitor is already attached. *)
 
-val monitor_attached : unit -> bool
-
 val exit : unit -> unit
 (** Stops and joins the attached monitor (if any), then releases the
     guard. *)

@@ -100,6 +100,9 @@ let refault t s =
     end
   end
 
+(* Free stacks a worker keeps in front of the global pool. *)
+let local_cache_depth = 4
+
 let acquire_stack t ~worker =
   let cache = t.caches.(worker) in
   match !cache with
@@ -134,7 +137,7 @@ let release t ~worker stack =
   sync_rss t stack;
   if t.conf.Config.madvise then madvise t stack;
   let cache = t.caches.(worker) in
-  if List.length !cache < t.conf.Config.local_stack_cache then
+  if List.length !cache < local_cache_depth then
     cache := stack :: !cache
   else begin
     Nowa_sync.Spinlock.acquire t.lock;

@@ -106,14 +106,13 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
     let total_hist = Nowa_obs.Histogram.create "total" in
     let completed = Nowa_util.Padding.atomic 0 in
     let misses = Nowa_util.Padding.atomic 0 in
-    (* Admission ledger: a SNZI tracking admitted-but-not-completed
-       requests.  The dispatch loop arrives once per chunk
-       ([Snzi.arrive_n]: one tree walk amortised over the burst) and each
-       request departs at the leaf its chunk used — the leaf index rides
-       in the request closure, honouring the depart-at-arrival-leaf
-       contract.  [query] after the drain is the conservation check: a
-       surviving unit means a request was admitted but never ran. *)
-    let inflight = Nowa_sync.Snzi.create ~leaves:8 () in
+    (* Admission ledger: admitted-but-not-completed requests.  The
+       dispatch loop admits a chunk at a time (one fetch-and-add per
+       burst) and each request retires itself once its outcome is
+       recorded.  A non-zero ledger after the drain is the conservation
+       check: a surviving unit means a request was admitted but never
+       ran. *)
+    let inflight = Nowa_util.Padding.atomic 0 in
     let admit_chunk = 32 in
     let t0 = ref 0 and t_done = ref 0 in
     R.run ?conf (fun () ->
@@ -133,10 +132,10 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
                 Domain.cpu_relax ()
               done;
               let record = i >= spec.warmup in
-              let lf = i / admit_chunk mod 8 in
               if i mod admit_chunk = 0 then
-                Nowa_sync.Snzi.arrive_n inflight ~leaf:lf
-                  (min admit_chunk (Array.length events - i));
+                ignore
+                  (Atomic.fetch_and_add inflight
+                     (min admit_chunk (Array.length events - i)));
               let rid =
                 Nowa_trace.Span.alloc span ~cls:(class_idx ev.cls)
                   ~measured:record ~sched_ns:target
@@ -168,7 +167,7 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
                       | _ -> ());
                       ignore (Atomic.fetch_and_add completed 1)
                     end);
-                  Nowa_sync.Snzi.depart inflight ~leaf:lf)
+                  Atomic.decr inflight)
             )
             events
         in
@@ -189,11 +188,11 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
           else R.await (R.spawn_on (R.pool inject_name) issue);
           (* Routed requests bypass the scope, so structured sync cannot
              drain them; the admission ledger is the join. *)
-          while Nowa_sync.Snzi.query inflight do
+          while Atomic.get inflight > 0 do
             Domain.cpu_relax ()
           done;
           t_done := Nowa_util.Clock.now_ns ());
-    if Nowa_sync.Snzi.query inflight then
+    if Atomic.get inflight <> 0 then
       failwith "loadgen: admission ledger non-zero after drain";
     Nowa_runtime.Health.unregister_source ~name:"kv-convoy";
     Nowa_obs.Counter.add Serve_metrics.dropped (Kv.dropped kv);

@@ -1,15 +1,10 @@
 type t = {
   flag : bool Atomic.t;
-  count : int Atomic.t;
   spins_hist : Nowa_obs.Histogram.t;
 }
 
 let create ?(spins = Sync_metrics.spinlock_spins) () =
-  { flag = Nowa_util.Padding.atomic false; count = Atomic.make 0;
-    spins_hist = spins }
-
-let try_acquire t =
-  (not (Atomic.get t.flag)) && Atomic.compare_and_set t.flag false true
+  { flag = Nowa_util.Padding.atomic false; spins_hist = spins }
 
 let acquire t =
   if not (Atomic.compare_and_set t.flag false true) then begin
@@ -32,19 +27,6 @@ let acquire t =
       done
     done;
     Nowa_obs.Histogram.observe t.spins_hist !rounds
-  end;
-  Atomic.incr t.count
+  end
 
 let release t = Atomic.set t.flag false
-
-let acquisitions t = Atomic.get t.count
-
-let with_lock t f =
-  acquire t;
-  match f () with
-  | v ->
-    release t;
-    v
-  | exception e ->
-    release t;
-    raise e

@@ -14,10 +14,3 @@ type t
 val create : ?spins:Nowa_obs.Histogram.t -> unit -> t
 val acquire : t -> unit
 val release : t -> unit
-
-val try_acquire : t -> bool
-
-val acquisitions : t -> int
-(** Total successful acquisitions — diagnostic, exact when quiescent. *)
-
-val with_lock : t -> (unit -> 'a) -> 'a

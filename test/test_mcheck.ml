@@ -1,6 +1,6 @@
 (* Model-checking the platform's coordination code (the Section II-D
    methodology): exhaustive interleaving exploration of the shipped
-   deques, join counters, sleeper registry, SNZI and barrier, compiled
+   deques, join counters, sleeper registry and inject queue, compiled
    against traced primitives; a mechanical exhibition of the Figure 6
    race on a naive counter and its absence from the wait-free and
    lock-based counters; the DPOR-vs-naive cross-checks; and
@@ -137,6 +137,28 @@ let test_truncations_consume_budget () =
   | M.Ok o ->
     Alcotest.(check bool) "truncation alone defeats complete" false o.M.complete
   | M.Violation _ -> Alcotest.fail "unexpected violation"
+
+let test_explorer_spin_rule () =
+  (* [relax] disables a spinner until the cell it last read changes.
+     With a writer the loop exits on the write, so the search is finite
+     and exhaustive; alone, the spinner ends blocked and the "A
+     finished" invariant must report it rather than the search hanging
+     or truncating. *)
+  let spec ~writer () =
+    let c = M.Cell.make false in
+    let finished = ref false in
+    let a () =
+      while not (M.Cell.read c) do
+        M.relax ()
+      done;
+      finished := true
+    in
+    let b () = M.Cell.write c true in
+    ((if writer then [ a; b ] else [ a ]), fun () -> !finished)
+  in
+  expect_exhaustive "spinner released by the write" (M.explore (spec ~writer:true));
+  expect_violation "spinner with no writer ends blocked"
+    (M.explore (spec ~writer:false))
 
 (* -- DPOR vs naive: verdict agreement and reduction factor --------------- *)
 
@@ -312,29 +334,6 @@ let test_spillover_no_sweep_strands_the_root () =
   expect_violation "park without the final sweep"
     (M.explore (S.spillover_spec ~variant:`No_final_sweep))
 
-(* -- SNZI and barrier ----------------------------------------------------- *)
-
-let test_snzi_arrive_depart () =
-  expect_exhaustive "snzi 2 threads" (M.explore (S.snzi_spec ~threads:2))
-
-let test_snzi_batch () =
-  expect_exhaustive "snzi batched, 2 threads"
-    (M.explore ~max_executions:500_000 (S.snzi_batch_spec ~threads:2 ~batch:2))
-
-let test_barrier_sense_correct_under_sc () =
-  expect_exhaustive "sense barrier, 2x2"
-    (M.explore (S.barrier_spec ~variant:`Sense ~n:2 ~rounds:2))
-
-let test_barrier_reordered_deadlocks () =
-  expect_violation "store-reordered sense barrier"
-    (M.explore (S.barrier_spec ~variant:`Sense_reordered ~n:2 ~rounds:2))
-
-let test_barrier_epoch_correct () =
-  expect_exhaustive "epoch barrier, 2x2"
-    (M.explore (S.barrier_spec ~variant:`Epoch ~n:2 ~rounds:2));
-  expect_exhaustive "epoch barrier, 3x2"
-    (M.explore ~max_executions:500_000 (S.barrier_spec ~variant:`Epoch ~n:3 ~rounds:2))
-
 (* -- pinned-schedule regressions ------------------------------------------ *)
 
 (* Each bug the checker found stays pinned by its literal failing
@@ -362,13 +361,6 @@ let test_pinned_lost_wakeup_schedule () =
   expect_pinned "check-before-announce sleeper"
     (S.sleeper_spec ~variant:`Check_before_announce ~workers:1 ~tasks:1)
     [ 0; 0; 0; 0; 0; 1; 1; 1; 0; 0; 0; 0 ]
-
-let test_pinned_barrier_reorder_schedule () =
-  (* leader flips sense before resetting count; a fast re-entrant
-     participant consumes the stale count and the round deadlocks *)
-  expect_pinned "store-reordered sense barrier"
-    (S.barrier_spec ~variant:`Sense_reordered ~n:2 ~rounds:2)
-    [ 0; 0; 0; 0; 1; 1; 1; 1; 1; 0; 0; 0; 0; 1; 1; 1; 1 ]
 
 let test_pins_track_explorer () =
   (* The pin must stay in sync with what the explorer reports: derive a
@@ -411,6 +403,7 @@ let () =
           Alcotest.test_case "budget" `Quick test_explorer_budget;
           Alcotest.test_case "truncations consume budget" `Quick
             test_truncations_consume_budget;
+          Alcotest.test_case "spin rule" `Quick test_explorer_spin_rule;
         ] );
       ( "reduction",
         [
@@ -461,22 +454,10 @@ let () =
           Alcotest.test_case "spillover needs the final sweep" `Quick
             test_spillover_no_sweep_strands_the_root;
         ] );
-      ( "snzi and barrier",
-        [
-          Alcotest.test_case "snzi arrive/depart" `Quick test_snzi_arrive_depart;
-          Alcotest.test_case "snzi batched ops" `Quick test_snzi_batch;
-          Alcotest.test_case "sense barrier ok under SC" `Quick
-            test_barrier_sense_correct_under_sc;
-          Alcotest.test_case "reordered stores deadlock" `Quick
-            test_barrier_reordered_deadlocks;
-          Alcotest.test_case "epoch barrier ok" `Slow test_barrier_epoch_correct;
-        ] );
       ( "pinned schedules",
         [
           Alcotest.test_case "figure 6" `Quick test_pinned_figure6_schedule;
           Alcotest.test_case "lost wake-up" `Quick test_pinned_lost_wakeup_schedule;
-          Alcotest.test_case "barrier store reorder" `Quick
-            test_pinned_barrier_reorder_schedule;
           Alcotest.test_case "pins track the explorer" `Quick
             test_pins_track_explorer;
         ] );

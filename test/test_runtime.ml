@@ -754,7 +754,7 @@ let test_park_metrics () =
 (* -- stack pool ---------------------------------------------------------- *)
 
 let test_stack_pool_reuse () =
-  let conf = { (Nowa.Config.with_workers 2) with Nowa.Config.local_stack_cache = 2 } in
+  let conf = Nowa.Config.with_workers 2 in
   let pool = Nowa_runtime.Stack_pool.create conf in
   let s1 = Nowa_runtime.Stack_pool.acquire pool ~worker:0 in
   Nowa_runtime.Stack_pool.release pool ~worker:0 s1;

@@ -1,7 +1,6 @@
 (* Tests for nowa_sync: the wait-free counter's α/ω algebra (Equations
    1-5 of the paper), the lock-based counter's count protocol, unique
-   zero-observation under concurrency, spinlock mutual exclusion, SNZI,
-   and the barrier. *)
+   zero-observation under concurrency, and spinlock mutual exclusion. *)
 
 open Nowa_sync
 
@@ -164,183 +163,7 @@ let test_spinlock_mutual_exclusion () =
             done))
   in
   List.iter Domain.join domains;
-  Alcotest.(check int) "no lost updates" 40_000 !counter;
-  Alcotest.(check int) "acquisitions counted" 40_000 (Spinlock.acquisitions l)
-
-let test_spinlock_try_acquire () =
-  let l = Spinlock.create () in
-  Alcotest.(check bool) "free lock acquired" true (Spinlock.try_acquire l);
-  Alcotest.(check bool) "held lock refused" false (Spinlock.try_acquire l);
-  Spinlock.release l;
-  Alcotest.(check bool) "released lock acquired" true (Spinlock.try_acquire l)
-
-let test_spinlock_with_lock_exn () =
-  let l = Spinlock.create () in
-  (try Spinlock.with_lock l (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "released after exception" true (Spinlock.try_acquire l)
-
-(* -- SNZI ------------------------------------------------------------- *)
-
-let test_snzi_sequential () =
-  let s = Snzi.create ~leaves:4 () in
-  Alcotest.(check bool) "initially zero" false (Snzi.query s);
-  Snzi.arrive s ~leaf:0;
-  Alcotest.(check bool) "non-zero after arrive" true (Snzi.query s);
-  Snzi.arrive s ~leaf:1;
-  Snzi.depart s ~leaf:0;
-  Alcotest.(check bool) "still non-zero" true (Snzi.query s);
-  Snzi.depart s ~leaf:1;
-  Alcotest.(check bool) "zero again" false (Snzi.query s)
-
-let prop_snzi_matches_counter =
-  QCheck.Test.make ~name:"snzi tracks surplus sign" ~count:200
-    QCheck.(list (int_range 0 7))
-    (fun leaves ->
-      let s = Snzi.create ~leaves:4 () in
-      (* Arrive on each listed leaf, then depart in reverse; at every
-         point query must equal surplus > 0. *)
-      let ok = ref true in
-      List.iteri
-        (fun i leaf ->
-          Snzi.arrive s ~leaf;
-          if Snzi.query s <> (i + 1 > 0) then ok := false)
-        leaves;
-      let n = List.length leaves in
-      List.iteri
-        (fun i leaf ->
-          Snzi.depart s ~leaf;
-          if Snzi.query s <> (n - i - 1 > 0) then ok := false)
-        (List.rev leaves);
-      !ok)
-
-let test_snzi_concurrent () =
-  let s = Snzi.create ~leaves:8 () in
-  let failures = Atomic.make 0 in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 2_000 do
-              Snzi.arrive s ~leaf:d;
-              (* While we hold a surplus the indicator must be set. *)
-              if not (Snzi.query s) then Atomic.incr failures;
-              Snzi.depart s ~leaf:d
-            done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "indicator never missed a surplus" 0 (Atomic.get failures);
-  Alcotest.(check bool) "zero at quiescence" false (Snzi.query s)
-
-let test_snzi_batched_sequential () =
-  let s = Snzi.create ~leaves:4 () in
-  Snzi.arrive_n s ~leaf:0 0;
-  Alcotest.(check bool) "arrive_n 0 is a no-op" false (Snzi.query s);
-  Snzi.arrive_n s ~leaf:0 5;
-  Alcotest.(check bool) "non-zero after batch" true (Snzi.query s);
-  Snzi.depart_n s ~leaf:0 3;
-  Alcotest.(check bool) "partial depart keeps it set" true (Snzi.query s);
-  Snzi.depart_n s ~leaf:0 2;
-  Alcotest.(check bool) "zero after full retire" false (Snzi.query s);
-  (* A batch on an already-non-zero leaf takes the fold fast path. *)
-  Snzi.arrive s ~leaf:1;
-  Snzi.arrive_n s ~leaf:1 4;
-  Snzi.depart_n s ~leaf:1 5;
-  Alcotest.(check bool) "fold path balances" false (Snzi.query s);
-  (match Snzi.arrive_n s ~leaf:0 (-1) with
-  | () -> Alcotest.fail "negative arrive_n must be rejected"
-  | exception Invalid_argument _ -> ());
-  (match Snzi.depart_n s ~leaf:0 2 with
-  | () -> Alcotest.fail "depart_n past the surplus must be rejected"
-  | exception Invalid_argument _ -> ())
-
-let test_snzi_batched_concurrent () =
-  let s = Snzi.create ~leaves:8 () in
-  let failures = Atomic.make 0 in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to 1_000 do
-              let n = 1 + (i mod 7) in
-              Snzi.arrive_n s ~leaf:d n;
-              if not (Snzi.query s) then Atomic.incr failures;
-              (* Retire in two slices to cross the partial-depart path. *)
-              let k = n / 2 in
-              Snzi.depart_n s ~leaf:d k;
-              if not (Snzi.query s) then Atomic.incr failures;
-              Snzi.depart_n s ~leaf:d (n - k)
-            done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "indicator never missed a surplus" 0
-    (Atomic.get failures);
-  Alcotest.(check bool) "zero at quiescence" false (Snzi.query s)
-
-let test_snzi_unbalanced_depart_rejected () =
-  let s = Snzi.create ~leaves:2 () in
-  (match Snzi.depart s ~leaf:0 with
-  | () -> Alcotest.fail "depart with zero surplus must be rejected"
-  | exception Invalid_argument _ -> ());
-  (* the structure is still usable: the failed depart mutated nothing *)
-  Snzi.arrive s ~leaf:0;
-  Alcotest.(check bool) "still consistent after rejection" true (Snzi.query s);
-  Snzi.depart s ~leaf:0;
-  Alcotest.(check bool) "back to zero" false (Snzi.query s)
-
-(* -- Barrier ---------------------------------------------------------- *)
-
-let test_barrier_rounds () =
-  let n = 4 in
-  let b = Barrier.create n in
-  let counter = Atomic.make 0 in
-  let domains =
-    List.init (n - 1) (fun _ ->
-        Domain.spawn (fun () ->
-            for round = 1 to 5 do
-              Atomic.incr counter;
-              Barrier.await b;
-              (* After the barrier, every participant of this round has
-                 incremented. *)
-              if Atomic.get counter < round * n then
-                Alcotest.failf "barrier let a laggard through";
-              Barrier.await b
-            done))
-  in
-  for round = 1 to 5 do
-    Atomic.incr counter;
-    Barrier.await b;
-    Alcotest.(check bool) "all arrived" true (Atomic.get counter >= round * n);
-    Barrier.await b
-  done;
-  List.iter Domain.join domains
-
-let test_barrier_rapid_reentry () =
-  (* The hazard the arrivals-epoch form removes: a participant that
-     re-enters the next round immediately, with no work between rounds,
-     repeatedly lands in what used to be the leader's count-reset /
-     sense-flip window.  1000 tight rounds across 2 domains must neither
-     deadlock nor let anyone skip ahead. *)
-  let b = Barrier.create 2 in
-  let rounds = 1_000 in
-  let a_count = Atomic.make 0 in
-  let d =
-    Domain.spawn (fun () ->
-        for _ = 1 to rounds do
-          Atomic.incr a_count;
-          Barrier.await b
-        done)
-  in
-  for r = 1 to rounds do
-    Barrier.await b;
-    if Atomic.get a_count < r then Alcotest.failf "round %d not paired" r
-  done;
-  Domain.join d;
-  Alcotest.(check int) "all rounds paired" rounds (Atomic.get a_count)
-
-let test_barrier_single_participant () =
-  let b = Barrier.create 1 in
-  (* n = 1: every await is its own round and must never block *)
-  for _ = 1 to 100 do
-    Barrier.await b
-  done
+  Alcotest.(check int) "no lost updates" 40_000 !counter
 
 let () =
   Alcotest.run "nowa_sync"
@@ -355,26 +178,5 @@ let () =
       ( "spinlock",
         [
           Alcotest.test_case "mutual exclusion" `Slow test_spinlock_mutual_exclusion;
-          Alcotest.test_case "try_acquire" `Quick test_spinlock_try_acquire;
-          Alcotest.test_case "with_lock releases on exn" `Quick test_spinlock_with_lock_exn;
-        ] );
-      ( "snzi",
-        [
-          Alcotest.test_case "sequential" `Quick test_snzi_sequential;
-          QCheck_alcotest.to_alcotest prop_snzi_matches_counter;
-          Alcotest.test_case "concurrent" `Slow test_snzi_concurrent;
-          Alcotest.test_case "batched sequential" `Quick
-            test_snzi_batched_sequential;
-          Alcotest.test_case "batched concurrent" `Slow
-            test_snzi_batched_concurrent;
-          Alcotest.test_case "unbalanced depart rejected" `Quick
-            test_snzi_unbalanced_depart_rejected;
-        ] );
-      ( "barrier",
-        [
-          Alcotest.test_case "rounds" `Slow test_barrier_rounds;
-          Alcotest.test_case "rapid re-entry" `Slow test_barrier_rapid_reentry;
-          Alcotest.test_case "single participant" `Quick
-            test_barrier_single_participant;
         ] );
     ]
