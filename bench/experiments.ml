@@ -734,11 +734,14 @@ let idle ~opts () =
      them run their child inline and only the spine's few spawns take
      the exposed path.  elapsed/spawns is the paper's spawn+sync
      hot-path cost and the number the heartbeat store must not move;
-   - exposed_spawn_sync: a flat spawn_unit loop in one scope on 1
-     worker.  The previous child's continuation is popped back before
-     each spawn, so every spawn finds an empty deque and pays the full
-     exposed protocol (deque push, child on a fresh fiber, pop, resume);
-     this row keeps that path gated now that fib rarely takes it;
+   - exposed_spawn_sync: a loop on 1 worker whose every iteration opens
+     a scope with one spawn_unit.  Each spawn is its frame's first and
+     finds an empty deque, so it pays the full exposed protocol (deque
+     push, child on a fresh fiber, pop, resume) plus the scope's entry
+     and exit; this row keeps that path gated now that fib rarely takes
+     it.  (A flat loop in one scope would re-expose at most once per
+     re-exposure period and run the rest inline.)  Its inlined count is
+     recorded and must be 0;
    - alloc_per_spawn: Gc.minor_words delta across the fib run divided
      by spawns — the allocation-free-spawn ratchet (ISSUE 9);
    - steal: direct Chase-Lev steal drain, per-element;
@@ -862,10 +865,9 @@ let hotpath ~opts () =
     let n = 20_000 in
     let conf = Nowa.Config.with_workers 1 in
     let body () =
-      R.scope (fun sc ->
-          for _ = 1 to n do
-            R.spawn_unit sc ignore
-          done)
+      for _ = 1 to n do
+        R.scope (fun sc -> R.spawn_unit sc ignore)
+      done
     in
     let inlined = ref 0 and words = ref infinity in
     let one () =
@@ -1138,7 +1140,7 @@ let hotpath ~opts () =
     "[\n\
     \  {\"kind\": \"spawn_sync\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
     \  {\"kind\": \"exposed_spawn_sync\", \"p50_ns\": %.1f, \"min_ns\": %.1f, \
-     \"words\": %.1f},\n\
+     \"words\": %.1f, \"inlined\": %d},\n\
     \  {\"kind\": \"steal\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
     \  {\"kind\": \"alloc_per_spawn\", \"words\": %.1f},\n\
     \  {\"kind\": \"false_sharing\", \"contended_ns\": %.1f, \
@@ -1154,8 +1156,8 @@ let hotpath ~opts () =
     \  {\"kind\": \"wedge_detection\", \"watchdog_ms\": %d, \"wedge_ms\": \
      %d, \"detected\": %b}\n\
      ]\n"
-    on_p50 on_min exp_p50 exp_min exp_words steal_p50 steal_min alloc_words
-    fs_contended fs_isolated
+    on_p50 on_min exp_p50 exp_min exp_words exp_inlined steal_p50 steal_min
+    alloc_words fs_contended fs_isolated
     fs_sep on_min off_min hb_pct hb_ok fib_n inl_nowa inl_elision inl_serial
     inl_ratio elision_tax inl_ok p50_off p50_on anatomy_pct anatomy_ok
     !violations !max_err watchdog_ms wedge_ms detected;

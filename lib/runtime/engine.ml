@@ -36,6 +36,33 @@
     strict computation, so the inline decision is always safe; it reads
     only state the worker already owns, hence no knob.
 
+    {2 Re-exposure deadline}
+
+    In a flat loop of spawns the deque is empty at every spawn (each
+    child's continuation is popped back before the next), so the rule
+    above alone exposes every iteration: an effect, a fresh fiber and,
+    on two workers, a steal of the loop per request.  So a frame that
+    has already exposed (its [exposed] flag, set in [handle_spawn] and
+    cleared when the frame is recycled) exposes again from an empty
+    deque only once its worker's [reexpose_at] deadline has passed, and
+    that re-exposure moves the deadline [reexpose_period_ns] on;
+    otherwise the child runs inline.  This is heartbeat scheduling's
+    amortisation (Acar et al., PLDI 2018): a worker pays at most one
+    re-exposure per period, so steals stay bounded by time rather than
+    growing with the loop.
+
+    - A frame's first exposure is unconditional.  Nested fork-join code
+      makes one spawn per frame, so it never reads the clock, and a
+      fresh scope's spawn still offers its continuation at once: gating
+      it too halved fib's speedup on two workers.
+    - The deadline is per worker, not per frame, and only its worker
+      writes it.  A thief that has just taken a loop's continuation
+      exposes at once, because its own deadline is long past, so the
+      loop spreads to a free worker within one spawn; the victim's
+      deadline still paces the victim.  A per-frame deadline would be
+      written by whichever worker holds the strand, and would make a
+      thief wait out its victim's period.
+
     {2 Frame stamps}
 
     A domain-local lookup of the current worker on every path would cost
@@ -92,6 +119,10 @@
     after their commit, so the plain mutable fields ride the deques'
     existing release/acquire ordering. *)
 
+(* At most one re-exposure per worker per this period (see "Re-exposure
+   deadline" above). *)
+let reexpose_period_ns = 20_000
+
 module Make
     (QM : Nowa_deque.Ws_deque_intf.MAKER)
     (C : Nowa_sync.Counter_intf.JOIN_COUNTER)
@@ -115,6 +146,9 @@ module Make
     mutable stamp : int;  (* that worker's [epoch] when it stamped the frame *)
     mutable susp_k : cont;  (* valid iff susp_state = 1 *)
     mutable susp_stack : Stack_pool.stack option;
+    mutable exposed : bool;
+        (* some spawn of this frame took the exposed path since the frame
+           was taken from the free list; set in [handle_spawn] *)
     susp_state : int Atomic.t;  (* 0 = empty, 1 = published *)
     exn_slot : exn option Atomic.t;
     mutable handler : (unit, unit) Effect.Deep.handler;
@@ -167,6 +201,9 @@ module Make
     mutable epoch : int;
         (* bumped before this worker makes a continuation resumable
            elsewhere; written only by this worker *)
+    mutable reexpose_at : int;
+        (* [Clock.now_ns] before which an already-exposed frame's spawn
+           runs inline from an empty deque; written only by this worker *)
     mutable stack : Stack_pool.stack option;
     mutable next_victim : int;  (* Round_robin victim scan position *)
     mutable spare : task;  (* recycled task box; [dummy_task] when empty *)
@@ -343,6 +380,7 @@ module Make
       =
    fun fr thunk p k ->
     let w = frame_worker fr in
+    fr.exposed <- true;
     w.m.spawns <- w.m.spawns + 1;
     (* Spawn is a station point too: a worker descending a deep inline
        subtree may not complete a task or probe a victim for a long
@@ -438,6 +476,7 @@ module Make
         stamp = 0;
         susp_k = dummy_cont;
         susp_stack = None;
+        exposed = false;
         susp_state = Atomic.make 0;
         exn_slot = Atomic.make None;
         handler = null_handler;
@@ -461,6 +500,7 @@ module Make
      returns the frame it just took) stores nothing: each array store is
      a write barrier. *)
   let recycle_frame w fr =
+    fr.exposed <- false;
     let n = w.nframes in
     if n < Array.length w.frames then begin
       if w.frames.(n) != fr then w.frames.(n) <- fr;
@@ -581,6 +621,7 @@ module Make
             hb;
             sp;
             epoch = 0;
+            reexpose_at = 0;
             stack = None;
             next_victim = id + 1;
             spare = dummy_task;
@@ -664,15 +705,27 @@ module Make
       recycle_frame (worker_of fr) fr;
       raise e
 
-  (* Lazy exposure: true when this spawn should run its child inline
-     because the worker already holds a stealable continuation.  The
-     spawn is still a spawn point for the counters, the heartbeat and
-     the trace (arg 1 marks it inline).  A stale size read is harmless
-     either way: a thief racing us to the last element only delays the
-     next exposure, and a push onto a non-empty deque is the eager
-     schedule. *)
-  let[@inline] inline_spawn w =
-    if Q.size w.deque > 0 then begin
+  (* Read only for a frame that has already exposed, from an empty deque:
+     true (inline) while the worker's deadline is ahead; otherwise the
+     spawn re-exposes and moves the deadline one period on. *)
+  let[@inline never] before_deadline w =
+    let now = Nowa_util.Clock.now_ns () in
+    if now < w.reexpose_at then true
+    else begin
+      w.reexpose_at <- now + reexpose_period_ns;
+      false
+    end
+
+  (* Lazy exposure: true when this spawn should run its child inline,
+     because the worker already holds a stealable continuation, or
+     because [fr] has exposed before and the worker re-exposed less than
+     a period ago.  The spawn is still a spawn point for the counters,
+     the heartbeat and the trace (arg 1 marks it inline).  A stale size
+     read is harmless either way: a thief racing us to the last element
+     only delays the next exposure, and a push onto a non-empty deque is
+     the eager schedule. *)
+  let[@inline] inline_spawn w fr =
+    if Q.size w.deque > 0 || (fr.exposed && before_deadline w) then begin
       w.m.spawns <- w.m.spawns + 1;
       w.m.inlined <- w.m.inlined + 1;
       Health.Beats.beat w.hb w.id;
@@ -685,7 +738,7 @@ module Make
      puts it: in the promise and in the frame, to surface at the sync. *)
   let spawn (type a) fr (thunk : unit -> a) : a promise =
     let p : a promise = Promise.make () in
-    if inline_spawn (worker_of fr) then begin
+    if inline_spawn (worker_of fr) fr then begin
       match thunk () with
       | v -> Promise.fill p v
       | exception e ->
@@ -705,7 +758,7 @@ module Make
   (* Promise-free spawn for request-shaped work: the only allocation on
      the dispatch path is the effect value itself. *)
   let spawn_unit fr thunk =
-    if inline_spawn (worker_of fr) then (try thunk () with e -> note_exn fr e)
+    if inline_spawn (worker_of fr) fr then (try thunk () with e -> note_exn fr e)
     else
       Effect.perform
         (Spawn (fr, (Obj.magic thunk : unit -> Obj.t), dummy_promise))

@@ -109,6 +109,8 @@ type status = {
   engine : string;
   scan : int;
   at_ns : int;
+      (** {!Nowa_util.Clock.now_ns} at the scan: a boot-relative monotonic
+          reading, not Unix time, so only differences mean anything *)
   interval_ms : int;
   rows : row array;
   scan_verdicts : verdict list;

@@ -200,8 +200,9 @@ let collect () =
         counter "nowa_scheduler_spawns_total" "Spawn points executed."
           (fun w -> w.spawns);
         counter "nowa_scheduler_inlined_spawns_total"
-          "Spawn points whose child ran inline because the worker already \
-           held a stealable continuation (lazy exposure)."
+          "Spawn points whose child ran inline: the worker already held a \
+           stealable continuation (lazy exposure), or the frame had exposed \
+           and the worker's re-exposure deadline had not passed."
           (fun w -> w.inlined);
         counter "nowa_scheduler_steals_total" "Successful steals committed."
           (fun w -> w.steals);

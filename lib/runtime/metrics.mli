@@ -13,8 +13,11 @@ type worker = {
   mutable spawns : int;  (** spawn points executed, inline ones included *)
   mutable inlined : int;
       (** spawn points whose child ran inline, exposing no continuation,
-          because the worker's deque was non-empty (lazy exposure in
-          [Engine.Make]; always 0 on the other engine families) *)
+          for one of two reasons in [Engine.Make]: the worker's deque was
+          non-empty (lazy exposure), or the frame had exposed before and
+          the worker's re-exposure deadline had not passed (at most one
+          re-exposure per worker per {!Engine.reexpose_period_ns}).
+          Always 0 on the other engine families. *)
   mutable steals : int;  (** successful steals committed *)
   mutable steal_attempts : int;  (** steal attempts including failures *)
   mutable lost_continuations : int;

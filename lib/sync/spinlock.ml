@@ -3,7 +3,7 @@ type t = {
   spins_hist : Nowa_obs.Histogram.t;
 }
 
-let create ?(spins = Sync_metrics.spinlock_spins) () =
+let create ~spins () =
   { flag = Nowa_util.Padding.atomic false; spins_hist = spins }
 
 let acquire t =

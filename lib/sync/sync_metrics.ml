@@ -8,9 +8,11 @@
       construction this histogram only ever observes 0 — the fast path is
       the only path — and a non-zero bucket would flag a regression that
       re-introduced a retry loop.
-    - [nowa_sync_frame_lock_spins] / [nowa_sync_spinlock_spins]:
-      spin-relax rounds per {e contended} lock acquisition (uncontended
-      acquisitions are not observed, keeping the fast path untouched).
+    - [nowa_sync_frame_lock_spins]: spin-relax rounds per {e contended}
+      frame-lock acquisition (uncontended acquisitions are not observed,
+      keeping the fast path untouched).  The stack pool's global lock
+      records into its own [nowa_stacks_lock_spins]
+      (lib/runtime/stack_pool.ml).
 
     All observations are steal-proportional: α/ω only move when a
     continuation is actually stolen, and lock spins only when a frame
@@ -38,7 +40,3 @@ let frame_lock_spins =
     ~help:
       "Spin-relax rounds per contended frame-lock acquisition (lock-based \
        join counter)."
-
-let spinlock_spins =
-  Nowa_obs.Registry.histogram "nowa_sync_spinlock_spins"
-    ~help:"Spin-relax rounds per contended spinlock acquisition."

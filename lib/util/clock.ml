@@ -1,27 +1,17 @@
-(* There is no monotonic clock in the pre-installed package set, so the
-   base reading is [Unix.gettimeofday], which can step backwards under
-   NTP adjustments.  Trace event ordering and duration math depend on
-   [now_ns] never going backwards, so each domain clamps its readings
-   against the last value it returned: within a domain, consecutive
-   calls are non-decreasing.  (Cross-domain comparisons retain the raw
-   clock's fidelity; only same-domain regressions are flattened.) *)
+(* [now_ns] is CLOCK_MONOTONIC read by a C stub: the kernel guarantees it
+   never steps backwards, on any CPU, so no per-domain clamp is needed,
+   and the [@untagged] result with [@@noalloc] makes a read cost one vDSO
+   call and no allocation. *)
 
-let last_ns : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-let now_ns () =
-  let t = int_of_float (Unix.gettimeofday () *. 1e9) in
-  let last = Domain.DLS.get last_ns in
-  if t > !last then begin
-    last := t;
-    t
-  end
-  else !last
+external now_ns : unit -> (int[@untagged])
+  = "nowa_util_now_ns_byte" "nowa_util_now_ns"
+[@@noalloc]
 
 let time_it f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let r = f () in
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0, r)
+  let t1 = now_ns () in
+  (float_of_int (t1 - t0) /. 1e9, r)
 
 let spin_ns n =
   if n > 0 then begin

@@ -663,6 +663,114 @@ let test_forced_steal_syncs_accounted () =
        + total (fun w -> w.Nowa.Metrics.resumes)
        >= 1)
 
+(* -- re-exposure deadline ------------------------------------------------ *)
+
+(* A flat loop keeps its deque empty at every spawn, so lazy exposure
+   alone would expose all 20,000 spawns.  The frame's first spawn
+   exposes; after that the worker re-exposes once its deadline passes
+   (at once, the first time) and then at most once per period. *)
+let test_reexposure_bounded () =
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let n = 20_000 in
+      let t0 = Nowa_util.Clock.now_ns () in
+      R.run ~conf:(conf 1) (fun () ->
+          R.scope (fun sc ->
+              for _ = 1 to n do
+                R.spawn_unit sc ignore
+              done));
+      let elapsed = Nowa_util.Clock.now_ns () - t0 in
+      match R.last_metrics () with
+      | None -> Alcotest.fail "metrics missing"
+      | Some m ->
+        let total f = Nowa.Metrics.total m f in
+        let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
+        let exposed = spawns - total (fun w -> w.Nowa.Metrics.inlined) in
+        let bound = 2 + (elapsed / Nowa_runtime.Engine.reexpose_period_ns) in
+        Alcotest.(check int) (R.name ^ " every spawn point counted") n spawns;
+        if exposed < 1 || exposed > bound then
+          Alcotest.failf "%s: %d exposed spawns in %d us, expected 1..%d" R.name
+            exposed (elapsed / 1_000) bound)
+    engine_presets
+
+(* Children far longer than the period: every spawn finds its worker's
+   deadline past, so each re-exposes and the loop's continuation keeps
+   moving to whichever worker is free.  A frame that never re-exposed
+   would run seven of the eight children on the worker that stole the
+   loop first.  A run in which the host starved one domain is retried. *)
+let test_reexposure_spreads_long_children () =
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let attempt () =
+        let ran = Array.init 2 (fun _ -> Atomic.make 0) in
+        R.run ~conf:(conf 2) (fun () ->
+            R.scope (fun sc ->
+                for _ = 1 to 8 do
+                  R.spawn_unit sc (fun () ->
+                      Atomic.incr ran.(Nowa_trace.Current.worker ());
+                      Nowa_util.Clock.spin_ns 3_000_000)
+                done));
+        Array.map Atomic.get ran
+      in
+      let rec go tries =
+        let ran = attempt () in
+        let spread = ran.(0) >= 2 && ran.(1) >= 2 in
+        if (not spread) && tries > 1 then go (tries - 1)
+        else if not spread then
+          Alcotest.failf "%s: children per worker %d/%d, expected >= 2 each"
+            R.name ran.(0) ran.(1)
+      in
+      go 5)
+    engine_presets
+
+(* The deadline gates only frames that have exposed before.  Right after
+   a flat loop, the worker's deadline lies ahead (its last spawn either
+   re-exposed and moved it, or found it ahead), yet a fresh scope's one
+   spawn must still expose: its child waits, for at most 2 s, for the
+   continuation to run on the other worker. *)
+let test_first_exposure_exempt () =
+  let wait_for flag =
+    let deadline = Nowa_util.Clock.now_ns () + 2_000_000_000 in
+    while (not (Atomic.get flag)) && Nowa_util.Clock.now_ns () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get flag
+  in
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      for round = 1 to 3 do
+        let parallel =
+          R.run ~conf:(conf 2) (fun () ->
+              R.scope (fun loop ->
+                  for _ = 1 to 20_000 do
+                    R.spawn_unit loop ignore
+                  done;
+                  R.scope (fun single ->
+                      let cont_ran = Atomic.make false in
+                      let seen = Atomic.make false in
+                      R.spawn_unit single (fun () ->
+                          Atomic.set seen (wait_for cont_ran));
+                      Atomic.set cont_ran true;
+                      R.sync single;
+                      Atomic.get seen)))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s round %d: fresh scope's spawn exposed" R.name round)
+          true parallel;
+        match R.last_metrics () with
+        | None -> Alcotest.fail "metrics missing"
+        | Some m ->
+          let total f = Nowa.Metrics.total m f in
+          let exposed =
+            total (fun w -> w.Nowa.Metrics.spawns)
+            - total (fun w -> w.Nowa.Metrics.inlined)
+          in
+          if exposed < 3 then
+            Alcotest.failf "%s: %d exposed spawns, the loop never re-exposed"
+              R.name exposed
+      done)
+    engine_presets
+
 (* -- idle policies -------------------------------------------------------- *)
 
 (* Every engine, every idle policy: same fib answer.  The park policy's
@@ -1231,6 +1339,14 @@ let () =
             test_fused_sync_conservation;
           Alcotest.test_case "forced steal syncs accounted" `Slow
             test_forced_steal_syncs_accounted;
+        ] );
+      ( "re-exposure",
+        [
+          Alcotest.test_case "bounded per period" `Quick test_reexposure_bounded;
+          Alcotest.test_case "spreads long children" `Slow
+            test_reexposure_spreads_long_children;
+          Alcotest.test_case "first exposure exempt" `Slow
+            test_first_exposure_exempt;
         ] );
       ( "stack pool",
         [

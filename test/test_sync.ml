@@ -151,7 +151,7 @@ let test_wait_free_active () =
 (* -- Spinlock --------------------------------------------------------- *)
 
 let test_spinlock_mutual_exclusion () =
-  let l = Spinlock.create () in
+  let l = Spinlock.create ~spins:(Nowa_obs.Histogram.create "test_spins") () in
   let counter = ref 0 in
   let domains =
     List.init 4 (fun _ ->

@@ -166,8 +166,8 @@ let test_backoff_defaults () =
 (* -- Clock ----------------------------------------------------------- *)
 
 let test_clock_never_backwards () =
-  (* The clamp in Clock.now_ns must make rapid consecutive reads
-     non-decreasing even if gettimeofday steps backwards underneath. *)
+  (* Clock.now_ns reads CLOCK_MONOTONIC, which the kernel never steps
+     backwards: rapid consecutive reads must be non-decreasing. *)
   let prev = ref (Clock.now_ns ()) in
   for _ = 1 to 100_000 do
     let t = Clock.now_ns () in
@@ -182,6 +182,27 @@ let test_clock_monotonic_enough () =
   let t1 = Clock.now_ns () in
   Alcotest.(check bool) "advanced" true (t1 > t0);
   Alcotest.(check bool) "spin took at least ~1ms" true (dt >= 0.0005)
+
+(* Trace spans and the engine's re-exposure deadline time intervals of a
+   few microseconds, so a read must resolve well below that: two reads
+   around a ~2 us spin differ, and the smallest nonzero step between
+   back-to-back reads is under half a microsecond (a microsecond clock
+   steps by 1,000 ns at best). *)
+let test_clock_resolution () =
+  let spin_2us () =
+    let t0 = Clock.now_ns () in
+    Clock.spin_ns 2_000;
+    Clock.now_ns () - t0
+  in
+  let d = spin_2us () in
+  Alcotest.(check bool) "reads around a 2us spin differ" true (d > 0);
+  let step = ref max_int in
+  for _ = 1 to 10_000 do
+    let a = Clock.now_ns () in
+    let b = Clock.now_ns () in
+    if b > a then step := min !step (b - a)
+  done;
+  if !step >= 500 then Alcotest.failf "smallest clock step %d ns" !step
 
 (* -- Table ----------------------------------------------------------- *)
 
@@ -357,6 +378,7 @@ let () =
         [
           Alcotest.test_case "never backwards" `Quick test_clock_never_backwards;
           Alcotest.test_case "monotonic+spin" `Quick test_clock_monotonic_enough;
+          Alcotest.test_case "resolution" `Quick test_clock_resolution;
         ] );
       ( "table",
         [
