@@ -81,6 +81,10 @@ let battery =
     ( "spillover_no_sweep",
       Violates,
       S.spillover_spec ~variant:`No_final_sweep );
+    ("inject_queue", Verified, S.inject_queue_spec ~variant:`Good ~thief_pops:2);
+    ( "inject_queue_no_cas",
+      Violates,
+      S.inject_queue_spec ~variant:`No_head_cas ~thief_pops:2 );
   ]
 
 let () =

@@ -1,9 +1,11 @@
 (** Single global mutex-protected FIFO task queue.
 
     This is the structural model of GCC libgomp's task handling: every
-    worker pushes to and pops from one shared queue, so all scheduling
-    traffic serialises on one lock — the pathology behind libgomp's curve
-    in Figure 10 of the paper. *)
+    worker of a pool pushes its spawned children to and pops them from
+    one shared queue, so all scheduling traffic serialises on one lock —
+    the pathology behind libgomp's curve in Figure 10 of the paper.  It
+    holds only the gomp preset's spawned children; routed roots go
+    through the lock-free {!Inject_queue} on every preset. *)
 
 type 'a t
 

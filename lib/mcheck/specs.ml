@@ -1,10 +1,11 @@
 (* Harnesses over the shipped coordination code.  [Chase_lev],
-   [The_queue], [Abp], [Locked_deque], [Central_queue], [Sleepers],
+   [The_queue], [Abp], [Locked_deque], [Inject_queue], [Sleepers],
    [Wait_free_counter] and [Lock_counter] below are not transcriptions:
    the dune rules compile the files under lib/ a second time against
    traced.ml, so each harness drives the code that ships.  Only
    scenarios, oracles and deliberately broken caller-side controls are
-   written here. *)
+   written here; [Inject_queue_no_cas] is a dune-generated mutant of the
+   shipped queue. *)
 
 module Cell = Mcheck.Cell
 
@@ -630,39 +631,29 @@ let watchdog_park_spec ?(variant = `Good) ~scans () =
   ([ worker; waker; monitor ], invariant)
 
 (* -- cross-pool spill-over: routed roots vs the park protocol ----------
-   A [spawn_on] producer publishes a routed root into a target pool's
-   [Central_queue] inject queue — gate raised before the push, so a zero
-   gate proves the queue empty — then runs [wake_routed] on that pool's
-   registry.  The pool's only home worker races it through
-   [Shell.park_round], whose sweep reads the gate as [Shell.try_inject]
-   does; a foreign spill thief probes the same queue and retires awake,
-   as a [Config.spill_over] worker from another pool would.
+   A [spawn_unit_on] producer pushes a routed root into a target pool's
+   real [Inject_queue], then runs [wake_routed] on that pool's registry.
+   The pool's only home worker races it through [Shell.park_round],
+   whose sweep pops the queue as [Shell.try_inject] does; a foreign
+   spill thief pops the same queue and retires awake, as a
+   [Config.spill_over] worker from another pool would.
 
    Safety: the routed root executes exactly once, whichever side wins.
    Liveness: it is never stranded in the queue with the home worker
    parked — the lost task the pre-park sweep closes.  [`No_final_sweep]
-   parks on the gated check alone; with the thief's probes exhausted
-   before the push, the producer's wake finds an empty mask and the
-   checker exhibits the stranded routed root. *)
+   parks after its one failed pop with no sweep; with the thief's probes
+   exhausted before the push, the producer's wake finds an empty mask
+   and the checker exhibits the stranded routed root. *)
 let spillover_spec ?(variant = `Good) () =
   let s = Sleepers.create ~workers:1 in
-  let inject = Central_queue.create () in
-  let gate = Cell.make 0 in
+  let inject = Inject_queue.create () in
   let filled = Cell.make 0 (* remote-promise fill count *) in
   let obs = { passes = 0 } in
   let execute () =
     check (Cell.fetch_add filled 1 = 0) "routed root executed twice";
     obs.passes <- obs.passes + 1
   in
-  let take () =
-    Cell.read gate <> 0
-    &&
-    match Central_queue.pop inject with
-    | Some () ->
-      ignore (Cell.fetch_add gate (-1));
-      true
-    | None -> false
-  in
+  let take () = Option.is_some (Inject_queue.pop inject) in
   let home () =
     let rec idle budget =
       if budget = 0 then ()
@@ -680,8 +671,7 @@ let spillover_spec ?(variant = `Good) () =
     idle 3
   in
   let producer () =
-    ignore (Cell.fetch_add gate 1);
-    Central_queue.push inject ();
+    Inject_queue.push inject ();
     ignore (Sleepers.wake_one s)
   in
   let spill_thief () =
@@ -690,7 +680,55 @@ let spillover_spec ?(variant = `Good) () =
     in
     probe 2
   in
-  let invariant () =
-    obs.passes = 1 && Cell.peek gate = 0 && Central_queue.size inject = 0
-  in
+  let invariant () = obs.passes = 1 && Inject_queue.length inject = 0 in
   ([ home; producer; spill_thief ], invariant)
+
+(* -- the routed queue on its own -----------------------------------------
+   Two producers push two items each (producer [p]'s [i]th item is
+   [2p + i + 1]); the pool's home worker pops twice and a spill thief
+   [thief_pops] times.  A pop's head CAS and the log append below it have no
+   scheduling point between them, so [log] is the order in which pops
+   took effect.  Oracles: no pop returns a cleared slot (the unit word,
+   0 as an int) or an item twice; the popped items and the ones still
+   queued are each item exactly once; and each producer's items leave
+   in the order it pushed them. *)
+
+module type FIFO = sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val push : 'a t -> 'a -> unit
+  val pop : 'a t -> 'a option
+end
+
+let inject_queue_spec ?(variant = `Good) ~thief_pops () =
+  let (module Q : FIFO) =
+    match variant with
+    | `Good -> (module Inject_queue)
+    | `No_head_cas -> (module Inject_queue_no_cas)
+  in
+  let q = Q.create () in
+  let log = ref [] in
+  let producer p () =
+    Q.push q ((2 * p) + 1);
+    Q.push q ((2 * p) + 2)
+  in
+  let consumer pops () =
+    for _ = 1 to pops do
+      match Q.pop q with
+      | Some v ->
+        check (v >= 1 && v <= 4 && not (List.mem v !log)) "item popped twice or cleared";
+        log := v :: !log
+      | None -> ()
+    done
+  in
+  let invariant () =
+    let rec drain acc = match Q.pop q with Some v -> drain (v :: acc) | None -> acc in
+    let order = List.rev (drain !log) in
+    let ordered p =
+      let mine = List.filter (fun v -> (v - 1) / 2 = p) order in
+      mine = [ (2 * p) + 1; (2 * p) + 2 ]
+    in
+    List.sort compare order = [ 1; 2; 3; 4 ] && ordered 0 && ordered 1
+  in
+  ([ producer 0; producer 1; consumer 2; consumer thief_pops ], invariant)

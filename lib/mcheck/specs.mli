@@ -110,11 +110,20 @@ val watchdog_park_spec :
     the wake window that the waiting flag closes. *)
 
 val spillover_spec : ?variant:[ `Good | `No_final_sweep ] -> spec
-(** Cross-pool spill-over handoff: a [spawn_on] producer gates and
-    pushes a routed root into a target pool's real [Central_queue] then
-    wakes that pool's registry, racing the pool's home worker (gated
-    take, then [Shell.park_round] with the gated sweep) and a foreign
-    spill thief probing behind the gate.  Invariant: the root executes
-    exactly once and is never stranded with the home worker parked.
-    [`No_final_sweep] parks on the gated check alone — the checker
-    exhibits the stranded routed root (lost task). *)
+(** Cross-pool spill-over handoff: a [spawn_unit_on] producer pushes a
+    routed root into a target pool's real [Inject_queue] then wakes that
+    pool's registry, racing the pool's home worker (a pop, then
+    [Shell.park_round] whose sweep pops again) and a foreign spill thief
+    popping the same queue.  Invariant: the root executes exactly once
+    and is never stranded with the home worker parked.
+    [`No_final_sweep] parks with no sweep — the checker exhibits the
+    stranded routed root (lost task). *)
+
+val inject_queue_spec :
+  ?variant:[ `Good | `No_head_cas ] -> thief_pops:int -> spec
+(** The shipped routed queue: two producers push two items each while
+    the home consumer pops twice and a spill thief [thief_pops] times.  Invariant:
+    every item is popped exactly once or still queued, never a cleared
+    slot, and each producer's items come out in push order.
+    [`No_head_cas] runs the dune-generated copy whose pop moves the
+    head with a plain write: two pops take one node. *)

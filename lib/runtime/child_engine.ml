@@ -25,13 +25,16 @@
       tasks over- or under-perform untied ones per benchmark in
       Figure 10/Table III.
     - {!Fifo} (libgomp): every spawned task goes through one
-      mutex-protected FIFO per pool, the shell's inject queue, which
-      routed roots share; every idle worker and every waiting strand
-      polls it.  With fine-grained tasks all scheduling traffic
-      serialises on the one lock — which is why libgomp's speedup
-      collapses in Figure 10, and why this store's does too.  A
-      multi-pool topology shards the lock.
+      mutex-protected FIFO per pool ({!Nowa_deque.Central_queue}); every
+      idle worker and every waiting strand polls it.  With fine-grained
+      tasks all scheduling traffic serialises on the one lock — which is
+      why libgomp's speedup collapses in Figure 10, and why this store's
+      does too.  A multi-pool topology shards the lock.  Routed roots do
+      not go through it: like every preset's, they sit in the shell's
+      lock-free routed queue.
 
+    Every store's [take] has one shape, built once in {!Make}: the
+    store's own work, then the pool's routed roots, then pool-mates.
     Helping at a taskwait stays inside the pool even with spill-over
     on: a blocked waiter dragging foreign work onto its stack would
     couple the pools' latency.  Pools, routing, the idle loop and [run]
@@ -44,7 +47,7 @@ type task = Task of (unit -> unit)
 
 type 'st worker = {
   id : int;
-  grp : task Shell.group;
+  grp : Shell.group;
   m : Metrics.worker;
   tr : Ring.t;
   mutable depth : int;  (* task nesting (helping at a taskwait): only the
@@ -52,9 +55,9 @@ type 'st worker = {
   st : 'st;  (* the store's per-worker half *)
 }
 
-type 'st cluster = (task, 'st worker, unit) Shell.cluster
+type ('st, 'ext) cluster = ('st worker, 'ext) Shell.cluster
 
-(* Task bodies never raise ([spawn] and the shell wrap the thunk), so
+(* Task bodies never raise ([spawn] and the routed wrapper catch), so
    the depth bookkeeping needs no exception handling. *)
 let run_task (cl : _ cluster) w (Task f) =
   w.m.tasks <- w.m.tasks + 1;
@@ -65,33 +68,39 @@ let run_task (cl : _ cluster) w (Task f) =
   w.depth <- w.depth - 1;
   Health.Beats.beat cl.Shell.hb w.id
 
+module Waiting = struct
+  type t = Steal_anywhere | Local_only
+end
+
 (** Where a spawned child goes and where a worker looks for one: the
     only code that differs between the help-first presets. *)
 module type STORE = sig
   type t
+  type ext  (** per-run state shared by the pool's workers *)
 
-  val make : Config.t -> id:int -> t
+  val make_ext : Shell.group array -> ext
+  val make : Config.t -> ext -> Shell.group -> id:int -> t
 
   val push : t worker -> task -> unit
   (** Publish a spawned child; the join wakes a pool sleeper after it. *)
 
-  val take : t cluster -> t worker -> task option
-  (** {!Shell.POLICY.take}. *)
+  val own : (t, ext) cluster -> t worker -> task option
+  (** The worker's own share: the first step of every [take]. *)
 
-  val help : t cluster -> t worker -> task option
-  (** One round of a strand waiting at [sync]; never leaves the pool. *)
+  val mates : (t, ext) cluster -> t worker -> task option
+  (** Pool-mates: the last step of [take], after the routed roots. *)
+
+  val waiting : Waiting.t
+  (** What a strand waiting at [sync] may run: [Steal_anywhere] helps
+      with a whole [take]; [Local_only] only with [own]. *)
 
   val probe :
-    t cluster -> t worker -> task Shell.group -> exhaustive:bool ->
+    (t, ext) cluster -> t worker -> Shell.group -> exhaustive:bool ->
     task option
   (** {!Shell.POLICY.probe}. *)
 
-  val ready : t cluster -> int
+  val ready : (t, ext) cluster -> int
   (** {!Shell.POLICY.ready}. *)
-end
-
-module Waiting = struct
-  type t = Steal_anywhere | Local_only
 end
 
 module Deques
@@ -106,20 +115,24 @@ module Deques
   end)
 
   type t = { deque : Q.t; rng : Nowa_util.Xoshiro.t }
+  type ext = unit
 
-  let make conf ~id =
+  let make_ext _ = ()
+
+  let make conf () _ ~id =
     {
       deque = Q.create ~capacity:Shell.deque_capacity ();
       rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
     }
 
   let push w t = Q.push_bottom w.st.deque t
+  let waiting = W.waiting
 
   let no_commit _ = ()
 
   (* A victim probe: [max] tasks under one acquisition (a batched,
      [steal_half]-style grab) or a single steal when [max = 1]. *)
-  let steal (cl : t cluster) w ~max v =
+  let steal (cl : (t, ext) cluster) w ~max v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
     Health.Beats.beat cl.hb w.id;
     Ring.emit w.tr Ev.Steal_attempt v;
@@ -144,23 +157,12 @@ module Deques
   let steal_batch cl w ~sweep v = steal cl w ~max:sweep v
   let first_mate _ w ~mates ~sweep:_ = Nowa_util.Xoshiro.int w.st.rng mates
 
-  (* Own deque bottom (LIFO keeps the worker on its own subtree), then
-     routed roots (they have no other worker to run them), then up to
-     [Config.steal_sweep] pool-mates, each a batched grab of up to that
-     many tasks. *)
-  let take cl w =
-    match Q.pop_bottom w.st.deque with
-    | Some _ as r -> r
-    | None -> (
-      match Shell.try_inject w.grp with
-      | Some _ as r -> r
-      | None ->
-        Shell.sweep_mates w.grp ~self:w.id ~start:first_mate steal_batch cl w)
+  (* Own deque bottom: LIFO keeps the worker on its own subtree. *)
+  let own _ w = Q.pop_bottom w.st.deque
 
-  let help =
-    match W.waiting with
-    | Waiting.Steal_anywhere -> take
-    | Waiting.Local_only -> fun _ w -> Q.pop_bottom w.st.deque
+  (* Up to [Config.steal_sweep] pool-mates, each a batched grab of up to
+     that many tasks. *)
+  let mates cl w = Shell.sweep_mates w.grp ~self:w.id ~start:first_mate steal_batch cl w
 
   (* Single steals on both probes: batched re-homing would drag a
      foreign pool's backlog into this pool's deques.  The pre-park sweep
@@ -171,47 +173,57 @@ module Deques
     | None ->
       Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.st.rng steal_one cl w
 
-  let ready (cl : t cluster) =
+  let ready (cl : (t, ext) cluster) =
     Array.fold_left (fun acc w -> acc + Q.size w.st.deque) 0 cl.workers
 end
 
 module Fifo : STORE = struct
-  (* The surplus of the last batched grab, served before the lock is
-     touched again: the [steal_half]-style amortisation for one queue. *)
-  type t = task list ref
+  module Cq = Nowa_deque.Central_queue
 
-  let make _ ~id:_ = ref []
+  (* The pool's FIFO, and the surplus of the last batched grab, served
+     before the lock is touched again: the [steal_half]-style
+     amortisation for one queue. *)
+  type t = { fifo : task Cq.t; mutable stash : task list }
+  type ext = task Cq.t array  (* one FIFO per pool, by [gid] *)
 
-  let push w t = Shell.inject w.grp t
+  let make_ext groups = Array.map (fun _ -> Cq.create ()) groups
+  let make _ fifos (g : Shell.group) ~id:_ = { fifo = fifos.(g.gid); stash = [] }
+  let push w t = Cq.push w.st.fifo t
+
+  (* A waiter polls the FIFO and the routed queue, as an idle worker. *)
+  let waiting = Waiting.Steal_anywhere
 
   (* Stash, then one batched grab of up to [Config.steal_sweep] tasks
      from the pool's FIFO, oldest first. *)
-  let take (cl : t cluster) w =
-    match !(w.st) with
+  let own (cl : (t, ext) cluster) w =
+    match w.st.stash with
     | t :: rest ->
-      w.st := rest;
+      w.st.stash <- rest;
       Some t
     | [] -> (
       let gid = w.grp.gid in
       w.m.steal_attempts <- w.m.steal_attempts + 1;
       Health.Beats.beat cl.hb w.id;
       Ring.emit w.tr Ev.Steal_attempt gid;
-      match Shell.take_inject w.grp ~max:(max 1 cl.conf.Config.steal_sweep) with
+      match Cq.pop_batch w.st.fifo ~max:(max 1 cl.conf.Config.steal_sweep) with
       | [] ->
         Ring.emit w.tr Ev.Steal_abort gid;
         None
       | head :: rest ->
         Ring.emit w.tr Ev.Steal_commit gid;
-        w.st := rest;
+        w.st.stash <- rest;
         Some head)
 
-  let help = take
+  (* The pool's workers share one FIFO: there is no mate to probe. *)
+  let mates _ _ = None
 
-  (* Every queued task sits in an inject queue, which the shell sweeps,
-     spills from and counts for the watchdog itself; the stash is empty
-     whenever [take] has come up empty. *)
-  let probe _ _ _ ~exhaustive:_ = None
-  let ready _ = 0
+  (* The stash is empty whenever [own] has come up empty, so a pool's
+     queued children are all in its FIFO: the pre-park sweep and a
+     spill-over probe pop it under its lock. *)
+  let probe (cl : (t, ext) cluster) _ (g : Shell.group) ~exhaustive:_ =
+    Cq.pop cl.ext.(g.gid)
+
+  let ready (cl : (t, ext) cluster) = Array.fold_left (fun acc q -> acc + Cq.size q) 0 cl.ext
 end
 
 module Make
@@ -228,7 +240,7 @@ module Make
   type frame = { pending : int Atomic.t; exn_slot : exn option Atomic.t }
   type scope = frame
 
-  let current : (S.t cluster * S.t worker) option Domain.DLS.key =
+  let current : ((S.t, S.ext) cluster * S.t worker) option Domain.DLS.key =
     Domain.DLS.new_key (fun () -> None)
 
   let get_current () =
@@ -239,25 +251,44 @@ module Make
   let note_exn fr e =
     ignore (Atomic.compare_and_set fr.exn_slot None (Some e))
 
+  (* A routed root as a task of the worker that popped it; a
+     [spawn_unit_on] thunk's exception is caught and logged here. *)
+  let task_of_thunk w f =
+    Task (fun () -> try f () with e -> Shell.routed_raised ~runtime:name w.grp e)
+
+  (* Own store, then routed roots (they have no other worker to run
+     them), then pool-mates. *)
+  let take cl w =
+    match S.own cl w with
+    | Some _ as r -> r
+    | None -> (
+      match Shell.try_inject w.grp task_of_thunk w with
+      | Some _ as r -> r
+      | None -> S.mates cl w)
+
+  (* One round of a strand waiting at [sync]; never leaves the pool. *)
+  let help =
+    match S.waiting with Waiting.Steal_anywhere -> take | Waiting.Local_only -> S.own
+
   module Sh = Shell.Make (struct
     let name = name
 
     type nonrec task = task
     type nonrec worker = S.t worker
-    type ext = unit
+    type ext = S.ext
 
     let current = current
     let id w = w.id
     let group w = w.grp
     let metrics w = w.m
     let ring w = w.tr
-    let make_ext _ _ = ()
+    let make_ext _ groups = S.make_ext groups
 
-    let make_worker conf () ~id ~hb:_ grp m tr =
-      { id; grp; m; tr; depth = 0; st = S.make conf ~id }
+    let make_worker conf ext ~id ~hb:_ grp m tr =
+      { id; grp; m; tr; depth = 0; st = S.make conf ext grp ~id }
 
-    let task_of_thunk f = Task f
-    let take = S.take
+    let task_of_thunk = task_of_thunk
+    let take = take
     let probe = S.probe
     let run_task = run_task
     let ready = S.ready
@@ -276,7 +307,7 @@ module Make
     Ring.emit w.tr Ev.Suspend 0;
     let bo = Nowa_util.Backoff.make () in
     while Atomic.get fr.pending > 0 do
-      match S.help cl w with
+      match help cl w with
       | Some t ->
         Nowa_util.Backoff.reset bo;
         run_task cl w t

@@ -191,7 +191,7 @@ module Make
      pays only the [w.grp] indirection for its pool. *)
   type worker = {
     id : int;
-    grp : task Shell.group;
+    grp : Shell.group;
     deque : Q.t;
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
@@ -216,7 +216,7 @@ module Make
   }
 
   (* The shell's run record; [ext] is this run's stack pool. *)
-  type cluster = (task, worker, Stack_pool.t) Shell.cluster
+  type cluster = (worker, Stack_pool.t) Shell.cluster
 
   (* The effect carries the untyped thunk and promise directly (the
      uniform-representation coercion confined to [spawn]/[spawn_unit]),
@@ -542,6 +542,18 @@ module Make
       w.next_victim <- v + sweep;
       v
 
+  (* A root or routed thunk in [w]'s recycled task box: [execute] runs
+     it next on [w] and hands the box back to the spare slot. *)
+  let task_of_thunk w tfn =
+    let t = w.spare in
+    if t != dummy_task then begin
+      w.spare <- dummy_task;
+      t.kind <- kind_root;
+      t.tfn <- tfn;
+      t
+    end
+    else { kind = kind_root; tk = dummy_cont; tfn; tfr = dummy_frame }
+
   let take (cl : cluster) w =
     (* Own deque first: it may hold continuations sitting under a frame
        that suspended; converting one into a parallel strand (with the
@@ -551,7 +563,7 @@ module Make
     | None -> (
       (* Routed roots next: they are this pool's responsibility and have
          no other worker to run them. *)
-      match Shell.try_inject w.grp with
+      match Shell.try_inject w.grp task_of_thunk w with
       | Some _ as r -> r
       | None -> Shell.sweep_mates w.grp ~self:w.id ~start:first_mate attempt_mate cl w)
 
@@ -559,10 +571,14 @@ module Make
     Shell.probe_victims g ~exhaustive ~self:w.id ~rng:w.rng attempt cl w
 
   (* Handler under which a root or routed task runs: spawn/sync effects
-     from the task's scopes resolve here.  The shell's thunks never
-     raise. *)
+     from the task's scopes resolve here.  [run]'s root and [spawn_on]'s
+     promise-filling wrapper never raise, so an exception here is a
+     [spawn_unit_on] thunk's, surfacing on whichever worker holds its
+     strand by then. *)
+  let root_exn e = Shell.routed_raised ~runtime:name (snd (get_current ())).grp e
+
   let root_handler : (unit, unit) Effect.Deep.handler =
-    { retc = ignore; exnc = raise; effc }
+    { retc = ignore; exnc = root_exn; effc }
 
   let execute (cl : cluster) w (t : task) =
     w.m.tasks <- w.m.tasks + 1;
@@ -631,7 +647,7 @@ module Make
             nframes = 0;
           })
 
-    let task_of_thunk tfn = { kind = kind_root; tk = dummy_cont; tfn; tfr = dummy_frame }
+    let task_of_thunk = task_of_thunk
     let take = take
     let probe = probe
     let run_task = execute

@@ -31,6 +31,7 @@ type t = {
   workers : worker array;
   elapsed_s : float;
   stacks : stack_stats option;
+  routed_abandoned : int;
 }
 
 (* Worker records are written on every spawn/steal/sync by their owning
@@ -59,7 +60,8 @@ let make_worker ?(pool = "main") id =
         wake_retries = 0;
       })
 
-let make ?stacks workers ~elapsed_s = { workers; elapsed_s; stacks }
+let make ?stacks ?(routed_abandoned = 0) workers ~elapsed_s =
+  { workers; elapsed_s; stacks; routed_abandoned }
 
 (* Victims probed per failed-then-successful steal round; observed by the
    engines at the end of each sweep.  A wide distribution here means the
@@ -100,6 +102,8 @@ let pp ppf t =
        pool-hits=%d"
       s.allocated_stacks s.live_stacks s.max_rss_pages s.madvise_calls
       s.pool_hits);
+  if t.routed_abandoned > 0 then
+    Format.fprintf ppf "@,routed roots abandoned at shutdown: %d" t.routed_abandoned;
   Format.fprintf ppf "@]"
 
 (* -- live registry source ------------------------------------------------- *)
@@ -117,17 +121,20 @@ let pp ppf t =
 type source = {
   src_workers : worker array;
   src_stacks : (unit -> stack_stats) option;
+  src_abandoned : unit -> int;
 }
 
 let live_source : source option Atomic.t = Atomic.make None
 
-let publish ?stacks workers =
-  Atomic.set live_source (Some { src_workers = workers; src_stacks = stacks })
+let publish ?stacks ~routed_abandoned workers =
+  Atomic.set live_source
+    (Some
+       { src_workers = workers; src_stacks = stacks; src_abandoned = routed_abandoned })
 
 let collect () =
   match Atomic.get live_source with
   | None -> []
-  | Some { src_workers; src_stacks } ->
+  | Some { src_workers; src_stacks; src_abandoned } ->
     let sum f = Array.fold_left (fun acc w -> acc + f w) 0 src_workers in
     let counter name help f =
       {
@@ -239,6 +246,13 @@ let collect () =
         counter "nowa_scheduler_wake_retries_total"
           "Park cancellations that raced a wake (token consumed late)."
           (fun w -> w.wake_retries);
+        {
+          Nowa_obs.Registry.name = "nowa_routed_abandoned_total";
+          help =
+            "Routed roots still queued when main returned (counted after \
+             the workers stopped, never run).";
+          value = Nowa_obs.Registry.Counter (float_of_int (src_abandoned ()));
+        };
       ]
     in
     let stacks =

@@ -57,10 +57,18 @@ type t = {
   stacks : stack_stats option;
       (** only the continuation-stealing engines manage simulated
           cactus stacks *)
+  routed_abandoned : int;
+      (** [spawn_on]/[spawn_unit_on] roots still queued when [main]
+          returned: counted after the workers stopped, never run
+          ([nowa_routed_abandoned_total]) *)
 }
 
 val make_worker : ?pool:string -> int -> worker
-val make : ?stacks:stack_stats -> worker array -> elapsed_s:float -> t
+
+val make :
+  ?stacks:stack_stats -> ?routed_abandoned:int -> worker array ->
+  elapsed_s:float -> t
+(** [routed_abandoned] defaults to 0. *)
 
 val sweep_length : Nowa_obs.Histogram.t
 (** [nowa_scheduler_steal_sweep_length]: victims probed per steal round
@@ -71,10 +79,14 @@ val total : t -> (worker -> int) -> int
 
 val pp : Format.formatter -> t -> unit
 
-val publish : ?stacks:(unit -> stack_stats) -> worker array -> unit
+val publish :
+  ?stacks:(unit -> stack_stats) -> routed_abandoned:(unit -> int) ->
+  worker array -> unit
 (** Make the given per-worker records (and optionally a stack-stats
-    closure) the live source behind the [nowa_scheduler_*] /
-    [nowa_stacks_*] metrics on {!Nowa_obs.Registry.default}.  Called by
+    closure and the abandoned-root count's getter) the live source
+    behind the [nowa_scheduler_*] / [nowa_stacks_*] /
+    [nowa_routed_abandoned_total] metrics on
+    {!Nowa_obs.Registry.default}.  Called by
     an engine when a run starts; scrapes then read the workers' plain
     mutable counters relaxed, cross-domain — approximate while running,
     exact once the worker domains have joined.  Each call replaces the

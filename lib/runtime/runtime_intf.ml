@@ -73,18 +73,29 @@ module type S = sig
 
   val spawn_on : pool -> (unit -> 'a) -> 'a promise
   (** Route a task to a named pool: the thunk is enqueued on that
-      pool's inject queue and executed by one of its workers (or, with
-      {!Config.t.spill_over}, possibly by a foreign idle worker).
-      Unlike {!spawn} this is {e not} tied to the caller's scope — the
-      task is an independent root on the target pool and its promise is
-      a cross-pool cell read with {!get} (non-blocking, after
-      completion is known) or {!await} (blocking).  Tasks routed to the
-      same pool execute in FIFO injection order. *)
+      pool's routed queue (lock-free, FIFO) and executed by one of its
+      workers (or, with {!Config.t.spill_over}, possibly by a foreign
+      idle worker).  Unlike {!spawn} this is {e not} tied to the
+      caller's scope — the task is an independent root on the target
+      pool and its promise is a cross-pool cell read with {!get}
+      (non-blocking, after completion is known) or {!await}
+      (blocking).  Tasks routed to the same pool start in FIFO
+      injection order.
+
+      Roots still queued when [run]'s computation returns are not run:
+      the runtime counts them after its workers stop, in
+      [Metrics.t.routed_abandoned] (and [nowa_routed_abandoned_total]),
+      and logs a warning on [nowa.runtime].  A computation that needs
+      its routed work done must wait for it before returning. *)
 
   val spawn_unit_on : pool -> (unit -> unit) -> unit
-  (** Promise-free {!spawn_on} for request-shaped work.  The task's
-      exception (if any) is logged and dropped — there is no joining
-      scope to re-raise it in. *)
+  (** Promise-free {!spawn_on} for request-shaped work: the thunk itself
+      is queued, with no wrapper.  Its exception (if any) is caught by
+      the engine of the worker that runs it — the continuation-stealing
+      engine's root handler, or the help-first engines' routed task —
+      and logged at [Error] on the [nowa.runtime] source, naming the
+      runtime and the pool that ran it; the worker goes on with its next
+      task.  There is no joining scope to re-raise it in. *)
 
   val await : 'a promise -> 'a
   (** Block the calling thread until a {!spawn_on} promise is filled,

@@ -6,41 +6,39 @@
     help-first join over per-worker deques or one FIFO per pool) each
     supply a small {!POLICY}.  The shell owns the rest, once:
 
-    - the pools ({!group}: slice, sleepers, gate-counted inject queue)
-      and the run's {!cluster}; the inject gate is read and written
-      here only;
-    - routed roots: [spawn_on]/[spawn_unit_on] and their wake path;
+    - the pools ({!group}: slice, sleepers, lock-free routed queue) and
+      the run's {!cluster};
+    - routed roots: [spawn_on]/[spawn_unit_on], their queue and their
+      wake path;
     - the idle path: spin → yield → park ([worker_loop]), the park
       protocol ([park_round]) and its pre-park sweep ([sweep_all]),
       whose caller order the [sleeper]/[spillover]/[watchdog_park]
-      model-check harnesses replay over the real [Sleepers];
+      model-check harnesses replay over the real [Sleepers] and
+      [Inject_queue];
     - cross-pool spill-over;
     - [run]'s lifecycle: topology, trace rings, heartbeats, metrics
       publication, the flight recorder, the watchdog probe, domain
-      spawn/join/teardown and result capture.
+      spawn/join/teardown, result capture and the count of routed roots
+      left queued at shutdown.
 
     The spawn/sync hot path never calls into [Make]: the family owns
     the per-worker record and its domain-local slot, and the shell
-    reaches a worker's id, pool, counters and ring through the policy.
-    The one shell function a spawn calls is gomp's push, {!inject}. *)
+    reaches a worker's id, pool, counters and ring through the policy. *)
 
 module Ring = Nowa_trace.Ring
 
 (* One named micropool: a contiguous slice of the global worker array
-   with its own sleeper registry (local ids) and its own inject queue
-   for [spawn_on]-routed roots (and, under gomp, spawned children).  The
-   single-pool topology builds exactly one of these. *)
-type 'task group = {
+   with its own sleeper registry (local ids) and its own queue of
+   [spawn_on]-routed roots.  The single-pool topology builds exactly one
+   of these. *)
+type group = {
   gid : int;
   gname : string;
   glo : int;  (* first global worker id of this pool *)
   ghi : int;  (* one past the last *)
   gsleepers : Sleepers.t;  (* indexed by pool-local worker id *)
-  ginject : 'task Nowa_deque.Central_queue.t;  (* FIFO *)
-  ggate : int Atomic.t;
-      (* conservative inject count: raised before a push, lowered after
-         a pop, so 0 proves the queue empty and idle workers skip the
-         queue lock entirely *)
+  ginject : (unit -> unit) Nowa_deque.Inject_queue.t;
+      (* routed roots as the caller's bare thunks, FIFO *)
 }
 
 (* Initial capacity of every worker's deque.  The growing deques double
@@ -49,45 +47,31 @@ type 'task group = {
 let deque_capacity = 256
 
 (* One run.  [ext] is the family's own per-run state: the continuation-
-   stealing engine's stack pool (the help-first engines have none). *)
-type ('task, 'worker, 'ext) cluster = {
+   stealing engine's stack pool, gomp's per-pool FIFOs. *)
+type ('worker, 'ext) cluster = {
   conf : Config.t;
   workers : 'worker array;  (* all pools, global ids *)
-  groups : 'task group array;
+  groups : group array;
   spill : bool;  (* cross-pool spill-over stealing enabled *)
   finished : bool Atomic.t;
   hb : Health.Beats.t;  (* per-worker heartbeat words; watchdog input *)
   ext : 'ext;
 }
 
-(* The inject queue's one push: the gate goes up before the task is
-   visible and comes down by the number of tasks each pop takes, so a
-   zero gate proves the queue empty and keeps the common empty case off
-   the queue lock. *)
-let inject g t =
-  Atomic.incr g.ggate;
-  Nowa_deque.Central_queue.push g.ginject t
+(* Take one routed root from a pool's queue, as a task of the consuming
+   worker [w] ([task_of_thunk] is the family's {!POLICY.task_of_thunk}).
+   An empty queue costs two loads and no write. *)
+let try_inject g task_of_thunk w =
+  match Nowa_deque.Inject_queue.pop g.ginject with
+  | Some f -> Some (task_of_thunk w f)
+  | None -> None
 
-(* Take one task from a pool's inject queue. *)
-let try_inject g =
-  if Atomic.get g.ggate = 0 then None
-  else
-    match Nowa_deque.Central_queue.pop g.ginject with
-    | Some _ as r ->
-      Atomic.decr g.ggate;
-      r
-    | None -> None
-
-(* Take up to [max] tasks from a pool's inject queue under one lock
-   acquisition, oldest first. *)
-let take_inject g ~max =
-  if Atomic.get g.ggate = 0 then []
-  else
-    match Nowa_deque.Central_queue.pop_batch g.ginject ~max with
-    | [] -> []
-    | ts ->
-      ignore (Atomic.fetch_and_add g.ggate (-List.length ts));
-      ts
+(* A [spawn_unit_on] root that raised: there is no scope to re-raise it
+   in, so the engine that ran it logs it here and goes on. *)
+let routed_raised ~runtime g e =
+  Runtime_log.Log.err (fun m ->
+      m "%s: spawn_unit_on %S task raised %s" runtime g.gname
+        (Printexc.to_string e))
 
 (* The first hit of [f] over every pool but [g], scanned round-robin
    from the next pool over. *)
@@ -166,51 +150,54 @@ module type POLICY = sig
   type ext
 
   val current :
-    ((task, worker, ext) cluster * worker) option Domain.DLS.key
+    ((worker, ext) cluster * worker) option Domain.DLS.key
   (** The family's domain-local worker slot; [run] sets it on every
       worker domain. *)
 
   val id : worker -> int
-  val group : worker -> task group
+  val group : worker -> group
   val metrics : worker -> Metrics.worker
   val ring : worker -> Ring.t
 
-  val make_ext : Config.t -> task group array -> ext
+  val make_ext : Config.t -> group array -> ext
 
   val make_worker :
-    Config.t -> ext -> id:int -> hb:Health.Beats.t -> task group ->
+    Config.t -> ext -> id:int -> hb:Health.Beats.t -> group ->
     Metrics.worker -> Ring.t -> worker
 
-  val task_of_thunk : (unit -> unit) -> task
-  (** A root or routed thunk as a runnable task (the thunk never
-      raises).  Continuation stealing runs it under its effect handler. *)
+  val task_of_thunk : worker -> (unit -> unit) -> task
+  (** A root or routed thunk as a task that the given worker runs next.
+      The root thunk never raises; a [spawn_unit_on] thunk may, and the
+      task catches and logs it ({!routed_raised}).  Continuation
+      stealing fills the worker's recycled task box and runs it under
+      its effect handler. *)
 
-  val take : (task, worker, ext) cluster -> worker -> task option
+  val take : (worker, ext) cluster -> worker -> task option
   (** One scheduling round inside the worker's own pool: own work, then
-      the pool's inject queue ({!try_inject}), then pool-mates. *)
+      the pool's routed roots ({!try_inject}), then pool-mates. *)
 
   val probe :
-    (task, worker, ext) cluster -> worker -> task group ->
-    exhaustive:bool -> task option
-  (** Look for work in one pool's deques (not its inject queue).
-      [exhaustive] is the pre-park sweep: it must use real,
+    (worker, ext) cluster -> worker -> group -> exhaustive:bool ->
+    task option
+  (** Look for work in one pool's deques or FIFO (not its routed
+      queue).  [exhaustive] is the pre-park sweep: it must use real,
       synchronising steal operations and leave no victim unprobed.
       Otherwise it is a spill-over probe of a foreign pool. *)
 
-  val run_task : (task, worker, ext) cluster -> worker -> task -> unit
+  val run_task : (worker, ext) cluster -> worker -> task -> unit
 
-  val ready : (task, worker, ext) cluster -> int
-  (** Queued tasks outside the inject queues, for the watchdog. *)
+  val ready : (worker, ext) cluster -> int
+  (** Queued tasks outside the routed queues, for the watchdog. *)
 
-  val stack_stats : ((task, worker, ext) cluster -> Metrics.stack_stats) option
+  val stack_stats : ((worker, ext) cluster -> Metrics.stack_stats) option
 
-  val after_join : (task, worker, ext) cluster -> unit
+  val after_join : (worker, ext) cluster -> unit
   (** Runs once the helper domains have joined, before the run is
       timed and reported. *)
 end
 
 module Make (P : POLICY) : sig
-  type pool = P.task group
+  type pool = group
 
   val run : ?conf:Config.t -> (unit -> 'a) -> 'a
   val last_metrics : unit -> Metrics.t option
@@ -224,7 +211,7 @@ module Make (P : POLICY) : sig
 end = struct
   module Ev = Nowa_trace.Event
 
-  type pool = P.task group
+  type pool = group
 
   let get_current () =
     match Domain.DLS.get P.current with
@@ -232,9 +219,9 @@ end = struct
     | None -> failwith (P.name ^ ": spawn/sync/scope used outside of run")
 
   (* Cross-pool spill-over (behind [Config.spill_over]): only reached
-     when the worker's own pool — own work, inject queue and pool-mates
+     when the worker's own pool — own work, routed roots and pool-mates
      — came up empty, so local work always wins over foreign work.
-     Within each foreign pool the inject queue goes first: routed roots
+     Within each foreign pool the routed queue goes first: routed roots
      have no other runner. *)
   let find cl w =
     match P.take cl w with
@@ -243,14 +230,15 @@ end = struct
       if not cl.spill then None
       else
         foreign cl (P.group w) (fun g ->
-            match try_inject g with
+            match try_inject g P.task_of_thunk w with
             | Some _ as r -> r
             | None -> P.probe cl w g ~exhaustive:false)
 
   (* Pre-park re-check of one pool: every deque or queue with real
-     steal operations, then the inject queue.  Size reads would not do —
+     steal operations, then the routed queue.  Size reads would not do —
      the locked deque's [size] reads plain fields without the lock —
-     whereas a steal synchronises on every implementation.  Because the
+     whereas a steal synchronises on every implementation, and the
+     routed queue's pop reads its head and link atomically.  Because the
      caller has already announced its sleeper bit, sequential
      consistency gives: any task pushed before the pusher's registry
      load is visible to this sweep, or was taken by a racing thief that
@@ -258,7 +246,7 @@ end = struct
   let sweep_group cl w g =
     match P.probe cl w g ~exhaustive:true with
     | Some _ as r -> r
-    | None -> try_inject g
+    | None -> try_inject g P.task_of_thunk w
 
   (* With spill-over on, this worker may be the last one awake that
      could ever run a foreign pool's pending work, so the pre-park sweep
@@ -382,7 +370,9 @@ end = struct
             announced = (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
             waiting = (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
             wake_stamp = (fun i -> Sleepers.wake_stamp (grp i).gsleepers ~worker:(lid i));
-            ready = (fun () -> P.ready cl + sum (fun g -> Atomic.get g.ggate));
+            ready =
+              (fun () ->
+                P.ready cl + sum (fun g -> Nowa_deque.Inject_queue.length g.ginject));
             sleepers = (fun () -> sum (fun g -> Sleepers.sleepers g.gsleepers));
             draining = (fun () -> Atomic.get cl.finished);
           }
@@ -429,8 +419,7 @@ end = struct
             glo = s.Topology.lo;
             ghi = s.Topology.hi;
             gsleepers = Sleepers.create ~workers:(s.Topology.hi - s.Topology.lo);
-            ginject = Nowa_deque.Central_queue.create ();
-            ggate = Nowa_util.Padding.atomic 0;
+            ginject = Nowa_deque.Inject_queue.create ();
           })
         specs
     in
@@ -458,9 +447,14 @@ end = struct
     in
     let metrics () = Array.map P.metrics cl.workers in
     let stack_stats = Option.map (fun f () -> f cl) P.stack_stats in
+    (* Routed roots still queued once every worker has stopped: counted
+       after the join, never run. *)
+    let abandoned = ref 0 in
     (* Expose this run's counters live: scrapes read the worker records
        and the stack getters while the computation runs. *)
-    Metrics.publish ?stacks:stack_stats (metrics ());
+    Metrics.publish ?stacks:stack_stats
+      ~routed_abandoned:(fun () -> !abandoned)
+      (metrics ());
     (* Flight-recorder contributor: freeze the live rings' most recent
        window into a Perfetto file inside the bundle.  Registered even
        though the watchdog may be off — an explicit dump wants it too. *)
@@ -475,13 +469,12 @@ end = struct
     let wake_everyone () =
       Array.iter (fun g -> Sleepers.wake_all g.gsleepers) cl.groups
     in
-    let root =
-      P.task_of_thunk (fun () ->
-          (match main () with
-          | v -> result := Some (Ok v)
-          | exception e -> result := Some (Error e));
-          Atomic.set cl.finished true;
-          wake_everyone ())
+    let root () =
+      (match main () with
+      | v -> result := Some (Ok v)
+      | exception e -> result := Some (Error e));
+      Atomic.set cl.finished true;
+      wake_everyone ()
     in
     let enter w =
       Domain.DLS.set P.current (Some (cl, w));
@@ -521,19 +514,27 @@ end = struct
        hook, then time the run and report.  Only joined domains leave
        the rings and counters quiescent, safe to hand out. *)
     Fun.protect ~finally:teardown (fun () ->
-        P.run_task cl w0 root;
+        P.run_task cl w0 (P.task_of_thunk w0 root);
         worker_loop cl w0;
         join_all ();
         P.after_join cl;
         let elapsed = Unix.gettimeofday () -. t0 in
         Runtime_log.Log.debug (fun m ->
             m "%s: computation finished in %.6f s" P.name elapsed);
+        abandoned :=
+          Array.fold_left
+            (fun acc g -> acc + Nowa_deque.Inject_queue.length g.ginject)
+            0 cl.groups;
+        if !abandoned > 0 then
+          Runtime_log.Log.warn (fun m ->
+              m "%s: %d routed roots were still queued when main returned; \
+                 they did not run" P.name !abandoned);
         last_trace_ref := trace;
         last_metrics_ref :=
           Some
             (Metrics.make
                ?stacks:(Option.map (fun f -> f ()) stack_stats)
-               (metrics ()) ~elapsed_s:elapsed));
+               ~routed_abandoned:!abandoned (metrics ()) ~elapsed_s:elapsed));
     match !result with
     | Some (Ok v) -> v
     | Some (Error e) -> raise e
@@ -558,8 +559,10 @@ end = struct
 
   (* Wake path for a routed root: the target pool's registry first; with
      spill-over on and no local sleeper, any foreign sleeper will do —
-     the pre-park sweep covers foreign inject queues, and this closes
-     the window where every potential runner is already parked. *)
+     the pre-park sweep covers foreign routed queues, and this closes
+     the window where every potential runner is already parked.  It runs
+     after the push, so a worker that announced before this load finds
+     the root in its pre-park sweep. *)
   let wake_routed cl w (g : pool) =
     let wake g = if Sleepers.wake_one g.gsleepers then Some () else None in
     let woke =
@@ -571,24 +574,18 @@ end = struct
       let m = P.metrics w in
       m.Metrics.wakeups <- m.Metrics.wakeups + 1
 
-  let enqueue_routed (g : pool) f =
+  (* The caller's thunk goes into the queue as it is: one node, no
+     wrapper.  The engine that runs it catches its exception. *)
+  let spawn_unit_on (g : pool) thunk =
     let cl, w = get_current () in
-    inject g (P.task_of_thunk f);
+    Nowa_deque.Inject_queue.push g.ginject thunk;
     wake_routed cl w g
 
   let spawn_on (g : pool) thunk =
     let p = Promise.make_remote () in
-    enqueue_routed g (fun () ->
+    spawn_unit_on g (fun () ->
         match thunk () with
         | v -> Promise.fill_remote p v
         | exception e -> Promise.fill_remote_exn p e);
     p
-
-  let spawn_unit_on (g : pool) thunk =
-    enqueue_routed g (fun () ->
-        try thunk ()
-        with e ->
-          Runtime_log.Log.err (fun m ->
-              m "%s: spawn_unit_on %S task raised %s" P.name g.gname
-                (Printexc.to_string e)))
 end

@@ -124,35 +124,35 @@ let ctz m =
   let i = if b land (0x3 lsl i) <> 0 then i else i + 2 in
   if b land (0x1 lsl i) <> 0 then i else i + 1
 
+(* Claim one sleeper's bit and post its token; [false] once the mask is
+   empty.  Top-level, so a wake with a sleeper present allocates no
+   closure on the pusher's domain. *)
+let rec claim_one t =
+  let cur = Atomic.get t.word in
+  let mask = cur land mask_all in
+  if mask = 0 then false
+  else begin
+    (* Rotate the scan start by the wake epoch so successive wakes
+       walk the sleepers round-robin instead of hammering the
+       lowest-indexed worker (which otherwise absorbs every
+       wake/park cycle while high-indexed workers sleep through
+       bursts). *)
+    let r = ((cur lsr mask_bits) land 0x7fff) mod mask_bits in
+    let rot = (mask lsr r) lor ((mask lsl (mask_bits - r)) land mask_all) in
+    let w = (ctz rot + r) mod mask_bits in
+    let next = (cur lxor (1 lsl w)) + epoch_one in
+    if Atomic.compare_and_set t.word cur next then begin
+      Atomic.incr t.slots.(w).stamp;
+      post t.slots.(w);
+      true
+    end
+    else claim_one t
+  end
+
 let wake_one t =
   (* Single load on the fast path: the spawn-side cost when nobody
      sleeps.  Everything below only runs with a sleeper present. *)
-  if Atomic.get t.word land mask_all = 0 then false
-  else begin
-    let rec go () =
-      let cur = Atomic.get t.word in
-      let mask = cur land mask_all in
-      if mask = 0 then false
-      else begin
-        (* Rotate the scan start by the wake epoch so successive wakes
-           walk the sleepers round-robin instead of hammering the
-           lowest-indexed worker (which otherwise absorbs every
-           wake/park cycle while high-indexed workers sleep through
-           bursts). *)
-        let r = ((cur lsr mask_bits) land 0x7fff) mod mask_bits in
-        let rot = (mask lsr r) lor ((mask lsl (mask_bits - r)) land mask_all) in
-        let w = (ctz rot + r) mod mask_bits in
-        let next = (cur lxor (1 lsl w)) + epoch_one in
-        if Atomic.compare_and_set t.word cur next then begin
-          Atomic.incr t.slots.(w).stamp;
-          post t.slots.(w);
-          true
-        end
-        else go ()
-      end
-    in
-    go ()
-  end
+  if Atomic.get t.word land mask_all = 0 then false else claim_one t
 
 let wake_all t =
   let rec go () =

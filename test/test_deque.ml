@@ -359,6 +359,78 @@ let test_central_queue_concurrent () =
     (fun i c -> if c <> 1 then Alcotest.failf "element %d seen %d times" i c)
     seen
 
+(* -- inject queue (lock-free routed roots) ------------------------------ *)
+
+let test_inject_queue_fifo () =
+  let q = Inject_queue.create () in
+  for i = 1 to 10 do
+    Inject_queue.push q i
+  done;
+  Alcotest.(check int) "length" 10 (Inject_queue.length q);
+  for i = 1 to 4 do
+    Alcotest.(check (option int)) "fifo" (Some i) (Inject_queue.pop q)
+  done;
+  (* interleaved pushes join the back *)
+  Inject_queue.push q 11;
+  for i = 5 to 11 do
+    Alcotest.(check (option int)) "fifo after refill" (Some i) (Inject_queue.pop q)
+  done
+
+let test_inject_queue_empty () =
+  let q = Inject_queue.create () in
+  Alcotest.(check int) "fresh is empty" 0 (Inject_queue.length q);
+  Alcotest.(check (option int)) "pop on empty" None (Inject_queue.pop q);
+  Inject_queue.push q 7;
+  Alcotest.(check int) "one queued" 1 (Inject_queue.length q);
+  Alcotest.(check (option int)) "the one value" (Some 7) (Inject_queue.pop q);
+  Alcotest.(check int) "empty again" 0 (Inject_queue.length q);
+  Alcotest.(check (option int)) "still empty" None (Inject_queue.pop q)
+
+(* Two producer domains against two consumer domains: every value comes
+   out exactly once, and each consumer sees each producer's values in
+   the order they were pushed. *)
+let test_inject_queue_concurrent () =
+  let per = 20_000 in
+  let q = Inject_queue.create () in
+  let consumed = Atomic.make 0 in
+  let consumer () =
+    let got = ref [] in
+    while Atomic.get consumed < 2 * per do
+      match Inject_queue.pop q with
+      | Some v ->
+        got := v :: !got;
+        Atomic.incr consumed
+      | None -> Domain.cpu_relax ()
+    done;
+    List.rev !got
+  in
+  let producer p () =
+    for i = 0 to per - 1 do
+      Inject_queue.push q ((p * per) + i)
+    done
+  in
+  let consumers = List.init 2 (fun _ -> Domain.spawn consumer) in
+  let producers = List.init 2 (fun p -> Domain.spawn (producer p)) in
+  List.iter Domain.join producers;
+  let logs = List.map Domain.join consumers in
+  let seen = Array.make (2 * per) 0 in
+  List.iter
+    (fun log ->
+      let last = Array.make 2 (-1) in
+      List.iter
+        (fun v ->
+          seen.(v) <- seen.(v) + 1;
+          let p = v / per in
+          if v <= last.(p) then
+            Alcotest.failf "producer %d: %d after %d" p v last.(p);
+          last.(p) <- v)
+        log)
+    logs;
+  Array.iteri
+    (fun i c -> if c <> 1 then Alcotest.failf "value %d seen %d times" i c)
+    seen;
+  Alcotest.(check int) "drained" 0 (Inject_queue.length q)
+
 let () =
   Alcotest.run "nowa_deque"
     [
@@ -397,5 +469,12 @@ let () =
           Alcotest.test_case "fifo" `Quick test_central_queue_fifo;
           Alcotest.test_case "pop_batch" `Quick test_central_pop_batch;
           Alcotest.test_case "concurrent" `Slow test_central_queue_concurrent;
+        ] );
+      ( "inject",
+        [
+          Alcotest.test_case "fifo" `Quick test_inject_queue_fifo;
+          Alcotest.test_case "empty" `Quick test_inject_queue_empty;
+          Alcotest.test_case "2 producers x 2 consumers" `Slow
+            test_inject_queue_concurrent;
         ] );
     ]

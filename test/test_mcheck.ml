@@ -334,6 +334,19 @@ let test_spillover_no_sweep_strands_the_root () =
   expect_violation "park without the final sweep"
     (M.explore (S.spillover_spec ~variant:`No_final_sweep))
 
+(* -- the routed queue -------------------------------------------------------
+   The shipped [Inject_queue] with the thief popping once (the battery's
+   row pops twice, about 10x the executions), and the generated copy
+   whose pop moves the head with a plain write. *)
+
+let test_inject_queue_exactly_once_fifo () =
+  expect_exhaustive "inject queue, 2 producers x 2 consumers"
+    (M.explore (S.inject_queue_spec ~thief_pops:1))
+
+let test_inject_queue_needs_head_cas () =
+  expect_violation "inject queue without the head CAS"
+    (M.explore (S.inject_queue_spec ~variant:`No_head_cas ~thief_pops:1))
+
 (* -- pinned-schedule regressions ------------------------------------------ *)
 
 (* Each bug the checker found stays pinned by its literal failing
@@ -453,6 +466,12 @@ let () =
           Alcotest.test_case "spillover handoff" `Slow test_spillover_handoff;
           Alcotest.test_case "spillover needs the final sweep" `Quick
             test_spillover_no_sweep_strands_the_root;
+        ] );
+      ( "inject queue",
+        [
+          Alcotest.test_case "exactly once, per-producer FIFO" `Quick
+            test_inject_queue_exactly_once_fifo;
+          Alcotest.test_case "head CAS needed" `Quick test_inject_queue_needs_head_cas;
         ] );
       ( "pinned schedules",
         [

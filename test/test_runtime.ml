@@ -1278,6 +1278,140 @@ let test_routed_pipeline_conserves () =
         [ false; true ])
     presets
 
+(* A raising [spawn_unit_on] root has no scope to re-raise in: the
+   engine that runs it logs it on [nowa.runtime] and goes on
+   ([Runtime_intf.S.spawn_unit_on]).  One raising root, then 16 more, to
+   a 1-worker pool: the 16 run in injection order, [run] returns
+   normally and exactly one error is reported. *)
+let test_spawn_unit_on_exception_logged () =
+  let errors = Atomic.make 0 in
+  let counting =
+    {
+      Logs.report =
+        (fun src level ~over k _ ->
+          if Logs.Src.equal src Nowa_runtime.Runtime_log.src && level = Logs.Error
+          then Atomic.incr errors;
+          over ();
+          k ());
+    }
+  in
+  let saved = Logs.reporter () in
+  Logs.set_reporter counting;
+  Fun.protect
+    ~finally:(fun () -> Logs.set_reporter saved)
+    (fun () ->
+      List.iter
+        (fun (module R : Nowa.RUNTIME) ->
+          Atomic.set errors 0;
+          let order = Array.make 16 (-1) and next = Atomic.make 0 in
+          R.run
+            ~conf:
+              (pools_conf
+                 [ Nowa.Config.pool "main" ~workers:1; Nowa.Config.pool "aux" ~workers:1 ])
+            (fun () ->
+              let aux = R.pool "aux" in
+              R.spawn_unit_on aux (fun () -> failwith "routed boom");
+              for i = 0 to 15 do
+                R.spawn_unit_on aux (fun () -> order.(Atomic.fetch_and_add next 1) <- i)
+              done;
+              let deadline = Unix.gettimeofday () +. 10.0 in
+              while Atomic.get next < 16 && Unix.gettimeofday () < deadline do
+                Unix.sleepf 0.0005
+              done);
+          Alcotest.(check (array int))
+            (R.name ^ ": the 16 ran in injection order")
+            (Array.init 16 Fun.id) order;
+          Alcotest.(check int) (R.name ^ ": one error logged") 1 (Atomic.get errors))
+        presets)
+
+(* Caller-side allocation of one routed push, pinned the way
+   test_server pins the KV point path: the thunk goes into the queue as
+   it is, so the caller allocates the queue node and its link (5 words)
+   and nothing else; the task box is the consumer's.  [Gc.minor_words]
+   counts only the calling domain.  A wrapper closure and a task box
+   per push would read 14. *)
+let route_alloc_pin = 5.0
+
+let test_spawn_unit_on_alloc () =
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let n = 100_000 in
+      let ran = Atomic.make 0 in
+      let thunk () = Atomic.incr ran in
+      let words =
+        R.run
+          ~conf:
+            (pools_conf
+               [ Nowa.Config.pool "main" ~workers:1; Nowa.Config.pool "aux" ~workers:1 ])
+          (fun () ->
+            let aux = R.pool "aux" in
+            let w0 = Gc.minor_words () in
+            for _ = 1 to n do
+              R.spawn_unit_on aux thunk
+            done;
+            let words = (Gc.minor_words () -. w0) /. float_of_int n in
+            let deadline = Unix.gettimeofday () +. 30.0 in
+            while Atomic.get ran < n && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.0005
+            done;
+            words)
+      in
+      Alcotest.(check int) (R.name ^ ": every routed thunk ran") n (Atomic.get ran);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per spawn_unit_on (pinned <= %.1f)" R.name
+           words route_alloc_pin)
+        true (words <= route_alloc_pin))
+    presets
+
+(* Routed roots still queued when [main] returns are counted, not run:
+   [main] routes [n] roots behind a 50 ms task on a 1-worker pool and
+   returns at once.  The count is in [last_metrics] and in the registry's
+   [nowa_routed_abandoned_total]. *)
+let test_routed_abandoned_counted () =
+  let n = 8 in
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let started = Atomic.make false and pushed = Atomic.make false in
+      let ran = Atomic.make 0 in
+      R.run
+        ~conf:
+          (pools_conf
+             [ Nowa.Config.pool "main" ~workers:1; Nowa.Config.pool "busy" ~workers:1 ])
+        (fun () ->
+          let busy = R.pool "busy" in
+          R.spawn_unit_on busy (fun () ->
+              Atomic.set started true;
+              while not (Atomic.get pushed) do
+                Domain.cpu_relax ()
+              done;
+              Unix.sleepf 0.05);
+          while not (Atomic.get started) do
+            Domain.cpu_relax ()
+          done;
+          for _ = 1 to n do
+            R.spawn_unit_on busy (fun () -> Atomic.incr ran)
+          done;
+          Atomic.set pushed true);
+      Alcotest.(check int) (R.name ^ ": queued roots did not run") 0 (Atomic.get ran);
+      (match R.last_metrics () with
+      | Some m ->
+        Alcotest.(check int) (R.name ^ ": abandoned roots counted") n
+          m.Nowa.Metrics.routed_abandoned
+      | None -> Alcotest.failf "%s: no metrics" R.name);
+      let exported =
+        List.find_map
+          (fun (s : Nowa_obs.Registry.sample) ->
+            match s.value with
+            | Nowa_obs.Registry.Counter v
+              when String.equal s.name "nowa_routed_abandoned_total" ->
+              Some v
+            | _ -> None)
+          (Nowa_obs.Registry.snapshot ())
+      in
+      Alcotest.(check (option (float 0.)))
+        (R.name ^ ": exported") (Some (float_of_int n)) exported)
+    [ (module Nowa.Presets.Nowa : Nowa.RUNTIME); (module Nowa.Presets.Gomp) ]
+
 let test_pool_api_serial_elision () =
   let module S = Nowa_runtime.Serial_runtime in
   S.run (fun () ->
@@ -1400,6 +1534,12 @@ let () =
             test_spill_over_completion;
           Alcotest.test_case "routed pipeline conserves packets" `Quick
             test_routed_pipeline_conserves;
+          Alcotest.test_case "spawn_unit_on exception logged" `Quick
+            test_spawn_unit_on_exception_logged;
+          Alcotest.test_case "spawn_unit_on caller allocation" `Quick
+            test_spawn_unit_on_alloc;
+          Alcotest.test_case "abandoned routed roots counted" `Quick
+            test_routed_abandoned_counted;
           Alcotest.test_case "serial elision pool api" `Quick
             test_pool_api_serial_elision;
         ] );
