@@ -7,7 +7,11 @@ exception Check_failed of string
    point; the effect payload tells the scheduler which cell the action is
    about to touch and whether it writes, which is what the partial-order
    reduction keys on. *)
-type access = { cell : int; writes : bool }
+type access = {
+  cell : int;
+  writes : bool;
+  also : int list;  (* more cells a blocked [relax] waits on *)
+}
 
 type op =
   | Step of access option  (* unconditional action *)
@@ -33,10 +37,19 @@ module Cell = struct
      own functions. *)
   let running = ref (-1)
 
-  (* What each thread last [read]: the cell and a test "does it now hold
-     something else?" — the state [relax] blocks on. *)
-  let no_read = (-1, fun () -> true)
-  let last_read = ref [||]
+  (* What each thread has read since its previous [relax]: the cells and,
+     per read, a test "does it now hold something else?" — the state
+     [relax] blocks on.  A [relax] marks the set [stale]; the thread's
+     next read starts a new one, so a loop that reads nothing between
+     two relaxes keeps waiting on the set it had. *)
+  type reads = {
+    mutable cells : int list;
+    mutable tests : (unit -> bool) list;
+    mutable stale : bool;
+  }
+
+  let reads = ref [||]
+  let fresh_reads () = { cells = []; tests = []; stale = false }
 
   let sched op = if !running >= 0 then Effect.perform (Sched op)
 
@@ -49,18 +62,27 @@ module Cell = struct
     let i = !running in
     if i < 0 then c.v
     else begin
-      Effect.perform (Sched (Step (Some { cell = c.id; writes = false })));
+      Effect.perform (Sched (Step (Some { cell = c.id; writes = false; also = [] })));
       let v = c.v in
-      !last_read.(i) <- (c.id, fun () -> c.v != v);
+      let r = !reads.(i) in
+      if r.stale then begin
+        r.cells <- [];
+        r.tests <- [];
+        r.stale <- false
+      end;
+      r.cells <- c.id :: r.cells;
+      r.tests <- (fun () -> c.v != v) :: r.tests;
       v
     end
 
+  let[@inline] writing c = Step (Some { cell = c.id; writes = true; also = [] })
+
   let write c v =
-    sched (Step (Some { cell = c.id; writes = true }));
+    sched (writing c);
     c.v <- v
 
   let cas c expected desired =
-    sched (Step (Some { cell = c.id; writes = true }));
+    sched (writing c);
     if c.v == expected then begin
       c.v <- desired;
       true
@@ -68,10 +90,16 @@ module Cell = struct
     else false
 
   let fetch_add c d =
-    sched (Step (Some { cell = c.id; writes = true }));
+    sched (writing c);
     let v = c.v in
     c.v <- v + d;
     v
+
+  let exchange c v =
+    sched (writing c);
+    let old = c.v in
+    c.v <- v;
+    old
 
   let peek c = c.v
 
@@ -82,29 +110,38 @@ module Cell = struct
     if !running < 0 then (if not (pred c.v) then would_block ())
     else
       Effect.perform
-        (Sched (Wait ((fun () -> pred c.v), { cell = c.id; writes = false })));
+        (Sched (Wait ((fun () -> pred c.v), { cell = c.id; writes = false; also = [] })));
     c.v
 
   let await_cas c expected desired =
     if !running < 0 then (if c.v != expected then would_block ())
     else
       Effect.perform
-        (Sched (Wait ((fun () -> c.v == expected), { cell = c.id; writes = true })));
+        (Sched
+           (Wait
+              ((fun () -> c.v == expected), { cell = c.id; writes = true; also = [] })));
     (* Scheduled only in a state where [c.v == expected]; the swap is
        part of the same atomic step. *)
     c.v <- desired
 end
 
-(* The spin rule: a spin loop that re-reads a cell nobody wrote only
-   repeats a state, so the spinner is disabled until its last read would
-   return something else.  Sound exactly when the loop's exit depends on
-   that cell alone. *)
+(* The spin rule, over read sets: a spin round that re-reads cells
+   nobody wrote only repeats a state, so the spinner is disabled until
+   one of the cells it read since its previous [relax] would return
+   something else.  Sound when everything the round does depends only
+   on what it read through [Cell.read]. *)
 let relax () =
   let i = !Cell.running in
   if i >= 0 then begin
-    let cell, changed = !Cell.last_read.(i) in
-    if not (changed ()) then
-      Effect.perform (Sched (Wait (changed, { cell; writes = false })))
+    let r = !Cell.reads.(i) in
+    r.stale <- true;
+    match r.cells with
+    | [] -> ()
+    | cell :: also ->
+      let tests = r.tests in
+      let changed () = List.exists (fun f -> f ()) tests in
+      if not (changed ()) then
+        Effect.perform (Sched (Wait (changed, { cell; writes = false; also })))
   end
 
 let check cond msg = if not cond then raise (Check_failed msg)
@@ -176,7 +213,15 @@ let next_access states i =
   | Paused (_, Ready a) -> a
   | Paused (_, Waiting (_, a)) -> Some a
 
-let dependent a b = a.cell = b.cell && (a.writes || b.writes)
+let cells a = a.cell :: a.also
+
+let dependent a b =
+  (a.writes || b.writes)
+  && (a.cell = b.cell
+     ||
+     match (a.also, b.also) with
+     | [], [] -> false
+     | _ -> List.exists (fun c -> List.mem c (cells b)) (cells a))
 
 (* -- live execution state, rebuilt by [restart] ------------------------- *)
 
@@ -222,7 +267,7 @@ let restart x ~max_steps spec =
   x.invariant <- invariant;
   x.violation := None;
   x.nthreads <- Array.length x.states;
-  Cell.last_read := Array.make x.nthreads Cell.no_read;
+  Cell.reads := Array.init x.nthreads (fun _ -> Cell.fresh_reads ());
   x.clocks <- Array.init x.nthreads (fun _ -> Array.make x.nthreads 0);
   Hashtbl.reset x.cell_writes;
   Hashtbl.reset x.cell_reads;
@@ -239,12 +284,18 @@ let step x p =
   in
   advance x.states x.violation p;
   let cv = Array.copy x.clocks.(p) in
+  (* A blocked [relax] woken by a write reads every cell of its set. *)
+  let each a f =
+    f a.cell;
+    List.iter f a.also
+  in
   (match acc with
   | None -> ()
   | Some a ->
-    (match Hashtbl.find_opt x.cell_writes a.cell with
-    | Some w -> vmax cv w
-    | None -> ());
+    each a (fun cell ->
+        match Hashtbl.find_opt x.cell_writes cell with
+        | Some w -> vmax cv w
+        | None -> ());
     if a.writes then (
       match Hashtbl.find_opt x.cell_reads a.cell with
       | Some r -> vmax cv r
@@ -257,11 +308,11 @@ let step x p =
       Hashtbl.replace x.cell_writes a.cell (Array.copy cv);
       Hashtbl.remove x.cell_reads a.cell
     end
-    else begin
-      match Hashtbl.find_opt x.cell_reads a.cell with
-      | Some r -> vmax r cv
-      | None -> Hashtbl.replace x.cell_reads a.cell (Array.copy cv)
-    end);
+    else
+      each a (fun cell ->
+          match Hashtbl.find_opt x.cell_reads cell with
+          | Some r -> vmax r cv
+          | None -> Hashtbl.replace x.cell_reads cell (Array.copy cv)));
   x.clocks.(p) <- cv;
   x.trace.(x.tlen) <- { eproc = p; eacc = acc; ecv = Array.copy cv };
   x.tlen <- x.tlen + 1

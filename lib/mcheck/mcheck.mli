@@ -45,6 +45,10 @@ module Cell : sig
 
   val fetch_add : int t -> int -> int
 
+  val exchange : 'a t -> 'a -> 'a
+  (** Swap in a value and return the old one, one atomic action (as
+      [Atomic.exchange]). *)
+
   val peek : 'a t -> 'a
   (** Read without a scheduling point — for invariants only. *)
 
@@ -68,11 +72,13 @@ end
 
 val relax : unit -> unit
 (** The spin rule, behind the traced [Domain.cpu_relax]: the calling
-    thread is disabled until the cell it last {!Cell.read} holds a
-    different value, and it is no step at all if it already does.  A
-    spin loop that re-reads an unchanged cell only repeats a state, so
-    blocking it instead keeps exhaustive search finite.  Sound when the
-    loop's exit depends on the cell it last read. *)
+    thread is disabled until one of the cells it {!Cell.read} since its
+    previous [relax] holds a different value, and it is no step at all
+    if one already does (or if it has read nothing yet).  A spin round
+    that re-reads unchanged cells only repeats a state, so blocking it
+    instead keeps exhaustive search finite.  Sound when what the round
+    does depends only on the cells it read; a round that reads nothing
+    keeps waiting on the previous round's set. *)
 
 val check : bool -> string -> unit
 (** Inline assertion inside a thread body: a violation aborts the

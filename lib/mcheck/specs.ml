@@ -1,11 +1,12 @@
 (* Harnesses over the shipped coordination code.  [Chase_lev],
    [The_queue], [Abp], [Locked_deque], [Inject_queue], [Sleepers],
-   [Wait_free_counter] and [Lock_counter] below are not transcriptions:
-   the dune rules compile the files under lib/ a second time against
-   traced.ml, so each harness drives the code that ships.  Only
-   scenarios, oracles and deliberately broken caller-side controls are
-   written here; [Inject_queue_no_cas] is a dune-generated mutant of the
-   shipped queue. *)
+   [Wait_free_counter], [Lock_counter] and [Kv] below are not
+   transcriptions: the dune rules compile the files under lib/ a second
+   time against traced.ml, so each harness drives the code that ships.
+   Only scenarios, oracles and deliberately broken caller-side controls
+   are written here; [Inject_queue_no_cas], [Kv_no_recheck] and
+   [Kv_fallback_no_release] are dune-generated mutants of the shipped
+   code. *)
 
 module Cell = Mcheck.Cell
 
@@ -271,77 +272,16 @@ let sleeper_shutdown_spec ~workers () =
   in
   (List.init workers worker @ [ closer ], fun () -> Array.for_all Fun.id done_)
 
-(* -- KV shard combiner: claim/drain/release/re-check (lib/server/kv.ml) --
-   A shard's mailbox is a Treiber-style list; whoever CASes the
-   combining flag drains and applies.  The protocol's load-bearing
-   fence is the mailbox re-check AFTER releasing the flag: a message
-   pushed between the combiner's last drain and the release would
-   otherwise be stranded, because its pusher saw [combining = true] and
-   walked away.  [`No_recheck] omits exactly that fence and the checker
-   exhibits the lost operation.
+(* -- the shipped KV store (lib/server/kv.ml) --------------------------
+   [Kv_specs] is the harness; the dune rules compile it once per copy
+   of the store, so each variant runs the same scenario on the shipped
+   code or on one of its generated mutants. *)
 
-   [fast] claimants model [Kv.exec]'s idle-shard path: seeing the
-   mailbox empty, a claimant CASes the flag itself, applies its own op
-   and then runs the same drain/release/re-check as every combiner; if
-   the mailbox holds mail or the CAS fails, it pushes like anyone else.
-   [`Fast_no_recheck] drops the re-check from the fast claimant's own
-   release only, so a pusher that saw its flag held is stranded. *)
-
-let kv_combiner_spec ?(variant = `Good) ~fast ~pushers () =
-  let mail = Cell.make [] in
-  let combining = Cell.make false in
-  let store = Cell.make 0 in
-  let apply () =
-    let v = Cell.read store in
-    Cell.write store (v + 1)
-  in
-  let push v =
-    let rec go () =
-      let cur = Cell.read mail in
-      if not (Cell.cas mail cur (v :: cur)) then go ()
-    in
-    go ()
-  in
-  let drain () =
-    let rec go () =
-      let batch = Cell.read mail in
-      if batch <> [] then begin
-        if Cell.cas mail batch [] then List.iter (fun _ -> apply ()) batch;
-        go ()
-      end
-    in
-    go ()
-  in
-  (* Drain, release and (unless [recheck] is off) re-check, as in
-     combine; the re-check's own claim is a full one. *)
-  let rec release ~recheck () =
-    drain ();
-    Cell.write combining false;
-    if recheck && Cell.read mail <> [] then combine ()
-  (* One claim attempt, as in try_combine: failure means the current
-     holder is responsible (and its own release re-check is what makes
-     that responsibility real). *)
-  and combine () =
-    if Cell.cas combining false true then
-      release ~recheck:(variant <> `No_recheck) ()
-  in
-  let pusher i () =
-    push (i + 1);
-    combine ()
-  in
-  let fast_claimant i () =
-    if Cell.read mail = [] && Cell.cas combining false true then begin
-      apply ();
-      release ~recheck:(variant <> `Fast_no_recheck) ()
-    end
-    else pusher i ()
-  in
-  let threads =
-    List.init pushers pusher
-    @ List.init fast (fun i -> fast_claimant (pushers + i))
-  in
-  let invariant () = Cell.peek store = pushers + fast && Cell.peek mail = [] in
-  (threads, invariant)
+let kv_spec ?(variant = `Good) scenario =
+  match variant with
+  | `Good -> Kv_specs.spec scenario
+  | `No_recheck -> Kv_specs_no_recheck.spec scenario
+  | `Fallback_no_release -> Kv_specs_fallback_no_release.spec scenario
 
 (* -- KV bucket handoff: Borrow/Grant/Return vs a concurrent reader -----
    Two shards, one bucket each (modelled as plain int cells since the
@@ -378,8 +318,8 @@ let kv_handoff_spec ?(variant = `Good) () =
     go ()
   in
   (* Dedicated server thread per shard: combiner exclusivity is by
-     construction here (kv_combiner_spec checks the claim protocol);
-     this spec isolates the handoff races. *)
+     construction here (the [kv_spec] rows check the claim protocol on
+     the shipped store); this spec isolates the handoff races. *)
   let serve mail expected handle () =
     let handled = ref 0 in
     while !handled < expected do

@@ -10,8 +10,10 @@
     where useful a deliberately broken caller-side control — never a
     second copy of the protocol.
 
-    Hand-written models remain only for what ships nowhere: the naive
-    counter of the paper's Figure 6 and the KV combiner protocols. *)
+    Hand-written models remain only for what ships nowhere (the naive
+    counter of the paper's Figure 6) and for two KV protocol states no
+    shipped-code scenario reaches within the budget: the bucket loan
+    under a racing reader, and parked transactions at release. *)
 
 type spec = unit -> (unit -> unit) list * (unit -> bool)
 
@@ -61,22 +63,25 @@ val sleeper_shutdown_spec : workers:int -> spec
     stores [finished] and runs [wake_all]; no worker may remain parked
     after shutdown. *)
 
-val kv_combiner_spec :
-  ?variant:[ `Good | `No_recheck | `Fast_no_recheck ] ->
-  fast:int ->
-  pushers:int ->
+val kv_spec :
+  ?variant:[ `Good | `No_recheck | `Fallback_no_release ] ->
+  [ `Points | `Multi_point | `Multi_overlap | `Multi_span ] ->
   spec
-(** The KV shard's flat-combining claim protocol (lib/server/kv.ml):
-    [pushers] threads each push one operation into the mailbox and make
-    one combiner claim attempt.  [fast] more threads take
-    [Kv.exec]'s idle-shard path: with the mailbox empty they claim the
-    flag first, apply their own operation, then drain, release and
-    re-check like any combiner; otherwise they push.  The invariant is
-    that every operation is applied and the mailbox ends empty.
-    [`No_recheck] drops the mailbox re-check after every flag release,
-    exhibiting the stranded-message race the real combiner's release
-    fence prevents; [`Fast_no_recheck] drops it from the fast
-    claimant's release only. *)
+(** The shipped [Kv.exec] (lib/server/kv.ml), one call per thread on a
+    store of two shards with one bucket each.  [`Points] races two
+    [Add]s on one shard: an idle claimant against a pusher, or two
+    pushers.  The others race an idle multi-key [Multi_put] over both
+    shards, which falls back to the bucket-handoff protocol when a
+    flag is taken or a bucket is on loan: against an [Add] on the
+    second shard ([`Multi_point]), a [Multi_get] of the second shard's
+    key ([`Multi_overlap]), or a [Multi_get] of both keys
+    ([`Multi_span]).  Invariant: every call returns, the outcomes and
+    final bindings are those of some serial order of the calls, and
+    the store ends quiescent (mailboxes empty, flags free, no loans,
+    nothing parked).  The variants run dune-generated copies of the
+    store: [`No_recheck] drops the combiner's post-release mailbox
+    re-check; [`Fallback_no_release] makes the multi-key fallback take
+    the mailbox without releasing the shards it claimed. *)
 
 val kv_handoff_spec : ?variant:[ `Good | `No_defer ] -> spec
 (** The KV bucket-handoff protocol: a cross-shard transaction borrows,

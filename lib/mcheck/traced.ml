@@ -15,6 +15,7 @@ module Atomic = struct
   let set = Cell.write
   let compare_and_set = Cell.cas
   let fetch_and_add = Cell.fetch_add
+  let exchange = Cell.exchange
   let incr c = ignore (Cell.fetch_add c 1)
 end
 
@@ -45,9 +46,14 @@ module Condition = struct
 end
 
 (* Spin hints: [cpu_relax] applies the explorer's spin rule, and a
-   yield is no step at all. *)
+   yield is no step at all.  Checker threads share one domain, so
+   domain-local storage is the real one: [Kv.exec] reads the calling
+   worker's trace context there, which outside a runtime is the no-op
+   default. *)
 module Domain = struct
   let cpu_relax = Mcheck.relax
+
+  module DLS = Stdlib.Domain.DLS
 end
 
 module Unix = struct
@@ -57,6 +63,22 @@ end
 module Nowa_util = struct
   module Padding = struct
     let atomic = Atomic.make
+  end
+
+  module Splitmix = Nowa_util.Splitmix
+  module Clock = Nowa_util.Clock
+
+  (* One backoff step is one spin round under the spin rule.  [steps]
+     reads 15 on every round, so a [Kv.exec] waiter sweeps every shard
+     each round: its read set then covers every mailbox it could help,
+     where the real loop sweeps every 16th round and repeats itself in
+     between. *)
+  module Backoff = struct
+    type t = unit
+
+    let make () = ()
+    let once () = Mcheck.relax ()
+    let steps () = 15
   end
 end
 

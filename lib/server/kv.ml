@@ -45,19 +45,21 @@ type txn = {
   home : int;
   needed : int array;
   mutable cursor : int;
-  mutable held : (int * int * (key, value) H.t) list;
+  mutable held : (int * int) list;  (* (shard, bucket) on loan to it *)
 }
 
 type msg =
   | Request of req
   | Borrow of { txn : txn; bucket : int }
-  | Grant of { txn : txn; from_shard : int; from_bucket : int; data : (key, value) H.t }
-  | Return of { bucket : int; data : (key, value) H.t }
+  | Grant of { txn : txn; from_shard : int; from_bucket : int }
+  | Return of { bucket : int }
 
 type bucket = {
-  mutable tbl : (key, value) H.t;
-  (* [Some q] while the table is detached (on loan to a transaction);
-     [q] holds messages for this bucket deferred until the Return. *)
+  tbl : (key, value) H.t;
+  (* [Some q] while the bucket is on loan to a transaction, whose home
+     combiner then has the table to itself where it is (a loan moves
+     no data); [q] holds messages for this bucket deferred until the
+     Return. *)
   mutable loaned : msg Queue.t option;
 }
 
@@ -148,29 +150,51 @@ let slot t k =
   let h = Nowa_util.Splitmix.scramble k in
   (shard_of_hash t h * t.nbuckets) + bucket_of_hash t h
 
-(* Sorted, de-duplicated slots of a multi-key op. *)
+let[@inline] key_at op i =
+  match op with
+  | Multi_get ks -> ks.(i)
+  | Multi_put kvs -> fst kvs.(i)
+  | Get _ | Put _ | Add _ -> assert false
+
+(* Insert [x] into the sorted [a.(0 .. len - 1)] unless it is there
+   already; returns the new length. *)
+let insert_slot a len x =
+  let i = ref len in
+  while !i > 0 && a.(!i - 1) > x do
+    decr i
+  done;
+  if !i > 0 && a.(!i - 1) = x then len
+  else begin
+    Array.blit a !i a (!i + 1) (len - !i);
+    a.(!i) <- x;
+    len + 1
+  end
+
+(* Sorted, de-duplicated slots of a multi-key op, by insertion, which
+   allocates nothing beyond the array, where [Array.sort] allocates its
+   helper closures on every call (40 minor words per scan).  An
+   insertion scans only the distinct slots placed so far, a few for a
+   scan (YCSB-E's 1 to 8 keys) and never more than the store's
+   [shards * buckets_per_shard]. *)
 let footprint t op =
-  let a =
+  let n =
     match op with
-    | Multi_get ks -> Array.map (slot t) ks
-    | Multi_put kvs -> Array.map (fun (k, _) -> slot t k) kvs
+    | Multi_get ks -> Array.length ks
+    | Multi_put kvs -> Array.length kvs
     | Get _ | Put _ | Add _ -> assert false
   in
-  Array.sort Int.compare a;
-  let n = ref 0 in
-  for i = 0 to Array.length a - 1 do
-    if !n = 0 || a.(!n - 1) <> a.(i) then begin
-      a.(!n) <- a.(i);
-      incr n
-    end
+  let a = Array.make n 0 in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    len := insert_slot a !len (slot t (key_at op i))
   done;
-  if !n = Array.length a then a else Array.sub a 0 !n
+  if !len = n then a else Array.sub a 0 !len
 
 (* Callers test [t.log_on] first, so a store without a log builds none
    of the entry's arguments. *)
-let[@inline] observe t s ~(r : req) ~k ~read ~wrote =
+let[@inline] observe t s ~id ~k ~read ~wrote =
   s.log <-
-    { seq = Atomic.fetch_and_add t.seq 1; req_id = r.id; l_key = k; read; wrote }
+    { seq = Atomic.fetch_and_add t.seq 1; req_id = id; l_key = k; read; wrote }
     :: s.log
 
 let[@inline] fill (r : req) o = Atomic.set r.out o
@@ -220,21 +244,53 @@ let apply_single t s (r : req) tbl =
     match r.op with
     | Get k ->
       let v = H.find_opt tbl k in
-      if t.log_on then observe t s ~r ~k ~read:v ~wrote:None;
+      if t.log_on then observe t s ~id:r.id ~k ~read:v ~wrote:None;
       (match v with Some v -> Hit v | None -> Miss)
     | Put (k, v) ->
-      if t.log_on then observe t s ~r ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
+      if t.log_on then
+        observe t s ~id:r.id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
       H.replace tbl k v;
       Ack
     | Add (k, d) ->
       let prev = H.find_opt tbl k in
       let nv = match prev with Some v -> v + d | None -> d in
-      if t.log_on then observe t s ~r ~k ~read:prev ~wrote:(Some nv);
+      if t.log_on then observe t s ~id:r.id ~k ~read:prev ~wrote:(Some nv);
       H.replace tbl k nv;
       Hit nv
     | Multi_get _ | Multi_put _ -> assert false
   in
   finish_apply t s r o
+
+(* The table of [k]'s bucket.  Whoever holds every needed bucket (a
+   transaction's home combiner, or an idle-path caller holding every
+   footprint shard's flag) reads and writes the tables where they
+   are. *)
+let[@inline] table t k =
+  let h = Nowa_util.Splitmix.scramble k in
+  t.shards_.(shard_of_hash t h).buckets.(bucket_of_hash t h).tbl
+
+(* A multi-key op against buckets its caller holds, logged to the home
+   shard [s]. *)
+let apply_multi t s ~id op =
+  match op with
+  | Multi_get keys ->
+    Many
+      (Array.map
+         (fun k ->
+           let v = H.find_opt (table t k) k in
+           if t.log_on then observe t s ~id ~k ~read:v ~wrote:None;
+           v)
+         keys)
+  | Multi_put kvs ->
+    Array.iter
+      (fun (k, v) ->
+        let tbl = table t k in
+        if t.log_on then
+          observe t s ~id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
+        H.replace tbl k v)
+      kvs;
+    Ack
+  | Get _ | Put _ | Add _ -> assert false
 
 let rec handle t (s : shard) msg =
   ignore (Atomic.fetch_and_add s.depth (-1));
@@ -259,16 +315,16 @@ let rec handle t (s : shard) msg =
       ignore (Atomic.fetch_and_add t.handoffs_ 1);
       Current.emit Ev.Req_handoff ~arg:s.sid ~arg2:txn.t_req.id;
       push_msg t.shards_.(txn.home)
-        (Grant { txn; from_shard = s.sid; from_bucket = bucket; data = b.tbl });
+        (Grant { txn; from_shard = s.sid; from_bucket = bucket });
       poke_later s txn.home)
-  | Grant { txn; from_shard; from_bucket; data } ->
-    txn.held <- (from_shard, from_bucket, data) :: txn.held;
+  | Grant { txn; from_shard; from_bucket } ->
+    txn.held <- (from_shard, from_bucket) :: txn.held;
     txn.cursor <- txn.cursor + 1;
     if advance t s txn then s.waiting <- List.filter (fun x -> x != txn) s.waiting
-  | Return { bucket; data } ->
+  | Return { bucket } ->
     let b = s.buckets.(bucket) in
     (match b.loaned with
-    | Some q -> reattach s b data q
+    | Some q -> reattach s b q
     | None -> assert false)
 
 and handle_request t s (r : req) =
@@ -307,7 +363,7 @@ and advance t s txn =
       match b.loaned with
       | None ->
         b.loaned <- Some (Queue.create ());
-        txn.held <- (sh, bk, b.tbl) :: txn.held;
+        txn.held <- (sh, bk) :: txn.held;
         txn.cursor <- txn.cursor + 1;
         advance t s txn
       | Some _ -> false (* parked until the local bucket comes home *)
@@ -324,46 +380,17 @@ and apply_txn t s txn =
   (* Everything since the claim was spent collecting buckets (local
      acquisitions, Borrow round-trips, loans ahead of us). *)
   Span.mark t.span r.id Span.Handoff_wait;
-  let tbl_for k =
-    let h = Nowa_util.Splitmix.scramble k in
-    let sh = shard_of_hash t h and bk = bucket_of_hash t h in
-    let rec find = function
-      | (s', b', tbl) :: _ when s' = sh && b' = bk -> tbl
-      | _ :: rest -> find rest
-      | [] -> assert false
-    in
-    find txn.held
-  in
-  (match r.op with
-  | Multi_get keys ->
-    let res =
-      Array.map
-        (fun k ->
-          let v = H.find_opt (tbl_for k) k in
-          if t.log_on then observe t s ~r ~k ~read:v ~wrote:None;
-          v)
-        keys
-    in
-    finish_apply t s r (Many res)
-  | Multi_put kvs ->
-    Array.iter
-      (fun (k, v) ->
-        let tbl = tbl_for k in
-        if t.log_on then observe t s ~r ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
-        H.replace tbl k v)
-      kvs;
-    finish_apply t s r Ack
-  | Get _ | Put _ | Add _ -> assert false);
+  finish_apply t s r (apply_multi t s ~id:r.id r.op);
   List.iter
-    (fun (sh, bk, data) ->
+    (fun (sh, bk) ->
       if sh = s.sid then begin
         let b = s.buckets.(bk) in
         match b.loaned with
-        | Some q -> reattach s b data q
+        | Some q -> reattach s b q
         | None -> assert false
       end
       else begin
-        push_msg t.shards_.(sh) (Return { bucket = bk; data });
+        push_msg t.shards_.(sh) (Return { bucket = bk });
         poke_later s sh
       end)
     txn.held
@@ -373,8 +400,7 @@ and apply_txn t s txn =
    retry.  Deferred messages kept their admission slot ([defer]
    re-incremented depth), so re-injection must not count them again;
    the slot is released when the message is finally handled. *)
-and reattach (s : shard) b data q =
-  b.tbl <- data;
+and reattach (s : shard) b q =
   b.loaned <- None;
   Queue.iter (fun m -> push_raw s m) q;
   s.recheck <- true
@@ -426,7 +452,10 @@ let[@inline never] maybe_wedge sid =
 
    - mailbox: a message pushed between our last exchange and the flag
      release would otherwise be stranded, because its pusher saw
-     [combining = true] and went away (kv_combiner spec);
+     [combining = true] and went away.  A request's submitter waits and
+     helps, but a combiner that pushed a Return only pokes and leaves
+     (the kv_no_recheck row runs a generated copy without the re-check
+     and finds the stranded Return);
    - recheck: [retry_waiting] can itself complete a transaction whose
      reattach sets [s.recheck] again after we cleared it.  A txn parked
      on the just-reattached bucket — already filtered earlier in the
@@ -543,13 +572,23 @@ let submit t (s : shard) (c : Current.ctx) ~rid (r : req) =
   try_combine t s.sid;
   outcome t s.sid r
 
+(* One try-only claim of an idle shard: nothing queued, flag free, CAS.
+   It never waits, so a caller may hold other flags while it tries. *)
+let[@inline] try_claim (s : shard) =
+  (not (has_mail s))
+  && (not (Atomic.get s.combining))
+  && Atomic.compare_and_set s.combining false true
+  && begin
+       s.claims <- s.claims + 1;
+       true
+     end
+
 (* A point op whose submitter won an idle shard's flag: it is its own
    combiner.  It handles its request as it would a drained one (apply,
    or defer behind a loaned bucket), then enters the same drain ->
    release -> re-check loop as every claim.  Sched_wait and the claim
    bank from one clock read, so Mailbox_wait is exactly 0. *)
 let exec_idle t (s : shard) (c : Current.ctx) ~rid (r : req) =
-  s.claims <- s.claims + 1;
   if Span.tracked t.span rid then begin
     let ts = Nowa_util.Clock.now_ns () in
     Span.mark_at t.span rid Span.Sched_wait ~ts;
@@ -560,6 +599,56 @@ let exec_idle t (s : shard) (c : Current.ctx) ~rid (r : req) =
   handle_request t s r;
   combine t s;
   outcome t s.sid r
+
+(* The footprint's shards, ascending, each once: a slot's shard is held
+   already when the slot before it is on the same shard. *)
+let[@inline] shard_at t foot i = foot.(i) / t.nbuckets
+let[@inline] new_shard t foot i =
+  i = 0 || shard_at t foot (i - 1) <> shard_at t foot i
+
+(* Claim the shards of [foot.(i) ..] in ascending order, try-only.
+   Returns how many slots' shards are held: all of [foot], or those
+   before the first shard that was not idle. *)
+let rec claim_from t foot i =
+  if i = Array.length foot then i
+  else if (not (new_shard t foot i)) || try_claim t.shards_.(shard_at t foot i)
+  then claim_from t foot (i + 1)
+  else i
+
+(* No bucket of [foot.(i) ..] is on loan.  Their shards' flags are held,
+   so the answer holds until they are released. *)
+let rec unloaned t foot i =
+  i = Array.length foot
+  ||
+  match t.shards_.(shard_at t foot i).buckets.(foot.(i) mod t.nbuckets).loaned with
+  | None -> unloaned t foot (i + 1)
+  | Some _ -> false
+
+(* Release the shards of [foot.(0 .. n - 1)], each through the same
+   drain -> release -> re-check loop as every claim. *)
+let release t foot n =
+  for i = 0 to n - 1 do
+    if new_shard t foot i then combine t t.shards_.(shard_at t foot i)
+  done
+
+(* A multi-key op whose submitter holds every footprint shard's flag,
+   with no needed bucket on loan: it applies in place, as a home
+   combiner does once every bucket has arrived, then releases each
+   shard.  Sched_wait and the claim bank from one clock read, so
+   Mailbox_wait and Handoff_wait are exactly 0. *)
+let exec_multi_idle t (home : shard) (c : Current.ctx) ~rid ~id op foot =
+  if Span.tracked t.span rid then begin
+    let ts = Nowa_util.Clock.now_ns () in
+    Span.mark_at t.span rid Span.Sched_wait ~ts;
+    Span.claim_at t.span rid ~worker:c.worker ~ts
+  end;
+  Ring.emit2 c.ring Ev.Req_submit home.sid id;
+  Ring.emit2 c.ring Ev.Req_claim home.sid id;
+  let o = apply_multi t home ~id op in
+  Span.mark t.span rid Span.Exec;
+  Ring.emit2 c.ring Ev.Req_apply home.sid id;
+  release t foot (Array.length foot);
+  o
 
 let exec ?(rid = -1) t op =
   match op with
@@ -574,24 +663,28 @@ let exec ?(rid = -1) t op =
       (* Idle: nothing queued, flag free.  An armed wedge sends every
          request through the mailbox, so the wedged claim always has
          one queued behind it for the convoy probe to see. *)
-      if
-        (not (has_mail s))
-        && (not (Atomic.get s.combining))
-        && (not !wedge_armed)
-        && Atomic.compare_and_set s.combining false true
-      then exec_idle t s c ~rid r
+      if (not !wedge_armed) && try_claim s then exec_idle t s c ~rid r
       else submit t s c ~rid r
     end
   | Multi_get [||] -> Many [||]  (* no footprint, no home shard *)
   | Multi_put [||] -> Ack
   | Multi_get _ | Multi_put _ ->
     let foot = footprint t op in
-    let s = t.shards_.(foot.(0) / t.nbuckets) in
+    let s = t.shards_.(shard_at t foot 0) in
     if over_cap t s rid then Dropped
     else begin
       let c = Domain.DLS.get Current.key in
-      submit t s c ~rid
-        { id = request_id t c rid; op; foot; out = Atomic.make Pending }
+      let id = request_id t c rid in
+      (* Idle: every footprint shard claimed and no needed bucket on
+         loan.  Otherwise the shards taken so far are released and the
+         request takes the mailbox; a wedge sends it there directly. *)
+      let held = if !wedge_armed then 0 else claim_from t foot 0 in
+      if held = Array.length foot && unloaned t foot 0 then
+        exec_multi_idle t s c ~rid ~id op foot
+      else begin
+        release t foot held;
+        submit t s c ~rid { id; op; foot; out = Atomic.make Pending }
+      end
     end
 
 let size t =
@@ -608,6 +701,7 @@ let fold f t init =
 
 let dropped t = Atomic.get t.dropped_
 let handoffs t = Atomic.get t.handoffs_
+let claims t ~shard = t.shards_.(shard).claims
 
 let log t =
   let entries =

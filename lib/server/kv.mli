@@ -5,19 +5,23 @@
     current {e combiner}: whoever CASes the shard's combining flag
     drains the mailbox and applies the batch, so bucket tables need no
     per-key locks (flat combining).  Cross-shard multi-key operations
-    never lock across shards; instead, bucket {e ownership} moves: the
-    transaction's home shard borrows each foreign bucket with a
-    [Borrow] message, the owner detaches the bucket table and ships it
-    back in a [Grant], and after the one-shot atomic apply the table
-    returns home via [Return] (the IronFleet sharded-hash-table
-    scheme).  Requests that arrive for a bucket currently on loan are
+    never wait for one shard while holding another.  On idle shards the
+    caller claims them all, try-only, and applies in place (see
+    {!exec}); otherwise bucket {e ownership} moves: the transaction's
+    home shard borrows each foreign bucket with a [Borrow] message, the
+    owner marks the bucket on loan and hands it over in a [Grant], and
+    after the one-shot atomic apply the bucket returns home via
+    [Return] (the IronFleet sharded-hash-table scheme).  Requests that arrive for a bucket currently on loan are
     deferred and re-applied at return time, so no operation is lost or
     applied twice — the mcheck battery checks exactly this protocol.
 
     Deadlock freedom: a transaction acquires its buckets strictly
     one-at-a-time in the global (shard, bucket) order, so every waiter
     holds only buckets smaller than the one it waits for and the
-    wait-for relation has no cycle.
+    wait-for relation has no cycle.  The idle path of {!exec} adds no
+    edge to that relation: its claims are try-only (a flag taken, mail
+    queued or a bucket on loan makes the claimant release what it holds
+    and fall back), so a caller never waits while it holds a flag.
 
     [exec] is safe to call from any thread or runtime task and contains
     no blocking synchronisation: waiting requests poke the combiner
@@ -90,8 +94,15 @@ val exec : ?rid:int -> t -> op -> outcome
     A single-key op whose shard is idle (empty mailbox, flag free)
     skips the mailbox: the caller claims the flag, applies its op or
     defers it behind a loaned bucket, then runs the same drain,
-    release and re-check loop as any combiner.  Every other request
-    goes through the shard's mailbox. *)
+    release and re-check loop as any combiner.  A multi-key op does
+    the same over its footprint: it claims every shard it touches in
+    ascending shard order, each try-only (empty mailbox, flag free,
+    CAS), and if it holds them all and no bucket it needs is on loan
+    it reads or writes the bucket tables in place, with no transaction
+    and no handoff, then runs that loop on each shard.  A claim it
+    misses, or a needed bucket on loan, makes it run that loop on the
+    shards it took and send the request through the mailbox instead.
+    So does every request while a wedge is armed ({!inject_wedge}). *)
 
 val shard_of_key : t -> key -> int
 (** Home shard of a key (exposed for tests and placement experiments). *)
@@ -108,6 +119,11 @@ val dropped : t -> int
 
 val handoffs : t -> int
 (** Bucket grants performed so far (cross-shard transaction traffic). *)
+
+val claims : t -> shard:int -> int
+(** Claims won on [shard]'s combining flag so far: one per combiner
+    pass, and one per shard an idle-path request claims.  Racy while
+    requests run; the convoy probe reads the same counter. *)
 
 val log : t -> log_entry list
 (** Applied-step log in global [seq] order ([] unless created with

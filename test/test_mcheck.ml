@@ -1,6 +1,6 @@
 (* Model-checking the platform's coordination code (the Section II-D
    methodology): exhaustive interleaving exploration of the shipped
-   deques, join counters, sleeper registry and inject queue, compiled
+   deques, join counters, sleeper registry, inject queue and KV store, compiled
    against traced primitives; a mechanical exhibition of the Figure 6
    race on a naive counter and its absence from the wait-free and
    lock-based counters; the DPOR-vs-naive cross-checks; and
@@ -159,6 +159,30 @@ let test_explorer_spin_rule () =
   expect_exhaustive "spinner released by the write" (M.explore (spec ~writer:true));
   expect_violation "spinner with no writer ends blocked"
     (M.explore (spec ~writer:false))
+
+let test_explorer_read_set_rule () =
+  (* A spin round that reads two cells and exits on the first, the shape
+     of [Kv.exec]'s wait loop (its outcome cell, then the mailboxes its
+     [try_combine] probes).  [relax] waits on every cell read since the
+     previous [relax], so the writer's store to [a] releases the
+     spinner.  A rule that waited on the last cell read alone would
+     block the spinner on [b], which nobody writes: a false deadlock,
+     which the "finished" invariant would report as a violation. *)
+  let spec () =
+    let a = M.Cell.make false and b = M.Cell.make 0 in
+    let finished = ref false in
+    let spinner () =
+      while not (M.Cell.read a) do
+        ignore (M.Cell.read b);
+        M.relax ()
+      done;
+      finished := true
+    in
+    let writer () = M.Cell.write a true in
+    ([ spinner; writer ], fun () -> !finished)
+  in
+  expect_exhaustive "spinner released by a write to an earlier read"
+    (M.explore spec)
 
 (* -- DPOR vs naive: verdict agreement and reduction factor --------------- *)
 
@@ -347,6 +371,40 @@ let test_inject_queue_needs_head_cas () =
   expect_violation "inject queue without the head CAS"
     (M.explore (S.inject_queue_spec ~variant:`No_head_cas ~thief_pops:1))
 
+(* -- the shipped KV store ------------------------------------------------------
+   [Kv.exec] as it ships: two point ops racing for one shard verify
+   exhaustively, the multi-key scenarios are sampled, and each
+   generated mutant of the store fails beside an idle multi-key
+   claimant. *)
+
+let test_kv_points () = expect_exhaustive "kv points" (M.explore (S.kv_spec `Points))
+
+(* The multi-key rows exhaust in about 25 s each (mcheck_run); here a
+   seeded sample of each keeps the idle path's fallbacks under tier-1. *)
+let test_kv_multi_sampled () =
+  List.iter
+    (fun (name, scenario) ->
+      match M.explore_random ~seed:1 ~max_schedules:5_000 (S.kv_spec scenario) with
+      | M.Ok o ->
+        Alcotest.(check int) (name ^ ": schedules sampled") 5_000 o.M.executions;
+        Alcotest.(check int) (name ^ ": none truncated") 0 o.M.truncated
+      | M.Violation { schedule; message } ->
+        Alcotest.failf "%s: violation %S on schedule [%s]" name message
+          (String.concat ";" (List.map string_of_int schedule)))
+    [
+      ("multi vs point", `Multi_point);
+      ("multi vs overlapping multi", `Multi_overlap);
+      ("two spanning multis", `Multi_span);
+    ]
+
+let test_kv_no_recheck () =
+  expect_violation "kv combiner without the release re-check"
+    (M.explore (S.kv_spec ~variant:`No_recheck `Multi_point))
+
+let test_kv_fallback_no_release () =
+  expect_violation "kv fallback that keeps its claimed shards"
+    (M.explore (S.kv_spec ~variant:`Fallback_no_release `Multi_point))
+
 (* -- pinned-schedule regressions ------------------------------------------ *)
 
 (* Each bug the checker found stays pinned by its literal failing
@@ -417,6 +475,7 @@ let () =
           Alcotest.test_case "truncations consume budget" `Quick
             test_truncations_consume_budget;
           Alcotest.test_case "spin rule" `Quick test_explorer_spin_rule;
+          Alcotest.test_case "read-set spin rule" `Quick test_explorer_read_set_rule;
         ] );
       ( "reduction",
         [
@@ -472,6 +531,15 @@ let () =
           Alcotest.test_case "exactly once, per-producer FIFO" `Quick
             test_inject_queue_exactly_once_fifo;
           Alcotest.test_case "head CAS needed" `Quick test_inject_queue_needs_head_cas;
+        ] );
+      ( "kv store",
+        [
+          Alcotest.test_case "two point ops verify" `Quick test_kv_points;
+          Alcotest.test_case "idle multi-key claimants, sampled" `Quick
+            test_kv_multi_sampled;
+          Alcotest.test_case "release re-check needed" `Quick test_kv_no_recheck;
+          Alcotest.test_case "fallback releases its claims" `Quick
+            test_kv_fallback_no_release;
         ] );
       ( "pinned schedules",
         [

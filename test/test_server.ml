@@ -26,30 +26,51 @@ let test_kv_basics () =
   Alcotest.(check bool) "empty multi_put" true
     (Kv.exec kv (Kv.Multi_put [||]) = Kv.Ack)
 
+(* The same cross-shard ops twice: through the mailbox, where the home
+   shard borrows every foreign bucket (Borrow, Grant, Return), and on an
+   idle store, where the caller claims every footprint shard and applies
+   in place.  An armed wedge sends every request through the mailbox
+   ([~ms:0]: its claim does not spin); the home shard's next claim
+   consumes it, so it is armed again before each op. *)
 let test_kv_multi () =
-  let kv = Kv.create ~shards:4 ~buckets_per_shard:4 () in
-  (* Spread keys over every shard so the transaction must cross shards. *)
   let keys = Array.init 64 (fun i -> i) in
   let kvs = Array.map (fun k -> (k, k * 2)) keys in
-  Alcotest.(check bool) "multi_put acks" true
-    (Kv.exec kv (Kv.Multi_put kvs) = Kv.Ack);
-  (match Kv.exec kv (Kv.Multi_get keys) with
-  | Kv.Many res ->
-    Array.iteri
-      (fun i v ->
-        Alcotest.(check bool)
-          (Printf.sprintf "multi_get key %d" i)
-          true
-          (v = Some (i * 2)))
-      res
-  | _ -> Alcotest.fail "multi_get must return Many");
+  let run ~mailbox =
+    let kv = Kv.create ~shards:4 ~buckets_per_shard:4 () in
+    let home =
+      Array.fold_left (fun m k -> min m (Kv.shard_of_key kv k)) max_int keys
+    in
+    let exec op =
+      if mailbox then Kv.inject_wedge ~shard:home ~ms:0;
+      let o = Kv.exec kv op in
+      Kv.clear_wedge ();
+      o
+    in
+    let how = if mailbox then "mailbox" else "idle" in
+    Alcotest.(check bool) (how ^ ": multi_put acks") true
+      (exec (Kv.Multi_put kvs) = Kv.Ack);
+    (match exec (Kv.Multi_get keys) with
+    | Kv.Many res ->
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: multi_get key %d" how i)
+            true
+            (v = Some (i * 2)))
+        res
+    | _ -> Alcotest.fail "multi_get must return Many");
+    kv
+  in
+  let via_mailbox = run ~mailbox:true in
   Alcotest.(check bool) "cross-shard txns performed handoffs" true
-    (Kv.handoffs kv > 0);
+    (Kv.handoffs via_mailbox > 0);
+  let idle = run ~mailbox:false in
+  Alcotest.(check int) "idle store: no handoffs" 0 (Kv.handoffs idle);
   (* Distinct home shards actually exist for this key set. *)
   let shards_hit =
     Array.fold_left
-      (fun acc k -> if List.mem (Kv.shard_of_key kv k) acc then acc
-        else Kv.shard_of_key kv k :: acc)
+      (fun acc k -> if List.mem (Kv.shard_of_key idle k) acc then acc
+        else Kv.shard_of_key idle k :: acc)
       [] keys
   in
   Alcotest.(check bool) "keys span shards" true (List.length shards_hit > 1)
@@ -87,6 +108,37 @@ let test_kv_point_alloc () =
        point_alloc_pin)
     true
     (words <= point_alloc_pin)
+
+(* Allocation of the idle multi-key path, pinned the same way: serial
+   Multi_gets of 1 to 8 keys (4.5 per op) over a preloaded idle 16 x 64
+   store, the benchmark's shape.  Per op: the footprint (1 + 4.5 words),
+   the result array (1 + 4.5) with a [Some] per key (9), [Many] (2) and
+   the closure that maps the keys.  It measured 28.1 words per op; the
+   pin allows one more small block (3 words).  Through the mailbox (a
+   txn record, Borrow, Grant and Return messages, a loan queue per
+   bucket) it read 509.3. *)
+let multi_alloc_pin = 31.0
+
+let test_kv_multi_alloc () =
+  let kv = Kv.create ~shards:16 ~buckets_per_shard:64 () in
+  let keys = 20_000 and n = 20_000 in
+  for k = 0 to keys - 1 do
+    ignore (Kv.exec kv (Kv.Put (k, k)))
+  done;
+  let rng = Sm.make ~seed:5 in
+  let ops =
+    Array.init n (fun i ->
+        Kv.Multi_get (Array.init (1 + (i mod 8)) (fun _ -> Sm.int rng keys)))
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun op -> ignore (Kv.exec kv op)) ops;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "no handoffs on an idle store" 0 (Kv.handoffs kv);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per multi-key op (pinned <= %.1f)" words
+       multi_alloc_pin)
+    true
+    (words <= multi_alloc_pin)
 
 (* -- linearizability: log replay ------------------------------------------ *)
 
@@ -407,10 +459,13 @@ let prop_conservation =
           (a.Nowa_server.Anatomy.sampled + a.Nowa_server.Anatomy.dropped));
       true)
 
-(* On an idle shard a point request claims the flag itself: its ledger
-   still telescopes exactly, and Sched_wait and the claim bank from one
-   clock read, so Mailbox_wait is exactly 0.  (Through the mailbox, the
-   push and the claim read the clock apart.) *)
+(* On idle shards a request claims the flags itself: a point op its
+   shard's, a multi-key op every footprint shard's.  Its ledger still
+   telescopes exactly, and Sched_wait and the claim bank from one clock
+   read, so Mailbox_wait is exactly 0; a multi-key op applies in place,
+   so Handoff_wait is 0 too.  Every shard the request touched counts the
+   claim.  (Through the mailbox, the push and the claim read the clock
+   apart.) *)
 let test_idle_shard_ledger () =
   let n = 1_000 in
   let span = Span.create ~capacity:n () in
@@ -420,10 +475,33 @@ let test_idle_shard_ledger () =
       Span.alloc span ~cls:0 ~measured:true
         ~sched_ns:(Nowa_util.Clock.now_ns ())
     in
-    let op = if i land 1 = 0 then Kv.Put (i mod 64, i) else Kv.Get (i mod 64) in
+    let op =
+      match i mod 4 with
+      | 0 -> Kv.Put (i mod 64, i)
+      | 1 -> Kv.Get (i mod 64)
+      | 2 ->
+        Kv.Multi_put (Array.init (1 + (i mod 5)) (fun j -> ((i + (13 * j)) mod 64, i)))
+      | _ -> Kv.Multi_get (Array.init (1 + (i mod 7)) (fun j -> (i + (7 * j)) mod 64))
+    in
+    let keys =
+      match op with
+      | Kv.Get k | Kv.Put (k, _) | Kv.Add (k, _) -> [ k ]
+      | Kv.Multi_get ks -> Array.to_list ks
+      | Kv.Multi_put kvs -> List.map fst (Array.to_list kvs)
+    in
+    let shards = List.sort_uniq compare (List.map (Kv.shard_of_key kv) keys) in
+    let before = List.map (fun shard -> Kv.claims kv ~shard) shards in
     ignore (Kv.exec ~rid kv op);
-    Span.finish span rid ~ts:(Nowa_util.Clock.now_ns ())
+    Span.finish span rid ~ts:(Nowa_util.Clock.now_ns ());
+    List.iter2
+      (fun shard b ->
+        Alcotest.(check bool)
+          (Printf.sprintf "rid %d: shard %d counted the claim" rid shard)
+          true
+          (Kv.claims kv ~shard > b))
+      shards before
   done;
+  Alcotest.(check int) "no handoffs" 0 (Kv.handoffs kv);
   for rid = 0 to n - 1 do
     Alcotest.(check bool) (Printf.sprintf "rid %d finished" rid) true
       (Span.finished span rid);
@@ -434,7 +512,11 @@ let test_idle_shard_ledger () =
     Alcotest.(check int)
       (Printf.sprintf "rid %d mailbox_wait" rid)
       0
-      (Span.phase_ns span rid Span.Mailbox_wait)
+      (Span.phase_ns span rid Span.Mailbox_wait);
+    Alcotest.(check int)
+      (Printf.sprintf "rid %d handoff_wait" rid)
+      0
+      (Span.phase_ns span rid Span.Handoff_wait)
   done
 
 (* The reservoir must hold exactly the top-K offered latencies even when
@@ -557,6 +639,8 @@ let () =
           Alcotest.test_case "stress domains" `Quick test_kv_stress_domains;
           Alcotest.test_case "point path allocation" `Quick
             test_kv_point_alloc;
+          Alcotest.test_case "multi-key path allocation" `Quick
+            test_kv_multi_alloc;
         ] );
       ( "linearizability",
         [
