@@ -1,8 +1,7 @@
 (* Exhaustive model-checking battery for CI: every spec in
    Nowa_mcheck.Specs run under the DPOR explorer against its expected
    verdict, with a JSON report and any violating schedules written out
-   as artifacts.  A row too large to exhaust is sampled instead (seeded
-   random schedules) and reported as such, never as verified.
+   as artifacts.
 
      mcheck_run [--budget N] [--steps N] [--out FILE] [--violations DIR]
 
@@ -17,9 +16,6 @@ module S = Nowa_mcheck.Specs
 type expect =
   | Verified (* Ok and complete: an exhaustive proof at these bounds *)
   | Violates (* the checker must exhibit a failing schedule *)
-  | Sampled of int
-      (* no violation in this many seeded random schedules: evidence,
-         not a proof *)
 
 let battery =
   [
@@ -64,19 +60,9 @@ let battery =
     ("kv_points", Verified, S.kv_spec `Points);
     ("kv_idle_multi_point", Verified, S.kv_spec `Multi_point);
     ("kv_idle_multi_overlap", Verified, S.kv_spec `Multi_overlap);
-    ("kv_idle_multi_span", Sampled 100_000, S.kv_spec `Multi_span);
+    ("kv_idle_multi_span", Verified, S.kv_spec `Multi_span);
     ("kv_no_recheck", Violates, S.kv_spec ~variant:`No_recheck `Multi_point);
-    ( "kv_fallback_no_release",
-      Violates,
-      S.kv_spec ~variant:`Fallback_no_release `Multi_point );
-    ("kv_handoff", Verified, S.kv_handoff_spec ~variant:`Good);
-    ( "kv_handoff_no_defer",
-      Violates,
-      S.kv_handoff_spec ~variant:`No_defer );
-    ("kv_parked_retry", Verified, S.kv_parked_retry_spec ~variant:`Good);
-    ( "kv_parked_retry_no_loop",
-      Violates,
-      S.kv_parked_retry_spec ~variant:`No_recheck_loop );
+    ("kv_unordered", Violates, S.kv_spec ~variant:`Unordered `Multi_span);
     ("watchdog_park", Verified, S.watchdog_park_spec ~variant:`Good ~scans:3);
     ( "watchdog_park_bit_only",
       Violates,
@@ -112,23 +98,15 @@ let () =
     List.map
       (fun (name, expect, spec) ->
         let t0 = Unix.gettimeofday () in
-        let result =
-          match expect with
-          | Sampled n -> M.explore_random ~seed:1 ~max_schedules:n ~max_steps:!steps spec
-          | Verified | Violates ->
-            M.explore ~max_executions:!budget ~max_steps:!steps spec
-        in
+        let result = M.explore ~max_executions:!budget ~max_steps:!steps spec in
         let dt = Unix.gettimeofday () -. t0 in
         let pass, detail =
           match (expect, result) with
           | Verified, M.Ok o when o.M.complete -> (true, "verified")
           | Verified, M.Ok _ -> (false, "incomplete: raise --budget/--steps")
-          | (Verified | Sampled _), M.Violation _ -> (false, "unexpected violation")
+          | Verified, M.Violation _ -> (false, "unexpected violation")
           | Violates, M.Violation _ -> (true, "violation exhibited")
           | Violates, M.Ok _ -> (false, "expected violation not found")
-          | Sampled _, M.Ok o when o.M.truncated = 0 ->
-            (true, Printf.sprintf "sampled %d schedules" o.M.executions)
-          | Sampled _, M.Ok _ -> (false, "sample truncated: raise --steps")
         in
         if not pass then incr failures;
         let counts, schedule =

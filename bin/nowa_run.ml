@@ -594,7 +594,7 @@ let cmd =
       & info [ "anatomy" ]
           ~doc:
             "With $(b,--serve): attach a request-scoped span ledger \
-             (sched_wait/mailbox_wait/loan_defer/handoff_wait/exec/reply \
+             (sched_wait/mailbox_wait/handoff_wait/exec/reply \
              per request, conservation-checked against end-to-end \
              latency), print the per-phase quantile table, and write \
              artifacts/serve-anatomy.json plus a Perfetto timeline of \

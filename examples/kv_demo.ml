@@ -4,9 +4,9 @@
      dune exec examples/kv_demo.exe
 
    Two parts: first the KV store used directly — every request a
-   runtime task via [spawn_unit], cross-shard transactions moving
-   bucket ownership through handoff messages — then the full load
-   generator with latency percentiles for a small YCSB-A run. *)
+   runtime task via [spawn_unit], a cross-shard write claiming the
+   shards it touches in ascending order — then the full load generator
+   with latency percentiles for a small YCSB-A run. *)
 
 module Kv = Nowa_server.Kv
 module Workload = Nowa_server.Workload
@@ -20,12 +20,13 @@ let () =
             Nowa.spawn_unit sc (fun () -> ignore (Kv.exec kv (Kv.Put (k, k * k))))
           done;
           Nowa.sync sc;
-          (* A cross-shard transaction: bucket ownership is borrowed via
-             handoff messages, applied atomically, then returned. *)
+          (* A cross-shard write: the request claims each shard's
+             combining flag in ascending order, waiting behind a held
+             one, and applies all three keys atomically. *)
           Nowa.spawn_unit sc (fun () ->
               ignore (Kv.exec kv (Kv.Multi_put [| (1, -1); (500, -500); (999, -999) |])));
           Nowa.sync sc));
-  Printf.printf "store: %d keys over %d shards, %d bucket handoffs, %d dropped\n"
+  Printf.printf "store: %d keys over %d shards, %d waited claims, %d dropped\n"
     (Kv.size kv) (Kv.shards kv) (Kv.handoffs kv) (Kv.dropped kv);
   (match Kv.exec kv (Kv.Get 500) with
   | Kv.Hit v -> Printf.printf "get 500 -> %d (transaction applied)\n" v

@@ -5,8 +5,7 @@
    time against traced.ml, so each harness drives the code that ships.
    Only scenarios, oracles and deliberately broken caller-side controls
    are written here; [Inject_queue_no_cas], [Kv_no_recheck] and
-   [Kv_fallback_no_release] are dune-generated mutants of the shipped
-   code. *)
+   [Kv_unordered] are dune-generated mutants of the shipped code. *)
 
 module Cell = Mcheck.Cell
 
@@ -281,231 +280,7 @@ let kv_spec ?(variant = `Good) scenario =
   match variant with
   | `Good -> Kv_specs.spec scenario
   | `No_recheck -> Kv_specs_no_recheck.spec scenario
-  | `Fallback_no_release -> Kv_specs_fallback_no_release.spec scenario
-
-(* -- KV bucket handoff: Borrow/Grant/Return vs a concurrent reader -----
-   Two shards, one bucket each (modelled as plain int cells since the
-   combiner discipline is what grants exclusivity).  A client txn homed
-   at shard 0 atomically increments both buckets: shard 0 borrows
-   shard 1's bucket, shard 1 detaches it (grant), shard 0 applies and
-   returns it.  A second client's single-key increment on shard 1 races
-   the loan window; the correct protocol defers it until the bucket
-   comes home.  [`No_defer] applies it immediately into the detached
-   bucket's home slot — the increment lands on state the grant already
-   copied out and the Return overwrites it: a lost update the checker
-   finds.  Invariant additionally rules out double-applies via an
-   apply-count check. *)
-
-type handoff_msg =
-  | Hop  (* client C: increment shard 1's bucket *)
-  | Htxn  (* client B: increment both buckets atomically *)
-  | Hborrow
-  | Hgrant of int  (* detached bucket value travelling to shard 0 *)
-  | Hreturn of int  (* updated bucket value travelling home *)
-
-let kv_handoff_spec ?(variant = `Good) () =
-  let mail0 = Cell.make [] and mail1 = Cell.make [] in
-  let store0 = Cell.make 0 and store1 = Cell.make 0 in
-  let loaned1 = Cell.make false in
-  let defer1 = Cell.make [] in
-  let res_b = Cell.make false and res_c = Cell.make false in
-  let applied_c = Cell.make 0 in
-  let push mail m =
-    let rec go () =
-      let cur = Cell.read mail in
-      if not (Cell.cas mail cur (m :: cur)) then go ()
-    in
-    go ()
-  in
-  (* Dedicated server thread per shard: combiner exclusivity is by
-     construction here (the [kv_spec] rows check the claim protocol on
-     the shipped store); this spec isolates the handoff races. *)
-  let serve mail expected handle () =
-    let handled = ref 0 in
-    while !handled < expected do
-      let batch =
-        let rec take () =
-          let l = Cell.await mail (fun l -> l <> []) in
-          if Cell.cas mail l [] then l else take ()
-        in
-        take ()
-      in
-      List.iter handle (List.rev batch);
-      handled := !handled + List.length batch
-    done
-  in
-  let apply_c () =
-    let v = Cell.read store1 in
-    Cell.write store1 (v + 1);
-    check (Cell.fetch_add applied_c 1 = 0) "reader op applied twice";
-    Cell.write res_c true
-  in
-  let handle1 = function
-    | Hop ->
-      if Cell.read loaned1 then begin
-        match variant with
-        | `Good -> push defer1 Hop (* wait for the bucket to come home *)
-        | `No_defer -> apply_c () (* bug: mutate the detached bucket's slot *)
-      end
-      else apply_c ()
-    | Hborrow ->
-      check (not (Cell.read loaned1)) "double loan";
-      Cell.write loaned1 true;
-      let v = Cell.read store1 in
-      push mail0 (Hgrant v)
-    | Hreturn v ->
-      Cell.write store1 v;
-      Cell.write loaned1 false;
-      let deferred = Cell.read defer1 in
-      Cell.write defer1 [];
-      List.iter (fun _ -> apply_c ()) deferred
-    | Htxn | Hgrant _ -> check false "wrong shard"
-  in
-  let handle0 = function
-    | Htxn -> push mail1 Hborrow
-    | Hgrant v ->
-      (* All buckets held: the one-shot atomic apply. *)
-      let v0 = Cell.read store0 in
-      Cell.write store0 (v0 + 1);
-      Cell.write res_b true;
-      push mail1 (Hreturn (v + 1))
-    | Hop | Hborrow | Hreturn _ -> check false "wrong shard"
-  in
-  let client_b () =
-    push mail0 Htxn;
-    ignore (Cell.await res_b (fun r -> r))
-  in
-  let client_c () =
-    push mail1 Hop;
-    ignore (Cell.await res_c (fun r -> r))
-  in
-  let threads =
-    [ client_b; client_c; serve mail0 2 handle0; serve mail1 3 handle1 ]
-  in
-  let invariant () =
-    Cell.peek store0 = 1
-    && Cell.peek store1 = 2
-    && Cell.peek res_b && Cell.peek res_c
-    && (not (Cell.peek loaned1))
-    && Cell.peek defer1 = []
-    && Cell.peek mail0 = []
-    && Cell.peek mail1 = []
-  in
-  (threads, invariant)
-
-(* -- KV combiner release with parked home txns (lib/server/kv.ml) ------
-   [retry_waiting] can itself complete a transaction, and that
-   completion reattaches buckets — setting the shard's [recheck] flag
-   again after the drain loop already cleared it.  A second txn parked
-   on the just-reattached bucket, filtered earlier in the same retry
-   pass, then has no mailbox message left to wake the combiner for it:
-   [try_combine] only enters on non-empty mail.  The release must
-   therefore loop until BOTH the mailbox is empty and [recheck] is
-   clear.  [`No_recheck_loop] releases on an empty mailbox alone — the
-   checker exhibits the stranded txn (C never completes).
-
-   Model: one shard whose combiner-private state is pre-loaded with the
-   adversarial configuration — txn A holds bucket 0 and is parked on
-   bucket 1 (on loan to a remote txn whose Return is inbound); txn C is
-   parked on bucket 0; the waiting list visits C before A.  A
-   bystander client D pushes an independent single-key op so the claim
-   race and a rescue-by-later-traffic schedule are both explored: the
-   violating schedules are exactly those where D's combine runs before
-   A's completion re-sets [recheck]. *)
-
-type parked_msg = Preturn | Pop_d
-
-let kv_parked_retry_spec ?(variant = `Good) () =
-  let mail = Cell.make [] in
-  let combining = Cell.make false in
-  (* Combiner-private shard state (protected by [combining]). *)
-  let b0_loaned = Cell.make true in  (* held by home txn A *)
-  let b1_loaned = Cell.make true in  (* on loan; Return inbound *)
-  let waiting = Cell.make [ `C; `A ] in
-  let recheck = Cell.make false in
-  let done_a = Cell.make false in
-  let done_c = Cell.make false in
-  let done_d = Cell.make false in
-  let push m =
-    let rec go () =
-      let cur = Cell.read mail in
-      if not (Cell.cas mail cur (m :: cur)) then go ()
-    in
-    go ()
-  in
-  let handle = function
-    | Preturn ->
-      (* reattach bucket 1 *)
-      Cell.write b1_loaned false;
-      Cell.write recheck true
-    | Pop_d -> Cell.write done_d true (* single-key op on a free bucket *)
-  in
-  (* retry_waiting: left-to-right filter over the parked txns.  A's
-     completion applies against bucket 1 and reattaches bucket 0 —
-     the reattach that re-sets [recheck] mid-pass. *)
-  let retry () =
-    let step kept = function
-      | `A ->
-        if Cell.read b1_loaned then `A :: kept
-        else begin
-          Cell.write b0_loaned false;
-          Cell.write recheck true;
-          Cell.write done_a true;
-          kept
-        end
-      | `C ->
-        if Cell.read b0_loaned then `C :: kept
-        else begin
-          Cell.write done_c true;
-          kept
-        end
-    in
-    Cell.write waiting (List.rev (List.fold_left step [] (Cell.read waiting)))
-  in
-  let rec combine () =
-    if Cell.cas combining false true then loop ()
-  and loop () =
-    (let rec drain () =
-       let batch = Cell.read mail in
-       if batch <> [] then
-         if Cell.cas mail batch [] then List.iter handle (List.rev batch)
-         else drain ()
-     in
-     drain ());
-    if Cell.read recheck then begin
-      Cell.write recheck false;
-      retry ()
-    end;
-    let again =
-      match variant with
-      | `Good -> Cell.read recheck || Cell.read mail <> []
-      | `No_recheck_loop -> Cell.read mail <> []
-    in
-    if again then loop ()
-    else begin
-      Cell.write combining false;
-      if Cell.read mail <> [] then combine ()
-    end
-  in
-  let threads =
-    [
-      (fun () ->
-        push Preturn;
-        combine ());
-      (fun () ->
-        push Pop_d;
-        combine ());
-    ]
-  in
-  let invariant () =
-    Cell.peek done_a && Cell.peek done_c && Cell.peek done_d
-    && (not (Cell.peek b0_loaned))
-    && (not (Cell.peek b1_loaned))
-    && Cell.peek waiting = []
-    && (not (Cell.peek recheck))
-    && Cell.peek mail = []
-  in
-  (threads, invariant)
+  | `Unordered -> Kv_specs_unordered.spec scenario
 
 (* The watchdog's parked-vs-stalled classification across the park/wake
    token race (lib/runtime/health.ml Monitor.scan_once against the real

@@ -1,19 +1,17 @@
 (** Model-checkable scenarios over the platform's coordination code.
 
-    The deques, join counters (with their spinlock), sleeper registry
-    and inject queue reach these specs as build-time copies of their
-    [lib/**] sources compiled against traced primitives (see the
+    The deques, join counters (with their spinlock), sleeper registry,
+    inject queue and KV store reach these specs as build-time copies of
+    their [lib/**] sources compiled against traced primitives (see the
     library's dune rules and [traced.ml]): every [Atomic] operation is
     a scheduling point, [Mutex] and [Condition] block instead of
-    spinning, and a spin loop blocks until the cell it last read
-    changes.  A spec here is a harness — a scenario, an oracle, and
+    spinning, and a spin loop blocks until a cell it read since its
+    previous spin round changes.  A spec here is a harness — a scenario, an oracle, and
     where useful a deliberately broken caller-side control — never a
     second copy of the protocol.
 
-    Hand-written models remain only for what ships nowhere (the naive
-    counter of the paper's Figure 6) and for two KV protocol states no
-    shipped-code scenario reaches within the budget: the bucket loan
-    under a racing reader, and parked transactions at release. *)
+    Hand-written models remain only for what ships nowhere: the naive
+    counter of the paper's Figure 6. *)
 
 type spec = unit -> (unit -> unit) list * (unit -> bool)
 
@@ -64,43 +62,24 @@ val sleeper_shutdown_spec : workers:int -> spec
     after shutdown. *)
 
 val kv_spec :
-  ?variant:[ `Good | `No_recheck | `Fallback_no_release ] ->
+  ?variant:[ `Good | `No_recheck | `Unordered ] ->
   [ `Points | `Multi_point | `Multi_overlap | `Multi_span ] ->
   spec
 (** The shipped [Kv.exec] (lib/server/kv.ml), one call per thread on a
     store of two shards with one bucket each.  [`Points] races two
     [Add]s on one shard: an idle claimant against a pusher, or two
-    pushers.  The others race an idle multi-key [Multi_put] over both
-    shards, which falls back to the bucket-handoff protocol when a
-    flag is taken or a bucket is on loan: against an [Add] on the
-    second shard ([`Multi_point]), a [Multi_get] of the second shard's
-    key ([`Multi_overlap]), or a [Multi_get] of both keys
+    pushers.  The others race a [Multi_put] over both shards, which
+    claims the two flags in ascending order and waits behind a held
+    one: against an [Add] on the second shard ([`Multi_point]), a
+    [Multi_get] of the second shard's key ([`Multi_overlap]), or a
+    [Multi_get] of both keys listed in the opposite order
     ([`Multi_span]).  Invariant: every call returns, the outcomes and
-    final bindings are those of some serial order of the calls, and
-    the store ends quiescent (mailboxes empty, flags free, no loans,
-    nothing parked).  The variants run dune-generated copies of the
-    store: [`No_recheck] drops the combiner's post-release mailbox
-    re-check; [`Fallback_no_release] makes the multi-key fallback take
-    the mailbox without releasing the shards it claimed. *)
-
-val kv_handoff_spec : ?variant:[ `Good | `No_defer ] -> spec
-(** The KV bucket-handoff protocol: a cross-shard transaction borrows,
-    receives and returns a bucket while a concurrent single-key reader
-    targets the loaned bucket.  Invariant: no lost ops, no double-apply
-    (apply-count checked inline), bucket back home, mailboxes empty.
-    [`No_defer] applies the racing op into the detached bucket's slot
-    instead of deferring it, exhibiting the lost update. *)
-
-val kv_parked_retry_spec : ?variant:[ `Good | `No_recheck_loop ] -> spec
-(** Combiner release with home transactions parked on loaned buckets:
-    a retried txn's completion reattaches a bucket and re-sets the
-    shard's recheck flag after the drain loop cleared it, so the
-    combiner must loop until the mailbox is empty {e and} recheck is
-    clear before releasing.  Invariant: every txn and the bystander op
-    complete, no bucket still loaned, waiting list empty.
-    [`No_recheck_loop] releases on an empty mailbox alone — the checker
-    exhibits the stranded parked txn (liveness loss with no message
-    left to re-enter the combiner). *)
+    final bindings are those of some serial order of the calls, and the
+    store ends quiescent (mailboxes empty, depths 0, flags free).  The
+    variants run dune-generated copies of the store: [`No_recheck]
+    drops the combiner's post-release mailbox re-check; [`Unordered]
+    claims a multi-key op's shards in key order, which deadlocks
+    [`Multi_span]. *)
 
 val watchdog_park_spec :
   ?variant:[ `Good | `No_waiting_flag ] -> scans:int -> spec

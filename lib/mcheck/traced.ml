@@ -68,17 +68,14 @@ module Nowa_util = struct
   module Splitmix = Nowa_util.Splitmix
   module Clock = Nowa_util.Clock
 
-  (* One backoff step is one spin round under the spin rule.  [steps]
-     reads 15 on every round, so a [Kv.exec] waiter sweeps every shard
-     each round: its read set then covers every mailbox it could help,
-     where the real loop sweeps every 16th round and repeats itself in
-     between. *)
+  (* One backoff step is one spin round under the spin rule: a
+     [Kv.exec] caller waiting for a flag or an outcome blocks until a
+     cell it read changes. *)
   module Backoff = struct
     type t = unit
 
     let make () = ()
     let once () = Mcheck.relax ()
-    let steps () = 15
   end
 end
 

@@ -28,7 +28,6 @@ type tail_entry = {
   t_label : string;
   total_ns : int;
   combined_by : int;
-  defers : int;
   sched_ns : int;  (* absolute scheduled arrival, for timeline export *)
   phase_ns : int array;  (* indexed like Span.phases *)
 }
@@ -119,7 +118,6 @@ let of_span (span : Span.t) : t =
           t_label = class_label (Span.cls_of span rid);
           total_ns = lat;
           combined_by = Span.combiner_of span rid;
-          defers = Span.defers_of span rid;
           sched_ns = Span.sched_ns span rid;
           phase_ns = Array.map (Span.phase_ns span rid) Span.phases;
         })
@@ -168,7 +166,7 @@ let pp (a : t) =
     Printf.printf "  slowest sampled requests:\n";
     Nowa_util.Table.print
       ~header:
-        ([ "rid"; "op"; "total us"; "by"; "defers" ]
+        ([ "rid"; "op"; "total us"; "by" ]
         @ Array.to_list (Array.map Span.phase_name Span.phases))
       (List.map
          (fun e ->
@@ -177,7 +175,6 @@ let pp (a : t) =
              e.t_label;
              Printf.sprintf "%.1f" (us e.total_ns);
              string_of_int e.combined_by;
-             string_of_int e.defers;
            ]
            @ Array.to_list
                (Array.map (fun ns -> Printf.sprintf "%.1f" (us ns)) e.phase_ns))
@@ -208,9 +205,8 @@ let json (a : t) =
     (fun i e ->
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b
-        "{\"rid\": %d, \"op\": \"%s\", \"total_ns\": %d, \"combined_by\": %d, \
-         \"defers\": %d"
-        e.rid e.t_label e.total_ns e.combined_by e.defers;
+        "{\"rid\": %d, \"op\": \"%s\", \"total_ns\": %d, \"combined_by\": %d"
+        e.rid e.t_label e.total_ns e.combined_by;
       Array.iteri
         (fun p ns ->
           Printf.bprintf b ", \"%s_ns\": %d"

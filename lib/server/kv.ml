@@ -30,53 +30,21 @@ type log_entry = {
   wrote : value option;
 }
 
-(* [foot] is a multi-key op's footprint ([footprint]), built once at
-   submission; [[||]] for a single-key op, whose bucket is re-derived
-   from its key. *)
-type req = { id : int; op : op; foot : int array; out : outcome Atomic.t }
-
-(* A multi-key transaction in flight at its home shard.  [needed] is its
-   request's footprint: packed slots [shard * nbuckets + bucket], sorted
-   as ints, which is the global (shard, bucket) order, and acquired left
-   to right: the ordering is the deadlock-freedom argument (see kv.mli).
-   All fields are only touched by the home shard's current combiner. *)
-type txn = {
-  t_req : req;
-  home : int;
-  needed : int array;
-  mutable cursor : int;
-  mutable held : (int * int) list;  (* (shard, bucket) on loan to it *)
-}
-
-type msg =
-  | Request of req
-  | Borrow of { txn : txn; bucket : int }
-  | Grant of { txn : txn; from_shard : int; from_bucket : int }
-  | Return of { bucket : int }
-
-type bucket = {
-  tbl : (key, value) H.t;
-  (* [Some q] while the bucket is on loan to a transaction, whose home
-     combiner then has the table to itself where it is (a loan moves
-     no data); [q] holds messages for this bucket deferred until the
-     Return. *)
-  mutable loaned : msg Queue.t option;
-}
+(* A point request.  Only point requests enter a mailbox: a multi-key
+   op claims its shards itself ([exec_multi]). *)
+type req = { id : int; op : op; out : outcome Atomic.t }
 
 type shard = {
   sid : int;
-  mail : msg list Atomic.t;  (* Treiber-style LIFO; drained by exchange *)
-  depth : int Atomic.t;  (* messages in [mail], for admission control *)
+  mail : req list Atomic.t;  (* Treiber-style LIFO; drained by exchange *)
+  depth : int Atomic.t;  (* requests in [mail], for admission control *)
   combining : bool Atomic.t;
-  buckets : bucket array;
-  (* Combiner-private state below: protected by [combining]. *)
+  tables : (key, value) H.t array;  (* one per bucket *)
+  (* Holder-private state below: protected by [combining]. *)
   mutable claims : int;
       (* claims won so far, bumped by each winner while it holds the
          flag.  The convoy probe reads it racily to tell one long claim
          from a release and a re-claim between two of its scans. *)
-  mutable waiting : txn list;  (* home txns parked on a Grant or a local loan *)
-  mutable to_poke : int list;  (* shards to kick after releasing the flag *)
-  mutable recheck : bool;  (* a bucket came home; retry parked txns *)
   mutable log : log_entry list;
 }
 
@@ -108,13 +76,8 @@ let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
       mail = Nowa_util.Padding.atomic [];
       depth = Nowa_util.Padding.atomic 0;
       combining = Nowa_util.Padding.atomic false;
-      buckets =
-        Array.init buckets_per_shard (fun _ ->
-            { tbl = H.create 16; loaned = None });
+      tables = Array.init buckets_per_shard (fun _ -> H.create 16);
       claims = 0;
-      waiting = [];
-      to_poke = [];
-      recheck = false;
       log = [];
     }
   in
@@ -137,18 +100,12 @@ let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
   }
 
 (* Scrambled placement so that adjacent (e.g. zipf-hot) keys spread
-   over shards instead of piling into one bucket.  A key's slot packs
-   its place as [shard * nbuckets + bucket], so slots compared as ints
-   order like (shard, bucket) pairs. *)
+   over shards instead of piling into one bucket. *)
 let[@inline] shard_of_hash t h = h mod t.nshards
 let[@inline] bucket_of_hash t h = h / t.nshards mod t.nbuckets
 let[@inline] bucket_of_key t k = bucket_of_hash t (Nowa_util.Splitmix.scramble k)
 let shard_of_key t k = shard_of_hash t (Nowa_util.Splitmix.scramble k)
 let shards t = t.nshards
-
-let slot t k =
-  let h = Nowa_util.Splitmix.scramble k in
-  (shard_of_hash t h * t.nbuckets) + bucket_of_hash t h
 
 let[@inline] key_at op i =
   match op with
@@ -156,26 +113,11 @@ let[@inline] key_at op i =
   | Multi_put kvs -> fst kvs.(i)
   | Get _ | Put _ | Add _ -> assert false
 
-(* Insert [x] into the sorted [a.(0 .. len - 1)] unless it is there
-   already; returns the new length. *)
-let insert_slot a len x =
-  let i = ref len in
-  while !i > 0 && a.(!i - 1) > x do
-    decr i
-  done;
-  if !i > 0 && a.(!i - 1) = x then len
-  else begin
-    Array.blit a !i a (!i + 1) (len - !i);
-    a.(!i) <- x;
-    len + 1
-  end
-
-(* Sorted, de-duplicated slots of a multi-key op, by insertion, which
-   allocates nothing beyond the array, where [Array.sort] allocates its
-   helper closures on every call (40 minor words per scan).  An
-   insertion scans only the distinct slots placed so far, a few for a
-   scan (YCSB-E's 1 to 8 keys) and never more than the store's
-   [shards * buckets_per_shard]. *)
+(* The shards of a multi-key op's keys, ascending: the order its claims
+   follow, which is the deadlock-freedom argument (see kv.mli).  One
+   entry per key, repeats kept and skipped by the claims ([new_shard]),
+   so the array is the only allocation; insertion, where [Array.sort]
+   allocates its helper closures on every call. *)
 let footprint t op =
   let n =
     match op with
@@ -184,11 +126,18 @@ let footprint t op =
     | Get _ | Put _ | Add _ -> assert false
   in
   let a = Array.make n 0 in
-  let len = ref 0 in
   for i = 0 to n - 1 do
-    len := insert_slot a !len (slot t (key_at op i))
+    let x = shard_of_key t (key_at op i) in
+    let j = ref i in
+    while !j > 0 && a.(!j - 1) > x do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- x
   done;
-  if !len = n then a else Array.sub a 0 !len
+  a
+
+let[@inline] new_shard foot i = i = 0 || foot.(i - 1) <> foot.(i)
 
 (* Callers test [t.log_on] first, so a store without a log builds none
    of the entry's arguments. *)
@@ -197,61 +146,43 @@ let[@inline] observe t s ~id ~k ~read ~wrote =
     { seq = Atomic.fetch_and_add t.seq 1; req_id = id; l_key = k; read; wrote }
     :: s.log
 
-let[@inline] fill (r : req) o = Atomic.set r.out o
-
-(* -- mailbox -------------------------------------------------------------- *)
-
-(* Raw Treiber push, no depth accounting: for re-injecting deferred
-   messages whose admission slot is still held (see [defer]). *)
-let push_raw (s : shard) m =
+let push (s : shard) r =
+  ignore (Atomic.fetch_and_add s.depth 1);
   let rec go () =
     let cur = Atomic.get s.mail in
-    if not (Atomic.compare_and_set s.mail cur (m :: cur)) then go ()
+    if not (Atomic.compare_and_set s.mail cur (r :: cur)) then go ()
   in
   go ()
-
-let push_msg (s : shard) m =
-  ignore (Atomic.fetch_and_add s.depth 1);
-  push_raw s m
-
-(* Park a message behind a loaned bucket.  It takes an admission slot
-   (a drained message gave its own back in [handle]; an idle-path
-   request never took one), so work queued behind the loan keeps
-   counting against [queue_cap] for the whole loan window. *)
-let defer (s : shard) q m =
-  ignore (Atomic.fetch_and_add s.depth 1);
-  Queue.add m q
 
 let[@inline] has_mail (s : shard) =
   match Atomic.get s.mail with [] -> false | _ :: _ -> true
 
-let[@inline] poke_later (s : shard) j =
-  if j <> s.sid && not (List.mem j s.to_poke) then s.to_poke <- j :: s.to_poke
+(* The flag alone: free, then CAS. *)
+let[@inline] try_flag (s : shard) =
+  (not (Atomic.get s.combining)) && Atomic.compare_and_set s.combining false true
 
-(* -- combiner ------------------------------------------------------------- *)
+(* -- applying ------------------------------------------------------------- *)
 
-(* The span [Exec] mark and the Req_apply ring event must precede
-   [fill]: the outcome [Atomic.set] is the release edge that hands the
-   request back to its injector, so every span-array store sequenced
-   before it is safely ordered against the injector's [Span.finish]. *)
-let[@inline] finish_apply t (s : shard) (r : req) o =
-  Span.mark t.span r.id Span.Exec;
-  Current.emit Ev.Req_apply ~arg:s.sid ~arg2:r.id;
-  fill r o
-
-let apply_single t s (r : req) tbl =
+(* A point op on its shard [s], whose flag the caller holds.  The span
+   [Exec] mark and the Req_apply ring event precede the outcome
+   [Atomic.set]: that store is the release edge that hands the request
+   back to its submitter, so every span-array store sequenced before it
+   is safely ordered against the submitter's [Span.finish]. *)
+let apply_single t s (r : req) =
   let o =
     match r.op with
     | Get k ->
-      let v = H.find_opt tbl k in
+      let v = H.find_opt s.tables.(bucket_of_key t k) k in
       if t.log_on then observe t s ~id:r.id ~k ~read:v ~wrote:None;
       (match v with Some v -> Hit v | None -> Miss)
     | Put (k, v) ->
+      let tbl = s.tables.(bucket_of_key t k) in
       if t.log_on then
         observe t s ~id:r.id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
       H.replace tbl k v;
       Ack
     | Add (k, d) ->
+      let tbl = s.tables.(bucket_of_key t k) in
       let prev = H.find_opt tbl k in
       let nv = match prev with Some v -> v + d | None -> d in
       if t.log_on then observe t s ~id:r.id ~k ~read:prev ~wrote:(Some nv);
@@ -259,18 +190,17 @@ let apply_single t s (r : req) tbl =
       Hit nv
     | Multi_get _ | Multi_put _ -> assert false
   in
-  finish_apply t s r o
+  Span.mark t.span r.id Span.Exec;
+  Current.emit Ev.Req_apply ~arg:s.sid ~arg2:r.id;
+  Atomic.set r.out o
 
-(* The table of [k]'s bucket.  Whoever holds every needed bucket (a
-   transaction's home combiner, or an idle-path caller holding every
-   footprint shard's flag) reads and writes the tables where they
-   are. *)
+(* The table of [k]'s bucket. *)
 let[@inline] table t k =
   let h = Nowa_util.Splitmix.scramble k in
-  t.shards_.(shard_of_hash t h).buckets.(bucket_of_hash t h).tbl
+  t.shards_.(shard_of_hash t h).tables.(bucket_of_hash t h)
 
-(* A multi-key op against buckets its caller holds, logged to the home
-   shard [s]. *)
+(* A multi-key op whose caller holds every footprint shard's flag,
+   logged to its home shard [s]. *)
 let apply_multi t s ~id op =
   match op with
   | Multi_get keys ->
@@ -292,137 +222,12 @@ let apply_multi t s ~id op =
     Ack
   | Get _ | Put _ | Add _ -> assert false
 
-let rec handle t (s : shard) msg =
-  ignore (Atomic.fetch_and_add s.depth (-1));
-  match msg with
-  | Request r ->
-    (* First claim closes Mailbox_wait; a re-claim after a loan
-       deferral closes Loan_defer.  Either way the request is now owned
-       by this combiner, so the plain span stores are race-free. *)
-    if Span.tracked t.span r.id then
-      Span.claim t.span r.id ~worker:(Current.worker ());
-    Current.emit Ev.Req_claim ~arg:s.sid ~arg2:r.id;
-    handle_request t s r
-  | Borrow { txn; bucket } ->
-    let b = s.buckets.(bucket) in
-    (match b.loaned with
-    | Some q ->
-      Span.note_defer t.span txn.t_req.id;
-      Current.emit Ev.Req_defer ~arg:s.sid ~arg2:txn.t_req.id;
-      defer s q msg
-    | None ->
-      b.loaned <- Some (Queue.create ());
-      ignore (Atomic.fetch_and_add t.handoffs_ 1);
-      Current.emit Ev.Req_handoff ~arg:s.sid ~arg2:txn.t_req.id;
-      push_msg t.shards_.(txn.home)
-        (Grant { txn; from_shard = s.sid; from_bucket = bucket });
-      poke_later s txn.home)
-  | Grant { txn; from_shard; from_bucket } ->
-    txn.held <- (from_shard, from_bucket) :: txn.held;
-    txn.cursor <- txn.cursor + 1;
-    if advance t s txn then s.waiting <- List.filter (fun x -> x != txn) s.waiting
-  | Return { bucket } ->
-    let b = s.buckets.(bucket) in
-    (match b.loaned with
-    | Some q -> reattach s b q
-    | None -> assert false)
-
-and handle_request t s (r : req) =
-  match r.op with
-  | Get k | Put (k, _) | Add (k, _) ->
-    let b = s.buckets.(bucket_of_key t k) in
-    (match b.loaned with
-    | Some q ->
-      Span.note_defer t.span r.id;
-      Current.emit Ev.Req_defer ~arg:s.sid ~arg2:r.id;
-      defer s q (Request r)
-    | None -> apply_single t s r b.tbl)
-  | Multi_get _ | Multi_put _ ->
-    let txn =
-      {
-        t_req = r;
-        home = s.sid;
-        needed = r.foot;
-        cursor = 0;
-        held = [];
-      }
-    in
-    if not (advance t s txn) then s.waiting <- txn :: s.waiting
-
-(* Drive acquisition from the cursor.  True iff the txn completed. *)
-and advance t s txn =
-  if txn.cursor >= Array.length txn.needed then begin
-    apply_txn t s txn;
-    true
-  end
-  else begin
-    let slot = txn.needed.(txn.cursor) in
-    let sh = slot / t.nbuckets and bk = slot mod t.nbuckets in
-    if sh = s.sid then begin
-      let b = s.buckets.(bk) in
-      match b.loaned with
-      | None ->
-        b.loaned <- Some (Queue.create ());
-        txn.held <- (sh, bk) :: txn.held;
-        txn.cursor <- txn.cursor + 1;
-        advance t s txn
-      | Some _ -> false (* parked until the local bucket comes home *)
-    end
-    else begin
-      push_msg t.shards_.(sh) (Borrow { txn; bucket = bk });
-      poke_later s sh;
-      false (* parked until the Grant *)
-    end
-  end
-
-and apply_txn t s txn =
-  let r = txn.t_req in
-  (* Everything since the claim was spent collecting buckets (local
-     acquisitions, Borrow round-trips, loans ahead of us). *)
-  Span.mark t.span r.id Span.Handoff_wait;
-  finish_apply t s r (apply_multi t s ~id:r.id r.op);
-  List.iter
-    (fun (sh, bk) ->
-      if sh = s.sid then begin
-        let b = s.buckets.(bk) in
-        match b.loaned with
-        | Some q -> reattach s b q
-        | None -> assert false
-      end
-      else begin
-        push_msg t.shards_.(sh) (Return { bucket = bk });
-        poke_later s sh
-      end)
-    txn.held
-
-(* Bucket comes home: re-inject deferred messages (they re-enter the
-   mailbox and are handled in a later batch) and flag parked txns for
-   retry.  Deferred messages kept their admission slot ([defer]
-   re-incremented depth), so re-injection must not count them again;
-   the slot is released when the message is finally handled. *)
-and reattach (s : shard) b q =
-  b.loaned <- None;
-  Queue.iter (fun m -> push_raw s m) q;
-  s.recheck <- true
-
-(* Retry parked txns whose cursor points at a local bucket.  Safe to
-   run the filter while [advance] fires: completion only reattaches
-   buckets and sends messages, never touches [s.waiting]. *)
-let retry_waiting t s =
-  s.waiting <-
-    List.filter
-      (fun txn ->
-        let parked_local =
-          txn.cursor < Array.length txn.needed
-          && txn.needed.(txn.cursor) / t.nbuckets = s.sid
-        in
-        if parked_local then not (advance t s txn) else true)
-      s.waiting
+(* -- combiner ------------------------------------------------------------- *)
 
 (* Fault injection for the watchdog's convoy detector: a one-shot
-   (shard, ms) wedge consumed by the next combiner to claim that shard,
-   which then spins while holding the flag — exactly the pathology the
-   convoy probe is meant to catch. *)
+   (shard, ms) wedge consumed by the next holder to run that shard's
+   [combine], which then spins while holding the flag — exactly the
+   pathology the convoy probe is meant to catch. *)
 let wedge_armed : bool ref = ref false
 let wedge_spec : (int * int) option Atomic.t = Atomic.make None
 
@@ -446,56 +251,45 @@ let[@inline never] maybe_wedge sid =
     end
   | _ -> ()
 
-(* Drain until the mailbox is empty AND no reattach is pending, then
-   release and re-check the mailbox.  Both halves of the condition are
-   load-bearing fences, each model-checked:
+let handle t (s : shard) (r : req) =
+  ignore (Atomic.fetch_and_add s.depth (-1));
+  (* The request is now owned by this combiner, so the plain span
+     stores are race-free. *)
+  if Span.tracked t.span r.id then
+    Span.claim t.span r.id ~worker:(Current.worker ());
+  Current.emit Ev.Req_claim ~arg:s.sid ~arg2:r.id;
+  apply_single t s r
 
-   - mailbox: a message pushed between our last exchange and the flag
-     release would otherwise be stranded, because its pusher saw
-     [combining = true] and went away.  A request's submitter waits and
-     helps, but a combiner that pushed a Return only pokes and leaves
-     (the kv_no_recheck row runs a generated copy without the re-check
-     and finds the stranded Return);
-   - recheck: [retry_waiting] can itself complete a transaction whose
-     reattach sets [s.recheck] again after we cleared it.  A txn parked
-     on the just-reattached bucket — already filtered earlier in the
-     same pass — would then be stranded with an empty mailbox, and
-     nothing would ever wake the combiner for it ([try_combine] only
-     enters on mail).  Looping on [s.recheck] re-runs the retry before
-     release (kv_parked_retry spec). *)
+(* Drain until the mailbox is empty, then release and re-check it.  The
+   re-check is the one fence that hands every queued request a
+   combiner: a request pushed between our last exchange and the flag
+   release would otherwise be stranded, because its pusher saw
+   [combining = true] and now only waits for its outcome (the
+   kv_no_recheck row runs a generated copy without the re-check and
+   finds the stranded request).  Every claim, whether a drained
+   mailbox's, an idle point op's or a multi-key op's, is released
+   here. *)
 let rec combine t (s : shard) =
   if !wedge_armed then maybe_wedge s.sid;
   (match Atomic.exchange s.mail [] with
   | [] -> ()
   | batch -> List.iter (handle t s) (List.rev batch));
-  if s.recheck then begin
-    s.recheck <- false;
-    retry_waiting t s
-  end;
-  if s.recheck || has_mail s then combine t s
+  if has_mail s then combine t s
   else begin
-    let pokes = s.to_poke in
-    s.to_poke <- [];
     Atomic.set s.combining false;
-    (match pokes with [] -> () | _ -> List.iter (try_combine t) pokes);
-    if has_mail s then try_combine t s.sid
+    if has_mail s then try_combine t s
   end
 
-and try_combine t j =
-  let s = t.shards_.(j) in
-  if
-    has_mail s
-    && (not (Atomic.get s.combining))
-    && Atomic.compare_and_set s.combining false true
-  then begin
+and try_combine t (s : shard) =
+  if has_mail s && try_flag s then begin
     s.claims <- s.claims + 1;
     combine t s
   end
 
 (* Watchdog probe.  A shard is reported once the probe has seen the
    same claim (same [claims] count, flag held) on an earlier scan more
-   than [hold_ms] ago, with at least [min_depth] messages backed up
-   behind it; [held_ms] counts from that first sighting.  The combiner's
+   than [hold_ms] ago, with at least [min_depth] requests backed up
+   behind it; [held_ms] counts from that first sighting.  The holder's
    fields are read racily by design: a count read just before its
    winner bumps it costs one more scan.  [seen_claim]/[seen_ns] are the
    probe's own, so it takes one caller at a time. *)
@@ -522,28 +316,22 @@ let convoys ?(hold_ms = 50.0) ?(min_depth = 1) t =
 (* -- client API ----------------------------------------------------------- *)
 
 (* Wait for a request that is still [Pending] after its submitter's own
-   combining pass, helping the combiners meanwhile. *)
-let rec wait t home (r : req) bo =
+   combining attempt.  Nothing to help with: whoever holds the flag
+   drains the mailbox, and its release re-check hands a later push a
+   combiner. *)
+let rec wait (r : req) bo =
   match Atomic.get r.out with
   | Pending ->
-    try_combine t home;
-    (* A parked transaction makes progress on other shards; sweep them
-       occasionally so a foreign mailbox with no local traffic cannot
-       sit idle under us. *)
-    if Nowa_util.Backoff.steps bo land 15 = 15 then
-      for j = 0 to t.nshards - 1 do
-        try_combine t j
-      done;
     Nowa_util.Backoff.once bo;
-    wait t home r bo
+    wait r bo
   | o -> o
 
-let[@inline] outcome t home (r : req) =
+let[@inline] outcome (r : req) =
   match Atomic.get r.out with
-  | Pending -> wait t home r (Nowa_util.Backoff.make ())
+  | Pending -> wait r (Nowa_util.Backoff.make ())
   | o -> o
 
-(* Admission control: reject when the shard's pending-message count is
+(* Admission control: reject when the shard's queued-request count is
    at the cap. *)
 let over_cap t (s : shard) rid =
   Atomic.get s.depth >= t.queue_cap
@@ -568,86 +356,75 @@ let submit t (s : shard) (c : Current.ctx) ~rid (r : req) =
      mailbox CAS orders the store against the claiming combiner. *)
   Span.mark t.span rid Span.Sched_wait;
   Ring.emit2 c.ring Ev.Req_submit s.sid r.id;
-  push_msg s (Request r);
-  try_combine t s.sid;
-  outcome t s.sid r
+  push s r;
+  try_combine t s;
+  outcome r
 
-(* One try-only claim of an idle shard: nothing queued, flag free, CAS.
-   It never waits, so a caller may hold other flags while it tries. *)
+(* One try-only claim of an idle shard: nothing queued, flag free, CAS. *)
 let[@inline] try_claim (s : shard) =
   (not (has_mail s))
-  && (not (Atomic.get s.combining))
-  && Atomic.compare_and_set s.combining false true
+  && try_flag s
   && begin
        s.claims <- s.claims + 1;
        true
      end
 
+(* A request whose caller claims its shards itself, homed at [s]:
+   Sched_wait and the claim bank from one clock read, so Mailbox_wait
+   is exactly 0. *)
+let enter t (s : shard) (c : Current.ctx) ~rid ~id =
+  if Span.tracked t.span rid then begin
+    let ts = Nowa_util.Clock.now_ns () in
+    Span.mark_at t.span rid Span.Sched_wait ~ts;
+    Span.claim_at t.span rid ~worker:c.worker ~ts
+  end;
+  Ring.emit2 c.ring Ev.Req_submit s.sid id;
+  Ring.emit2 c.ring Ev.Req_claim s.sid id
+
 (* A point op whose submitter won an idle shard's flag: it is its own
-   combiner.  It handles its request as it would a drained one (apply,
-   or defer behind a loaned bucket), then enters the same drain ->
-   release -> re-check loop as every claim.  Sched_wait and the claim
-   bank from one clock read, so Mailbox_wait is exactly 0. *)
+   combiner.  It applies its request, then enters the same drain ->
+   release -> re-check loop as every claim. *)
 let exec_idle t (s : shard) (c : Current.ctx) ~rid (r : req) =
-  if Span.tracked t.span rid then begin
-    let ts = Nowa_util.Clock.now_ns () in
-    Span.mark_at t.span rid Span.Sched_wait ~ts;
-    Span.claim_at t.span rid ~worker:c.worker ~ts
-  end;
-  Ring.emit2 c.ring Ev.Req_submit s.sid r.id;
-  Ring.emit2 c.ring Ev.Req_claim s.sid r.id;
-  handle_request t s r;
+  enter t s c ~rid ~id:r.id;
+  apply_single t s r;
   combine t s;
-  outcome t s.sid r
+  outcome r
 
-(* The footprint's shards, ascending, each once: a slot's shard is held
-   already when the slot before it is on the same shard. *)
-let[@inline] shard_at t foot i = foot.(i) / t.nbuckets
-let[@inline] new_shard t foot i =
-  i = 0 || shard_at t foot (i - 1) <> shard_at t foot i
-
-(* Claim the shards of [foot.(i) ..] in ascending order, try-only.
-   Returns how many slots' shards are held: all of [foot], or those
-   before the first shard that was not idle. *)
-let rec claim_from t foot i =
-  if i = Array.length foot then i
-  else if (not (new_shard t foot i)) || try_claim t.shards_.(shard_at t foot i)
-  then claim_from t foot (i + 1)
-  else i
-
-(* No bucket of [foot.(i) ..] is on loan.  Their shards' flags are held,
-   so the answer holds until they are released. *)
-let rec unloaned t foot i =
-  i = Array.length foot
-  ||
-  match t.shards_.(shard_at t foot i).buckets.(foot.(i) mod t.nbuckets).loaned with
-  | None -> unloaned t foot (i + 1)
-  | Some _ -> false
-
-(* Release the shards of [foot.(0 .. n - 1)], each through the same
-   drain -> release -> re-check loop as every claim. *)
-let release t foot n =
-  for i = 0 to n - 1 do
-    if new_shard t foot i then combine t t.shards_.(shard_at t foot i)
-  done
-
-(* A multi-key op whose submitter holds every footprint shard's flag,
-   with no needed bucket on loan: it applies in place, as a home
-   combiner does once every bucket has arrived, then releases each
-   shard.  Sched_wait and the claim bank from one clock read, so
-   Mailbox_wait and Handoff_wait are exactly 0. *)
-let exec_multi_idle t (home : shard) (c : Current.ctx) ~rid ~id op foot =
-  if Span.tracked t.span rid then begin
-    let ts = Nowa_util.Clock.now_ns () in
-    Span.mark_at t.span rid Span.Sched_wait ~ts;
-    Span.claim_at t.span rid ~worker:c.worker ~ts
+(* Take [s]'s flag for a multi-key op, backing off while another caller
+   holds it.  Mail queued behind a free flag does not stop the claim:
+   the release drains it.  True iff the claim waited. *)
+let claim (s : shard) =
+  let waited = not (try_flag s) in
+  if waited then begin
+    let bo = Nowa_util.Backoff.make () in
+    while not (try_flag s) do
+      Nowa_util.Backoff.once bo
+    done
   end;
-  Ring.emit2 c.ring Ev.Req_submit home.sid id;
-  Ring.emit2 c.ring Ev.Req_claim home.sid id;
+  s.claims <- s.claims + 1;
+  waited
+
+(* A multi-key op claims every footprint shard's flag in ascending
+   order, waiting behind a held one, applies in place, then releases
+   each shard through [combine].  The time spent waiting for flags is
+   banked as Handoff_wait, and only when a claim waited. *)
+let exec_multi t (home : shard) (c : Current.ctx) ~rid ~id op foot =
+  enter t home c ~rid ~id;
+  let waited = ref false in
+  for i = 0 to Array.length foot - 1 do
+    if new_shard foot i && claim t.shards_.(foot.(i)) then begin
+      waited := true;
+      ignore (Atomic.fetch_and_add t.handoffs_ 1);
+      Ring.emit2 c.ring Ev.Req_handoff foot.(i) id
+    end
+  done;
+  if !waited then Span.mark t.span rid Span.Handoff_wait;
   let o = apply_multi t home ~id op in
   Span.mark t.span rid Span.Exec;
   Ring.emit2 c.ring Ev.Req_apply home.sid id;
-  release t foot (Array.length foot);
+  for i = 0 to Array.length foot - 1 do
+    if new_shard foot i then combine t t.shards_.(foot.(i))
+  done;
   o
 
 let exec ?(rid = -1) t op =
@@ -657,12 +434,10 @@ let exec ?(rid = -1) t op =
     if over_cap t s rid then Dropped
     else begin
       let c = Domain.DLS.get Current.key in
-      let r =
-        { id = request_id t c rid; op; foot = [||]; out = Atomic.make Pending }
-      in
+      let r = { id = request_id t c rid; op; out = Atomic.make Pending } in
       (* Idle: nothing queued, flag free.  An armed wedge sends every
-         request through the mailbox, so the wedged claim always has
-         one queued behind it for the convoy probe to see. *)
+         point request through the mailbox, so the wedged claim always
+         has one queued behind it for the convoy probe to see. *)
       if (not !wedge_armed) && try_claim s then exec_idle t s c ~rid r
       else submit t s c ~rid r
     end
@@ -670,33 +445,21 @@ let exec ?(rid = -1) t op =
   | Multi_put [||] -> Ack
   | Multi_get _ | Multi_put _ ->
     let foot = footprint t op in
-    let s = t.shards_.(shard_at t foot 0) in
-    if over_cap t s rid then Dropped
+    let home = t.shards_.(foot.(0)) in
+    if over_cap t home rid then Dropped
     else begin
       let c = Domain.DLS.get Current.key in
-      let id = request_id t c rid in
-      (* Idle: every footprint shard claimed and no needed bucket on
-         loan.  Otherwise the shards taken so far are released and the
-         request takes the mailbox; a wedge sends it there directly. *)
-      let held = if !wedge_armed then 0 else claim_from t foot 0 in
-      if held = Array.length foot && unloaned t foot 0 then
-        exec_multi_idle t s c ~rid ~id op foot
-      else begin
-        release t foot held;
-        submit t s c ~rid { id; op; foot; out = Atomic.make Pending }
-      end
+      exec_multi t home c ~rid ~id:(request_id t c rid) op foot
     end
 
 let size t =
   Array.fold_left
-    (fun acc s ->
-      Array.fold_left (fun acc b -> acc + H.length b.tbl) acc s.buckets)
+    (fun acc s -> Array.fold_left (fun acc tbl -> acc + H.length tbl) acc s.tables)
     0 t.shards_
 
 let fold f t init =
   Array.fold_left
-    (fun acc s ->
-      Array.fold_left (fun acc b -> H.fold f b.tbl acc) acc s.buckets)
+    (fun acc s -> Array.fold_left (fun acc tbl -> H.fold f tbl acc) acc s.tables)
     init t.shards_
 
 let dropped t = Atomic.get t.dropped_

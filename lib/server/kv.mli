@@ -1,32 +1,27 @@
-(** Hash-sharded in-memory KV store with message-based bucket handoff.
+(** Hash-sharded in-memory KV store with flat combining and ordered
+    multi-key claims.
 
     The store is split into [shards], each a set of hash buckets plus a
-    lock-free mailbox.  A shard's state is only ever touched by the
-    current {e combiner}: whoever CASes the shard's combining flag
-    drains the mailbox and applies the batch, so bucket tables need no
-    per-key locks (flat combining).  Cross-shard multi-key operations
-    never wait for one shard while holding another.  On idle shards the
-    caller claims them all, try-only, and applies in place (see
-    {!exec}); otherwise bucket {e ownership} moves: the transaction's
-    home shard borrows each foreign bucket with a [Borrow] message, the
-    owner marks the bucket on loan and hands it over in a [Grant], and
-    after the one-shot atomic apply the bucket returns home via
-    [Return] (the IronFleet sharded-hash-table scheme).  Requests that arrive for a bucket currently on loan are
-    deferred and re-applied at return time, so no operation is lost or
-    applied twice — the mcheck battery checks exactly this protocol.
+    lock-free mailbox and a combining flag.  A shard's tables are only
+    ever touched by whoever holds its flag, so they need no per-key
+    locks.  A point op on an idle shard (empty mailbox, flag free)
+    claims the flag and applies itself; otherwise it is pushed onto the
+    mailbox, and whoever holds or next takes the flag drains the
+    mailbox and applies the batch (flat combining).  A multi-key op
+    claims the flag of every shard its keys live on, in ascending shard
+    order, waiting behind a flag another caller holds, then reads or
+    writes the tables in place.  Every holder releases a shard the same
+    way: drain the mailbox, release the flag, re-check the mailbox.  The
+    mcheck battery checks this protocol on this file.
 
-    Deadlock freedom: a transaction acquires its buckets strictly
-    one-at-a-time in the global (shard, bucket) order, so every waiter
-    holds only buckets smaller than the one it waits for and the
-    wait-for relation has no cycle.  The idle path of {!exec} adds no
-    edge to that relation: its claims are try-only (a flag taken, mail
-    queued or a bucket on loan makes the claimant release what it holds
-    and fall back), so a caller never waits while it holds a flag.
+    Deadlock freedom is by ordered acquisition: a point op or a combiner
+    never waits while it holds a flag, and a multi-key op waits only for
+    a flag above every flag it holds, so the wait-for relation has no
+    cycle.
 
-    [exec] is safe to call from any thread or runtime task and contains
-    no blocking synchronisation: waiting requests poke the combiner
-    loop themselves (helping), so a stalled worker cannot wedge the
-    shard. *)
+    [exec] is safe to call from any thread or runtime task.  A request
+    in a mailbox waits for its outcome: the flag's holder drains it, or
+    the holder's release re-check hands it a combiner. *)
 
 type t
 
@@ -50,7 +45,7 @@ type outcome =
 
 (** One applied read/write step, for linearizability checking: [seq] is
     drawn from a global counter at the linearization point (while the
-    combiner holds the bucket exclusively), so replaying entries in
+    caller holds the bucket's shard flag), so replaying entries in
     [seq] order against a sequential reference must reproduce every
     [read] observation. *)
 type log_entry = {
@@ -70,15 +65,15 @@ val create :
   unit ->
   t
 (** Defaults: 16 shards, 64 buckets each, queue cap 65536, no log.
-    [queue_cap] bounds a shard's pending-message count — mailbox plus
-    messages deferred behind a bucket loan; requests beyond it are
-    rejected with [Dropped] (open-loop overload shedding).  [log:true]
-    records every applied step for offline linearizability checking —
-    test-only, it serialises on a global counter.  [span] attaches a
-    request-phase ledger: stations inside the store (submit, combiner
-    claim, loan deferral, handoff, apply) mark the caller-allocated rid
-    as the request moves; [Span.disabled] (the default) makes every
-    mark a no-op. *)
+    [queue_cap] bounds a shard's queued point requests: a request whose
+    shard (for a multi-key op, its lowest footprint shard) has that many
+    queued is rejected with [Dropped] (open-loop overload shedding).
+    [log:true] records every applied step for offline linearizability
+    checking — test-only, it serialises on a global counter.  [span]
+    attaches a request-phase ledger: stations inside the store (submit,
+    claim, a multi-key op's wait for a held flag, apply) mark the
+    caller-allocated rid as the request moves; [Span.disabled] (the
+    default) makes every mark a no-op. *)
 
 val exec : ?rid:int -> t -> op -> outcome
 (** Execute one operation to completion.  Never returns [Pending].
@@ -92,17 +87,13 @@ val exec : ?rid:int -> t -> op -> outcome
     is on.  Otherwise the request's id is [-1].
 
     A single-key op whose shard is idle (empty mailbox, flag free)
-    skips the mailbox: the caller claims the flag, applies its op or
-    defers it behind a loaned bucket, then runs the same drain,
-    release and re-check loop as any combiner.  A multi-key op does
-    the same over its footprint: it claims every shard it touches in
-    ascending shard order, each try-only (empty mailbox, flag free,
-    CAS), and if it holds them all and no bucket it needs is on loan
-    it reads or writes the bucket tables in place, with no transaction
-    and no handoff, then runs that loop on each shard.  A claim it
-    misses, or a needed bucket on loan, makes it run that loop on the
-    shards it took and send the request through the mailbox instead.
-    So does every request while a wedge is armed ({!inject_wedge}). *)
+    skips the mailbox: the caller claims the flag, applies its op, then
+    runs the drain, release and re-check loop every holder runs.
+    Otherwise it goes through the mailbox (so does every point op while
+    a wedge is armed, {!inject_wedge}).  A multi-key op claims every
+    shard it touches in ascending shard order, waiting with backoff
+    behind a flag another caller holds, reads or writes the bucket
+    tables in place, then runs that loop on each shard. *)
 
 val shard_of_key : t -> key -> int
 (** Home shard of a key (exposed for tests and placement experiments). *)
@@ -118,12 +109,14 @@ val dropped : t -> int
 (** Requests rejected by admission control so far. *)
 
 val handoffs : t -> int
-(** Bucket grants performed so far (cross-shard transaction traffic). *)
+(** Claims so far at which a multi-key op waited for a footprint
+    shard's flag that another caller held (one per shard waited for). *)
 
 val claims : t -> shard:int -> int
 (** Claims won on [shard]'s combining flag so far: one per combiner
-    pass, and one per shard an idle-path request claims.  Racy while
-    requests run; the convoy probe reads the same counter. *)
+    pass, one per idle point op, and one per multi-key op that touches
+    the shard.  Racy while requests run; the convoy probe reads the
+    same counter. *)
 
 val log : t -> log_entry list
 (** Applied-step log in global [seq] order ([] unless created with
@@ -137,7 +130,7 @@ val convoys :
     [Health.Convoy {shard; depth; held_ms}] per shard whose combining
     flag is held by the same claim that an earlier call saw held more
     than [hold_ms] (default 50) milliseconds ago, while at least
-    [min_depth] (default 1) messages wait behind it.  Claims are
+    [min_depth] (default 1) requests wait behind it.  Claims are
     counted, not timed, so [held_ms] is the time since the probe first
     saw the claim: a lower bound on the hold.  A claim is therefore
     reported one scan later than a timed claim would be.  The reads of
@@ -146,12 +139,13 @@ val convoys :
     monitor's). *)
 
 val inject_wedge : shard:int -> ms:int -> unit
-(** Arm a one-shot fault: the next combiner to claim [shard] spins for
-    [ms] milliseconds while holding the flag, manufacturing exactly the
-    convoy that {!convoys} detects.  While a wedge is armed, every
-    request goes through its shard's mailbox (no idle-shard claim), so
-    even a lone request waits behind the wedged claim.  Test/bench
-    only. *)
+(** Arm a one-shot fault: the next holder to run [shard]'s drain loop
+    spins for [ms] milliseconds while holding the flag, manufacturing
+    exactly the convoy that {!convoys} detects.  While a wedge is armed,
+    every point request goes through its shard's mailbox (no idle-shard
+    claim), so even a lone request waits behind the wedged claim; a
+    multi-key op claims as always, and waits behind a wedged flag.
+    Test/bench only. *)
 
 val clear_wedge : unit -> unit
 (** Disarm a pending {!inject_wedge}. *)

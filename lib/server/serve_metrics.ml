@@ -17,7 +17,7 @@ let dropped =
 
 let handoffs =
   Nowa_obs.Registry.counter "nowa_serve_handoffs_total"
-    ~help:"Bucket grants performed for cross-shard transactions."
+    ~help:"Multi-key claims that waited for a shard flag another caller held."
 
 let read_latency =
   Nowa_obs.Registry.histogram "nowa_serve_read_latency_ns"

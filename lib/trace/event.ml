@@ -25,8 +25,9 @@ type kind =
   | Unpark  (** parked worker woke up and rejoined stealing *)
   | Req_submit  (** request pushed into a shard mailbox (arg = shard, arg2 = rid) *)
   | Req_claim  (** combiner picked the request out of a drained batch *)
-  | Req_defer  (** request parked behind a bucket loan (arg = shard, arg2 = rid) *)
-  | Req_handoff  (** cross-shard bucket grant serving this txn (arg = shard, arg2 = rid) *)
+  | Req_handoff
+      (** a multi-key request waited for a footprint shard's flag that
+          another caller held (arg = that shard, arg2 = rid) *)
   | Req_apply  (** request's operation applied to the store *)
   | Req_done  (** reply observed by the injector; end of the span *)
 
@@ -46,10 +47,9 @@ let to_int = function
   | Unpark -> 12
   | Req_submit -> 13
   | Req_claim -> 14
-  | Req_defer -> 15
-  | Req_handoff -> 16
-  | Req_apply -> 17
-  | Req_done -> 18
+  | Req_handoff -> 15
+  | Req_apply -> 16
+  | Req_done -> 17
 
 let of_int = function
   | 0 -> Task_start
@@ -67,10 +67,9 @@ let of_int = function
   | 12 -> Unpark
   | 13 -> Req_submit
   | 14 -> Req_claim
-  | 15 -> Req_defer
-  | 16 -> Req_handoff
-  | 17 -> Req_apply
-  | 18 -> Req_done
+  | 15 -> Req_handoff
+  | 16 -> Req_apply
+  | 17 -> Req_done
   | n -> invalid_arg (Printf.sprintf "Event.of_int: %d" n)
 
 let name = function
@@ -89,7 +88,6 @@ let name = function
   | Unpark -> "unpark"
   | Req_submit -> "req-submit"
   | Req_claim -> "req-claim"
-  | Req_defer -> "req-defer"
   | Req_handoff -> "req-handoff"
   | Req_apply -> "req-apply"
   | Req_done -> "req-done"

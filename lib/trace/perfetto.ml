@@ -104,7 +104,7 @@ let events_to_buffer ?(process_name = "nowa") ?(counters = []) (t : Trace.t)
             if rid >= 0 then
               buf_event b ~first ~name:"req" ~ph ~ts_us ~pid ~tid:w
                 (Printf.sprintf ",\"cat\":\"req\",\"id\":%d%s" rid extra)
-          | (Event.Req_defer | Event.Req_handoff | Event.Req_done) as k ->
+          | (Event.Req_handoff | Event.Req_done) as k ->
             buf_event b ~first ~name:(Event.name k) ~ph:"i" ~ts_us ~pid ~tid:w
               (Printf.sprintf ",\"s\":\"t\",\"args\":{\"shard\":%d,\"req\":%d}"
                  e.Event.arg e.Event.arg2)

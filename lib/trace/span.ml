@@ -13,9 +13,9 @@
 
     - [Sched_wait]    scheduled arrival -> mailbox push (injector lag,
                       spawn, steal, park-wake latency)
-    - [Mailbox_wait]  mailbox push -> first combiner claim
-    - [Loan_defer]    parked behind a bucket loan -> re-claim
-    - [Handoff_wait]  txn claim -> all cross-shard grants arrived
+    - [Mailbox_wait]  mailbox push -> combiner claim
+    - [Handoff_wait]  multi-key claim -> every footprint flag held, when
+                      a flag another caller held made it wait
     - [Exec]          store operation itself
     - [Reply]         outcome published -> injector observes it
 
@@ -32,10 +32,10 @@
     data-race-free because at any instant exactly one domain owns a
     request, and every ownership transfer is an atomic edge that the
     marks piggyback on: injector -> worker via the runtime deque publish,
-    worker -> combiner via the mailbox Treiber CAS / drain exchange,
-    combiner -> combiner via the loan reattach push, and combiner ->
-    injector via the outcome [Atomic.set]/[get].  Each release/acquire
-    pair orders the plain stores before the next reader's loads.
+    worker -> combiner via the mailbox Treiber CAS / drain exchange, and
+    combiner -> injector via the outcome [Atomic.set]/[get].  Each
+    release/acquire pair orders the plain stores before the next
+    reader's loads.
 
     {b Tail reservoir.}  {!finish} offers the end-to-end latency to a
     bounded top-K-by-latency reservoir of K packed atomic words
@@ -48,32 +48,29 @@
     beats the minimum — so the final contents are exactly the top-K
     offered latencies (ties at the boundary resolved arbitrarily). *)
 
-type phase = Sched_wait | Mailbox_wait | Loan_defer | Handoff_wait | Exec | Reply
+type phase = Sched_wait | Mailbox_wait | Handoff_wait | Exec | Reply
 
-let phases = [| Sched_wait; Mailbox_wait; Loan_defer; Handoff_wait; Exec; Reply |]
+let phases = [| Sched_wait; Mailbox_wait; Handoff_wait; Exec; Reply |]
 let n_phases = Array.length phases
 
 let phase_index = function
   | Sched_wait -> 0
   | Mailbox_wait -> 1
-  | Loan_defer -> 2
-  | Handoff_wait -> 3
-  | Exec -> 4
-  | Reply -> 5
+  | Handoff_wait -> 2
+  | Exec -> 3
+  | Reply -> 4
 
 let phase_name = function
   | Sched_wait -> "sched_wait"
   | Mailbox_wait -> "mailbox_wait"
-  | Loan_defer -> "loan_defer"
   | Handoff_wait -> "handoff_wait"
   | Exec -> "exec"
   | Reply -> "reply"
 
 (* Per-request flag bits. *)
-let f_claimed = 1
-let f_measured = 2
-let f_finished = 4
-let f_dropped = 8
+let f_measured = 1
+let f_finished = 2
+let f_dropped = 4
 
 (* Tail-reservoir packing: latency in the high bits, rid+1 in the low
    [rid_bits] (0 = empty slot).  21 bits bound the collector capacity at
@@ -93,8 +90,7 @@ let o_flags = o_ledger + n_phases
 let o_sched = o_flags + 1  (* scheduled-arrival ns (absolute) *)
 let o_fin = o_sched + 1  (* completion ns; meaningful once finished *)
 let o_cls = o_fin + 1  (* op-class index from the workload *)
-let o_combined = o_cls + 1  (* worker id of the last claiming combiner *)
-let o_defers = o_combined + 1  (* times parked behind a bucket loan *)
+let o_combined = o_cls + 1  (* worker id of the claiming combiner *)
 let stride = 16
 
 type t = {
@@ -179,26 +175,16 @@ let[@inline] mark_at t rid phase ~ts =
 let[@inline] mark t rid phase =
   if tracked t rid then mark_at t rid phase ~ts:(Nowa_util.Clock.now_ns ())
 
-(** A combiner picked the request out of a drained batch (at [ts]).
-    The first claim closes [Mailbox_wait]; a re-claim after a
-    bucket-loan deferral closes [Loan_defer].  Records the claiming
-    worker either way. *)
+(** A combiner picked the request out of a drained batch (at [ts]):
+    closes [Mailbox_wait] and records the claiming worker. *)
 let claim_at t rid ~worker ~ts =
   if tracked t rid then begin
-    let f = get t rid o_flags in
-    if f land f_claimed = 0 then begin
-      set t rid o_flags (f lor f_claimed);
-      mark_at t rid Mailbox_wait ~ts
-    end
-    else mark_at t rid Loan_defer ~ts;
+    mark_at t rid Mailbox_wait ~ts;
     set t rid o_combined worker
   end
 
 let claim t rid ~worker =
   if tracked t rid then claim_at t rid ~worker ~ts:(Nowa_util.Clock.now_ns ())
-
-let note_defer t rid =
-  if tracked t rid then set t rid o_defers (get t rid o_defers + 1)
 
 let drop t rid =
   if tracked t rid then set t rid o_flags (get t rid o_flags lor f_dropped)
@@ -279,7 +265,6 @@ let sched_ns t rid = if tracked t rid then get t rid o_sched else 0
 let done_ns t rid = if tracked t rid then get t rid o_fin else 0
 let cls_of t rid = if tracked t rid then get t rid o_cls else 0
 let combiner_of t rid = if tracked t rid then get t rid o_combined else -1
-let defers_of t rid = if tracked t rid then get t rid o_defers else 0
 let finished t rid = tracked t rid && get t rid o_flags land f_finished <> 0
 let measured t rid = tracked t rid && get t rid o_flags land f_measured <> 0
 let was_dropped t rid = tracked t rid && get t rid o_flags land f_dropped <> 0

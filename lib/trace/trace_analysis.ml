@@ -30,7 +30,6 @@ type worker_summary = {
   parked_ns : int;  (** time spent blocked on the worker's condvar *)
   req_submits : int;  (** serving-layer requests injected from this worker *)
   req_claims : int;  (** requests this worker claimed as combiner *)
-  req_defers : int;  (** requests it parked behind a bucket loan *)
   busy_ns : int;
   sched_ns : int;
   utilization : float;  (** busy / span of the whole trace *)
@@ -82,7 +81,7 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
   let tasks = ref 0 and spawns = ref 0 and steals = ref 0 in
   let attempts = ref 0 and suspends = ref 0 in
   let parks = ref 0 and parked = ref 0 in
-  let submits = ref 0 and claims = ref 0 and defers = ref 0 in
+  let submits = ref 0 and claims = ref 0 in
   let busy = ref 0 in
   let open_start = ref None in
   let park_since = ref None in
@@ -138,7 +137,6 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
         | None -> ())
       | Event.Req_submit -> incr submits
       | Event.Req_claim -> incr claims
-      | Event.Req_defer -> incr defers
       | Event.Steal_abort | Event.Lost_continuation | Event.Resume
       | Event.Stack_acquire | Event.Stack_release | Event.Req_handoff
       | Event.Req_apply | Event.Req_done ->
@@ -166,7 +164,6 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
     parked_ns = !parked;
     req_submits = !submits;
     req_claims = !claims;
-    req_defers = !defers;
     busy_ns = busy;
     sched_ns = max 0 (span_ns - busy);
     utilization = float_of_int busy /. float_of_int span;
@@ -245,8 +242,7 @@ let pp ppf t =
               (float_of_int w.parked_ns /. 1e6)
           else "")
         ^ (if w.req_claims > 0 || w.req_submits > 0 then
-             Printf.sprintf " reqs=%d/%d/%d" w.req_submits w.req_claims
-               w.req_defers
+             Printf.sprintf " reqs=%d/%d" w.req_submits w.req_claims
            else "")
         ^
         if w.dropped > 0 then Printf.sprintf " dropped=%d" w.dropped else ""))

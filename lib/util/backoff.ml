@@ -2,18 +2,14 @@ type t = {
   min_spins : int;
   max_spins : int;
   mutable current : int;
-  mutable count : int;
 }
 
 let make ?(min_spins = 4) ?(max_spins = 1024) () =
-  { min_spins; max_spins; current = min_spins; count = 0 }
+  { min_spins; max_spins; current = min_spins }
 
-let reset t =
-  t.current <- t.min_spins;
-  t.count <- 0
+let reset t = t.current <- t.min_spins
 
 let once t =
-  t.count <- t.count + 1;
   for _ = 1 to t.current do
     Domain.cpu_relax ()
   done;
@@ -22,5 +18,4 @@ let once t =
     Unix.sleepf 0.0
   else t.current <- t.current * 2
 
-let steps t = t.count
 let spins t = t.current

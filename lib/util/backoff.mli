@@ -17,13 +17,10 @@ val make : ?min_spins:int -> ?max_spins:int -> unit -> t
 (** Defaults: [min_spins = 4], [max_spins = 1024]. *)
 
 val reset : t -> unit
-(** Back to [min_spins] width and a zero step count. *)
+(** Back to [min_spins] width. *)
 
 val once : t -> unit
 (** Perform one backoff step and double the next step, up to the cap. *)
-
-val steps : t -> int
-(** Number of [once] calls since the last [reset]. *)
 
 val spins : t -> int
 (** Width (cpu_relax iterations) the {e next} [once] will spin: starts at

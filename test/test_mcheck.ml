@@ -372,25 +372,15 @@ let test_inject_queue_needs_head_cas () =
     (M.explore (S.inject_queue_spec ~variant:`No_head_cas ~thief_pops:1))
 
 (* -- the shipped KV store ------------------------------------------------------
-   [Kv.exec] as it ships: two point ops racing for one shard verify
-   exhaustively, the multi-key scenarios are sampled, and each
-   generated mutant of the store fails beside an idle multi-key
-   claimant. *)
+   [Kv.exec] as it ships: two point ops racing for one shard and each
+   multi-key scenario verify exhaustively, and each generated mutant of
+   the store fails. *)
 
 let test_kv_points () = expect_exhaustive "kv points" (M.explore (S.kv_spec `Points))
 
-(* The multi-key rows exhaust in about 25 s each (mcheck_run); here a
-   seeded sample of each keeps the idle path's fallbacks under tier-1. *)
-let test_kv_multi_sampled () =
+let test_kv_multi () =
   List.iter
-    (fun (name, scenario) ->
-      match M.explore_random ~seed:1 ~max_schedules:5_000 (S.kv_spec scenario) with
-      | M.Ok o ->
-        Alcotest.(check int) (name ^ ": schedules sampled") 5_000 o.M.executions;
-        Alcotest.(check int) (name ^ ": none truncated") 0 o.M.truncated
-      | M.Violation { schedule; message } ->
-        Alcotest.failf "%s: violation %S on schedule [%s]" name message
-          (String.concat ";" (List.map string_of_int schedule)))
+    (fun (name, scenario) -> expect_exhaustive name (M.explore (S.kv_spec scenario)))
     [
       ("multi vs point", `Multi_point);
       ("multi vs overlapping multi", `Multi_overlap);
@@ -401,9 +391,9 @@ let test_kv_no_recheck () =
   expect_violation "kv combiner without the release re-check"
     (M.explore (S.kv_spec ~variant:`No_recheck `Multi_point))
 
-let test_kv_fallback_no_release () =
-  expect_violation "kv fallback that keeps its claimed shards"
-    (M.explore (S.kv_spec ~variant:`Fallback_no_release `Multi_point))
+let test_kv_unordered () =
+  expect_violation "kv multi-key claims in key order"
+    (M.explore (S.kv_spec ~variant:`Unordered `Multi_span))
 
 (* -- pinned-schedule regressions ------------------------------------------ *)
 
@@ -535,11 +525,9 @@ let () =
       ( "kv store",
         [
           Alcotest.test_case "two point ops verify" `Quick test_kv_points;
-          Alcotest.test_case "idle multi-key claimants, sampled" `Quick
-            test_kv_multi_sampled;
+          Alcotest.test_case "multi-key claimants verify" `Quick test_kv_multi;
           Alcotest.test_case "release re-check needed" `Quick test_kv_no_recheck;
-          Alcotest.test_case "fallback releases its claims" `Quick
-            test_kv_fallback_no_release;
+          Alcotest.test_case "unordered claims deadlock" `Quick test_kv_unordered;
         ] );
       ( "pinned schedules",
         [

@@ -1,7 +1,7 @@
-(* Tests for the serving layer: KV store semantics, the bucket-handoff
-   protocol under real concurrency (multi-domain stress with log
-   replay), linearizability smoke tests across the three engine
-   families, and the open-loop load generator. *)
+(* Tests for the serving layer: KV store semantics, flat combining and
+   ordered multi-key claims under real concurrency (multi-domain stress
+   with log replay), linearizability smoke tests across the three
+   engine families, and the open-loop load generator. *)
 
 module Kv = Nowa_server.Kv
 module Workload = Nowa_server.Workload
@@ -26,54 +26,59 @@ let test_kv_basics () =
   Alcotest.(check bool) "empty multi_put" true
     (Kv.exec kv (Kv.Multi_put [||]) = Kv.Ack)
 
-(* The same cross-shard ops twice: through the mailbox, where the home
-   shard borrows every foreign bucket (Borrow, Grant, Return), and on an
-   idle store, where the caller claims every footprint shard and applies
-   in place.  An armed wedge sends every request through the mailbox
-   ([~ms:0]: its claim does not spin); the home shard's next claim
-   consumes it, so it is armed again before each op. *)
+(* Cross-shard ops on an idle store, where the caller claims every
+   footprint shard and applies in place; then one that finds a flag
+   held.  Another domain's point [Put] on shard 1 goes through the
+   mailbox under an armed wedge, and its combiner spins 50 ms holding
+   that shard's flag.  A [Multi_put] over shards 0 and 1 claims shard 0,
+   waits behind the wedged flag (the one wait [Kv.handoffs] counts),
+   then applies; a [Multi_get] reads its values. *)
 let test_kv_multi () =
   let keys = Array.init 64 (fun i -> i) in
   let kvs = Array.map (fun k -> (k, k * 2)) keys in
-  let run ~mailbox =
-    let kv = Kv.create ~shards:4 ~buckets_per_shard:4 () in
-    let home =
-      Array.fold_left (fun m k -> min m (Kv.shard_of_key kv k)) max_int keys
-    in
-    let exec op =
-      if mailbox then Kv.inject_wedge ~shard:home ~ms:0;
-      let o = Kv.exec kv op in
-      Kv.clear_wedge ();
-      o
-    in
-    let how = if mailbox then "mailbox" else "idle" in
-    Alcotest.(check bool) (how ^ ": multi_put acks") true
-      (exec (Kv.Multi_put kvs) = Kv.Ack);
-    (match exec (Kv.Multi_get keys) with
-    | Kv.Many res ->
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: multi_get key %d" how i)
-            true
-            (v = Some (i * 2)))
-        res
-    | _ -> Alcotest.fail "multi_get must return Many");
-    kv
-  in
-  let via_mailbox = run ~mailbox:true in
-  Alcotest.(check bool) "cross-shard txns performed handoffs" true
-    (Kv.handoffs via_mailbox > 0);
-  let idle = run ~mailbox:false in
-  Alcotest.(check int) "idle store: no handoffs" 0 (Kv.handoffs idle);
+  let kv = Kv.create ~shards:4 ~buckets_per_shard:4 () in
+  Alcotest.(check bool) "multi_put acks" true (Kv.exec kv (Kv.Multi_put kvs) = Kv.Ack);
+  (match Kv.exec kv (Kv.Multi_get keys) with
+  | Kv.Many res ->
+    Array.iteri
+      (fun i v ->
+        Alcotest.(check bool) (Printf.sprintf "multi_get key %d" i) true
+          (v = Some (i * 2)))
+      res
+  | _ -> Alcotest.fail "multi_get must return Many");
+  Alcotest.(check int) "idle store: no handoffs" 0 (Kv.handoffs kv);
   (* Distinct home shards actually exist for this key set. *)
   let shards_hit =
     Array.fold_left
-      (fun acc k -> if List.mem (Kv.shard_of_key idle k) acc then acc
-        else Kv.shard_of_key idle k :: acc)
+      (fun acc k ->
+        if List.mem (Kv.shard_of_key kv k) acc then acc
+        else Kv.shard_of_key kv k :: acc)
       [] keys
   in
-  Alcotest.(check bool) "keys span shards" true (List.length shards_hit > 1)
+  Alcotest.(check bool) "keys span shards" true (List.length shards_hit > 1);
+  let kv = Kv.create ~shards:2 ~buckets_per_shard:4 () in
+  let key_on shard =
+    let rec go k = if Kv.shard_of_key kv k = shard then k else go (k + 1) in
+    go 0
+  in
+  let k0 = key_on 0 and k1 = key_on 1 in
+  let claims = Kv.claims kv ~shard:1 in
+  Kv.inject_wedge ~shard:1 ~ms:50;
+  let d = Domain.spawn (fun () -> Kv.exec kv (Kv.Put (k1, 7))) in
+  while Kv.claims kv ~shard:1 = claims do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Nowa_util.Clock.now_ns () in
+  let put = Kv.exec kv (Kv.Multi_put [| (k0, 1); (k1, 2) |]) in
+  let waited_ms = float (Nowa_util.Clock.now_ns () - t0) /. 1e6 in
+  Alcotest.(check bool) "point put behind the wedge acks" true (Domain.join d = Kv.Ack);
+  Kv.clear_wedge ();
+  Alcotest.(check bool) "contended multi_put acks" true (put = Kv.Ack);
+  Alcotest.(check int)
+    (Printf.sprintf "one waited claim (multi_put took %.1f ms)" waited_ms)
+    1 (Kv.handoffs kv);
+  Alcotest.(check bool) "multi_get reads the multi_put" true
+    (Kv.exec kv (Kv.Multi_get [| k1; k0 |]) = Kv.Many [| Some 2; Some 1 |])
 
 let test_kv_admission_control () =
   let kv = Kv.create ~shards:2 ~queue_cap:0 () in
@@ -84,10 +89,10 @@ let test_kv_admission_control () =
 (* Allocation of the point path, pinned the way bench hotpath pins
    alloc_per_spawn.  A preloaded idle store, no log, no span, ops built
    beforehand, so the count is [Kv.exec]'s own: the request record
-   (5 words) and its outcome cell (2) per op, plus [Hashtbl.find_opt]'s
+   (4 words) and its outcome cell (2) per op, plus [Hashtbl.find_opt]'s
    option (2) and the [Hit] (2) for a Get.  Half Gets, half Puts of
-   existing keys measured 9.0 words per op; the pin allows one more
-   small block (3 words).  Before the idle-shard path it read 116. *)
+   existing keys measured 8.0 words per op; the pin, set one small
+   block (3 words) above an earlier 9.0, stays. *)
 let point_alloc_pin = 12.0
 
 let test_kv_point_alloc () =
@@ -111,12 +116,11 @@ let test_kv_point_alloc () =
 
 (* Allocation of the idle multi-key path, pinned the same way: serial
    Multi_gets of 1 to 8 keys (4.5 per op) over a preloaded idle 16 x 64
-   store, the benchmark's shape.  Per op: the footprint (1 + 4.5 words),
-   the result array (1 + 4.5) with a [Some] per key (9), [Many] (2) and
-   the closure that maps the keys.  It measured 28.1 words per op; the
-   pin allows one more small block (3 words).  Through the mailbox (a
-   txn record, Borrow, Grant and Return messages, a loan queue per
-   bucket) it read 509.3. *)
+   store, the benchmark's shape.  Per op: the footprint (1 + 4.5 words:
+   one shard id per key, repeats kept), the result array (1 + 4.5) with
+   a [Some] per key (9), [Many] (2) and the closure that maps the keys.
+   It measured 28.0 words per op; the pin, set one small block (3 words)
+   above an earlier 28.1, stays. *)
 let multi_alloc_pin = 31.0
 
 let test_kv_multi_alloc () =
@@ -196,8 +200,8 @@ let test_kv_log_replay_sequential () =
   let replay = replay_check (Kv.log kv) in
   check_final_state kv replay
 
-(* Raw domains hammering the store: the handoff protocol under real
-   parallelism with no scheduler in the way. *)
+(* Raw domains hammering the store: combining and ordered multi-key
+   claims under real parallelism with no scheduler in the way. *)
 let test_kv_stress_domains () =
   let kv = Kv.create ~shards:4 ~buckets_per_shard:4 ~log:true () in
   let domains = 4 and per_domain = 2_000 in
@@ -420,7 +424,7 @@ let anatomy_spec ~mix_name ~requests =
   }
 
 (* The conservation law is the tentpole invariant: for every finished
-   request the six phase ledgers must sum to end-to-end latency exactly
+   request the five phase ledgers must sum to end-to-end latency exactly
    (integer ns, zero residual), on any mix and any engine family. *)
 let prop_conservation =
   QCheck.Test.make ~name:"span ledgers conserve (random mix/runtime/workers)"
@@ -462,10 +466,10 @@ let prop_conservation =
 (* On idle shards a request claims the flags itself: a point op its
    shard's, a multi-key op every footprint shard's.  Its ledger still
    telescopes exactly, and Sched_wait and the claim bank from one clock
-   read, so Mailbox_wait is exactly 0; a multi-key op applies in place,
-   so Handoff_wait is 0 too.  Every shard the request touched counts the
-   claim.  (Through the mailbox, the push and the claim read the clock
-   apart.) *)
+   read, so Mailbox_wait is exactly 0; no multi-key claim waits on a
+   store nobody else uses, so Handoff_wait is 0 too.  Every shard the
+   request touched counts the claim.  (Through the mailbox, the push and
+   the claim read the clock apart.) *)
 let test_idle_shard_ledger () =
   let n = 1_000 in
   let span = Span.create ~capacity:n () in

@@ -127,18 +127,9 @@ let prop_xoshiro_int_in_bounds =
 
 (* -- Backoff --------------------------------------------------------- *)
 
-let test_backoff_steps () =
-  let b = Backoff.make ~min_spins:1 ~max_spins:4 () in
-  Alcotest.(check int) "zero" 0 (Backoff.steps b);
-  Backoff.once b;
-  Backoff.once b;
-  Alcotest.(check int) "two" 2 (Backoff.steps b);
-  Backoff.reset b;
-  Alcotest.(check int) "reset" 0 (Backoff.steps b)
-
 let test_backoff_growth () =
   (* Width doubles from min_spins, saturates at max_spins, and reset
-     restores both the width and the step count. *)
+     restores it. *)
   let b = Backoff.make ~min_spins:2 ~max_spins:16 () in
   Alcotest.(check int) "initial width" 2 (Backoff.spins b);
   Backoff.once b;
@@ -150,10 +141,8 @@ let test_backoff_growth () =
   Backoff.once b;
   Backoff.once b;
   Alcotest.(check int) "saturated" 16 (Backoff.spins b);
-  Alcotest.(check int) "five steps" 5 (Backoff.steps b);
   Backoff.reset b;
-  Alcotest.(check int) "width back to min" 2 (Backoff.spins b);
-  Alcotest.(check int) "count back to zero" 0 (Backoff.steps b)
+  Alcotest.(check int) "width back to min" 2 (Backoff.spins b)
 
 let test_backoff_defaults () =
   let b = Backoff.make () in
@@ -370,7 +359,6 @@ let () =
         ] );
       ( "backoff",
         [
-          Alcotest.test_case "steps" `Quick test_backoff_steps;
           Alcotest.test_case "growth+cap+reset" `Quick test_backoff_growth;
           Alcotest.test_case "defaults" `Quick test_backoff_defaults;
         ] );
