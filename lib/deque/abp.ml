@@ -100,5 +100,5 @@ struct
   let size t =
     let b = Atomic.get t.bot in
     let _, top = unpack (Atomic.get t.age) in
-    max 0 (b - top)
+    Int.max 0 (b - top)
 end

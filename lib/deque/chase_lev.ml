@@ -127,5 +127,5 @@ struct
   let size t =
     let b = Atomic.get t.bottom in
     let tp = Atomic.get t.top in
-    max 0 (b - tp)
+    Int.max 0 (b - tp)
 end

@@ -44,17 +44,19 @@ let push t v =
 
 (* The value is read only by the pop that moved [head] onto its node, so
    a losing pop never touches it, and clearing it afterwards keeps the
-   new sentinel from retaining what it held. *)
-let rec pop t =
+   new sentinel from retaining what it held.  [absent] stands for the
+   empty queue, so a pop allocates nothing: the caller builds the one
+   option it needs. *)
+let rec pop_or t absent =
   let h = Atomic.get t.head in
   let next = Atomic.get h.next in
-  if next == nil () then None
+  if next == nil () then absent
   else if Atomic.compare_and_set t.head h next then begin
     let v = next.value in
     next.value <- nil ();
-    Some v
+    v
   end
-  else pop t
+  else pop_or t absent
 
 let length t =
   let rec count acc n =

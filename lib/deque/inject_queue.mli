@@ -15,9 +15,10 @@ val create : unit -> 'a t
 val push : 'a t -> 'a -> unit
 (** Enqueue at the back. *)
 
-val pop : 'a t -> 'a option
-(** Dequeue from the front; [None] if empty.  Values pushed by one
-    thread come out in the order it pushed them. *)
+val pop_or : 'a t -> 'a -> 'a
+(** [pop_or q absent] dequeues from the front, or returns [absent] if
+    [q] is empty; pass a value never pushed and test for it with [==].
+    Values pushed by one thread come out in the order it pushed them. *)
 
 val length : 'a t -> int
 (** Walks the queue: exact when no operation runs concurrently, a racy

@@ -86,7 +86,7 @@ struct
   let steal_batch t ~max:max_take ~on_commit =
     Mutex.lock t.lock;
     let avail = t.tail - t.head in
-    let take = min max_take ((avail + 1) / 2) in
+    let take = Int.min max_take ((avail + 1) / 2) in
     let r =
       if take <= 0 then []
       else begin
@@ -104,5 +104,5 @@ struct
     Mutex.unlock t.lock;
     r
 
-  let size t = max 0 (t.tail - t.head)
+  let size t = Int.max 0 (t.tail - t.head)
 end

@@ -122,8 +122,8 @@ struct
      the owner keeps its newer half. *)
   let steal_batch t ~max:max_take ~on_commit =
     Mutex.lock t.lock;
-    let avail = max 0 (Atomic.get t.tail - Atomic.get t.head) in
-    let take = min max_take ((avail + 1) / 2) in
+    let avail = Int.max 0 (Atomic.get t.tail - Atomic.get t.head) in
+    let take = Int.min max_take ((avail + 1) / 2) in
     let out = ref [] in
     (try
        for _ = 1 to take do
@@ -146,5 +146,5 @@ struct
 
   let size t =
     let tail = Atomic.get t.tail and head = Atomic.get t.head in
-    max 0 (tail - head)
+    Int.max 0 (tail - head)
 end

@@ -368,7 +368,7 @@ let spillover_spec ?(variant = `Good) () =
     check (Cell.fetch_add filled 1 = 0) "routed root executed twice";
     obs.passes <- obs.passes + 1
   in
-  let take () = Option.is_some (Inject_queue.pop inject) in
+  let take () = Inject_queue.pop_or inject false in
   let home () =
     let rec idle budget =
       if budget = 0 then ()
@@ -386,7 +386,7 @@ let spillover_spec ?(variant = `Good) () =
     idle 3
   in
   let producer () =
-    Inject_queue.push inject ();
+    Inject_queue.push inject true;
     ignore (Sleepers.wake_one s)
   in
   let spill_thief () =
@@ -401,19 +401,20 @@ let spillover_spec ?(variant = `Good) () =
 (* -- the routed queue on its own -----------------------------------------
    Two producers push two items each (producer [p]'s [i]th item is
    [2p + i + 1]); the pool's home worker pops twice and a spill thief
-   [thief_pops] times.  A pop's head CAS and the log append below it have no
-   scheduling point between them, so [log] is the order in which pops
-   took effect.  Oracles: no pop returns a cleared slot (the unit word,
-   0 as an int) or an item twice; the popped items and the ones still
-   queued are each item exactly once; and each producer's items leave
-   in the order it pushed them. *)
+   [thief_pops] times, each with [-1] as its empty answer.  A pop's head
+   CAS and the log append below it have no scheduling point between
+   them, so [log] is the order in which pops took effect.  Oracles: no
+   pop returns a cleared slot (the unit word, 0 as an int) or an item
+   twice; the popped items and the ones still queued are each item
+   exactly once; and each producer's items leave in the order it pushed
+   them. *)
 
 module type FIFO = sig
   type 'a t
 
   val create : unit -> 'a t
   val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option
+  val pop_or : 'a t -> 'a -> 'a
 end
 
 let inject_queue_spec ?(variant = `Good) ~thief_pops () =
@@ -430,15 +431,18 @@ let inject_queue_spec ?(variant = `Good) ~thief_pops () =
   in
   let consumer pops () =
     for _ = 1 to pops do
-      match Q.pop q with
-      | Some v ->
+      let v = Q.pop_or q (-1) in
+      if v <> -1 then begin
         check (v >= 1 && v <= 4 && not (List.mem v !log)) "item popped twice or cleared";
         log := v :: !log
-      | None -> ()
+      end
     done
   in
   let invariant () =
-    let rec drain acc = match Q.pop q with Some v -> drain (v :: acc) | None -> acc in
+    let rec drain acc =
+      let v = Q.pop_or q (-1) in
+      if v = -1 then acc else drain (v :: acc)
+    in
     let order = List.rev (drain !log) in
     let ordered p =
       let mine = List.filter (fun v -> (v - 1) / 2 = p) order in

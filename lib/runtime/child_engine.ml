@@ -205,7 +205,7 @@ module Fifo : STORE = struct
       w.m.steal_attempts <- w.m.steal_attempts + 1;
       Health.Beats.beat cl.hb w.id;
       Ring.emit w.tr Ev.Steal_attempt gid;
-      match Cq.pop_batch w.st.fifo ~max:(max 1 cl.conf.Config.steal_sweep) with
+      match Cq.pop_batch w.st.fifo ~max:(Int.max 1 cl.conf.Config.steal_sweep) with
       | [] ->
         Ring.emit w.tr Ev.Steal_abort gid;
         None

@@ -32,7 +32,7 @@ let default () =
        than [Sleepers.mask_bits] is rejected loudly at construction, and
        the implicit single pool built from the default must stay valid
        on very wide hosts. *)
-    workers = min (Nowa_util.Cpu.default_workers ()) Sleepers.mask_bits;
+    workers = Int.min (Nowa_util.Cpu.default_workers ()) Sleepers.mask_bits;
     victim_policy = Random;
     seed = 0x5eed;
     madvise = false;
@@ -50,6 +50,6 @@ let default () =
     spill_over = false;
   }
 
-let with_workers n = { (default ()) with workers = max 1 n }
+let with_workers n = { (default ()) with workers = Int.max 1 n }
 
 let pool name ~workers = { pc_name = name; pc_workers = workers }

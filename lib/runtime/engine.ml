@@ -117,7 +117,20 @@
     to the pushing worker until a deque commit (pop CAS / steal CAS /
     critical section) transfers it, and thieves read its fields only
     after their commit, so the plain mutable fields ride the deques'
-    existing release/acquire ordering. *)
+    existing release/acquire ordering.
+
+    {2 Ints compared as ints}
+
+    Without flambda, [Stdlib.max] and [Stdlib.min] are compiled once for
+    every type, so their comparison is a C call ([caml_greaterequal])
+    even on two ints, and polymorphic [compare] and [Hashtbl.hash] are C
+    calls too.  The inline spawn reads [Q.size], whose clamp was such a
+    [max], on every spawn.  This library, like the deque, sync, server,
+    trace and obs libraries, builds with
+    [-open Nowa_util.Poly_guard -alert ++polymorphic], so a bare [max],
+    [min] or [compare] here fails to compile: write [Int.max],
+    [Int.compare], or [Stdlib.compare] where a structural order is
+    meant (see {!Nowa_util.Poly_guard}). *)
 
 (* At most one re-exposure per worker per this period (see "Re-exposure
    deadline" above). *)

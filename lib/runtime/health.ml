@@ -53,7 +53,7 @@ module Beats = struct
   let disabled = { on = false; slots = [||] }
 
   let create ~workers =
-    { on = true; slots = Array.make ((max 1 workers + 2) * stride) 0 }
+    { on = true; slots = Array.make ((Int.max 1 workers + 2) * stride) 0 }
 
   let read t w = if t.on then t.slots.((w + 1) * stride) else 0
 
@@ -89,7 +89,7 @@ module Inject = struct
       mid-schedule exactly as a runaway task or a pathological syscall
       would. *)
   let stall ~worker ~ms =
-    Atomic.set Beats.inject_spec (Some (worker, max 0 ms));
+    Atomic.set Beats.inject_spec (Some (worker, Int.max 0 ms));
     Beats.inject_armed := true
 
   let clear () =
@@ -543,8 +543,8 @@ module Monitor = struct
     Mutex.unlock log_mu;
     Atomic.incr started_count;
     let stop = Atomic.make false in
-    let interval_ms = max 1 interval_ms in
-    let stall_scans = max 1 stall_scans in
+    let interval_ms = Int.max 1 interval_ms in
+    let stall_scans = Int.max 1 stall_scans in
     let dom = Domain.spawn (loop ~interval_ms ~stall_scans ~dump probe stop) in
     { stop; dom }
 

@@ -162,7 +162,7 @@ let collect () =
             Hashtbl.add seen w.pool ())
         src_workers;
       Hashtbl.fold (fun k () acc -> k :: acc) seen []
-      |> List.sort compare
+      |> List.sort String.compare
     in
     let per_pool =
       if List.length pools <= 1 then []

@@ -58,13 +58,16 @@ type ('worker, 'ext) cluster = {
   ext : 'ext;
 }
 
+(* Never pushed: what a pool's routed queue answers when it is empty. *)
+let no_root () = ()
+
 (* Take one routed root from a pool's queue, as a task of the consuming
    worker [w] ([task_of_thunk] is the family's {!POLICY.task_of_thunk}).
-   An empty queue costs two loads and no write. *)
+   An empty queue costs two loads and no write; a hit allocates only
+   the returned option. *)
 let try_inject g task_of_thunk w =
-  match Nowa_deque.Inject_queue.pop g.ginject with
-  | Some f -> Some (task_of_thunk w f)
-  | None -> None
+  let f = Nowa_deque.Inject_queue.pop_or g.ginject no_root in
+  if f == no_root then None else Some (task_of_thunk w f)
 
 (* A [spawn_unit_on] root that raised: there is no scope to re-raise it
    in, so the engine that ran it logs it here and goes on. *)
@@ -115,7 +118,7 @@ let sweep_mates g ~self ~start attempt cl w =
   let n = g.ghi - g.glo in
   if n = 1 then None
   else begin
-    let sweep = min (max 1 cl.conf.Config.steal_sweep) (n - 1) in
+    let sweep = Int.min (Int.max 1 cl.conf.Config.steal_sweep) (n - 1) in
     let start = start cl w ~mates:(n - 1) ~sweep in
     mates_from g ~lid:(self - g.glo) ~n ~sweep ~start attempt cl w 0
   end
@@ -137,7 +140,7 @@ let probe_victims g ~exhaustive ~self ~rng attempt cl w =
     let start = if self >= g.glo && self < g.ghi then self - g.glo else 0 in
     victims_from g ~n ~count:n ~start attempt cl w 0
   else
-    victims_from g ~n ~count:(min (max 1 cl.conf.Config.steal_sweep) n)
+    victims_from g ~n ~count:(Int.min (Int.max 1 cl.conf.Config.steal_sweep) n)
       ~start:(Nowa_util.Xoshiro.int rng n) attempt cl w 0
 
 (** What an engine family supplies.  Every function here runs off the
@@ -305,8 +308,8 @@ end = struct
     let spin_budget, can_park =
       match cl.conf.Config.idle_policy with
       | Config.Spin -> (max_int, false)
-      | Config.Yield_after n -> (max 1 n, false)
-      | Config.Park_after n -> (max 1 n, true)
+      | Config.Yield_after n -> (Int.max 1 n, false)
+      | Config.Park_after n -> (Int.max 1 n, true)
     in
     let rounds = ref 0 in
     let rec go () =

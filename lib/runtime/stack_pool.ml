@@ -63,7 +63,7 @@ let sync_rss t stack =
 let stack_pages = 256
 
 let touch stack ~pages =
-  stack.resident <- min stack_pages (stack.resident + pages)
+  stack.resident <- Int.min stack_pages (stack.resident + pages)
 
 (* Modelled madvise(MADV_FREE): pay the syscall/page-table cost and drop
    residency to the one page still backing the suspended frame. *)

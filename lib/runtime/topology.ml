@@ -27,7 +27,7 @@ let validate_pool ~name ~workers =
 let of_config (conf : Config.t) =
   match conf.Config.pools with
   | [] ->
-    let workers = max 1 conf.Config.workers in
+    let workers = Int.max 1 conf.Config.workers in
     validate_pool ~name:"main" ~workers;
     [| { name = "main"; lo = 0; hi = workers } |]
   | pools ->

@@ -45,11 +45,11 @@ type t = {
 let q_exact q sorted =
   let n = Array.length sorted in
   if n = 0 then 0
-  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+  else sorted.(Int.max 0 (Int.min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
 
 let stats_of phase values =
   let arr = Array.of_list values in
-  Array.sort compare arr;
+  Array.sort Int.compare arr;
   let n = Array.length arr in
   {
     phase;
@@ -239,7 +239,7 @@ let write_tail_perfetto path (a : t) =
       Buffer.add_string b
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"serve tail anatomy\"}}";
       let t0 =
-        List.fold_left (fun acc e -> min acc e.sched_ns) max_int a.tail
+        List.fold_left (fun acc e -> Int.min acc e.sched_ns) max_int a.tail
       in
       let t0 = if t0 = max_int then 0 else t0 in
       List.iteri

@@ -1,4 +1,3 @@
-module H = Hashtbl
 module Span = Nowa_trace.Span
 module Current = Nowa_trace.Current
 module Ring = Nowa_trace.Ring
@@ -6,6 +5,19 @@ module Ev = Nowa_trace.Event
 
 type key = int
 type value = int
+
+(* The per-bucket tables, keyed by int.  The generic [Hashtbl] hashes
+   each key with [caml_hash] and compares it with [caml_compare], two C
+   calls per probe.  Identity is hash enough: a bucket's keys are picked
+   by their scrambled value ([bucket_of_key]), so the low bits that
+   index its table are spread for any dense key range, such as the
+   workloads' preloaded records and fresh inserts. *)
+module H = Hashtbl.Make (struct
+  type t = key
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
 
 type op =
   | Get of key
@@ -39,7 +51,7 @@ type shard = {
   mail : req list Atomic.t;  (* Treiber-style LIFO; drained by exchange *)
   depth : int Atomic.t;  (* requests in [mail], for admission control *)
   combining : bool Atomic.t;
-  tables : (key, value) H.t array;  (* one per bucket *)
+  tables : value H.t array;  (* one per bucket *)
   (* Holder-private state below: protected by [combining]. *)
   mutable claims : int;
       (* claims won so far, bumped by each winner while it holds the
@@ -470,4 +482,4 @@ let log t =
   let entries =
     Array.fold_left (fun acc s -> List.rev_append s.log acc) [] t.shards_
   in
-  List.sort (fun (a : log_entry) (b : log_entry) -> compare a.seq b.seq) entries
+  List.sort (fun (a : log_entry) (b : log_entry) -> Int.compare a.seq b.seq) entries

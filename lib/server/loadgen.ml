@@ -135,7 +135,7 @@ module Make (R : Nowa_runtime.Runtime_intf.S) = struct
               if i mod admit_chunk = 0 then
                 ignore
                   (Atomic.fetch_and_add inflight
-                     (min admit_chunk (Array.length events - i)));
+                     (Int.min admit_chunk (Array.length events - i)));
               let rid =
                 Nowa_trace.Span.alloc span ~cls:(class_idx ev.cls)
                   ~measured:record ~sched_ns:target

@@ -56,6 +56,6 @@ let forked t = t.count > 0
 let reset _ = ()
 
 (* On the main path before its sync the count is 1 + outstanding strands. *)
-let pending_hint t = max 0 (t.count - 1)
+let pending_hint t = Int.max 0 (t.count - 1)
 
 let active t = t.count

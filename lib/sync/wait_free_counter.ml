@@ -62,7 +62,7 @@ let reset t =
   Atomic.set t.counter i_max
 
 (* Phase one: the cell holds Imax − ω, so α − (Imax − cell) is α − ω. *)
-let pending_hint t = max 0 (t.alpha - (i_max - Atomic.get t.counter))
+let pending_hint t = Int.max 0 (t.alpha - (i_max - Atomic.get t.counter))
 
 let active t =
   let c = Atomic.get t.counter in

@@ -48,7 +48,7 @@ let events_to_buffer ?(process_name = "nowa") ?(counters = []) (t : Trace.t)
   let t0 =
     Array.fold_left
       (fun acc evs ->
-        if Array.length evs > 0 then min acc evs.(0).Event.ts else acc)
+        if Array.length evs > 0 then Int.min acc evs.(0).Event.ts else acc)
       max_int per_worker
     |> fun m -> if m = max_int then 0 else m
   in

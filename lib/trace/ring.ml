@@ -106,9 +106,9 @@ let[@inline] emit2 r kind arg arg2 =
 let[@inline] emit r kind arg =
   if r.enabled then emit_at2 r ~ts:(Nowa_util.Clock.now_ns ()) kind arg 0
 
-let length r = if r.enabled then min r.head (r.mask + 1) else 0
+let length r = if r.enabled then Int.min r.head (r.mask + 1) else 0
 let emitted r = r.head
-let dropped r = if r.enabled then max 0 (r.head - (r.mask + 1)) else 0
+let dropped r = if r.enabled then Int.max 0 (r.head - (r.mask + 1)) else 0
 
 (** Freeze the most recent window of a {e live} ring, without stopping
     or synchronising with the owning writer.  Returns the surviving
@@ -136,7 +136,7 @@ let snapshot ?(window = max_int) r ~worker =
   else begin
     let cap = r.mask + 1 in
     let h0 = r.head in
-    let n = min (min h0 cap) window in
+    let n = Int.min (Int.min h0 cap) window in
     let start = h0 - n in
     let ts = Array.make n 0
     and kinds = Array.make n 0
@@ -160,13 +160,13 @@ let snapshot ?(window = max_int) r ~worker =
     (* First logical index that cannot have been recycled during the
        copy, and above it the first index whose whole suffix passed the
        checksum. *)
-    let lo = ref (max start (h1 - cap)) in
+    let lo = ref (Int.max start (h1 - cap)) in
     for j = 0 to n - 1 do
       if start + j >= !lo && not ok.(j) then lo := start + j + 1
     done;
     (* A writer that lapped the whole ring during the copy can push the
        recycle bound past [h0]; everything sampled is then stale. *)
-    let kept = max 0 (min n (h0 - !lo)) in
+    let kept = Int.max 0 (Int.min n (h0 - !lo)) in
     let dropped = n - kept in
     ( Array.init kept (fun j ->
           let j = !lo - start + j in

@@ -78,7 +78,7 @@ let f_dropped = 4
 let rid_bits = 21
 let max_rid = (1 lsl rid_bits) - 2
 let max_lat = (1 lsl (Sys.int_size - 1 - rid_bits)) - 1
-let pack ~lat ~rid = ((min lat max_lat) lsl rid_bits) lor (rid + 1)
+let pack ~lat ~rid = ((Int.min lat max_lat) lsl rid_bits) lor (rid + 1)
 let lat_of p = p asr rid_bits
 let rid_of p = (p land ((1 lsl rid_bits) - 1)) - 1
 
@@ -121,8 +121,8 @@ let disabled =
 let create ?(tail = 64) ~capacity () =
   if capacity <= 0 then disabled
   else begin
-    let cap = min capacity (max_rid + 1) in
-    let tail = max 1 tail in
+    let cap = Int.min capacity (max_rid + 1) in
+    let tail = Int.max 1 tail in
     {
       on = true;
       cap;
@@ -138,7 +138,7 @@ let create ?(tail = 64) ~capacity () =
 
 let enabled t = t.on
 let capacity t = t.cap
-let allocated t = if t.on then min (Atomic.get t.next) t.cap else 0
+let allocated t = if t.on then Int.min (Atomic.get t.next) t.cap else 0
 let overflowed t = Atomic.get t.overflow
 
 (** Allocate a rid for a request scheduled to arrive at [sched_ns].
@@ -195,7 +195,7 @@ let drop t rid =
     concurrency tests; {!finish} calls it on every measured request. *)
 let offer_tail t ~rid ~lat_ns =
   if t.on && Array.length t.tail > 0 then begin
-    let lat = max 0 lat_ns in
+    let lat = Int.max 0 lat_ns in
     let k = Array.length t.tail in
     let rec attempt () =
       (* Wait-free fast path: one load; threshold is always <= the true
@@ -217,7 +217,7 @@ let offer_tail t ~rid ~lat_ns =
                so concurrent raisers never regress it. *)
             let m = ref max_int in
             for i = 0 to k - 1 do
-              m := min !m (lat_of (Atomic.get t.tail.(i)))
+              m := Int.min !m (lat_of (Atomic.get t.tail.(i)))
             done;
             let rec bump () =
               let cur = Atomic.get t.threshold in
@@ -240,7 +240,7 @@ let tail_entries t =
     |> List.filter_map (fun s ->
            let p = Atomic.get s in
            if p = 0 then None else Some (rid_of p, lat_of p))
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 
 let tail_threshold t = Atomic.get t.threshold
 

@@ -18,7 +18,7 @@ type t = {
 (** [names] labels each worker's track in exported timelines; a runtime
     passes ["pool/local"], and the default is ["worker N"]. *)
 let create ?(clock = Wall) ?names ~workers ~capacity () =
-  let workers = max 1 workers in
+  let workers = Int.max 1 workers in
   {
     rings = Array.init workers (fun _ -> Ring.create ~capacity);
     names =
@@ -66,7 +66,7 @@ let freeze ?window t =
 let events t =
   let all = Array.concat (Array.to_list (per_worker_events t)) in
   let arr = Array.copy all in
-  Array.stable_sort (fun a b -> compare a.Event.ts b.Event.ts) arr;
+  Array.stable_sort (fun a b -> Int.compare a.Event.ts b.Event.ts) arr;
   arr
 
 (** Earliest timestamp in the trace, or 0 if empty; used by the exporter
@@ -76,7 +76,7 @@ let base_ts t =
     (fun acc r ->
       if Ring.length r > 0 then
         let evs = Ring.events r ~worker:0 in
-        min acc evs.(0).Event.ts
+        Int.min acc evs.(0).Event.ts
       else acc)
     max_int t.rings
   |> fun m -> if m = max_int then 0 else m

@@ -150,7 +150,7 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
   | Some s -> busy := !busy + (last_ts - s)
   | None -> ());
   let busy = !busy in
-  let span = max 1 span_ns in
+  let span = Int.max 1 span_ns in
   {
     worker = w;
     events = Array.length evs;
@@ -165,7 +165,7 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
     req_submits = !submits;
     req_claims = !claims;
     busy_ns = busy;
-    sched_ns = max 0 (span_ns - busy);
+    sched_ns = Int.max 0 (span_ns - busy);
     utilization = float_of_int busy /. float_of_int span;
     steal_latencies_ns = List.rev !latencies;
     idle_gaps_ns = List.rev !gaps;
@@ -196,7 +196,7 @@ let summarize (tr : Trace.t) =
   let all_gaps = fold (fun acc w -> acc @ w.idle_gaps_ns) [] in
   let busy = fold (fun acc w -> acc + w.busy_ns) 0 in
   let sched = fold (fun acc w -> acc + w.sched_ns) 0 in
-  let nworkers = max 1 (Array.length workers) in
+  let nworkers = Int.max 1 (Array.length workers) in
   let open Nowa_util.Stats in
   {
     span_ns;

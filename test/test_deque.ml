@@ -96,7 +96,9 @@ module Battery (Q : Ws_deque_intf.S with type elt = int) = struct
       (Q.steal q ~on_commit:no_commit)
 
   (* Model-based sequential test: random op sequences checked against a
-     plain list model (front = top/steal end, back = bottom). *)
+     plain list model (front = top/steal end, back = bottom), and [size]
+     against the model's length after every op, a pop on an empty deque
+     included. *)
   let prop_model =
     let open QCheck in
     Test.make ~name:(Q.name ^ " matches deque model") ~count:300
@@ -107,7 +109,7 @@ module Battery (Q : Ws_deque_intf.S with type elt = int) = struct
         let next = ref 0 in
         List.for_all
           (fun op ->
-            match op with
+            (match op with
             | 0 ->
               incr next;
               (try
@@ -139,6 +141,7 @@ module Battery (Q : Ws_deque_intf.S with type elt = int) = struct
               | None, None -> true
               | Some a, Some b -> a = b
               | _ -> false))
+            && Q.size q = List.length !model)
           ops)
 
   (* One owner pushes/pops, several thieves steal concurrently; every
@@ -368,23 +371,23 @@ let test_inject_queue_fifo () =
   done;
   Alcotest.(check int) "length" 10 (Inject_queue.length q);
   for i = 1 to 4 do
-    Alcotest.(check (option int)) "fifo" (Some i) (Inject_queue.pop q)
+    Alcotest.(check int) "fifo" i (Inject_queue.pop_or q (-1))
   done;
   (* interleaved pushes join the back *)
   Inject_queue.push q 11;
   for i = 5 to 11 do
-    Alcotest.(check (option int)) "fifo after refill" (Some i) (Inject_queue.pop q)
+    Alcotest.(check int) "fifo after refill" i (Inject_queue.pop_or q (-1))
   done
 
 let test_inject_queue_empty () =
   let q = Inject_queue.create () in
   Alcotest.(check int) "fresh is empty" 0 (Inject_queue.length q);
-  Alcotest.(check (option int)) "pop on empty" None (Inject_queue.pop q);
+  Alcotest.(check int) "pop on empty" (-1) (Inject_queue.pop_or q (-1));
   Inject_queue.push q 7;
   Alcotest.(check int) "one queued" 1 (Inject_queue.length q);
-  Alcotest.(check (option int)) "the one value" (Some 7) (Inject_queue.pop q);
+  Alcotest.(check int) "the one value" 7 (Inject_queue.pop_or q (-1));
   Alcotest.(check int) "empty again" 0 (Inject_queue.length q);
-  Alcotest.(check (option int)) "still empty" None (Inject_queue.pop q)
+  Alcotest.(check int) "still empty" (-1) (Inject_queue.pop_or q (-1))
 
 (* Two producer domains against two consumer domains: every value comes
    out exactly once, and each consumer sees each producer's values in
@@ -396,11 +399,12 @@ let test_inject_queue_concurrent () =
   let consumer () =
     let got = ref [] in
     while Atomic.get consumed < 2 * per do
-      match Inject_queue.pop q with
-      | Some v ->
+      let v = Inject_queue.pop_or q (-1) in
+      if v >= 0 then begin
         got := v :: !got;
         Atomic.incr consumed
-      | None -> Domain.cpu_relax ()
+      end
+      else Domain.cpu_relax ()
     done;
     List.rev !got
   in
