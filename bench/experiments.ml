@@ -724,16 +724,15 @@ let idle ~opts () =
     Printf.printf "wrote %s\n" path
   | None -> Printf.eprintf "idle: runtime produced no trace\n")
 
-(* Hot-path cost trajectory and the cost of runtime health.  Micro
-   cells, each reported as min-of-N (jitter floor) and p50 (typical),
-   after one untimed warmup run so first-run effect/fiber setup cost
-   does not pollute the distribution:
+(* Hot-path cost trajectory.  Micro cells, each reported as min-of-N
+   (jitter floor) and p50 (typical), after one untimed warmup run so
+   first-run effect/fiber setup cost does not pollute the distribution:
 
    - spawn_sync: a 1-worker run of the spawn-bound kernel (fib 15),
      where every spawn is steal-free; under lazy exposure nearly all of
      them run their child inline and only the spine's few spawns take
      the exposed path.  elapsed/spawns is the paper's spawn+sync
-     hot-path cost and the number the heartbeat store must not move;
+     hot-path cost;
    - exposed_spawn_sync: a loop on 1 worker whose every iteration opens
      a scope with one spawn_unit.  Each spawn is its frame's first and
      finds an empty deque, so it pays the full exposed protocol (deque
@@ -749,8 +748,6 @@ let idle ~opts () =
      back-to-back (same birth cache line) vs through Padding.atomic —
      the isolated cost is the ratcheted number, the contended/isolated
      separation shows what the padding sweep buys;
-   - heartbeat_overhead: the spawn cell with Config.heartbeats on vs
-     off — the "one plain store" claim, gated at 5%;
    - inline_overhead: fib at the registry's Small size on 1 worker,
      Presets.Nowa over the serial elision, interleaved, min of 15 each.
      All but the spine's few spawns run inline, so the ratio of minima
@@ -773,8 +770,8 @@ let idle ~opts () =
    regression past NOWA_MICRO_TOLERANCE (default 10%) on the
    spawn_sync/exposed_spawn_sync/steal minima, alloc_per_spawn words,
    an exposed cell that inlined anything, or the isolated
-   false-sharing cost, a blown heartbeat, inline or anatomy budget, an
-   unbalanced ledger, or a missed wedge fatal — the CI perf gate. *)
+   false-sharing cost, a blown inline or anatomy budget, an unbalanced
+   ledger, or a missed wedge fatal — the CI perf gate. *)
 
 (* [field] of the row tagged [kind] in a BENCH_micro.json row list. *)
 let baseline_value rows ~kind ~field =
@@ -788,8 +785,8 @@ let baseline_value rows ~kind ~field =
 
 let hotpath ~opts () =
   section
-    "Hot path: spawn/sync/steal costs, heartbeat, inline and anatomy tax, \
-     wedge detection";
+    "Hot path: spawn/sync/steal costs, inline and anatomy tax, wedge \
+     detection";
   ignore opts;
   let module R = Nowa.Presets.Nowa in
   let baseline =
@@ -808,23 +805,18 @@ let hotpath ~opts () =
     Array.sort compare a;
     (a.(0), a.(Array.length a / 2))
   in
-  (* The hb-on and hb-off reps are interleaved: running one
-     configuration's reps back-to-back lets slow drift on small shared
-     hosts (and the first-run warmup cliff) masquerade as heartbeat
-     cost.  Alternating pairs makes both configurations sample the same
-     noise. *)
-  let spawn_cells () =
+  let spawn_cell () =
     let inst = Registry.find Registry.Test "fib" in
     let thunk = inst.Registry.make_thunk (module R) in
-    let conf hb = { (Nowa.Config.with_workers 1) with Nowa.Config.heartbeats = hb } in
+    let conf = Nowa.Config.with_workers 1 in
     (* A single fib-15 run is ~250us — jitter-bound on a small shared
        host.  Each sample times a batch of runs (a few ms) instead. *)
     let batch = 20 in
-    let one hb =
+    let one () =
       let w0 = Gc.minor_words () in
       let t0 = Nowa_util.Clock.now_ns () in
       for _ = 1 to batch do
-        ignore (R.run ~conf:(conf hb) thunk)
+        ignore (R.run ~conf thunk)
       done;
       let dt = float_of_int (Nowa_util.Clock.now_ns () - t0) in
       let dw = Gc.minor_words () -. w0 in
@@ -840,23 +832,18 @@ let hotpath ~opts () =
     in
     (* Warmup: the first runs in a process pay one-off effect/fiber and
        stack-pool setup (~60% over steady state) — never time them. *)
-    ignore (one false);
-    ignore (one true);
-    let on_times = ref [] and off_times = ref [] and allocs = ref [] in
+    ignore (one ());
+    let times = ref [] and allocs = ref [] in
     for _ = 1 to reps do
-      (match one false with
+      match one () with
       | Some (t, a) ->
-        off_times := t :: !off_times;
+        times := t :: !times;
         allocs := a :: !allocs
-      | None -> ());
-      match one true with
-      | Some (t, _) -> on_times := t :: !on_times
       | None -> ()
     done;
-    let on_min, on_p50 = summarize !on_times in
-    let off_min, off_p50 = summarize !off_times in
+    let mn, p50 = summarize !times in
     let alloc_min, _ = summarize !allocs in
-    (on_min, on_p50, off_min, off_p50, alloc_min)
+    (mn, p50, alloc_min)
   in
   (* Returns min/p50 ns per spawn, the minor words per exposed spawn,
      and the number of spawns that ran inline across all samples (0
@@ -980,7 +967,7 @@ let hotpath ~opts () =
   subsection
     (Printf.sprintf "per-operation cost (min and p50 of %d cells, 1 warmup)"
        reps);
-  let on_min, on_p50, off_min, off_p50, alloc_words = spawn_cells () in
+  let sp_min, sp_p50, alloc_words = spawn_cell () in
   let exp_min, exp_p50, exp_words, exp_inlined = exposed_cell () in
   let steal_min, steal_p50 = steal_cell () in
   let fs_contended, fs_isolated = false_sharing_cell () in
@@ -989,23 +976,13 @@ let hotpath ~opts () =
   let inl_ratio = inl_nowa /. Float.max 1.0 inl_elision in
   let elision_tax = inl_elision /. Float.max 1.0 inl_serial in
   let inl_ok = inl_ratio <= 3.5 in
-  (* The heartbeat is a constant per-spawn store, so the jitter-robust
-     min-of-N difference is the estimator for its cost; p50s carry the
-     host's tail noise and would flag phantom overheads. *)
-  let hb_pct = (on_min -. off_min) /. Float.max 1e-9 off_min *. 100.0 in
-  let hb_ok = hb_pct <= 5.0 in
   Nowa_util.Table.print
     ~header:[ "cell"; "min ns/op"; "p50 ns/op" ]
     [
       [
-        "spawn+sync (hb on)";
-        Printf.sprintf "%.1f" on_min;
-        Printf.sprintf "%.1f" on_p50;
-      ];
-      [
-        "spawn+sync (hb off)";
-        Printf.sprintf "%.1f" off_min;
-        Printf.sprintf "%.1f" off_p50;
+        "spawn+sync";
+        Printf.sprintf "%.1f" sp_min;
+        Printf.sprintf "%.1f" sp_p50;
       ];
       [
         "exposed spawn+sync";
@@ -1031,8 +1008,6 @@ let hotpath ~opts () =
   Printf.printf "minor alloc per spawn: %.1f words (%.1f per exposed spawn)\n"
     alloc_words exp_words;
   Printf.printf "false-sharing separation: %.2fx (contended/isolated)\n" fs_sep;
-  Printf.printf "heartbeat overhead on spawn+sync: %+.2f%% (%s)\n" hb_pct
-    (if hb_ok then "<=5% ok" else "OVER BUDGET");
   Printf.printf
     "inline overhead (fib %d, 1 worker, min of 15): nowa %.2f ms / elision \
      %.2f ms = %.2fx (%s); elision tax over Fib.serial (%.3f ms): %.2fx\n"
@@ -1057,8 +1032,8 @@ let hotpath ~opts () =
     }
   in
   subsection "request-anatomy overhead (mix A, 2,000 req/s, min of 3)";
-  (* Off and on runs alternate, like the heartbeat cell, so both modes
-     sample the same host drift. *)
+  (* Off and on runs alternate, so both modes sample the same host
+     drift. *)
   let violations = ref 0 and max_err = ref 0 in
   let p50 anatomy =
     let r = L.run ~conf:kv_conf ~anatomy (kv_spec ~warmup:200) in
@@ -1129,7 +1104,7 @@ let hotpath ~opts () =
                 tolerance
               :: !regressions)
       [
-        ("spawn_sync", "min_ns", "ns/op", on_min);
+        ("spawn_sync", "min_ns", "ns/op", sp_min);
         ("exposed_spawn_sync", "min_ns", "ns/op", exp_min);
         ("steal", "min_ns", "ns/op", steal_min);
         ("alloc_per_spawn", "words", "words", alloc_words);
@@ -1145,8 +1120,6 @@ let hotpath ~opts () =
     \  {\"kind\": \"alloc_per_spawn\", \"words\": %.1f},\n\
     \  {\"kind\": \"false_sharing\", \"contended_ns\": %.1f, \
      \"isolated_ns\": %.1f, \"separation\": %.2f},\n\
-    \  {\"kind\": \"heartbeat_overhead\", \"min_on_ns\": %.1f, \
-     \"min_off_ns\": %.1f, \"overhead_pct\": %.2f, \"overhead_ok\": %b},\n\
     \  {\"kind\": \"inline_overhead\", \"fib_n\": %d, \"min_nowa_ns\": %.0f, \
      \"min_elision_ns\": %.0f, \"min_serial_ns\": %.0f, \"ratio\": %.2f, \
      \"elision_tax\": %.2f, \"overhead_ok\": %b},\n\
@@ -1156,9 +1129,9 @@ let hotpath ~opts () =
     \  {\"kind\": \"wedge_detection\", \"watchdog_ms\": %d, \"wedge_ms\": \
      %d, \"detected\": %b}\n\
      ]\n"
-    on_p50 on_min exp_p50 exp_min exp_words exp_inlined steal_p50 steal_min
+    sp_p50 sp_min exp_p50 exp_min exp_words exp_inlined steal_p50 steal_min
     alloc_words fs_contended fs_isolated
-    fs_sep on_min off_min hb_pct hb_ok fib_n inl_nowa inl_elision inl_serial
+    fs_sep fib_n inl_nowa inl_elision inl_serial
     inl_ratio elision_tax inl_ok p50_off p50_on anatomy_pct anatomy_ok
     !violations !max_err watchdog_ms wedge_ms detected;
   close_out oc;
@@ -1166,7 +1139,6 @@ let hotpath ~opts () =
   let gate = Sys.getenv_opt "NOWA_MICRO_GATE" = Some "1" in
   let failures =
     !regressions
-    @ (if hb_ok then [] else [ Printf.sprintf "heartbeat overhead %.2f%% > 5%%" hb_pct ])
     @ (if inl_ok then []
        else [ Printf.sprintf "inline_overhead %.2fx > 3.5x" inl_ratio ])
     @ (if anatomy_fast then []

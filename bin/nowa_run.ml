@@ -661,7 +661,7 @@ let cmd =
       & info [ "watchdog" ] ~docv:"MS"
           ~doc:
             "Run the health watchdog: a monitor thread samples per-worker \
-             heartbeats and sleeper state every $(docv) milliseconds, \
+             counters and sleeper state every $(docv) milliseconds, \
              distinguishes parked-idle from stalled workers, detects \
              global starvation, KV combiner convoys and SLO burn, and \
              dumps a postmortem bundle to artifacts/ on any verdict.  \
@@ -683,7 +683,7 @@ let cmd =
       value & opt (some string) None
       & info [ "inject-stall" ] ~docv:"WORKER:MS"
           ~doc:
-            "Fault injection: the next heartbeat of $(b,WORKER) spins \
+            "Fault injection: the next task start of $(b,WORKER) spins \
              for $(b,MS) milliseconds (default 200), manufacturing the \
              stall the watchdog must detect.  Test/CI only.")
   in

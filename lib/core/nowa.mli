@@ -24,8 +24,9 @@ module Metrics = Nowa_runtime.Metrics
 
 (** {1 Runtime health}
 
-    Wait-free per-worker heartbeats, the stall/convoy/starvation/SLO
-    watchdog and the dump-on-anomaly flight recorder.  Enable with
+    The stall/convoy/starvation/SLO watchdog, which reads the workers'
+    own {!Metrics} counters as their progress, and the dump-on-anomaly
+    flight recorder.  Enable with
     {!Config.t.watchdog_interval_ms} > 0; query {!Health.status},
     {!Health.healthz} and {!Health.statusz}; force a postmortem bundle
     with {!Health.dump_now}. *)

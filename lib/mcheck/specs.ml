@@ -248,7 +248,6 @@ let sleeper_wake_cancel_spec ~wakers () =
     && tokens s ~worker:0 = 0
     && Sleepers.epoch s = claims
     && Sleepers.sleepers s = 0
-    && Sleepers.wake_stamp s ~worker:0 = 1
     && not (Sleepers.waiting s ~worker:0)
   in
   (worker :: List.init wakers waker, invariant)
@@ -285,36 +284,34 @@ let kv_spec ?(variant = `Good) scenario =
 (* The watchdog's parked-vs-stalled classification across the park/wake
    token race (lib/runtime/health.ml Monitor.scan_once against the real
    registry).  The worker has announced and is inside its pre-park
-   sweep, which will find nothing: it parks, and once woken it beats.  A
-   waker runs [wake_one]; a monitor samples {beat, stamp, bit, waiting}
-   per scan and counts a worker stalled after two consecutive quiet
-   unparked scans.
+   sweep, which will find nothing: it parks, and once woken it bumps a
+   counter, as its next scheduling round does.  A waker runs
+   [wake_one]; a monitor samples {progress, bit, waiting} per scan and
+   counts a worker stalled after two consecutive quiet unparked scans.
 
    The hazardous window is after the waker claimed the bit but before
-   the worker has beaten again: the bit says "not parked" while the
-   worker is about to block, or blocked, with a wake in flight.  The
-   check asserts a stall is only ever declared with no parked
-   indication and no token in flight; [`No_waiting_flag] classifies
-   parked by the mask bit alone, and the checker exhibits the false
-   stall. *)
+   the worker's counter has moved again: the bit says "not parked"
+   while the worker is about to block, or blocked, with a wake in
+   flight.  The check asserts a stall is only ever declared with no
+   parked indication and no token in flight; [`No_waiting_flag]
+   classifies parked by the mask bit alone, and the checker exhibits
+   the false stall. *)
 let watchdog_park_spec ?(variant = `Good) ~scans () =
   let s = Sleepers.create ~workers:1 in
   ignore (Sleepers.announce s ~worker:0);
-  let beat = Cell.make 0 in
+  let progress = Cell.make 0 in
   let done_ = ref false in
   let worker () =
     Sleepers.park s ~worker:0;
-    ignore (Cell.fetch_add beat 1);
+    ignore (Cell.fetch_add progress 1);
     done_ := true
   in
   let waker () = ignore (Sleepers.wake_one s) in
   let monitor () =
-    let prev_beat = ref (Cell.read beat) in
-    let prev_stamp = ref (Sleepers.wake_stamp s ~worker:0) in
+    let prev = ref (Cell.read progress) in
     let quiet = ref 0 in
     for _ = 1 to scans do
-      let b = Cell.read beat in
-      let stamp = Sleepers.wake_stamp s ~worker:0 in
+      let p = Cell.read progress in
       let announced = Sleepers.announced s ~worker:0 in
       let waiting = Sleepers.waiting s ~worker:0 in
       let parked =
@@ -322,9 +319,8 @@ let watchdog_park_spec ?(variant = `Good) ~scans () =
         | `Good -> announced || waiting
         | `No_waiting_flag -> announced
       in
-      let progressed = b <> !prev_beat || stamp <> !prev_stamp in
-      prev_beat := b;
-      prev_stamp := stamp;
+      let progressed = p <> !prev in
+      prev := p;
       if parked || progressed then quiet := 0
       else begin
         incr quiet;

@@ -53,8 +53,8 @@ val sleeper_wake_cancel_spec : wakers:int -> spec
 (** One worker announces then cancels while [wakers] concurrent
     [wake_one] calls race it: exactly one side wins the mask bit, at
     most one token is minted (and is consumed by the worker when it lost
-    the race), the wake epoch counts exactly the successful wakes and
-    the stamp exactly one ownership transition. *)
+    the race), the wake epoch counts exactly the successful wakes, and
+    the worker ends unparked with its waiting flag down. *)
 
 val sleeper_shutdown_spec : workers:int -> spec
 (** Workers run a park round with nothing to sweep while a closer
@@ -85,9 +85,10 @@ val watchdog_park_spec :
   ?variant:[ `Good | `No_waiting_flag ] -> scans:int -> spec
 (** The watchdog's parked-vs-stalled rule over the real registry: a
     worker that has announced and is about to park is woken
-    ([wake_one] claims its mask bit, bumps the wake stamp, posts a
-    token) while a monitor samples heartbeat/stamp/bit/waiting and
-    declares a stall after two quiet unparked scans.  The inline check
+    ([wake_one] claims its mask bit and posts a token; once unparked the
+    worker bumps a progress counter) while a monitor samples
+    progress/bit/waiting and declares a stall after two quiet unparked
+    scans.  The inline check
     asserts a stall is never declared while any parked indication or an
     in-flight wake token remains.  [`No_waiting_flag] classifies parked
     by the mask bit alone — the checker exhibits the false stall inside

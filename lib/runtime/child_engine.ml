@@ -59,14 +59,14 @@ type ('st, 'ext) cluster = ('st worker, 'ext) Shell.cluster
 
 (* Task bodies never raise ([spawn] and the routed wrapper catch), so
    the depth bookkeeping needs no exception handling. *)
-let run_task (cl : _ cluster) w (Task f) =
+let run_task (_ : _ cluster) w (Task f) =
   w.m.tasks <- w.m.tasks + 1;
+  Health.Inject.task_start w.id;
   w.depth <- w.depth + 1;
   if w.depth = 1 then Ring.emit w.tr Ev.Task_start 0;
   f ();
   if w.depth = 1 then Ring.emit w.tr Ev.Task_end 0;
-  w.depth <- w.depth - 1;
-  Health.Beats.beat cl.Shell.hb w.id
+  w.depth <- w.depth - 1
 
 module Waiting = struct
   type t = Steal_anywhere | Local_only
@@ -134,7 +134,6 @@ module Deques
      [steal_half]-style grab) or a single steal when [max = 1]. *)
   let steal (cl : (t, ext) cluster) w ~max v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
-    Health.Beats.beat cl.hb w.id;
     Ring.emit w.tr Ev.Steal_attempt v;
     match Q.steal_batch cl.workers.(v).st.deque ~max ~on_commit:no_commit with
     | [] ->
@@ -203,7 +202,6 @@ module Fifo : STORE = struct
     | [] -> (
       let gid = w.grp.gid in
       w.m.steal_attempts <- w.m.steal_attempts + 1;
-      Health.Beats.beat cl.hb w.id;
       Ring.emit w.tr Ev.Steal_attempt gid;
       match Cq.pop_batch w.st.fifo ~max:(Int.max 1 cl.conf.Config.steal_sweep) with
       | [] ->
@@ -284,7 +282,7 @@ module Make
     let ring w = w.tr
     let make_ext _ groups = S.make_ext groups
 
-    let make_worker conf ext ~id ~hb:_ grp m tr =
+    let make_worker conf ext ~id grp m tr =
       { id; grp; m; tr; depth = 0; st = S.make conf ext grp ~id }
 
     let task_of_thunk = task_of_thunk
@@ -299,9 +297,10 @@ module Make
   include Sh
 
   (* OpenMP taskwait / TBB wait_for_all: run tasks until the frame's
-     children are gone.  An empty round is a scheduler station point,
-     like a steal attempt, so it beats: a waiter whose children run on
-     pool-mates is waiting, not stalled. *)
+     children are gone.  An empty round is counted, like the idle loop's:
+     a tied waiter's round is a pop of its own deque, no steal attempt,
+     and a waiter whose children run on pool-mates is waiting, not
+     stalled. *)
   let wait_for cl w fr =
     w.m.suspensions <- w.m.suspensions + 1;
     Ring.emit w.tr Ev.Suspend 0;
@@ -312,7 +311,7 @@ module Make
         Nowa_util.Backoff.reset bo;
         run_task cl w t
       | None ->
-        Health.Beats.beat cl.Shell.hb w.id;
+        w.m.idle_rounds <- w.m.idle_rounds + 1;
         Nowa_util.Backoff.once bo
     done
 
@@ -339,9 +338,8 @@ module Make
      the join counter never needs the lock-or-wait-free machinery of the
      continuation-stealing engines; [body] lowers it when done. *)
   let push fr body =
-    let cl, w = get_current () in
+    let _, w = get_current () in
     w.m.spawns <- w.m.spawns + 1;
-    Health.Beats.beat cl.Shell.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
     ignore (Atomic.fetch_and_add fr.pending 1);
     S.push w (Task body);

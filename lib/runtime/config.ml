@@ -18,7 +18,6 @@ type t = {
   trace_capacity : int;
   idle_policy : idle_policy;
   steal_sweep : int;
-  heartbeats : bool;
   watchdog_interval_ms : int;
   watchdog_stall_scans : int;
   watchdog_dump : bool;
@@ -42,7 +41,6 @@ let default () =
     trace_capacity = 0;
     idle_policy = Park_after 512;
     steal_sweep = 2;
-    heartbeats = true;
     watchdog_interval_ms = 0;
     watchdog_stall_scans = 2;
     watchdog_dump = true;

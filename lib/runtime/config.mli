@@ -73,19 +73,13 @@ type t = {
           victims before counting the round as failed; the child-stealing
           and central baselines additionally grab up to this many tasks in
           one batched ([steal_half]-style) acquisition. *)
-  heartbeats : bool;
-      (** Per-worker heartbeat words, bumped by one plain padded int
-          store at each scheduler station point (task completion, steal
-          attempt, park/unpark).  On by default — the cost is one
-          unfenced store — and only turned off by the overhead gate in
-          [bench hotpath]. *)
   watchdog_interval_ms : int;
       (** Scan cadence of the health watchdog monitor thread; 0 (the
           default) leaves the monitor off.  When positive, the engine
-          hands {!Runtime_guard} a monitor that samples heartbeats and
-          sleeper state every interval, classifies each worker as
-          active / parked / stalled, and triggers the flight recorder on
-          anomalies (see {!Health}). *)
+          hands {!Runtime_guard} a probe that the monitor samples every
+          interval (the workers' counters and sleeper state), classifying
+          each worker as active / parked / stalled and triggering the
+          flight recorder on anomalies (see {!Health}). *)
   watchdog_stall_scans : int;
       (** Consecutive no-progress scans of an unparked worker before the
           watchdog declares it stalled (and, pool-wide with ready work

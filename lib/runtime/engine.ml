@@ -91,8 +91,7 @@
     [handle_sync] run right after their caller validated the stamp, so
     an exposed spawn makes one lookup, in [after_child], where the child
     may have finished on another worker.  The worker record also carries
-    its run's heartbeat words and stack pool, so the spawn/sync path
-    reads no [cluster].
+    its run's stack pool, so the spawn/sync path reads no [cluster].
 
     {2 Hot-path allocation discipline (ISSUE 9)}
 
@@ -209,7 +208,6 @@ module Make
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
     tr : Ring.t;  (* wait-free event ring; Ring.disabled when not tracing *)
-    hb : Health.Beats.t;  (* this run's heartbeat words *)
     sp : Stack_pool.t;  (* this run's stack pool *)
     mutable epoch : int;
         (* bumped before this worker makes a continuation resumable
@@ -395,11 +393,6 @@ module Make
     let w = frame_worker fr in
     fr.exposed <- true;
     w.m.spawns <- w.m.spawns + 1;
-    (* Spawn is a station point too: a worker descending a deep inline
-       subtree may not complete a task or probe a victim for a long
-       time, and without this beat the watchdog would read that busy
-       worker as stalled. *)
-    Health.Beats.beat w.hb w.id;
     Ring.emit w.tr Ev.Spawn 0;
     (* Only exposed spawns touch a stack page: an inline child runs on
        the spawner's own frame, like the call it elides. *)
@@ -531,11 +524,9 @@ module Make
   let on_commit t = if t.kind == kind_stolen then C.note_steal t.tfr.counter
 
   (* One probe of global worker [v]'s deque with the full steal protocol
-     ([on_commit] notes the steal in the frame's counter).  Each probe
-     is a station point for the heartbeat. *)
+     ([on_commit] notes the steal in the frame's counter). *)
   let attempt (cl : cluster) w v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
-    Health.Beats.beat cl.Shell.hb w.id;
     Ring.emit w.tr Ev.Steal_attempt v;
     match Q.steal cl.Shell.workers.(v).deque ~on_commit with
     | Some _ as r ->
@@ -593,8 +584,9 @@ module Make
   let root_handler : (unit, unit) Effect.Deep.handler =
     { retc = ignore; exnc = root_exn; effc }
 
-  let execute (cl : cluster) w (t : task) =
+  let execute (_ : cluster) w (t : task) =
     w.m.tasks <- w.m.tasks + 1;
+    Health.Inject.task_start w.id;
     ignore (ensure_stack w);
     Ring.emit w.tr Ev.Task_start 0;
     (if t.kind == kind_root then begin
@@ -614,8 +606,7 @@ module Make
        stamp fr w;
        Effect.Deep.continue k ()
      end);
-    Ring.emit w.tr Ev.Task_end 0;
-    Health.Beats.beat cl.hb w.id
+    Ring.emit w.tr Ev.Task_end 0
 
   (* Frames cached per worker; deeper recycling simply falls back to the
      GC.  Completed scopes return frames innermost-first, so the steady-
@@ -636,7 +627,7 @@ module Make
     let ring w = w.tr
     let make_ext conf _ = Stack_pool.create conf
 
-    let make_worker conf sp ~id ~hb grp m tr =
+    let make_worker conf sp ~id grp m tr =
       (* Worker records hold hot mutable fields (spare slot, stack,
          frame-list cursor); isolate each record's birth cache line. *)
       Nowa_util.Padding.isolate (fun () ->
@@ -647,7 +638,6 @@ module Make
             rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
             m;
             tr;
-            hb;
             sp;
             epoch = 0;
             reexpose_at = 0;
@@ -748,16 +738,15 @@ module Make
   (* Lazy exposure: true when this spawn should run its child inline,
      because the worker already holds a stealable continuation, or
      because [fr] has exposed before and the worker re-exposed less than
-     a period ago.  The spawn is still a spawn point for the counters,
-     the heartbeat and the trace (arg 1 marks it inline).  A stale size
-     read is harmless either way: a thief racing us to the last element
-     only delays the next exposure, and a push onto a non-empty deque is
-     the eager schedule. *)
+     a period ago.  The spawn is still a spawn point for the counters
+     (the watchdog's progress) and the trace (arg 1 marks it inline).
+     A stale size read is harmless either way: a thief racing us to the
+     last element only delays the next exposure, and a push onto a
+     non-empty deque is the eager schedule. *)
   let[@inline] inline_spawn w fr =
     if Q.size w.deque > 0 || (fr.exposed && before_deadline w) then begin
       w.m.spawns <- w.m.spawns + 1;
       w.m.inlined <- w.m.inlined + 1;
-      Health.Beats.beat w.hb w.id;
       Ring.emit w.tr Ev.Spawn 1;
       true
     end

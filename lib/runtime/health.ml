@@ -1,30 +1,25 @@
-(** Live runtime health: wait-free heartbeats, the stall/convoy
-    watchdog, and the dump-on-anomaly flight recorder.
+(** Live runtime health: the stall/convoy watchdog and the
+    dump-on-anomaly flight recorder.
 
     The runtime's progress claims are about adversarial schedules, yet
     until now a stall could only be explained after the fact (post-join
     traces, anatomy tables).  This module watches a {e running} pool:
 
-    - {b Heartbeats} ({!Beats}): one padded plain-int word per worker,
-      bumped by a single unfenced store at each scheduler station point
-      (task completion, steal attempt, park/unpark).  Nothing on the hot
-      path reads them; the monitor samples them relaxed.  The DRF story
-      is the same as {!Metrics}: the words are immediates, OCaml int
-      stores cannot tear, and a sampling monitor only needs "did the
-      value move", never a consistent cross-worker cut.
-    - {b Watchdog} ({!Monitor}): a dedicated thread sampling heartbeats
-      plus sleeper state ({!Sleepers.announced}, {!Sleepers.waiting},
-      {!Sleepers.wake_stamp}) every [watchdog_interval_ms].  A worker
-      with no heartbeat motion is {e parked-idle} when its sleeper bit
-      or waiting flag is up, and {e stalled} only after
-      [watchdog_stall_scans] consecutive scans with no motion, no wake
-      activity, and no parked indication — so the park/wake token race
-      (bit claimed, token in flight) never misflags a healthy sleeper.
-      Pool-wide, visible ready work with no progress anywhere while
-      workers sleep is {e starvation} — the lost-wakeup signature.
-      Subsystems above the runtime (the KV combiner's convoy detector,
-      the serve-path SLO burn-rate evaluator) register verdict sources
-      that the same scan polls.
+    - {b Watchdog} ({!Monitor}): a dedicated thread sampling each
+      worker's progress ({!Metrics.progress}: the sum of the counters
+      every scheduler station point already bumps, read relaxed — a
+      sampling monitor only asks "did the sum move") plus sleeper state
+      ({!Sleepers.announced}, {!Sleepers.waiting}) every
+      [watchdog_interval_ms].  A worker with no progress is
+      {e parked-idle} when its sleeper bit or waiting flag is up, and
+      {e stalled} only after [watchdog_stall_scans] consecutive scans
+      with neither — so the park/wake token race (bit claimed, token in
+      flight) never misflags a healthy sleeper.  Pool-wide, visible
+      ready work with no progress anywhere while workers sleep is
+      {e starvation} — the lost-wakeup signature.  Subsystems above the
+      runtime (the KV combiner's convoy detector, the serve-path SLO
+      burn-rate evaluator) register verdict sources that the same scan
+      polls.
     - {b Flight recorder} ({!Recorder}): on any verdict (or on demand),
       freezes the wait-free trace rings at their published indexes
       ({!Nowa_trace.Ring.snapshot}) and writes a postmortem bundle under
@@ -32,8 +27,8 @@
       snapshot, any registered extras (anatomy top-K tail), and the
       per-worker verdict table.
     - {b Fault injection} ({!Inject}): a one-shot hook that wedges a
-      chosen worker inside its next heartbeat for a bounded time, so the
-      whole detection path can be proven end to end from the CLI
+      chosen worker at the start of its next task for a bounded time,
+      so the whole detection path can be proven end to end from the CLI
       ([nowa_run --inject-stall worker:N:ms]).
 
     The monitor thread itself is owned by {!Runtime_guard} — exactly one
@@ -41,60 +36,38 @@
     exported as the [nowa_watchdog_last_scan_ns] gauge so a dead monitor
     is itself observable. *)
 
-(* --- heartbeats ---------------------------------------------------------- *)
+module Inject = struct
+  (* Arming is a plain bool, so an un-armed task start pays one load and
+     one branch; the spec itself is an atomic consumed by CAS so the
+     stall fires exactly once. *)
+  let armed = ref false
+  let spec : (int * int) option Atomic.t = Atomic.make None
 
-module Beats = struct
-  type t = { on : bool; slots : int array }
-  (* One int per worker, spaced a cache line apart so two workers'
-     heartbeat stores never share a line. *)
-
-  let stride = Nowa_util.Padding.cache_line_words
-
-  let disabled = { on = false; slots = [||] }
-
-  let create ~workers =
-    { on = true; slots = Array.make ((Int.max 1 workers + 2) * stride) 0 }
-
-  let read t w = if t.on then t.slots.((w + 1) * stride) else 0
-
-  (* Injection arming is a plain bool so an un-injected beat pays one
-     predictable extra branch; the spec itself is an atomic consumed by
-     CAS so the stall fires exactly once. *)
-  let inject_armed = ref false
-  let inject_spec : (int * int) option Atomic.t = Atomic.make None
-
-  let[@inline never] maybe_inject w =
+  let[@inline never] fire w =
     (* CAS against the witnessed value (physical equality), so exactly
-       one beat consumes the spec even if two workers race here. *)
-    let cur = Atomic.get inject_spec in
+       one task start consumes the spec even if two workers race here. *)
+    let cur = Atomic.get spec in
     match cur with
     | Some (iw, ms) when iw = w ->
-      if Atomic.compare_and_set inject_spec cur None then begin
-        inject_armed := false;
+      if Atomic.compare_and_set spec cur None then begin
+        armed := false;
         Nowa_util.Clock.spin_ns (ms * 1_000_000)
       end
     | _ -> ()
 
-  let[@inline] beat t w =
-    if t.on then begin
-      let i = (w + 1) * stride in
-      t.slots.(i) <- t.slots.(i) + 1;
-      if !inject_armed then maybe_inject w
-    end
-end
+  let[@inline] task_start w = if !armed then fire w
 
-module Inject = struct
-  (** Arm a one-shot stall: the next heartbeat worker [worker] lands
-      spins for [ms] milliseconds before returning, freezing that worker
+  (** Arm a one-shot stall: worker [worker]'s next task start spins for
+      [ms] milliseconds before the task runs, freezing that worker
       mid-schedule exactly as a runaway task or a pathological syscall
       would. *)
   let stall ~worker ~ms =
-    Atomic.set Beats.inject_spec (Some (worker, Int.max 0 ms));
-    Beats.inject_armed := true
+    Atomic.set spec (Some (worker, Int.max 0 ms));
+    armed := true
 
   let clear () =
-    Beats.inject_armed := false;
-    Atomic.set Beats.inject_spec None
+    armed := false;
+    Atomic.set spec None
 
   (* "worker:N:ms", "N:ms" or "N" (default 200ms). *)
   let parse_stall s =
@@ -114,8 +87,8 @@ end
 
 type verdict =
   | Worker_stalled of { pool : string; worker : int; scans : int }
-      (** No heartbeat motion, no wake activity, not parked, for that
-          many consecutive scans.  [worker] is the pool-local id —
+      (** No progress and not parked, for that many consecutive
+          scans.  [worker] is the pool-local id —
           together with [pool] it names the worker uniquely in a
           multi-pool topology (ISSUE 10: two pools' worker 0s must not
           alias). *)
@@ -156,7 +129,7 @@ let verdict_to_json = function
 
 let verdict_to_string = function
   | Worker_stalled { pool; worker; scans } ->
-    Printf.sprintf "worker %s/%d stalled (%d scans, unparked, no heartbeat)"
+    Printf.sprintf "worker %s/%d stalled (%d scans, unparked, no progress)"
       pool worker scans
   | Starvation { ready; scans } ->
     Printf.sprintf "starvation: %d task(s) visible, no progress for %d scans"
@@ -175,33 +148,32 @@ type probe = {
   engine : string;
   workers : int;
   pool_of : int -> string * int;
-      (** Global worker index → (pool name, pool-local id).  Heartbeat
-          and sleeper accessors below still take the global index; this
-          mapping keys rows and verdicts by [(pool, worker)] so
-          multi-pool topologies never alias two workers into one row. *)
-  beat_of : int -> int;
+      (** Global worker index → (pool name, pool-local id).  The
+          progress and sleeper accessors below still take the global
+          index; this mapping keys rows and verdicts by [(pool, worker)]
+          so multi-pool topologies never alias two workers into one
+          row. *)
+  progress : int -> int;  (** {!Metrics.progress} of that worker *)
   announced : int -> bool;
   waiting : int -> bool;
-  wake_stamp : int -> int;
-  ready : unit -> int;  (** visible queued work: deque sizes + inject gates *)
+  ready : unit -> int;  (** visible queued work: deque sizes + routed queues *)
   sleepers : unit -> int;
   draining : unit -> bool;
       (** Pool shutdown in progress: workers exit their domains and
-          their heartbeats freeze for good reasons, so stall and
+          their counters freeze for good reasons, so stall and
           starvation classification is suspended. *)
 }
 
 (** A static probe for runtimes without a scheduler (serial elision):
-    never parked, no queue, beats only at run boundaries. *)
-let static_probe ~engine ~workers ~beats =
+    one counter record per worker, never parked, no queue. *)
+let static_probe ~engine (counters : Metrics.worker array) =
   {
     engine;
-    workers;
+    workers = Array.length counters;
     pool_of = (fun w -> ("main", w));
-    beat_of = (fun w -> Beats.read beats w);
+    progress = (fun w -> Metrics.progress counters.(w));
     announced = (fun _ -> false);
     waiting = (fun _ -> false);
-    wake_stamp = (fun _ -> 0);
     ready = (fun () -> 0);
     sleepers = (fun () -> 0);
     draining = (fun () -> false);
@@ -244,7 +216,7 @@ type row = {
   worker : int;  (* pool-local worker id *)
   gworker : int;  (* global worker index (trace/metrics key) *)
   state : wstate;
-  beats : int;
+  progress : int;
   quiet_scans : int;
 }
 
@@ -281,7 +253,7 @@ let record_verdicts scan vs =
 let g_last_scan = Nowa_obs.Registry.gauge "nowa_watchdog_last_scan_ns"
     ~help:"Monotonic timestamp of the watchdog's last completed scan; a frozen value means the monitor itself is dead"
 let g_active = Nowa_obs.Registry.gauge "nowa_health_workers_active"
-    ~help:"Workers with heartbeat or wake motion in the last scan window"
+    ~help:"Workers neither parked nor stalled at the last scan"
 let g_parked = Nowa_obs.Registry.gauge "nowa_health_workers_parked"
     ~help:"Workers parked or inside the park protocol at the last scan"
 let g_stalled = Nowa_obs.Registry.gauge "nowa_health_workers_stalled"
@@ -343,8 +315,8 @@ module Recorder = struct
           Buffer.add_string b
             (Printf.sprintf
                "    {\"id\": %d, \"pool\": %S, \"worker\": %d, \"state\": \
-                \"%s\", \"beats\": %d, \"quiet_scans\": %d}%s\n"
-               r.gworker r.pool r.worker (wstate_name r.state) r.beats
+                \"%s\", \"progress\": %d, \"quiet_scans\": %d}%s\n"
+               r.gworker r.pool r.worker (wstate_name r.state) r.progress
                r.quiet_scans
                (if i = Array.length st.rows - 1 then "" else ",")))
         st.rows;
@@ -415,43 +387,28 @@ module Monitor = struct
      interesting ones; a persistent anomaly must not fill the disk. *)
   let max_dumps = 3
 
-  let scan_once ~probe ~stall_scans ~interval_ms ~scan ~prev_beats ~prev_stamps
-      ~quiet ~starved =
+  let scan_once ~probe ~stall_scans ~interval_ms ~scan ~prev ~quiet ~starved =
     let nw = probe.workers in
     let any_progress = ref false in
     (* Once the pool starts draining, workers exit their domains and
-       their heartbeats freeze legitimately; suspend stall/starvation
+       their counters freeze legitimately; suspend stall/starvation
        classification rather than misread shutdown as a wedge. *)
     let draining = try probe.draining () with _ -> false in
     let rows =
       Array.init nw (fun w ->
-          let b = probe.beat_of w in
-          let stamp = probe.wake_stamp w in
+          let p = probe.progress w in
           let parked = probe.announced w || probe.waiting w in
-          let progressed = b <> prev_beats.(w) || stamp <> prev_stamps.(w) in
-          prev_beats.(w) <- b;
-          prev_stamps.(w) <- stamp;
+          let progressed = p <> prev.(w) in
+          prev.(w) <- p;
           if progressed then any_progress := true;
+          quiet.(w) <- (if parked || progressed || draining then 0 else quiet.(w) + 1);
           let state =
-            if parked then begin
-              quiet.(w) <- 0;
-              Parked
-            end
-            else if progressed then begin
-              quiet.(w) <- 0;
-              Active
-            end
-            else if draining then begin
-              quiet.(w) <- 0;
-              Active
-            end
-            else begin
-              quiet.(w) <- quiet.(w) + 1;
-              if quiet.(w) >= stall_scans then Stalled else Active
-            end
+            if parked then Parked
+            else if quiet.(w) >= stall_scans then Stalled
+            else Active
           in
           let pool, lw = try probe.pool_of w with _ -> ("main", w) in
-          { pool; worker = lw; gworker = w; state; beats = b;
+          { pool; worker = lw; gworker = w; state; progress = p;
             quiet_scans = quiet.(w) })
     in
     (* Worker stall verdicts fire once, on the scan that crosses the
@@ -508,8 +465,7 @@ module Monitor = struct
 
   let loop ~interval_ms ~stall_scans ~dump probe stop () =
     let nw = probe.workers in
-    let prev_beats = Array.init nw probe.beat_of in
-    let prev_stamps = Array.init nw probe.wake_stamp in
+    let prev = Array.init nw probe.progress in
     let quiet = Array.make nw 0 in
     let starved = ref 0 in
     let scan = ref 0 in
@@ -523,8 +479,8 @@ module Monitor = struct
           if not (Atomic.get stop) then begin
             incr scan;
             let vs =
-              scan_once ~probe ~stall_scans ~interval_ms ~scan:!scan
-                ~prev_beats ~prev_stamps ~quiet ~starved
+              scan_once ~probe ~stall_scans ~interval_ms ~scan:!scan ~prev
+                ~quiet ~starved
             in
             if vs <> [] && dump && !dumped_here < max_dumps then begin
               incr dumped_here;
@@ -605,12 +561,12 @@ let statusz () =
     Buffer.add_string b
       (Printf.sprintf "watchdog: engine=%s scan=%d interval=%dms monitors=%d\n"
          st.engine st.scan st.interval_ms (Monitor.live ()));
-    Buffer.add_string b "pool        worker  state    beats      quiet_scans\n";
+    Buffer.add_string b "pool        worker  state    progress   quiet_scans\n";
     Array.iter
       (fun r ->
         Buffer.add_string b
           (Printf.sprintf "%-11s %-7d %-8s %-10d %d\n" r.pool r.worker
-             (wstate_name r.state) r.beats r.quiet_scans))
+             (wstate_name r.state) r.progress r.quiet_scans))
       st.rows);
   Mutex.lock log_mu;
   let log = !verdict_log in

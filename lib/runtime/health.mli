@@ -1,11 +1,12 @@
-(** Live runtime health: wait-free heartbeats, the stall/convoy
-    watchdog, and the dump-on-anomaly flight recorder.  See the
-    implementation header for the full design; the short version:
+(** Live runtime health: the stall/convoy watchdog and the
+    dump-on-anomaly flight recorder.  See the implementation header for
+    the full design; the short version:
 
-    - workers bump a padded per-worker heartbeat word (one plain store)
-      at every scheduler station point;
+    - progress is the worker's counters: the watchdog reads
+      {!Metrics.progress}, the sum of the event counts every scheduler
+      station point already bumps, so health adds no store to any path;
     - a monitor thread (owned by {!Runtime_guard}, at most one per
-      process) samples heartbeats and sleeper state each
+      process) samples progress and sleeper state each
       [watchdog_interval_ms], classifies workers as active / parked /
       stalled, detects pool-wide starvation, and polls registered
       verdict sources (KV convoys, SLO burn rate);
@@ -13,30 +14,17 @@
       frozen trace window, metrics snapshot, verdict table, plus
       registered extras. *)
 
-(** Per-worker heartbeat words.  Single writer per slot (the worker),
-    relaxed reads from the monitor; slots are a cache line apart. *)
-module Beats : sig
-  type t
-
-  val disabled : t
-  (** All operations no-ops beyond one flag check. *)
-
-  val create : workers:int -> t
-
-  val beat : t -> int -> unit
-  (** [beat t w]: worker [w]'s station-point store.  Owner only. *)
-
-  val read : t -> int -> int
-  (** Monitor-side sampling read. *)
-end
-
 (** One-shot fault injection, proving the detection path end to end. *)
 module Inject : sig
   val stall : worker:int -> ms:int -> unit
-  (** Arm a stall: worker [worker]'s next heartbeat spins for [ms]
-      milliseconds before returning. *)
+  (** Arm a stall: worker [worker]'s next task start spins for [ms]
+      milliseconds before the task runs. *)
 
   val clear : unit -> unit
+
+  val task_start : int -> unit
+  (** [task_start w]: worker [w] starts a task (the serial elision: a
+      counted spawn).  One load and one branch unless a stall is armed. *)
 
   val parse_stall : string -> (int * int) option
   (** Parse ["worker:N:ms"], ["N:ms"] or ["N"] (default 200ms). *)
@@ -60,7 +48,7 @@ val verdict_to_json : verdict -> string
 val verdict_to_string : verdict -> string
 
 (** What the watchdog samples, packaged by each engine as closures over
-    its pool (heartbeats, sleeper registry, queue-depth estimate). *)
+    its pool (counter records, sleeper registry, queue-depth estimate). *)
 type probe = {
   engine : string;
   workers : int;
@@ -68,21 +56,22 @@ type probe = {
       (** Global worker index → (pool name, pool-local id); keys every
           row and stall verdict by [(pool, worker)] so two pools'
           worker 0s cannot alias (ISSUE 10). *)
-  beat_of : int -> int;
+  progress : int -> int;
+      (** {!Metrics.progress} of the worker's counter record *)
   announced : int -> bool;
   waiting : int -> bool;
-  wake_stamp : int -> int;
   ready : unit -> int;
   sleepers : unit -> int;
   draining : unit -> bool;
-      (** Pool shutdown in progress: heartbeats freeze as workers exit
+      (** Pool shutdown in progress: counters freeze as workers exit
           their domains, so the scan suspends stall/starvation
           classification instead of misreading shutdown as a wedge. *)
 }
 
-val static_probe : engine:string -> workers:int -> beats:Beats.t -> probe
-(** Probe for schedulerless runtimes (serial elision): never parked, no
-    visible queue. *)
+val static_probe : engine:string -> Metrics.worker array -> probe
+(** Probe for schedulerless runtimes (serial elision), one worker per
+    counter record: progress is {!Metrics.progress} of that record;
+    never parked, no visible queue. *)
 
 val register_source : name:string -> (unit -> verdict list) -> unit
 (** Add a verdict source polled at every scan (combiner convoy probe,
@@ -101,7 +90,7 @@ type row = {
   worker : int;  (** pool-local id *)
   gworker : int;  (** global worker index *)
   state : wstate;
-  beats : int;
+  progress : int;  (** {!Metrics.progress} at the scan *)
   quiet_scans : int;
 }
 
@@ -148,9 +137,9 @@ val dumped : unit -> string list
 
 (** {2 Monitor lifecycle}
 
-    Engines do not call these directly for start/stop — they hand
-    {!Runtime_guard.start_monitor} a thunk so the process-wide
-    single-monitor invariant lives in one place. *)
+    Engines do not call these directly — they hand {!Runtime_guard.watch}
+    their probe, so the process-wide single-monitor invariant lives in
+    one place. *)
 module Monitor : sig
   type handle
 

@@ -17,6 +17,8 @@ type worker = {
   mutable parked_ns : int;
   mutable wakeups : int;
   mutable wake_retries : int;
+  mutable routed : int;
+  mutable idle_rounds : int;
 }
 
 type stack_stats = {
@@ -58,10 +60,19 @@ let make_worker ?(pool = "main") id =
         parked_ns = 0;
         wakeups = 0;
         wake_retries = 0;
+        routed = 0;
+        idle_rounds = 0;
       })
 
 let make ?stacks ?(routed_abandoned = 0) workers ~elapsed_s =
   { workers; elapsed_s; stacks; routed_abandoned }
+
+(* [inlined] moves only with [spawns], [parked_ns] only with [parks]. *)
+let progress w =
+  w.spawns + w.steals + w.steal_attempts + w.lost_continuations
+  + w.suspensions + w.fast_syncs + w.fused_syncs + w.resumes + w.tasks
+  + w.stack_acquires + w.stack_releases + w.parks + w.wakeups
+  + w.wake_retries + w.routed + w.idle_rounds
 
 (* Victims probed per failed-then-successful steal round; observed by the
    engines at the end of each sweep.  A wide distribution here means the
@@ -246,6 +257,13 @@ let collect () =
         counter "nowa_scheduler_wake_retries_total"
           "Park cancellations that raced a wake (token consumed late)."
           (fun w -> w.wake_retries);
+        counter "nowa_scheduler_routed_total"
+          "Roots pushed onto a pool's routed queue (spawn_on, spawn_unit_on)."
+          (fun w -> w.routed);
+        counter "nowa_scheduler_idle_rounds_total"
+          "Scheduling rounds that found no work (idle loop and help-first \
+           taskwait)."
+          (fun w -> w.idle_rounds);
         {
           Nowa_obs.Registry.name = "nowa_routed_abandoned_total";
           help =

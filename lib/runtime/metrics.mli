@@ -38,6 +38,12 @@ type worker = {
   mutable wake_retries : int;
       (** park cancellations that raced a wake; the stray token makes a
           later park return immediately (lost-wakeup retry, benign) *)
+  mutable routed : int;
+      (** [spawn_on]/[spawn_unit_on] roots this worker pushed onto a
+          pool's routed queue *)
+  mutable idle_rounds : int;
+      (** scheduling rounds that found no work: an empty round of the
+          shell's idle loop, or of a help-first taskwait *)
 }
 
 type stack_stats = {
@@ -64,6 +70,11 @@ type t = {
 }
 
 val make_worker : ?pool:string -> int -> worker
+
+val progress : worker -> int
+(** The sum of the worker's event counts, the health watchdog's motion
+    signal: every scheduler station point (spawn, steal attempt, task,
+    sync, park, routed push, empty round) bumps one of them. *)
 
 val make :
   ?stacks:stack_stats -> ?routed_abandoned:int -> worker array ->

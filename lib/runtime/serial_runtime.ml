@@ -10,10 +10,25 @@ let last_metrics () = !last_metrics_ref
 (* The serial elision has no scheduler events to trace. *)
 let last_trace () = None
 
-(* One heartbeat slot for the single "worker": beaten at every elided
-   spawn and at the run boundaries, so the watchdog can tell a busy
-   serial run from a wedged one with the same machinery as the pools. *)
-let hb = ref Health.Beats.disabled
+(* The single "worker"'s counters, the watchdog's progress: the running
+   [run]'s record, or [outside] (never written).  Outside a run a spawn
+   pays one load and one branch and stores nothing, so serial thunks on
+   several domains at once (a benchmark's Ts control) share no line. *)
+let outside = Metrics.make_worker 0
+let counters = ref outside
+
+(* A counted spawn is the elision's task start: the stall hook runs
+   there, as in the engines. *)
+let[@inline] count_spawn () =
+  let m = !counters in
+  if m != outside then begin
+    m.Metrics.spawns <- m.Metrics.spawns + 1;
+    Health.Inject.task_start 0
+  end
+
+let[@inline] count_routed () =
+  let m = !counters in
+  if m != outside then m.Metrics.routed <- m.Metrics.routed + 1
 
 let run ?conf main =
   let conf = match conf with Some c -> c | None -> Config.default () in
@@ -22,49 +37,34 @@ let run ?conf main =
      the KV combiner's span attribution, for one — see a deterministic
      worker id instead of -1 under the elision. *)
   Nowa_trace.Current.set ~worker:0 Nowa_trace.Ring.disabled;
-  hb :=
-    (if conf.Config.heartbeats then Health.Beats.create ~workers:1
-     else Health.Beats.disabled);
-  let beats = !hb in
-  Health.Beats.beat beats 0;
-  if conf.Config.watchdog_interval_ms > 0 then
-    Runtime_guard.start_monitor (fun () ->
-        let probe = Health.static_probe ~engine:name ~workers:1 ~beats in
-        let h =
-          Health.Monitor.spawn ~interval_ms:conf.Config.watchdog_interval_ms
-            ~stall_scans:conf.Config.watchdog_stall_scans
-            ~dump:conf.Config.watchdog_dump probe
-        in
-        fun () -> Health.Monitor.stop h);
+  let m = Metrics.make_worker 0 in
+  counters := m;
+  Runtime_guard.watch conf (Health.static_probe ~engine:name [| m |]);
   let t0 = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () ->
       Nowa_trace.Current.clear ();
-      hb := Health.Beats.disabled;
+      counters := outside;
       Runtime_guard.exit ())
     (fun () ->
       let r = main () in
-      Health.Beats.beat beats 0;
       last_metrics_ref :=
-        Some
-          (Metrics.make
-             [| Metrics.make_worker 0 |]
-             ~elapsed_s:(Unix.gettimeofday () -. t0));
+        Some (Metrics.make [| m |] ~elapsed_s:(Unix.gettimeofday () -. t0));
       r)
 
 let scope f = f ()
 
 let spawn () thunk =
+  count_spawn ();
   let p = Promise.make () in
   (* Elision semantics: the child runs here and now, and its exception
      propagates immediately, exactly as in the unannotated program. *)
   Promise.fill p (thunk ());
-  Health.Beats.beat !hb 0;
   p
 
 let spawn_unit () thunk =
-  thunk ();
-  Health.Beats.beat !hb 0
+  count_spawn ();
+  thunk ()
 
 let sync () = ()
 let get p = Promise.get ~runtime:name p
@@ -85,17 +85,16 @@ let pool_name (p : pool) = p
 let self_pool () = "main"
 
 let spawn_on (_ : pool) thunk =
+  count_routed ();
   let p = Promise.make () in
   (match thunk () with
   | v -> Promise.fill p v
   | exception e -> Promise.fill_exn p e);
-  Health.Beats.beat !hb 0;
   p
 
 let spawn_unit_on (pl : pool) thunk =
-  (try thunk ()
-   with e ->
-     Runtime_log.Log.err (fun m ->
-         m "%s: spawn_unit_on %S task raised %s" name pl
-           (Printexc.to_string e)));
-  Health.Beats.beat !hb 0
+  count_routed ();
+  try thunk ()
+  with e ->
+    Runtime_log.Log.err (fun m ->
+        m "%s: spawn_unit_on %S task raised %s" name pl (Printexc.to_string e))

@@ -16,8 +16,8 @@
       model-check harnesses replay over the real [Sleepers] and
       [Inject_queue];
     - cross-pool spill-over;
-    - [run]'s lifecycle: topology, trace rings, heartbeats, metrics
-      publication, the flight recorder, the watchdog probe, domain
+    - [run]'s lifecycle: topology, trace rings, metrics publication,
+      the flight recorder, the watchdog probe, domain
       spawn/join/teardown, result capture and the count of routed roots
       left queued at shutdown.
 
@@ -54,7 +54,6 @@ type ('worker, 'ext) cluster = {
   groups : group array;
   spill : bool;  (* cross-pool spill-over stealing enabled *)
   finished : bool Atomic.t;
-  hb : Health.Beats.t;  (* per-worker heartbeat words; watchdog input *)
   ext : 'ext;
 }
 
@@ -165,8 +164,7 @@ module type POLICY = sig
   val make_ext : Config.t -> group array -> ext
 
   val make_worker :
-    Config.t -> ext -> id:int -> hb:Health.Beats.t -> group ->
-    Metrics.worker -> Ring.t -> worker
+    Config.t -> ext -> id:int -> group -> Metrics.worker -> Ring.t -> worker
 
   val task_of_thunk : worker -> (unit -> unit) -> task
   (** A root or routed thunk as a task that the given worker runs next.
@@ -265,9 +263,8 @@ end = struct
      the re-check found, bail out on shutdown, or block until a pusher
      posts a token.  Returns work if the re-check produced any. *)
   let park_round cl w =
-    let id = P.id w and g = P.group w and m = P.metrics w and tr = P.ring w in
-    Health.Beats.beat cl.hb id;
-    let lid = id - g.glo in
+    let g = P.group w and m = P.metrics w and tr = P.ring w in
+    let lid = P.id w - g.glo in
     ignore (Sleepers.announce g.gsleepers ~worker:lid);
     let cancel () =
       if not (Sleepers.cancel g.gsleepers ~worker:lid) then
@@ -286,7 +283,6 @@ end = struct
         Ring.emit tr Ev.Park 0;
         let t0 = Nowa_util.Clock.now_ns () in
         Sleepers.park g.gsleepers ~worker:lid;
-        Health.Beats.beat cl.hb id;
         m.Metrics.parked_ns <- m.Metrics.parked_ns + (Nowa_util.Clock.now_ns () - t0);
         Ring.emit tr Ev.Unpark 0
       end;
@@ -302,8 +298,10 @@ end = struct
      and shutdown wakes all parked workers, so exit is prompt in all
      phases.  No mask-width guard: [Topology.of_config] (backed by
      [Sleepers.create]) rejects pools wider than the registry, so every
-     local id can park. *)
+     local id can park.  An empty round is counted: it may make no steal
+     attempt (a 1-worker pool), and the watchdog reads counters. *)
   let worker_loop cl w =
+    let m = P.metrics w in
     let bo = Nowa_util.Backoff.make () in
     let spin_budget, can_park =
       match cl.conf.Config.idle_policy with
@@ -323,6 +321,7 @@ end = struct
           go ()
         | None ->
           incr rounds;
+          m.Metrics.idle_rounds <- m.Metrics.idle_rounds + 1;
           if !rounds <= spin_budget then begin
             if !rounds mod steal_attempts = 0 then
               Nowa_util.Backoff.once bo;
@@ -358,34 +357,23 @@ end = struct
      keyed by local ids, so every accessor translates the global index
      through the worker's group — two pools' worker 0s never alias into
      one sleeper slot or one verdict row. *)
-  let start_watchdog cl =
-    let conf = cl.conf in
-    Runtime_guard.start_monitor (fun () ->
-        let grp i = P.group cl.workers.(i) in
-        let lid i = i - (grp i).glo in
-        let sum f = Array.fold_left (fun acc g -> acc + f g) 0 cl.groups in
-        let probe =
-          {
-            Health.engine = P.name;
-            workers = Array.length cl.workers;
-            pool_of = (fun i -> ((grp i).gname, lid i));
-            beat_of = (fun i -> Health.Beats.read cl.hb i);
-            announced = (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
-            waiting = (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
-            wake_stamp = (fun i -> Sleepers.wake_stamp (grp i).gsleepers ~worker:(lid i));
-            ready =
-              (fun () ->
-                P.ready cl + sum (fun g -> Nowa_deque.Inject_queue.length g.ginject));
-            sleepers = (fun () -> sum (fun g -> Sleepers.sleepers g.gsleepers));
-            draining = (fun () -> Atomic.get cl.finished);
-          }
-        in
-        let h =
-          Health.Monitor.spawn ~interval_ms:conf.Config.watchdog_interval_ms
-            ~stall_scans:conf.Config.watchdog_stall_scans
-            ~dump:conf.Config.watchdog_dump probe
-        in
-        fun () -> Health.Monitor.stop h)
+  let probe cl =
+    let grp i = P.group cl.workers.(i) in
+    let lid i = i - (grp i).glo in
+    let sum f = Array.fold_left (fun acc g -> acc + f g) 0 cl.groups in
+    {
+      Health.engine = P.name;
+      workers = Array.length cl.workers;
+      pool_of = (fun i -> ((grp i).gname, lid i));
+      progress = (fun i -> Metrics.progress (P.metrics cl.workers.(i)));
+      announced = (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
+      waiting = (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
+      ready =
+        (fun () ->
+          P.ready cl + sum (fun g -> Nowa_deque.Inject_queue.length g.ginject));
+      sleepers = (fun () -> sum (fun g -> Sleepers.sleepers g.gsleepers));
+      draining = (fun () -> Atomic.get cl.finished);
+    }
 
   let run ?conf main =
     let conf = match conf with Some c -> c | None -> Config.default () in
@@ -427,23 +415,18 @@ end = struct
         specs
     in
     let ext = P.make_ext conf groups in
-    let hb =
-      if conf.Config.heartbeats then Health.Beats.create ~workers:nw
-      else Health.Beats.disabled
-    in
     let cl =
       {
         conf;
         groups;
         spill = conf.Config.spill_over;
         finished = Atomic.make false;
-        hb;
         ext;
         workers =
           Array.init nw (fun i ->
               let gi = Topology.group_of specs i in
               let g = groups.(gi) in
-              P.make_worker conf ext ~id:i ~hb g
+              P.make_worker conf ext ~id:i g
                 (Metrics.make_worker ~pool:g.gname i)
                 (ring_for i));
       }
@@ -467,7 +450,7 @@ end = struct
           Nowa_trace.Perfetto.write_frozen_file ~window:4096
             (Filename.concat dir "trace.json") t)
     | None -> Health.Recorder.unregister ~name:"trace");
-    if conf.Config.watchdog_interval_ms > 0 then start_watchdog cl;
+    Runtime_guard.watch conf (probe cl);
     let result = ref None in
     let wake_everyone () =
       Array.iter (fun g -> Sleepers.wake_all g.gsleepers) cl.groups
@@ -566,23 +549,25 @@ end = struct
      the window where every potential runner is already parked.  It runs
      after the push, so a worker that announced before this load finds
      the root in its pre-park sweep. *)
-  let wake_routed cl w (g : pool) =
+  let wake_routed cl m (g : pool) =
     let wake g = if Sleepers.wake_one g.gsleepers then Some () else None in
     let woke =
       match wake g with
       | Some () -> true
       | None -> cl.spill && Option.is_some (foreign cl g wake)
     in
-    if woke then
-      let m = P.metrics w in
-      m.Metrics.wakeups <- m.Metrics.wakeups + 1
+    if woke then m.Metrics.wakeups <- m.Metrics.wakeups + 1
 
   (* The caller's thunk goes into the queue as it is: one node, no
-     wrapper.  The engine that runs it catches its exception. *)
+     wrapper.  The engine that runs it catches its exception.  The push
+     is counted in the caller's record: a loop that only routes reaches
+     no other station point. *)
   let spawn_unit_on (g : pool) thunk =
     let cl, w = get_current () in
+    let m = P.metrics w in
+    m.Metrics.routed <- m.Metrics.routed + 1;
     Nowa_deque.Inject_queue.push g.ginject thunk;
-    wake_routed cl w g
+    wake_routed cl m g
 
   let spawn_on (g : pool) thunk =
     let p = Promise.make_remote () in

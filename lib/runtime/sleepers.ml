@@ -7,28 +7,20 @@ let epoch_one = 1 lsl mask_bits
    exceed 1 transiently when a wake races a cancel, which just makes the
    next park return immediately.
 
-   [waiting] and [stamp] exist for the health watchdog, which samples
-   sleeper state from outside without taking [mu]:
-
-   - [waiting] is 1 from {!announce} until the worker leaves the park
-     protocol — raised before the mask bit is published, lowered by
-     {!cancel} (either outcome) or by {!park} once the token is
-     consumed.  It covers the window where a waker has claimed the bit
-     but its token is still in flight, while the worker is still
-     sweeping, about to block or blocked: without it a sampler would
-     read "unparked, no progress" and misflag a healthy parked
-     worker.
-   - [stamp] counts ownership transitions of the worker's mask bit
-     (claimed by a waker, or cancelled by the worker itself).  A sampler
-     that sees the stamp move knows the worker was woken or self-woke
-     inside the window, i.e. made progress even if no heartbeat landed
-     yet. *)
+   [waiting] exists for the health watchdog, which samples sleeper state
+   from outside without taking [mu]: it is 1 from {!announce} until the
+   worker leaves the park protocol — raised before the mask bit is
+   published, lowered by {!cancel} (either outcome) or by {!park} once
+   the token is consumed.  It covers the window where a waker has
+   claimed the bit but its token is still in flight, while the worker is
+   still sweeping, about to block or blocked: without it a sampler would
+   read "unparked, no progress" and misflag a healthy parked worker.
+   Once it falls, the worker's next round bumps one of its counters. *)
 type slot = {
   mu : Mutex.t;
   cv : Condition.t;
   mutable tokens : int;
   waiting : int Atomic.t;
-  stamp : int Atomic.t;
 }
 
 type t = { word : int Atomic.t; slots : slot array }
@@ -56,7 +48,6 @@ let create ~workers =
             cv = Condition.create ();
             tokens = 0;
             waiting = Nowa_util.Padding.atomic 0;
-            stamp = Nowa_util.Padding.atomic 0;
           });
   }
 
@@ -84,10 +75,7 @@ let cancel t ~worker =
   let rec go () =
     let cur = Atomic.get t.word in
     if cur land bit = 0 then false (* a waker claimed us first *)
-    else if Atomic.compare_and_set t.word cur (cur lxor bit) then begin
-      Atomic.incr slot.stamp;
-      true
-    end
+    else if Atomic.compare_and_set t.word cur (cur lxor bit) then true
     else go ()
   in
   let cancelled = go () in
@@ -142,7 +130,6 @@ let rec claim_one t =
     let w = (ctz rot + r) mod mask_bits in
     let next = (cur lxor (1 lsl w)) + epoch_one in
     if Atomic.compare_and_set t.word cur next then begin
-      Atomic.incr t.slots.(w).stamp;
       post t.slots.(w);
       true
     end
@@ -163,7 +150,6 @@ let wake_all t =
       let rec signal m =
         if m <> 0 then begin
           let w = ctz m in
-          Atomic.incr t.slots.(w).stamp;
           post t.slots.(w);
           signal (m lxor (1 lsl w))
         end
@@ -188,7 +174,3 @@ let announced t ~worker =
 
 let waiting t ~worker =
   worker < Array.length t.slots && Atomic.get t.slots.(worker).waiting = 1
-
-let wake_stamp t ~worker =
-  if worker < Array.length t.slots then Atomic.get t.slots.(worker).stamp
-  else 0

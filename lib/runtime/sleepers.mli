@@ -87,8 +87,8 @@ val epoch : t -> int
     Read-only accessors for the health monitor, which samples sleeper
     state from its own thread without locks.  A worker counts as
     {e parked-or-parking} when its mask bit is set {b or} its waiting
-    flag is up; the wake stamp distinguishes "woken but not yet
-    rescheduled" from "no motion at all" across a sampling window. *)
+    flag is up; once the flag falls, the worker's own counters move
+    on its next round. *)
 
 val announced : t -> worker:int -> bool
 (** This worker's sleeper bit is currently set. *)
@@ -99,8 +99,3 @@ val waiting : t -> worker:int -> bool
     or after {!park} consumed a token, so it stays up across the window
     where a waker has claimed the bit but its token is still in flight
     and the mask bit alone would misread the worker as running. *)
-
-val wake_stamp : t -> worker:int -> int
-(** Count of this worker's bit-ownership transitions (wakes by others,
-    cancels by itself).  A change between two samples is progress even
-    when no heartbeat landed in between. *)

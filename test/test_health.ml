@@ -1,10 +1,10 @@
-(* Tests for the runtime-health subsystem: wait-free heartbeats, the
-   stall/convoy watchdog, the SLO burn-rate evaluator, the flight
-   recorder, and the monitor's lifecycle discipline.
+(* Tests for the runtime-health subsystem: the stall/convoy watchdog
+   over the workers' own counters, the SLO burn-rate evaluator, the
+   flight recorder, and the monitor's lifecycle discipline.
 
    The false-positive tests are the load-bearing ones: a watchdog that
-   cries wolf on parked or merely-slow workers is worse than none, so
-   parked pools and healthy busy pools must come out clean, while an
+   cries wolf on parked, idle or merely-slow workers is worse than none,
+   so parked, idle, routing and busy pools must come out clean, while an
    injected stall and an injected combiner wedge must each be caught
    within two scan periods. *)
 
@@ -24,18 +24,17 @@ let conf ?(watchdog = 10) ?(stall_scans = 2) ?(dump = false) workers =
 let test_inject_spins () =
   Health.Inject.clear ();
   Health.Inject.stall ~worker:0 ~ms:50;
-  let b = Health.Beats.create ~workers:1 in
-  let t0 = Nowa_util.Clock.now_ns () in
-  Health.Beats.beat b 0;
-  let dt_ms = float (Nowa_util.Clock.now_ns () - t0) /. 1e6 in
-  Alcotest.(check bool)
-    (Printf.sprintf "first beat spun (%.1fms)" dt_ms)
-    true (dt_ms >= 45.0);
-  let t1 = Nowa_util.Clock.now_ns () in
-  Health.Beats.beat b 0;
-  let dt2_ms = float (Nowa_util.Clock.now_ns () - t1) /. 1e6 in
-  Alcotest.(check bool) "one-shot: second beat is free" true (dt2_ms < 45.0);
-  Alcotest.(check int) "both beats counted" 2 (Health.Beats.read b 0)
+  let task_start_ms w =
+    let t0 = Nowa_util.Clock.now_ns () in
+    Health.Inject.task_start w;
+    float (Nowa_util.Clock.now_ns () - t0) /. 1e6
+  in
+  let check what ok ms =
+    Alcotest.(check bool) (Printf.sprintf "%s (%.1fms)" what ms) true (ok ms)
+  in
+  check "another worker passes at once" (fun ms -> ms < 45.0) (task_start_ms 1);
+  check "first task start spun" (fun ms -> ms >= 45.0) (task_start_ms 0);
+  check "one-shot: second task start is free" (fun ms -> ms < 45.0) (task_start_ms 0)
 
 let test_parse_stall () =
   Alcotest.(check (option (pair int int)))
@@ -100,7 +99,7 @@ let test_parked_is_not_stalled (module R : Nowa.RUNTIME) () =
   (* The stall threshold (stall_scans * interval = 150ms) must exceed
      the longest legitimate quiet stretch: the 40ms inter-burst gap on
      the main strand plus scheduling jitter on an oversubscribed host --
-     that is the operational contract of any heartbeat watchdog.  Parked
+     that is the operational contract of any progress watchdog.  Parked
      workers must stay clean regardless of how many quiet scans elapse,
      which is what the tight 5ms scan cadence exercises. *)
   let c =
@@ -142,16 +141,16 @@ let families : (string * (module Nowa.RUNTIME)) list =
     (" [gomp]", (module Nowa.Presets.Gomp));
   ]
 
-let per_family name f =
+let per_family ?(among = families) name f =
   List.map
     (fun (suffix, r) -> Alcotest.test_case (name ^ suffix) `Quick (f r))
-    families
+    among
 
 (* A libomp tied waiter runs only its own deque.  Here the root's one
    child is stolen by the other worker and runs 400ms of 1ms tasks,
    so the root spins at [sync] with nothing to help with, for longer
    than the stall threshold (25ms x 4).  Waiting is not stalling: every
-   empty taskwait round must beat. *)
+   empty taskwait round must count as progress. *)
 let test_tied_waiter_is_not_stalled () =
   let module R = Nowa.Presets.Lomp_tied in
   Health.Inject.clear ();
@@ -170,6 +169,52 @@ let test_tied_waiter_is_not_stalled () =
   Alcotest.(check (list string))
     "no verdicts on a tied waiter" []
     (List.map Health.verdict_to_string (Health.verdicts ()))
+
+let no_verdicts what =
+  Alcotest.(check (list string))
+    ("no verdicts on " ^ what) []
+    (List.map Health.verdict_to_string (Health.verdicts ()))
+
+(* A root that only routes: a counting [spawn_unit_on] to another pool
+   every 100us for 600ms, three times the stall threshold (25ms x 8).
+   A routed push is progress, so the routing worker is not stalled. *)
+let test_routing_root_is_not_stalled () =
+  let module R = Nowa.Presets.Nowa in
+  Health.Inject.clear ();
+  let pools = [ Config.pool "inject" ~workers:1; Config.pool "serve" ~workers:2 ] in
+  let ran = Atomic.make 0 and n = 6_000 in
+  R.run ~conf:{ (conf ~watchdog:25 ~stall_scans:8 1) with Config.pools } (fun () ->
+      let serve = R.pool "serve" and t0 = Nowa_util.Clock.now_ns () in
+      for k = 1 to n do
+        while Nowa_util.Clock.now_ns () < t0 + (k * 100_000) do
+          Domain.cpu_relax ()
+        done;
+        R.spawn_unit_on serve (fun () -> Atomic.incr ran)
+      done;
+      while Atomic.get ran < n do
+        Domain.cpu_relax ()
+      done);
+  no_verdicts "a routing root"
+
+(* Two 1-worker pools under [Spin]: [main] runs 400 children of 1ms
+   while [side] idles for twice the stall threshold (25ms x 8).  Its
+   rounds find no pool-mate and, over per-worker deques, make no steal
+   attempt: an idle round is still progress. *)
+let test_idle_spinning_pool_is_not_stalled (module R : Nowa.RUNTIME) () =
+  Health.Inject.clear ();
+  let pools = [ Config.pool "main" ~workers:1; Config.pool "side" ~workers:1 ] in
+  let c =
+    { (conf ~watchdog:25 ~stall_scans:8 1) with Config.pools; idle_policy = Config.Spin }
+  in
+  R.run ~conf:c (fun () ->
+      R.scope (fun sc ->
+          for _ = 1 to 400 do
+            R.spawn_unit sc (fun () -> spin_ms 1)
+          done));
+  no_verdicts "an idle spinning pool"
+
+let spinning_families : (string * (module Nowa.RUNTIME)) list =
+  families @ [ (" [lomp-tied]", (module Nowa.Presets.Lomp_tied)) ]
 
 (* -- monitor lifecycle --------------------------------------------------- *)
 
@@ -638,7 +683,7 @@ let () =
     [
       ( "inject",
         [
-          Alcotest.test_case "beat spins once" `Quick test_inject_spins;
+          Alcotest.test_case "task start spins once" `Quick test_inject_spins;
           Alcotest.test_case "parse_stall" `Quick test_parse_stall;
         ] );
       ( "watchdog",
@@ -649,6 +694,12 @@ let () =
             test_busy_is_not_stalled;
           Alcotest.test_case "tied waiter is not stalled" `Quick
             test_tied_waiter_is_not_stalled;
+          Alcotest.test_case "routing root is not stalled" `Quick
+            test_routing_root_is_not_stalled;
+        ]
+        @ per_family ~among:spinning_families "idle spinning pool is not stalled"
+            test_idle_spinning_pool_is_not_stalled
+        @ [
           Alcotest.test_case "no monitor leak (100 lifecycles)" `Quick
             test_no_monitor_leak_across_lifecycles;
           Alcotest.test_case "scan gauge exported" `Quick

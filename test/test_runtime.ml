@@ -1019,6 +1019,57 @@ let test_serial_inline_semantics () =
   in
   Alcotest.(check (list int)) "spawn = call in program order" [ 3; 2; 1 ] !order
 
+let spawns (module R : Nowa.RUNTIME) =
+  match R.last_metrics () with
+  | Some m -> Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.spawns)
+  | None -> Alcotest.failf "%s: no metrics" R.name
+
+let registry_spawns () =
+  List.find_map
+    (fun (s : Nowa_obs.Registry.sample) ->
+      if s.name = "nowa_scheduler_spawns_total" then Some s.value else None)
+    (Nowa_obs.Registry.snapshot ())
+
+(* The elision counts its spawns in its run's own record, as a 1-worker
+   engine run of the same program does.  Outside [S.run] it stores
+   nothing (serial thunks may run on several domains at once outside
+   any run), and it never replaces the engines' published counters. *)
+let test_serial_counts_spawns () =
+  let module S = Nowa_runtime.Serial_runtime in
+  let module Fn = Nowa_kernels.Fib.Make (Nowa.Presets.Nowa) in
+  let module Fs = Nowa_kernels.Fib.Make (S) in
+  ignore (Nowa.Presets.Nowa.run ~conf:(conf 1) (fun () -> Fn.run 18));
+  let nowa = spawns (module Nowa.Presets.Nowa) and published = registry_spawns () in
+  Alcotest.(check int) "nowa: fib 18 spawn points"
+    (Nowa_kernels.Fib.spawn_count 18) nowa;
+  ignore (S.run (fun () -> Fs.run 18));
+  Alcotest.(check int) "serial spawns = nowa on 1 worker" nowa (spawns serial);
+  ignore (Fs.run 10);
+  Alcotest.(check int) "no count outside the run" nowa (spawns serial);
+  Alcotest.(check bool) "the elision does not publish" true
+    (published = registry_spawns ())
+
+(* The watchdog reads those counters: a serial run that spawns for
+   longer than the stall threshold (25ms x 8) is busy, not stalled. *)
+let test_serial_watchdog_reads_spawns () =
+  let module S = Nowa_runtime.Serial_runtime in
+  let module Fs = Nowa_kernels.Fib.Make (S) in
+  let c =
+    {
+      (conf 1) with
+      Nowa.Config.watchdog_interval_ms = 25;
+      watchdog_stall_scans = 8;
+      watchdog_dump = false;
+    }
+  in
+  S.run ~conf:c (fun () ->
+      let stop = Unix.gettimeofday () +. 0.4 in
+      while Unix.gettimeofday () < stop do
+        ignore (Fs.run 15)
+      done);
+  Alcotest.(check (list string)) "no verdicts on a spawning serial run" []
+    (List.map Nowa.Health.verdict_to_string (Nowa.Health.verdicts ()))
+
 (* -- façade helpers -------------------------------------------------------- *)
 
 let test_parallel_for () =
@@ -1504,7 +1555,13 @@ let () =
           Alcotest.test_case "park metrics" `Quick test_park_metrics;
         ] );
       ( "serial elision",
-        [ Alcotest.test_case "inline semantics" `Quick test_serial_inline_semantics ] );
+        [
+          Alcotest.test_case "inline semantics" `Quick test_serial_inline_semantics;
+          Alcotest.test_case "counts spawns in its run" `Quick
+            test_serial_counts_spawns;
+          Alcotest.test_case "watchdog reads its spawns" `Quick
+            test_serial_watchdog_reads_spawns;
+        ] );
       ( "facade",
         [
           Alcotest.test_case "parallel_for" `Quick test_parallel_for;
