@@ -78,7 +78,8 @@ let deque_spec ?capacity ?batch ~pushes ~pops ~thieves kind () =
 
 type frame_obs = { mutable passes : int }
 
-let counter_scenario ~note_steal ~note_resume ~main_sync ~joiner () =
+let counter_scenario ?(expose = ignore) ~note_steal ~note_resume ~main_sync ~joiner
+    () =
   let avail = Cell.make false in
   let child_done = Cell.make false in
   let obs = { passes = 0 } in
@@ -87,6 +88,7 @@ let counter_scenario ~note_steal ~note_resume ~main_sync ~joiner () =
     obs.passes <- obs.passes + 1
   in
   let worker () =
+    expose () (* the frame's [exposed] flag, set before the push *);
     Cell.write avail true (* pushBottom of the continuation *);
     Cell.write child_done true (* the spawned child runs and returns *);
     if Cell.cas avail true false then main_sync ~pass () (* not stolen *)
@@ -122,11 +124,13 @@ let naive_counter_spec () =
       if v = 1 && Cell.read suspended then pass ())
     ()
 
-(* The shipped counters in [Engine.sync]'s caller order: a never-forked
-   frame passes, a zero [pending_hint] takes the fused path (whose
-   [reach_sync] must succeed), anything else publishes the suspended
-   continuation before [reach_sync].  The zero observer takes the
-   continuation back. *)
+(* The shipped counters in [Engine.sync_on]'s caller order: a frame that
+   never exposed, or never forked, passes; a zero [pending_hint] takes
+   the fused path (whose [reach_sync] must succeed); anything else
+   publishes the suspended continuation before [reach_sync].  The zero
+   observer takes the continuation back.  [exposed] is the frame's flag:
+   [handle_spawn] sets it before the push, so a main path that migrated
+   through the steal reads it after the thief's [note_steal]. *)
 let join_counter_spec kind () =
   let module C =
     (val match kind with
@@ -135,16 +139,18 @@ let join_counter_spec kind () =
          | `Lock -> (module Lock_counter))
   in
   let c = C.create () in
+  let exposed = Cell.make false in
   let suspended = Cell.make false in
   let take_back who =
     check (Cell.cas suspended true false)
       (who ^ " observed zero but the continuation was gone")
   in
   counter_scenario
+    ~expose:(fun () -> Cell.write exposed true)
     ~note_steal:(fun () -> C.note_steal c)
     ~note_resume:(fun () -> C.note_resume c)
     ~main_sync:(fun ~pass () ->
-      if not (C.forked c) then pass ()
+      if not (Cell.read exposed && C.forked c) then pass ()
       else if C.pending_hint c = 0 then begin
         check (C.reach_sync c) "fused sync found strands outstanding";
         pass ()

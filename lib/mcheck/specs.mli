@@ -36,9 +36,10 @@ val join_counter_spec : [ `Wait_free | `Lock ] -> spec
 (** The shipped [Wait_free_counter] (Nowa, Section IV) or [Lock_counter]
     (Fibril, Listing 2) in one frame with one spawn: the worker runs the
     child and pops its continuation while a thief races to steal it,
-    with the main path following [Engine.sync] (never forked, fused, or
-    publish then [reach_sync]).  The sync point must be passed exactly
-    once and never while the child runs. *)
+    with the main path following [Engine.sync_on] (never exposed or never
+    forked, fused, or publish then [reach_sync]); the frame's [exposed]
+    flag is a cell the worker sets before the push.  The sync point must
+    be passed exactly once and never while the child runs. *)
 
 val sleeper_spec :
   ?variant:[ `Good | `Check_before_announce ] -> workers:int -> tasks:int -> spec

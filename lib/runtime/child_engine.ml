@@ -50,6 +50,7 @@ type 'st worker = {
   grp : Shell.group;
   m : Metrics.worker;
   tr : Ring.t;
+  tracing : bool;  (* [tr] is enabled; tested by [emit] *)
   mutable depth : int;  (* task nesting (helping at a taskwait): only the
                            outermost start/end delimits a busy slice *)
   st : 'st;  (* the store's per-worker half *)
@@ -57,15 +58,21 @@ type 'st worker = {
 
 type ('st, 'ext) cluster = ('st worker, 'ext) Shell.cluster
 
+(* Every emission site goes through [emit], as in {!Engine.Make}, so
+   tracing off costs a load and a branch: under [-opaque] a bare
+   [Ring.emit] is a generic cross-module call even on the disabled ring.
+   A shared helper in another module would be such a call again. *)
+let[@inline] emit w kind arg = if w.tracing then Ring.emit w.tr kind arg
+
 (* Task bodies never raise ([spawn] and the routed wrapper catch), so
    the depth bookkeeping needs no exception handling. *)
 let run_task (_ : _ cluster) w (Task f) =
   w.m.tasks <- w.m.tasks + 1;
   Health.Inject.task_start w.id;
   w.depth <- w.depth + 1;
-  if w.depth = 1 then Ring.emit w.tr Ev.Task_start 0;
+  if w.depth = 1 then emit w Ev.Task_start 0;
   f ();
-  if w.depth = 1 then Ring.emit w.tr Ev.Task_end 0;
+  if w.depth = 1 then emit w Ev.Task_end 0;
   w.depth <- w.depth - 1
 
 module Waiting = struct
@@ -134,14 +141,14 @@ module Deques
      [steal_half]-style grab) or a single steal when [max = 1]. *)
   let steal (cl : (t, ext) cluster) w ~max v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
-    Ring.emit w.tr Ev.Steal_attempt v;
+    emit w Ev.Steal_attempt v;
     match Q.steal_batch cl.workers.(v).st.deque ~max ~on_commit:no_commit with
     | [] ->
-      Ring.emit w.tr Ev.Steal_abort v;
+      emit w Ev.Steal_abort v;
       None
     | head :: extra ->
       w.m.steals <- w.m.steals + 1 + List.length extra;
-      Ring.emit w.tr Ev.Steal_commit v;
+      emit w Ev.Steal_commit v;
       (* The surplus moves to the thief's own deque so the next LIFO pops
          serve it without touching the victim again.  Tasks are plain
          closures, so re-homing them is always legal. *)
@@ -202,13 +209,13 @@ module Fifo : STORE = struct
     | [] -> (
       let gid = w.grp.gid in
       w.m.steal_attempts <- w.m.steal_attempts + 1;
-      Ring.emit w.tr Ev.Steal_attempt gid;
+      emit w Ev.Steal_attempt gid;
       match Cq.pop_batch w.st.fifo ~max:(Int.max 1 cl.conf.Config.steal_sweep) with
       | [] ->
-        Ring.emit w.tr Ev.Steal_abort gid;
+        emit w Ev.Steal_abort gid;
         None
       | head :: rest ->
-        Ring.emit w.tr Ev.Steal_commit gid;
+        emit w Ev.Steal_commit gid;
         w.st.stash <- rest;
         Some head)
 
@@ -283,7 +290,15 @@ module Make
     let make_ext _ groups = S.make_ext groups
 
     let make_worker conf ext ~id grp m tr =
-      { id; grp; m; tr; depth = 0; st = S.make conf ext grp ~id }
+      {
+        id;
+        grp;
+        m;
+        tr;
+        tracing = tr.Ring.enabled;
+        depth = 0;
+        st = S.make conf ext grp ~id;
+      }
 
     let task_of_thunk = task_of_thunk
     let take = take
@@ -303,7 +318,7 @@ module Make
      stalled. *)
   let wait_for cl w fr =
     w.m.suspensions <- w.m.suspensions + 1;
-    Ring.emit w.tr Ev.Suspend 0;
+    emit w Ev.Suspend 0;
     let bo = Nowa_util.Backoff.make () in
     while Atomic.get fr.pending > 0 do
       match help cl w with
@@ -340,7 +355,7 @@ module Make
   let push fr body =
     let _, w = get_current () in
     w.m.spawns <- w.m.spawns + 1;
-    Ring.emit w.tr Ev.Spawn 0;
+    emit w Ev.Spawn 0;
     ignore (Atomic.fetch_and_add fr.pending 1);
     S.push w (Task body);
     (* One load when nobody sleeps; CAS + signal only for a sleeper. *)

@@ -118,6 +118,25 @@
     after their commit, so the plain mutable fields ride the deques'
     existing release/acquire ordering.
 
+    {2 What the path where nothing is stolen pays}
+
+    Dune's dev profile compiles with [-opaque], so no call into another
+    module is inlined, and one whose arity the caller cannot see goes
+    through [caml_applyN].  Three such calls are kept off the inline
+    spawn and the sync of a frame that never exposed:
+
+    - every emission site goes through [emit], which tests the worker's
+      immutable [tracing] flag before calling [Ring.emit]: tracing off
+      is a load and a branch, not [caml_apply3] into a disabled ring;
+    - [sync_on] reads the join counter only when the frame's [exposed]
+      flag is set: a frame that never exposed has never forked (the
+      argument is at [sync_on]);
+    - an inline child's promise is built filled ([Promise.ready],
+      [Promise.raised]): one call where [make] and [fill] were two.
+
+    What is left on the inline path is the scope's [Domain.DLS] lookup,
+    the deque functor's [Q.size] and the thunk itself.
+
     {2 Ints compared as ints}
 
     Without flambda, [Stdlib.max] and [Stdlib.min] are compiled once for
@@ -208,6 +227,7 @@ module Make
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
     tr : Ring.t;  (* wait-free event ring; Ring.disabled when not tracing *)
+    tracing : bool;  (* [tr] is enabled; tested by [emit] *)
     sp : Stack_pool.t;  (* this run's stack pool *)
     mutable epoch : int;
         (* bumped before this worker makes a continuation resumable
@@ -228,6 +248,11 @@ module Make
 
   (* The shell's run record; [ext] is this run's stack pool. *)
   type cluster = (worker, Stack_pool.t) Shell.cluster
+
+  (* Every emission site goes through [emit], so tracing off costs a
+     load and a branch: under [-opaque] a bare [Ring.emit] is a generic
+     cross-module call even on the disabled ring. *)
+  let[@inline] emit w kind arg = if w.tracing then Ring.emit w.tr kind arg
 
   (* The effect carries the untyped thunk and promise directly (the
      uniform-representation coercion confined to [spawn]/[spawn_unit]),
@@ -291,7 +316,7 @@ module Make
     | None ->
       let s = Stack_pool.acquire w.sp ~worker:w.id in
       w.m.stack_acquires <- w.m.stack_acquires + 1;
-      Ring.emit w.tr Ev.Stack_acquire 0;
+      emit w Ev.Stack_acquire 0;
       w.stack <- Some s;
       s
 
@@ -301,7 +326,7 @@ module Make
     | Some s ->
       Stack_pool.release w.sp ~worker:w.id s;
       w.m.stack_releases <- w.m.stack_releases + 1;
-      Ring.emit w.tr Ev.Stack_release 0;
+      emit w Ev.Stack_release 0;
       w.stack <- None
 
   (* Clear a task box we own and park it in the worker's spare slot for
@@ -343,7 +368,7 @@ module Make
     fr.susp_k <- dummy_cont;
     fr.susp_stack <- None;
     w.m.resumes <- w.m.resumes + 1;
-    Ring.emit w.tr Ev.Resume 0;
+    emit w Ev.Resume 0;
     C.reset fr.counter;
     (match stk with
     | None -> ()
@@ -375,7 +400,7 @@ module Make
     else begin
       (* The continuation was stolen: implicit sync. *)
       w.m.lost_continuations <- w.m.lost_continuations + 1;
-      Ring.emit w.tr Ev.Lost_continuation 0;
+      emit w Ev.Lost_continuation 0;
       if C.child_joined fr.counter then resume_frame w fr
     end
 
@@ -393,7 +418,7 @@ module Make
     let w = frame_worker fr in
     fr.exposed <- true;
     w.m.spawns <- w.m.spawns + 1;
-    Ring.emit w.tr Ev.Spawn 0;
+    emit w Ev.Spawn 0;
     (* Only exposed spawns touch a stack page: an inline child runs on
        the spawner's own frame, like the call it elides. *)
     (match w.stack with
@@ -459,7 +484,7 @@ module Make
       if C.reach_sync fr.counter then resume_frame w fr
       else begin
         w.m.suspensions <- w.m.suspensions + 1;
-        Ring.emit w.tr Ev.Suspend 0
+        emit w Ev.Suspend 0
       end
     end
   (* returning without resuming = this strand is suspended; control goes
@@ -505,7 +530,7 @@ module Make
      [nframes] keep their last frame, so the LIFO common case (a scope
      returns the frame it just took) stores nothing: each array store is
      a write barrier. *)
-  let recycle_frame w fr =
+  let[@inline] recycle_frame w fr =
     fr.exposed <- false;
     let n = w.nframes in
     if n < Array.length w.frames then begin
@@ -513,7 +538,7 @@ module Make
       w.nframes <- n + 1
     end
 
-  let take_frame w =
+  let[@inline] take_frame w =
     let n = w.nframes in
     if n > 0 then begin
       w.nframes <- n - 1;
@@ -527,13 +552,13 @@ module Make
      ([on_commit] notes the steal in the frame's counter). *)
   let attempt (cl : cluster) w v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
-    Ring.emit w.tr Ev.Steal_attempt v;
+    emit w Ev.Steal_attempt v;
     match Q.steal cl.Shell.workers.(v).deque ~on_commit with
     | Some _ as r ->
-      Ring.emit w.tr Ev.Steal_commit v;
+      emit w Ev.Steal_commit v;
       r
     | None ->
-      Ring.emit w.tr Ev.Steal_abort v;
+      emit w Ev.Steal_abort v;
       None
 
   let attempt_mate cl w ~sweep:_ v = attempt cl w v
@@ -588,7 +613,7 @@ module Make
     w.m.tasks <- w.m.tasks + 1;
     Health.Inject.task_start w.id;
     ignore (ensure_stack w);
-    Ring.emit w.tr Ev.Task_start 0;
+    emit w Ev.Task_start 0;
     (if t.kind == kind_root then begin
        let f = t.tfn in
        recycle_task w t;
@@ -606,7 +631,7 @@ module Make
        stamp fr w;
        Effect.Deep.continue k ()
      end);
-    Ring.emit w.tr Ev.Task_end 0
+    emit w Ev.Task_end 0
 
   (* Frames cached per worker; deeper recycling simply falls back to the
      GC.  Completed scopes return frames innermost-first, so the steady-
@@ -638,6 +663,7 @@ module Make
             rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
             m;
             tr;
+            tracing = tr.Ring.enabled;
             sp;
             epoch = 0;
             reexpose_at = 0;
@@ -679,30 +705,48 @@ module Make
         cl.workers
   end)
 
-  let sync fr =
-    let w = worker_of fr in
-    (if C.forked fr.counter then begin
-       if C.pending_hint fr.counter = 0 then begin
-         (* Fused explicit sync: all stolen strands have joined, so
-            [reach_sync] is guaranteed to succeed (see [handle_sync]) —
-            complete the sync inline without even capturing the
-            continuation.  This is the post-steal analogue of the
-            never-forked fast path below. *)
-         let ok = C.reach_sync fr.counter in
-         assert ok;
-         w.m.fused_syncs <- w.m.fused_syncs + 1;
-         C.reset fr.counter
-       end
-       else Effect.perform (Sync fr)
-     end
-     else w.m.fast_syncs <- w.m.fast_syncs + 1);
+  (* The explicit sync of [fr], whose stamp [w] the caller validated;
+     returns the worker the strand holds once the sync is passed.  Only
+     a frame that exposed can have had a continuation stolen: the flag is
+     written before the push that offers one to a thief and cleared only
+     by [recycle_frame], so a frame that never exposed skips the counter.
+     A strand that migrated reads the flag after acquiring the frame,
+     through the steal or through the counter's read-modify-write. *)
+  let sync_on w fr =
+    let w =
+      if fr.exposed && C.forked fr.counter then
+        if C.pending_hint fr.counter = 0 then begin
+          (* Fused explicit sync: all stolen strands have joined, so
+             [reach_sync] is guaranteed to succeed (see [handle_sync]) —
+             complete the sync inline without even capturing the
+             continuation.  This is the post-steal analogue of the
+             never-forked fast path below. *)
+          let ok = C.reach_sync fr.counter in
+          assert ok;
+          w.m.fused_syncs <- w.m.fused_syncs + 1;
+          C.reset fr.counter;
+          w
+        end
+        else begin
+          Effect.perform (Sync fr);
+          (* The strand may resume on another worker, for which
+             [resume_frame] restamped the frame. *)
+          worker_of fr
+        end
+      else begin
+        w.m.fast_syncs <- w.m.fast_syncs + 1;
+        w
+      end
+    in
     (* Every writer of the slot has joined by now, so a plain read
        suffices and the slot is almost always empty. *)
     match Atomic.get fr.exn_slot with
-    | None -> ()
+    | None -> w
     | Some e ->
       Atomic.set fr.exn_slot None;
       raise e
+
+  let sync fr = ignore (sync_on (worker_of fr) fr)
 
   (* The scope's one domain-local lookup; its spawns and syncs read the
      worker from the frame's stamp. *)
@@ -712,10 +756,9 @@ module Make
     stamp fr w;
     match f fr with
     | v ->
-      sync fr;
       (* The strand may have migrated: recycle to wherever the main path
          landed. *)
-      recycle_frame (worker_of fr) fr;
+      recycle_frame (sync_on (worker_of fr) fr) fr;
       v
     | exception e ->
       (* Fully strict: join the children even on the exceptional path;
@@ -747,7 +790,7 @@ module Make
     if Q.size w.deque > 0 || (fr.exposed && before_deadline w) then begin
       w.m.spawns <- w.m.spawns + 1;
       w.m.inlined <- w.m.inlined + 1;
-      Ring.emit w.tr Ev.Spawn 1;
+      emit w Ev.Spawn 1;
       true
     end
     else false
@@ -755,15 +798,14 @@ module Make
   (* An inline child's exception lands where the exposed path's [exnc]
      puts it: in the promise and in the frame, to surface at the sync. *)
   let spawn (type a) fr (thunk : unit -> a) : a promise =
-    let p : a promise = Promise.make () in
-    if inline_spawn (worker_of fr) fr then begin
+    if inline_spawn (worker_of fr) fr then
       match thunk () with
-      | v -> Promise.fill p v
+      | v -> Promise.ready v
       | exception e ->
-        Promise.fill_exn p e;
-        note_exn fr e
-    end
-    else
+        note_exn fr e;
+        Promise.raised e
+    else begin
+      let p : a promise = Promise.make () in
       (* Uniform-representation coercions: every OCaml function value
          uses the generic calling convention, so a [unit -> a] thunk and
          an [a Promise.t] can travel through the monomorphic effect; the
@@ -771,7 +813,8 @@ module Make
       Effect.perform
         (Spawn
            (fr, (Obj.magic thunk : unit -> Obj.t), (Obj.magic p : Obj.t Promise.t)));
-    p
+      p
+    end
 
   (* Promise-free spawn for request-shaped work: the only allocation on
      the dispatch path is the effect value itself. *)

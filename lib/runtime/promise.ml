@@ -32,6 +32,8 @@ type remote_box = {
 let nil = Obj.repr ()
 
 let make () = { value = nil; state = pending }
+let ready v = { value = Obj.repr v; state = done_ }
+let raised e = { value = Obj.repr e; state = failed }
 
 let make_remote () =
   {

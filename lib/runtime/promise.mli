@@ -12,6 +12,12 @@ val make : unit -> 'a t
 val fill : 'a t -> 'a -> unit
 val fill_exn : 'a t -> exn -> unit
 
+val ready : 'a -> 'a t
+val raised : exn -> 'a t
+(** A cell born filled with the child's value or exception: {!make}
+    and {!fill} (or {!fill_exn}) in one call, for a child that ran
+    inline and so finished before anyone could read its promise. *)
+
 val make_remote : unit -> 'a t
 (** A cross-pool completion cell (for [spawn_on], ISSUE 10): the filler
     runs on a foreign pool whose join counters the reader never

@@ -19,7 +19,9 @@
       returns [true] it must resume the frame's suspended sync
       continuation.
     - The main path, upon reaching an explicit sync, first checks
-      {!forked}; if stealing ever materialised it {e publishes its sync
+      {!forked} (the engine skips the call for a frame that never
+      offered a continuation to thieves, which cannot have forked); if
+      stealing ever materialised it {e publishes its sync
       continuation in the frame} and only then calls {!reach_sync}.  A
       [true] result means the caller observed the sync condition itself
       and proceeds (taking its continuation back); on [false] exactly one

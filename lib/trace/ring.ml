@@ -7,9 +7,12 @@
     (monotonic head index, power-of-two capacity, mask addressing), so a
     long run keeps the most recent window instead of failing.
 
-    A disabled ring costs a single flag check per emission site and
-    nothing else; engines hold one unconditionally so the hot path has no
-    option match. *)
+    A disabled ring costs a single flag check inside [emit], but a caller
+    in another module still pays the call that reaches it: dune's dev
+    profile builds with [-opaque], so [emit] is never inlined there.  The
+    engines therefore test their worker's own tracing flag before each
+    emission, and hold a ring unconditionally so that flag is the only
+    test (no option match). *)
 
 type t = {
   enabled : bool;

@@ -198,36 +198,61 @@ let test_disabled_is_default () =
   Alcotest.(check bool) "no trace by default" true (R.last_trace () = None)
 
 let test_trace_events_against_metrics () =
-  (* The trace and the aggregate counters must tell the same story:
-     spawn events = spawns counted (ring large enough not to drop). *)
-  let (module R : Nowa.RUNTIME) = (module Nowa.Presets.Nowa) in
-  let conf =
-    { (Nowa.Config.with_workers 2) with Nowa.Config.trace_capacity = 1 lsl 16 }
-  in
-  ignore (R.run ~conf (fun () -> fib (module R) 15));
-  let tr = Option.get (R.last_trace ()) in
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tr);
-  let m = Option.get (R.last_metrics ()) in
-  let count kind =
-    Array.fold_left
-      (fun acc evs ->
+  (* The trace and the aggregate counters must tell the same story on
+     every preset (rings large enough not to drop): each emission site
+     sits behind its worker's tracing flag, and none may lose an event
+     while tracing is on.  The help-first family does not count one
+     steal per commit event (a batched grab counts each task, a FIFO
+     grab none), counts helped tasks that open no busy slice, and never
+     resumes a frame or loses a continuation, so those rows are checked
+     where the continuation-stealing family counts them: the presets
+     that manage stacks. *)
+  let stealing = ref 0 in
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let conf =
+        { (Nowa.Config.with_workers 2) with Nowa.Config.trace_capacity = 1 lsl 16 }
+      in
+      ignore (R.run ~conf (fun () -> fib (module R) 15));
+      let tr = Option.get (R.last_trace ()) in
+      let label what = R.name ^ ": " ^ what in
+      Alcotest.(check int) (label "nothing dropped") 0 (Trace.dropped tr);
+      let m = Option.get (R.last_metrics ()) in
+      let count ?arg kind =
         Array.fold_left
-          (fun acc e -> if e.Ev.kind = kind then acc + 1 else acc)
-          acc evs)
-      0 (Trace.per_worker_events tr)
-  in
-  let total f =
-    Array.fold_left (fun acc w -> acc + f w) 0 m.Nowa.Metrics.workers
-  in
-  Alcotest.(check int) "spawn events = spawns metric"
-    (total (fun w -> w.Nowa.Metrics.spawns))
-    (count Ev.Spawn);
-  Alcotest.(check int) "suspend events = suspensions metric"
-    (total (fun w -> w.Nowa.Metrics.suspensions))
-    (count Ev.Suspend);
-  Alcotest.(check int) "commit events = steals metric"
-    (total (fun w -> w.Nowa.Metrics.steals))
-    (count Ev.Steal_commit)
+          (fun acc evs ->
+            Array.fold_left
+              (fun acc e ->
+                if e.Ev.kind = kind && Option.fold ~none:true ~some:(( = ) e.Ev.arg) arg
+                then acc + 1
+                else acc)
+              acc evs)
+          0 (Trace.per_worker_events tr)
+      in
+      let check what metric events =
+        Alcotest.(check int) (label what) (Nowa.Metrics.total m metric) events
+      in
+      check "spawn events = spawns metric" (fun w -> w.Nowa.Metrics.spawns) (count Ev.Spawn);
+      check "inline spawn events = inlined metric"
+        (fun w -> w.Nowa.Metrics.inlined)
+        (count ~arg:1 Ev.Spawn);
+      check "suspend events = suspensions metric"
+        (fun w -> w.Nowa.Metrics.suspensions)
+        (count Ev.Suspend);
+      if Option.is_some m.Nowa.Metrics.stacks then begin
+        incr stealing;
+        check "commit events = steals metric" (fun w -> w.Nowa.Metrics.steals)
+          (count Ev.Steal_commit);
+        check "resume events = resumes metric" (fun w -> w.Nowa.Metrics.resumes)
+          (count Ev.Resume);
+        check "lost-continuation events = lost_continuations metric"
+          (fun w -> w.Nowa.Metrics.lost_continuations)
+          (count Ev.Lost_continuation);
+        check "task-start events = tasks metric" (fun w -> w.Nowa.Metrics.tasks)
+          (count Ev.Task_start)
+      end)
+    Nowa.Presets.all;
+  Alcotest.(check int) "continuation-stealing presets checked" 5 !stealing
 
 (* -- a minimal JSON parser for the golden exporter check --------------- *)
 
