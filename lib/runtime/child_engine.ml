@@ -215,6 +215,7 @@ module Fifo : STORE = struct
         emit w Ev.Steal_abort gid;
         None
       | head :: rest ->
+        w.m.steals <- w.m.steals + 1 + List.length rest;
         emit w Ev.Steal_commit gid;
         w.st.stash <- rest;
         Some head)

@@ -45,23 +45,35 @@
     has already exposed (its [exposed] flag, set in [handle_spawn] and
     cleared when the frame is recycled) exposes again from an empty
     deque only once its worker's [reexpose_at] deadline has passed, and
-    that re-exposure moves the deadline [reexpose_period_ns] on;
+    that re-exposure moves the deadline the worker's [period] on;
     otherwise the child runs inline.  This is heartbeat scheduling's
-    amortisation (Acar et al., PLDI 2018): a worker pays at most one
-    re-exposure per period, so steals stay bounded by time rather than
-    growing with the loop.
+    amortisation (Acar et al., PLDI 2018), with the period following
+    steals, as Rito & Paulino bound synchronisation by steals:
+
+    - every worker starts at [reexpose_period_ns];
+    - a re-exposed continuation that [after_child]'s pop finds still in
+      the deque was offered and not taken, so the worker's period
+      doubles, up to [reexpose_cap_ns];
+    - a lost continuation (a thief took one) resets the period, and a
+      worker that steals a continuation resets both its period and its
+      deadline, so it offers the loop at its next spawn.
+
+    A worker running a loop nobody steals thus re-exposes at least once
+    per cap, and each exposure wakes a sleeping pool-mate if there is
+    one: a parked pool-mate gets the loop within [reexpose_cap_ns], and
+    once it steals both workers are back at the base period.
 
     - A frame's first exposure is unconditional.  Nested fork-join code
       makes one spawn per frame, so it never reads the clock, and a
       fresh scope's spawn still offers its continuation at once: gating
       it too halved fib's speedup on two workers.
-    - The deadline is per worker, not per frame, and only its worker
-      writes it.  A thief that has just taken a loop's continuation
-      exposes at once, because its own deadline is long past, so the
-      loop spreads to a free worker within one spawn; the victim's
-      deadline still paces the victim.  A per-frame deadline would be
-      written by whichever worker holds the strand, and would make a
-      thief wait out its victim's period.
+    - The deadline and the period are per worker, not per frame, and
+      only their worker writes them.  A thief that has just taken a
+      loop's continuation exposes at once, so the loop spreads to a free
+      worker within one spawn; the victim's deadline still paces the
+      victim.  A per-frame deadline would be written by whichever worker
+      holds the strand, and would make a thief wait out its victim's
+      period.
 
     {2 Frame stamps}
 
@@ -150,9 +162,11 @@
     [Int.compare], or [Stdlib.compare] where a structural order is
     meant (see {!Nowa_util.Poly_guard}). *)
 
-(* At most one re-exposure per worker per this period (see "Re-exposure
-   deadline" above). *)
+(* A worker's re-exposure period starts at [reexpose_period_ns] and
+   doubles, up to [reexpose_cap_ns], while its re-exposed continuations
+   come back untaken (see "Re-exposure deadline" above). *)
 let reexpose_period_ns = 20_000
+let reexpose_cap_ns = 64 * reexpose_period_ns
 
 module Make
     (QM : Nowa_deque.Ws_deque_intf.MAKER)
@@ -234,7 +248,12 @@ module Make
            elsewhere; written only by this worker *)
     mutable reexpose_at : int;
         (* [Clock.now_ns] before which an already-exposed frame's spawn
-           runs inline from an empty deque; written only by this worker *)
+           runs inline from an empty deque; written only by this worker,
+           like [period] and [reexposed] *)
+    mutable period : int;  (* what the next re-exposure adds to [reexpose_at] *)
+    mutable reexposed : bool;
+        (* this worker's last exposure was a re-exposure; set by
+           [before_deadline], read and cleared by [after_child] *)
     mutable stack : Stack_pool.stack option;
     mutable next_victim : int;  (* Round_robin victim scan position *)
     mutable spare : task;  (* recycled task box; [dummy_task] when empty *)
@@ -381,7 +400,11 @@ module Make
 
   (* Figure 5, lines 4-5: runs after a spawned child returned.  The child
      may have finished on another worker than the one that spawned it,
-     so this is the exposed path's one domain-local lookup. *)
+     so this is the exposed path's one domain-local lookup.  The
+     [reexposed] flag is the worker's, not the frame's: a nested first
+     exposure inside the child may consume it, which at worst moves the
+     period once in the wrong direction, and every inline decision is a
+     legal schedule. *)
   and after_child fr =
     let _, w = get_current () in
     let t = Q.pop w.deque in
@@ -394,11 +417,19 @@ module Make
       t.tk <- dummy_cont;
       t.tfr <- dummy_frame;
       w.spare <- t;
+      if w.reexposed then begin
+        (* A re-exposure nobody took: back off. *)
+        w.reexposed <- false;
+        let p = 2 * w.period in
+        w.period <- (if p < reexpose_cap_ns then p else reexpose_cap_ns)
+      end;
       stamp fr w;
       Effect.Deep.continue k ()
     end
     else begin
       (* The continuation was stolen: implicit sync. *)
+      w.reexposed <- false;
+      w.period <- reexpose_period_ns;
       w.m.lost_continuations <- w.m.lost_continuations + 1;
       emit w Ev.Lost_continuation 0;
       if C.child_joined fr.counter then resume_frame w fr
@@ -625,6 +656,9 @@ module Make
           it to this worker's spare slot before resuming. *)
        recycle_task w t;
        w.m.steals <- w.m.steals + 1;
+       (* A thief offers the loop it took at its next spawn. *)
+       w.period <- reexpose_period_ns;
+       w.reexpose_at <- 0;
        (* Invariant II: α is bumped by the (unique) main-path control
           flow, here, just before the stolen continuation resumes. *)
        C.note_resume fr.counter;
@@ -667,6 +701,8 @@ module Make
             sp;
             epoch = 0;
             reexpose_at = 0;
+            period = reexpose_period_ns;
+            reexposed = false;
             stack = None;
             next_victim = id + 1;
             spare = dummy_task;
@@ -769,19 +805,21 @@ module Make
 
   (* Read only for a frame that has already exposed, from an empty deque:
      true (inline) while the worker's deadline is ahead; otherwise the
-     spawn re-exposes and moves the deadline one period on. *)
+     spawn re-exposes, moves the deadline the worker's period on and
+     marks the exposure for [after_child]. *)
   let[@inline never] before_deadline w =
     let now = Nowa_util.Clock.now_ns () in
     if now < w.reexpose_at then true
     else begin
-      w.reexpose_at <- now + reexpose_period_ns;
+      w.reexpose_at <- now + w.period;
+      w.reexposed <- true;
       false
     end
 
   (* Lazy exposure: true when this spawn should run its child inline,
      because the worker already holds a stealable continuation, or
      because [fr] has exposed before and the worker re-exposed less than
-     a period ago.  The spawn is still a spawn point for the counters
+     its period ago.  The spawn is still a spawn point for the counters
      (the watchdog's progress) and the trace (arg 1 marks it inline).
      A stale size read is harmless either way: a thief racing us to the
      last element only delays the next exposure, and a push onto a

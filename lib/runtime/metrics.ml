@@ -220,7 +220,8 @@ let collect () =
         counter "nowa_scheduler_inlined_spawns_total"
           "Spawn points whose child ran inline: the worker already held a \
            stealable continuation (lazy exposure), or the frame had exposed \
-           and the worker's re-exposure deadline had not passed."
+           and the worker's re-exposure deadline had not passed (a period \
+           that doubles while re-exposures go untaken)."
           (fun w -> w.inlined);
         counter "nowa_scheduler_steals_total" "Successful steals committed."
           (fun w -> w.steals);

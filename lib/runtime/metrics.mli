@@ -15,9 +15,12 @@ type worker = {
       (** spawn points whose child ran inline, exposing no continuation,
           for one of two reasons in [Engine.Make]: the worker's deque was
           non-empty (lazy exposure), or the frame had exposed before and
-          the worker's re-exposure deadline had not passed (at most one
-          re-exposure per worker per {!Engine.reexpose_period_ns}).
-          Always 0 on the other engine families. *)
+          the worker's re-exposure deadline had not passed.  The deadline
+          moves on by the worker's period, which starts at
+          {!Engine.reexpose_period_ns}, doubles up to
+          {!Engine.reexpose_cap_ns} while re-exposed continuations come
+          back untaken, and resets when the worker loses or steals a
+          continuation.  Always 0 on the other engine families. *)
   mutable steals : int;  (** successful steals committed *)
   mutable steal_attempts : int;  (** steal attempts including failures *)
   mutable lost_continuations : int;

@@ -771,6 +771,99 @@ let test_first_exposure_exempt () =
       done)
     engine_presets
 
+(* A paced flat loop on one worker: a spawn every 50 us, each past the
+   base period, so a fixed period would re-expose all 400.  Nobody
+   steals, so every re-exposure comes back untaken and the worker's
+   period doubles up to the cap: the first exposure, the re-exposure at
+   each period on the way up, then at most one per cap.
+
+   The cap also bounds exposures from below, however the host delays
+   the loop: the second spawn re-exposes at once, and once a re-exposing
+   spawn has returned, the first spawn that starts a cap or more later
+   finds the deadline passed, since the period never exceeds the cap.
+   Replaying that rule on each spawn's start and return times gives the
+   fewest exposures a capped back-off can make. *)
+let test_reexposure_backs_off () =
+  let module E = Nowa_runtime.Engine in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let n = 400 in
+      let start = Array.make n 0 and return = Array.make n 0 in
+      let t0 = Nowa_util.Clock.now_ns () in
+      R.run ~conf:(conf 1) (fun () ->
+          R.scope (fun sc ->
+              for i = 0 to n - 1 do
+                Nowa_util.Clock.spin_ns 50_000;
+                start.(i) <- Nowa_util.Clock.now_ns ();
+                R.spawn_unit sc ignore;
+                return.(i) <- Nowa_util.Clock.now_ns ()
+              done));
+      let elapsed = Nowa_util.Clock.now_ns () - t0 in
+      let least =
+        let count = ref 2 and due = ref (return.(1) + E.reexpose_cap_ns) in
+        for i = 2 to n - 1 do
+          if start.(i) >= !due then begin
+            incr count;
+            due := return.(i) + E.reexpose_cap_ns
+          end
+        done;
+        !count
+      in
+      match R.last_metrics () with
+      | None -> Alcotest.fail "metrics missing"
+      | Some m ->
+        let total f = Nowa.Metrics.total m f in
+        let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
+        let exposed = spawns - total (fun w -> w.Nowa.Metrics.inlined) in
+        let bound =
+          2
+          + log2 (E.reexpose_cap_ns / E.reexpose_period_ns)
+          + (elapsed / E.reexpose_cap_ns)
+        in
+        Alcotest.(check int) (R.name ^ " every spawn point counted") n spawns;
+        if exposed < least || exposed > bound then
+          Alcotest.failf "%s: %d exposed spawns in %d us, expected %d..%d" R.name
+            exposed (elapsed / 1_000) least bound)
+    engine_presets
+
+(* The back-off keeps its liveness bound: after the paced loop above
+   has taken the period to the cap and let the helper park, the same
+   frame spawns children far longer than the cap.  The spawner still
+   re-exposes once per cap, each exposure wakes the sleeper, and a
+   thief resets its period, so the children spread as in "spreads long
+   children".  A run in which the host starved one domain is retried. *)
+let test_reexposure_backoff_wakes_parked () =
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let attempt () =
+        let ran = Array.init 2 (fun _ -> Atomic.make 0) in
+        R.run
+          ~conf:{ (conf 2) with Nowa.Config.idle_policy = Nowa.Config.Park_after 8 }
+          (fun () ->
+            R.scope (fun sc ->
+                for _ = 1 to 400 do
+                  Nowa_util.Clock.spin_ns 50_000;
+                  R.spawn_unit sc ignore
+                done;
+                for _ = 1 to 8 do
+                  R.spawn_unit sc (fun () ->
+                      Atomic.incr ran.(Nowa_trace.Current.worker ());
+                      Nowa_util.Clock.spin_ns 3_000_000)
+                done));
+        Array.map Atomic.get ran
+      in
+      let rec go tries =
+        let ran = attempt () in
+        let spread = ran.(0) >= 2 && ran.(1) >= 2 in
+        if (not spread) && tries > 1 then go (tries - 1)
+        else if not spread then
+          Alcotest.failf "%s: children per worker %d/%d, expected >= 2 each"
+            R.name ran.(0) ran.(1)
+      in
+      go 5)
+    engine_presets
+
 (* -- idle policies -------------------------------------------------------- *)
 
 (* Every engine, every idle policy: same fib answer.  The park policy's
@@ -1532,6 +1625,10 @@ let () =
             test_reexposure_spreads_long_children;
           Alcotest.test_case "first exposure exempt" `Slow
             test_first_exposure_exempt;
+          Alcotest.test_case "backs off while nobody steals" `Quick
+            test_reexposure_backs_off;
+          Alcotest.test_case "a parked pool-mate still gets a backed-off loop" `Slow
+            test_reexposure_backoff_wakes_parked;
         ] );
       ( "stack pool",
         [

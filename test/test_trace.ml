@@ -202,12 +202,14 @@ let test_trace_events_against_metrics () =
      every preset (rings large enough not to drop): each emission site
      sits behind its worker's tracing flag, and none may lose an event
      while tracing is on.  The help-first family does not count one
-     steal per commit event (a batched grab counts each task, a FIFO
-     grab none), counts helped tasks that open no busy slice, and never
-     resumes a frame or loses a continuation, so those rows are checked
-     where the continuation-stealing family counts them: the presets
-     that manage stacks. *)
-  let stealing = ref 0 in
+     steal per commit event (a batched grab, from a deque or from gomp's
+     FIFO, counts each task it takes under one commit), counts helped
+     tasks that open no busy slice, and never resumes a frame or loses a
+     continuation, so those rows are checked where the continuation-
+     stealing family counts them: the presets that manage stacks.  On
+     the help-first presets steals bound commits from above, so a grab
+     that counts nothing fails. *)
+  let stealing = ref 0 and helping = ref 0 in
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
       let conf =
@@ -250,9 +252,18 @@ let test_trace_events_against_metrics () =
           (count Ev.Lost_continuation);
         check "task-start events = tasks metric" (fun w -> w.Nowa.Metrics.tasks)
           (count Ev.Task_start)
+      end
+      else begin
+        incr helping;
+        let steals = Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals) in
+        let commits = count Ev.Steal_commit in
+        if steals < commits then
+          Alcotest.failf "%s: steals metric %d against %d commit events" R.name
+            steals commits
       end)
     Nowa.Presets.all;
-  Alcotest.(check int) "continuation-stealing presets checked" 5 !stealing
+  Alcotest.(check int) "continuation-stealing presets checked" 5 !stealing;
+  Alcotest.(check int) "help-first presets checked" 4 !helping
 
 (* -- a minimal JSON parser for the golden exporter check --------------- *)
 
