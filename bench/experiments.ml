@@ -738,9 +738,18 @@ let idle ~opts () =
      finds an empty deque, so it pays the full exposed protocol (deque
      push, child on a fresh fiber, pop, resume) plus the scope's entry
      and exit; this row keeps that path gated now that fib rarely takes
-     it.  (A flat loop in one scope would re-expose at most once per
-     re-exposure period and run the rest inline.)  Its inlined count is
-     recorded and must be 0;
+     it.  (A flat loop in one scope would run nearly every spawn inline:
+     see flat_spawn.)  Its inlined count is recorded and must be 0;
+   - flat_spawn: a flat loop of spawn_unit ignore in one scope, on 1
+     worker and on 2 under Spin, timed inside the run.  After the
+     frame's first spawn every spawn finds an empty deque, so this is
+     the re-exposure deadline's inline path, the one a paced KV request
+     takes and no other cell reaches (fib spawns from a non-empty deque;
+     the exposed cell's spawns are all first exposures).  Each column
+     reports its run's untaken exposures (exposed spawns minus lost
+     continuations) beside the time.  Recorded, neither ratcheted nor
+     budgeted: alone in its pool a worker reads the clock at every such
+     spawn by design;
    - alloc_per_spawn: Gc.minor_words delta across the fib run divided
      by spawns — the allocation-free-spawn ratchet (ISSUE 9);
    - steal: direct Chase-Lev steal drain, per-element;
@@ -874,6 +883,42 @@ let hotpath ~opts () =
     let mn, p50 = summarize samples in
     (mn, p50, !words, !inlined)
   in
+  (* Min and p50 ns per spawn of the flat loop on [workers], and the
+     untaken exposures of the run that set the minimum. *)
+  let flat_cell workers =
+    let n = 200_000 in
+    let conf =
+      {
+        (Nowa.Config.with_workers workers) with
+        Nowa.Config.idle_policy = Nowa.Config.Spin;
+      }
+    in
+    let body () =
+      let t0 = Nowa_util.Clock.now_ns () in
+      R.scope (fun sc ->
+          for _ = 1 to n do
+            R.spawn_unit sc ignore
+          done);
+      Nowa_util.Clock.now_ns () - t0
+    in
+    let one () =
+      let dt = R.run ~conf body in
+      let untaken =
+        match R.last_metrics () with
+        | Some m ->
+          let total f = Nowa.Metrics.total m f in
+          total (fun w -> w.Nowa.Metrics.spawns)
+          - total (fun w -> w.Nowa.Metrics.inlined)
+          - total (fun w -> w.Nowa.Metrics.lost_continuations)
+        | None -> 0
+      in
+      (float_of_int dt /. float_of_int n, untaken)
+    in
+    ignore (one ());
+    let samples = List.init reps (fun _ -> one ()) in
+    let mn, p50 = summarize (List.map fst samples) in
+    (mn, p50, List.assoc mn samples)
+  in
   let steal_cell () =
     let module Q = Nowa_deque.Chase_lev.Make (struct
       type t = int
@@ -968,6 +1013,8 @@ let hotpath ~opts () =
     (Printf.sprintf "per-operation cost (min and p50 of %d cells, 1 warmup)"
        reps);
   let sp_min, sp_p50, alloc_words = spawn_cell () in
+  let flat1_min, flat1_p50, flat1_untaken = flat_cell 1 in
+  let flat2_min, flat2_p50, flat2_untaken = flat_cell 2 in
   let exp_min, exp_p50, exp_words, exp_inlined = exposed_cell () in
   let steal_min, steal_p50 = steal_cell () in
   let fs_contended, fs_isolated = false_sharing_cell () in
@@ -983,6 +1030,16 @@ let hotpath ~opts () =
         "spawn+sync";
         Printf.sprintf "%.1f" sp_min;
         Printf.sprintf "%.1f" sp_p50;
+      ];
+      [
+        "flat spawn, 1 worker";
+        Printf.sprintf "%.1f" flat1_min;
+        Printf.sprintf "%.1f" flat1_p50;
+      ];
+      [
+        "flat spawn, 2 workers";
+        Printf.sprintf "%.1f" flat2_min;
+        Printf.sprintf "%.1f" flat2_p50;
       ];
       [
         "exposed spawn+sync";
@@ -1005,6 +1062,8 @@ let hotpath ~opts () =
         Printf.sprintf "%.1f" fs_isolated;
       ];
     ];
+  Printf.printf "flat spawn untaken exposures: %d on 1 worker, %d on 2 (not gated)\n"
+    flat1_untaken flat2_untaken;
   Printf.printf "minor alloc per spawn: %.1f words (%.1f per exposed spawn)\n"
     alloc_words exp_words;
   Printf.printf "false-sharing separation: %.2fx (contended/isolated)\n" fs_sep;
@@ -1114,6 +1173,8 @@ let hotpath ~opts () =
   Printf.fprintf oc
     "[\n\
     \  {\"kind\": \"spawn_sync\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
+    \  {\"kind\": \"flat_spawn\", \"min_ns_1w\": %.1f, \"untaken_1w\": %d, \
+     \"min_ns_2w\": %.1f, \"untaken_2w\": %d},\n\
     \  {\"kind\": \"exposed_spawn_sync\", \"p50_ns\": %.1f, \"min_ns\": %.1f, \
      \"words\": %.1f, \"inlined\": %d},\n\
     \  {\"kind\": \"steal\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
@@ -1129,7 +1190,8 @@ let hotpath ~opts () =
     \  {\"kind\": \"wedge_detection\", \"watchdog_ms\": %d, \"wedge_ms\": \
      %d, \"detected\": %b}\n\
      ]\n"
-    sp_p50 sp_min exp_p50 exp_min exp_words exp_inlined steal_p50 steal_min
+    sp_p50 sp_min flat1_min flat1_untaken flat2_min flat2_untaken exp_p50 exp_min
+    exp_words exp_inlined steal_p50 steal_min
     alloc_words fs_contended fs_isolated
     fs_sep fib_n inl_nowa inl_elision inl_serial
     inl_ratio elision_tax inl_ok p50_off p50_on anatomy_pct anatomy_ok

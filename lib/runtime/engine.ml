@@ -58,22 +58,53 @@
       worker that steals a continuation resets both its period and its
       deadline, so it offers the loop at its next spawn.
 
+    Who reads the clock.  A re-exposure is worth its cost only if a
+    pool-mate is idle to take it, and a failed steal is the evidence:
+    so the deadline is checked on the steal path, by thieves, while the
+    busy worker reads a flag.  Each worker carries a plain [offer] flag:
+
+    - a pool-mate whose steal from it fails (or, with spill-over, a
+      thief from another pool) raises it once [Clock.now_ns] has
+      reached its [reexpose_at] (an idle-path clock read, made only
+      while the flag is down);
+    - [execute]'s steal branch raises it beside the deadline reset, and
+      it starts raised, like the deadline at 0;
+    - [before_deadline] lowers it.
+
+    An already-exposed frame's spawn from an empty deque then calls
+    [before_deadline] (one clock read, which re-exposes once the
+    deadline has passed and sets the next one) only if the flag is up,
+    or as a fallback if the worker is alone in its pool or a pool-mate
+    is asleep ({!Sleepers.any_asleep}, the load [wake_one] makes): then
+    nobody can raise the flag, and the clock paces the loop as before.
+    Otherwise every pool-mate is busy, and the child runs inline with no
+    clock read.  Busy pool-mates are not offered work: while every mate
+    is busy, a worker re-exposes only once after its creation and once
+    after each steal it makes (the flag's other two sources), where a
+    period alone would offer the loop once per period to mates that
+    cannot take it.
+
     A worker running a loop nobody steals thus re-exposes at least once
-    per cap, and each exposure wakes a sleeping pool-mate if there is
-    one: a parked pool-mate gets the loop within [reexpose_cap_ns], and
-    once it steals both workers are back at the base period.
+    per cap while a mate is idle or asleep, and each exposure wakes a
+    sleeping pool-mate if there is one: a parked pool-mate gets the loop
+    within [reexpose_cap_ns], and once it steals both workers are back
+    at the base period.
 
     - A frame's first exposure is unconditional.  Nested fork-join code
-      makes one spawn per frame, so it never reads the clock, and a
+      makes one spawn per frame, so it never reaches the deadline, and a
       fresh scope's spawn still offers its continuation at once: gating
       it too halved fib's speedup on two workers.
     - The deadline and the period are per worker, not per frame, and
-      only their worker writes them.  A thief that has just taken a
-      loop's continuation exposes at once, so the loop spreads to a free
-      worker within one spawn; the victim's deadline still paces the
-      victim.  A per-frame deadline would be written by whichever worker
-      holds the strand, and would make a thief wait out its victim's
-      period.
+      only their worker writes them; thieves write only the flag.  A
+      thief that has just taken a loop's continuation exposes at once,
+      so the loop spreads to a free worker within one spawn; the
+      victim's deadline still paces the victim.  A per-frame deadline
+      would be written by whichever worker holds the strand, and would
+      make a thief wait out its victim's period.
+    - The flag and the deadline are plain fields.  A thief's racy read
+      or write moves at most one re-exposure, and every inline decision
+      is a legal schedule (the argument of the racy [Q.size] read), so
+      the flag adds no synchronisation.
 
     {2 Frame stamps}
 
@@ -147,7 +178,11 @@
       [Promise.raised]): one call where [make] and [fill] were two.
 
     What is left on the inline path is the scope's [Domain.DLS] lookup,
-    the deque functor's [Q.size] and the thunk itself.
+    the deque functor's [Q.size] and the thunk itself; an already-exposed
+    frame's spawn from an empty deque adds loads of the [offer] flag and
+    the [solo] field and, when both are false, a call that loads the
+    sleeper word.  It reads no clock unless a thief raised the flag or
+    nobody is left to raise it (see "Re-exposure deadline").
 
     {2 Ints compared as ints}
 
@@ -238,6 +273,17 @@ module Make
     id : int;
     grp : Shell.group;
     deque : Q.t;
+    mutable offer : bool;
+        (* someone may take a loop now: a pool-mate's failed steal found
+           [reexpose_at] passed, this worker just stole, or it was just
+           created.  Raised by thieves too, lowered by [before_deadline] *)
+    mutable reexpose_at : int;
+        (* [Clock.now_ns] before which an already-exposed frame's spawn
+           runs inline from an empty deque; written only by this worker,
+           read by thieves.  It and [offer] sit beside [deque], which a
+           thief reads anyway, away from the fields this worker writes
+           on every scope and exposed spawn *)
+    solo : bool;  (* alone in its pool: no pool-mate can raise [offer] *)
     rng : Nowa_util.Xoshiro.t;
     m : Metrics.worker;
     tr : Ring.t;  (* wait-free event ring; Ring.disabled when not tracing *)
@@ -246,11 +292,9 @@ module Make
     mutable epoch : int;
         (* bumped before this worker makes a continuation resumable
            elsewhere; written only by this worker *)
-    mutable reexpose_at : int;
-        (* [Clock.now_ns] before which an already-exposed frame's spawn
-           runs inline from an empty deque; written only by this worker,
-           like [period] and [reexposed] *)
-    mutable period : int;  (* what the next re-exposure adds to [reexpose_at] *)
+    mutable period : int;
+        (* what the next re-exposure adds to [reexpose_at]; written only
+           by this worker, like [reexposed] *)
     mutable reexposed : bool;
         (* this worker's last exposure was a re-exposure; set by
            [before_deadline], read and cleared by [after_child] *)
@@ -580,16 +624,27 @@ module Make
   let on_commit t = if t.kind == kind_stolen then C.note_steal t.tfr.counter
 
   (* One probe of global worker [v]'s deque with the full steal protocol
-     ([on_commit] notes the steal in the frame's counter). *)
+     ([on_commit] notes the steal in the frame's counter).  A failed
+     probe of another worker is the evidence that someone would take its
+     loop: once the victim's deadline has passed, raise its [offer] flag
+     (see "Re-exposure deadline").  The clock read is on the idle path,
+     and the plain read and write race with the victim's own stores and
+     other thieves', which at worst moves one re-exposure. *)
   let attempt (cl : cluster) w v =
     w.m.steal_attempts <- w.m.steal_attempts + 1;
     emit w Ev.Steal_attempt v;
-    match Q.steal cl.Shell.workers.(v).deque ~on_commit with
+    let victim = cl.Shell.workers.(v) in
+    match Q.steal victim.deque ~on_commit with
     | Some _ as r ->
       emit w Ev.Steal_commit v;
       r
     | None ->
       emit w Ev.Steal_abort v;
+      if
+        victim != w
+        && (not victim.offer)
+        && Nowa_util.Clock.now_ns () >= victim.reexpose_at
+      then victim.offer <- true;
       None
 
   let attempt_mate cl w ~sweep:_ v = attempt cl w v
@@ -659,6 +714,7 @@ module Make
        (* A thief offers the loop it took at its next spawn. *)
        w.period <- reexpose_period_ns;
        w.reexpose_at <- 0;
+       w.offer <- true;
        (* Invariant II: α is bumped by the (unique) main-path control
           flow, here, just before the stolen continuation resumes. *)
        C.note_resume fr.counter;
@@ -694,13 +750,17 @@ module Make
             id;
             grp;
             deque = Q.create ~capacity:Shell.deque_capacity ();
+            (* Up, like the deadline at 0: a flat loop's second spawn
+               re-exposes at once. *)
+            offer = true;
+            reexpose_at = 0;
+            solo = grp.Shell.ghi - grp.Shell.glo = 1;
             rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
             m;
             tr;
             tracing = tr.Ring.enabled;
             sp;
             epoch = 0;
-            reexpose_at = 0;
             period = reexpose_period_ns;
             reexposed = false;
             stack = None;
@@ -803,11 +863,13 @@ module Make
       recycle_frame (worker_of fr) fr;
       raise e
 
-  (* Read only for a frame that has already exposed, from an empty deque:
-     true (inline) while the worker's deadline is ahead; otherwise the
-     spawn re-exposes, moves the deadline the worker's period on and
-     marks the exposure for [after_child]. *)
+  (* The clock check: true (inline) while the worker's deadline is
+     ahead; otherwise the spawn re-exposes, moves the deadline the
+     worker's period on and marks the exposure for [after_child].  It
+     lowers a raised [offer] flag either way: a flag raised on a stale
+     deadline costs this one clock read. *)
   let[@inline never] before_deadline w =
+    if w.offer then w.offer <- false;
     let now = Nowa_util.Clock.now_ns () in
     if now < w.reexpose_at then true
     else begin
@@ -816,16 +878,28 @@ module Make
       false
     end
 
+  (* Read only for a frame that has already exposed, from an empty deque:
+     true (inline) unless someone could take the loop now.  A raised
+     [offer] flag says so (most often: an idle pool-mate found the
+     deadline passed); a worker alone in its pool, or one with a
+     pool-mate asleep, has
+     nobody to raise it, so it falls back to the clock.  Otherwise every
+     pool-mate is busy, and the child runs inline without a clock read. *)
+  let[@inline] not_offered w =
+    if w.offer || w.solo || Sleepers.any_asleep w.grp.Shell.gsleepers then
+      before_deadline w
+    else true
+
   (* Lazy exposure: true when this spawn should run its child inline,
      because the worker already holds a stealable continuation, or
-     because [fr] has exposed before and the worker re-exposed less than
-     its period ago.  The spawn is still a spawn point for the counters
+     because [fr] has exposed before and nobody is due the loop (see
+     [not_offered]).  The spawn is still a spawn point for the counters
      (the watchdog's progress) and the trace (arg 1 marks it inline).
      A stale size read is harmless either way: a thief racing us to the
      last element only delays the next exposure, and a push onto a
      non-empty deque is the eager schedule. *)
   let[@inline] inline_spawn w fr =
-    if Q.size w.deque > 0 || (fr.exposed && before_deadline w) then begin
+    if Q.size w.deque > 0 || (fr.exposed && not_offered w) then begin
       w.m.spawns <- w.m.spawns + 1;
       w.m.inlined <- w.m.inlined + 1;
       emit w Ev.Spawn 1;

@@ -220,8 +220,9 @@ let collect () =
         counter "nowa_scheduler_inlined_spawns_total"
           "Spawn points whose child ran inline: the worker already held a \
            stealable continuation (lazy exposure), or the frame had exposed \
-           and the worker's re-exposure deadline had not passed (a period \
-           that doubles while re-exposures go untaken)."
+           and no pool-mate was due the loop (no idle mate had flagged the \
+           worker's re-exposure deadline as passed, a period that doubles \
+           while re-exposures go untaken)."
           (fun w -> w.inlined);
         counter "nowa_scheduler_steals_total" "Successful steals committed."
           (fun w -> w.steals);

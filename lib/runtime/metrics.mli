@@ -15,9 +15,12 @@ type worker = {
       (** spawn points whose child ran inline, exposing no continuation,
           for one of two reasons in [Engine.Make]: the worker's deque was
           non-empty (lazy exposure), or the frame had exposed before and
-          the worker's re-exposure deadline had not passed.  The deadline
-          moves on by the worker's period, which starts at
-          {!Engine.reexpose_period_ns}, doubles up to
+          no pool-mate was due the loop.  A pool-mate is due it once the
+          worker's re-exposure deadline has passed, as an idle mate's
+          failed steal reports by raising the worker's flag; a worker
+          alone in its pool, or with a mate asleep, reads the clock
+          instead.  The deadline moves on by the worker's period, which
+          starts at {!Engine.reexpose_period_ns}, doubles up to
           {!Engine.reexpose_cap_ns} while re-exposed continuations come
           back untaken, and resets when the worker loses or steals a
           continuation.  Always 0 on the other engine families. *)

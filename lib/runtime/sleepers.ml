@@ -141,6 +141,8 @@ let wake_one t =
      sleeps.  Everything below only runs with a sleeper present. *)
   if Atomic.get t.word land mask_all = 0 then false else claim_one t
 
+let any_asleep t = Atomic.get t.word land mask_all <> 0
+
 let wake_all t =
   let rec go () =
     let cur = Atomic.get t.word in

@@ -72,6 +72,10 @@ val wake_one : t -> bool
     reviving the lowest-indexed one (which would leave high-indexed
     workers — and their stolen-into deques — cold through a burst). *)
 
+val any_asleep : t -> bool
+(** Some worker has announced its bit: the one load of {!wake_one}'s
+    fast path, without the wake. *)
+
 val wake_all : t -> unit
 (** Claim every sleeper bit and signal all the owners.  Used at
     shutdown so no worker stays parked past [finished]. *)

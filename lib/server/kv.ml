@@ -175,36 +175,37 @@ let[@inline] try_flag (s : shard) =
 
 (* -- applying ------------------------------------------------------------- *)
 
-(* A point op on its shard [s], whose flag the caller holds.  The span
-   [Exec] mark and the Req_apply ring event precede the outcome
+(* A point op on its shard [s], whose flag the caller holds; returns its
+   outcome.  The span [Exec] mark and the Req_apply ring event come
+   before the return, so in [handle] they precede the outcome
    [Atomic.set]: that store is the release edge that hands the request
    back to its submitter, so every span-array store sequenced before it
    is safely ordered against the submitter's [Span.finish]. *)
-let apply_single t s (r : req) =
+let apply_point t s ring ~id op =
   let o =
-    match r.op with
+    match op with
     | Get k ->
       let v = H.find_opt s.tables.(bucket_of_key t k) k in
-      if t.log_on then observe t s ~id:r.id ~k ~read:v ~wrote:None;
+      if t.log_on then observe t s ~id ~k ~read:v ~wrote:None;
       (match v with Some v -> Hit v | None -> Miss)
     | Put (k, v) ->
       let tbl = s.tables.(bucket_of_key t k) in
       if t.log_on then
-        observe t s ~id:r.id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
+        observe t s ~id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
       H.replace tbl k v;
       Ack
     | Add (k, d) ->
       let tbl = s.tables.(bucket_of_key t k) in
       let prev = H.find_opt tbl k in
       let nv = match prev with Some v -> v + d | None -> d in
-      if t.log_on then observe t s ~id:r.id ~k ~read:prev ~wrote:(Some nv);
+      if t.log_on then observe t s ~id ~k ~read:prev ~wrote:(Some nv);
       H.replace tbl k nv;
       Hit nv
     | Multi_get _ | Multi_put _ -> assert false
   in
-  Span.mark t.span r.id Span.Exec;
-  Current.emit Ev.Req_apply ~arg:s.sid ~arg2:r.id;
-  Atomic.set r.out o
+  Span.mark t.span id Span.Exec;
+  Ring.emit2 ring Ev.Req_apply s.sid id;
+  o
 
 (* The table of [k]'s bucket. *)
 let[@inline] table t k =
@@ -263,14 +264,17 @@ let[@inline never] maybe_wedge sid =
     end
   | _ -> ()
 
+(* One mailbox request, applied by the combiner and published through
+   its outcome cell; the [Atomic.set] is the release edge named at
+   [apply_point]. *)
 let handle t (s : shard) (r : req) =
   ignore (Atomic.fetch_and_add s.depth (-1));
+  let c = Domain.DLS.get Current.key in
   (* The request is now owned by this combiner, so the plain span
      stores are race-free. *)
-  if Span.tracked t.span r.id then
-    Span.claim t.span r.id ~worker:(Current.worker ());
-  Current.emit Ev.Req_claim ~arg:s.sid ~arg2:r.id;
-  apply_single t s r
+  if Span.tracked t.span r.id then Span.claim t.span r.id ~worker:c.worker;
+  Ring.emit2 c.ring Ev.Req_claim s.sid r.id;
+  Atomic.set r.out (apply_point t s c.ring ~id:r.id r.op)
 
 (* Drain until the mailbox is empty, then release and re-check it.  The
    re-check is the one fence that hands every queued request a
@@ -393,14 +397,16 @@ let enter t (s : shard) (c : Current.ctx) ~rid ~id =
   Ring.emit2 c.ring Ev.Req_submit s.sid id;
   Ring.emit2 c.ring Ev.Req_claim s.sid id
 
-(* A point op whose submitter won an idle shard's flag: it is its own
-   combiner.  It applies its request, then enters the same drain ->
-   release -> re-check loop as every claim. *)
-let exec_idle t (s : shard) (c : Current.ctx) ~rid (r : req) =
-  enter t s c ~rid ~id:r.id;
-  apply_single t s r;
+(* A point op whose caller won an idle shard's flag: it is its own
+   combiner.  It applies its op, runs the same drain -> release ->
+   re-check loop as every claim, and returns the outcome itself: no
+   request record, no outcome cell, and its events go to the ring [c]
+   already names. *)
+let exec_idle t (s : shard) (c : Current.ctx) ~rid ~id op =
+  enter t s c ~rid ~id;
+  let o = apply_point t s c.ring ~id op in
   combine t s;
-  outcome r
+  o
 
 (* Take [s]'s flag for a multi-key op, backing off while another caller
    holds it.  Mail queued behind a free flag does not stop the claim:
@@ -446,12 +452,13 @@ let exec ?(rid = -1) t op =
     if over_cap t s rid then Dropped
     else begin
       let c = Domain.DLS.get Current.key in
-      let r = { id = request_id t c rid; op; out = Atomic.make Pending } in
+      let id = request_id t c rid in
       (* Idle: nothing queued, flag free.  An armed wedge sends every
          point request through the mailbox, so the wedged claim always
-         has one queued behind it for the convoy probe to see. *)
-      if (not !wedge_armed) && try_claim s then exec_idle t s c ~rid r
-      else submit t s c ~rid r
+         has one queued behind it for the convoy probe to see.  Only
+         the mailbox path builds a request record. *)
+      if (not !wedge_armed) && try_claim s then exec_idle t s c ~rid ~id op
+      else submit t s c ~rid { id; op; out = Atomic.make Pending }
     end
   | Multi_get [||] -> Many [||]  (* no footprint, no home shard *)
   | Multi_put [||] -> Ack

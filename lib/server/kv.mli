@@ -87,8 +87,9 @@ val exec : ?rid:int -> t -> op -> outcome
     is on.  Otherwise the request's id is [-1].
 
     A single-key op whose shard is idle (empty mailbox, flag free)
-    skips the mailbox: the caller claims the flag, applies its op, then
-    runs the drain, release and re-check loop every holder runs.
+    skips the mailbox: the caller claims the flag, applies its op, runs
+    the drain, release and re-check loop every holder runs, and returns
+    the outcome itself, building no request record.
     Otherwise it goes through the mailbox (so does every point op while
     a wedge is armed, {!inject_wedge}).  A multi-key op claims every
     shard it touches in ascending shard order, waiting with backoff

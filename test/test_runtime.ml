@@ -864,6 +864,46 @@ let test_reexposure_backoff_wakes_parked () =
       go 5)
     engine_presets
 
+(* A loop is re-exposed only for an idle pool-mate: a failed steal
+   raises the victim's flag once its deadline has passed.  Two
+   workers under [Spin] each run a flat loop of 1 us children until a
+   shared stop time 20 ms ahead: the root's scope spawns one child that
+   runs the loop, and the root runs it too.  Both loops stop together,
+   so neither worker sits idle before the end, and past each frame's
+   first exposure and the re-exposure its worker's creation or its
+   steal grants, every spawn runs inline.  Exposures that were stolen
+   moved work and are not counted; a worker re-exposing once per period
+   would count about 20 each. *)
+let test_reexposure_busy_mates () =
+  List.iter
+    (fun (module R : Nowa.RUNTIME) ->
+      let loop stop =
+        R.scope (fun sc ->
+            while Nowa_util.Clock.now_ns () < stop do
+              R.spawn_unit sc (fun () -> Nowa_util.Clock.spin_ns 1_000)
+            done)
+      in
+      R.run
+        ~conf:{ (conf 2) with Nowa.Config.idle_policy = Nowa.Config.Spin }
+        (fun () ->
+          let stop = Nowa_util.Clock.now_ns () + 20_000_000 in
+          R.scope (fun sc ->
+              R.spawn_unit sc (fun () -> loop stop);
+              loop stop));
+      match R.last_metrics () with
+      | None -> Alcotest.fail "metrics missing"
+      | Some m ->
+        let total f = Nowa.Metrics.total m f in
+        let exposed =
+          total (fun w -> w.Nowa.Metrics.spawns)
+          - total (fun w -> w.Nowa.Metrics.inlined)
+        in
+        let lost = total (fun w -> w.Nowa.Metrics.lost_continuations) in
+        if exposed - lost > 8 then
+          Alcotest.failf "%s: %d exposed spawns, %d stolen: %d untaken, expected <= 8"
+            R.name exposed lost (exposed - lost))
+    engine_presets
+
 (* -- idle policies -------------------------------------------------------- *)
 
 (* Every engine, every idle policy: same fib answer.  The park policy's
@@ -1629,6 +1669,8 @@ let () =
             test_reexposure_backs_off;
           Alcotest.test_case "a parked pool-mate still gets a backed-off loop" `Slow
             test_reexposure_backoff_wakes_parked;
+          Alcotest.test_case "busy pool-mates are not offered" `Quick
+            test_reexposure_busy_mates;
         ] );
       ( "stack pool",
         [

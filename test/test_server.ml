@@ -88,11 +88,10 @@ let test_kv_admission_control () =
 
 (* Allocation of the point path, pinned the way bench hotpath pins
    alloc_per_spawn.  A preloaded idle store, no log, no span, ops built
-   beforehand, so the count is [Kv.exec]'s own: the request record
-   (4 words) and its outcome cell (2) per op, plus [Hashtbl.find_opt]'s
-   option (2) and the [Hit] (2) for a Get.  Half Gets, half Puts of
-   existing keys measured 8.0 words per op; the pin, set one small
-   block (3 words) above an earlier 9.0, stays. *)
+   beforehand, so the count is [Kv.exec]'s own: on an idle shard only
+   [Hashtbl.find_opt]'s option (2) and the [Hit] (2) for a Get (the
+   next test pins each op kind).  The pin, set one small block (3 words)
+   above an earlier 9.0 for this half-Get, half-Put mix, stays. *)
 let point_alloc_pin = 12.0
 
 let test_kv_point_alloc () =
@@ -113,6 +112,32 @@ let test_kv_point_alloc () =
        point_alloc_pin)
     true
     (words <= point_alloc_pin)
+
+(* An idle shard's point op is its own combiner and returns its
+   outcome directly: no request record, no outcome cell.  Outside any
+   runtime, over the same preloaded store, each op kind is measured on
+   its own: a Put of an existing key and a Get miss allocate nothing,
+   and a Get hit only its reply, [find_opt]'s [Some] and the [Hit]
+   (4 words). *)
+let test_kv_idle_point_reply_only () =
+  let kv = Kv.create () in
+  let keys = 1_000 and n = 100_000 in
+  for k = 0 to keys - 1 do
+    ignore (Kv.exec kv (Kv.Put (k, k)))
+  done;
+  let check name limit op_of =
+    let ops = Array.init n op_of in
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (Kv.exec kv ops.(i))
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    if words > limit +. 0.01 then
+      Alcotest.failf "%s: %.2f minor words per op, expected %.0f" name words limit
+  in
+  check "Put" 0.0 (fun i -> Kv.Put (i mod keys, i));
+  check "Get miss" 0.0 (fun i -> Kv.Get (keys + (i mod keys)));
+  check "Get hit" 4.0 (fun i -> Kv.Get (i mod keys))
 
 (* Allocation of the idle multi-key path, pinned the same way: serial
    Multi_gets of 1 to 8 keys (4.5 per op) over a preloaded idle 16 x 64
@@ -643,6 +668,8 @@ let () =
           Alcotest.test_case "stress domains" `Quick test_kv_stress_domains;
           Alcotest.test_case "point path allocation" `Quick
             test_kv_point_alloc;
+          Alcotest.test_case "an idle-shard point op allocates only its reply"
+            `Quick test_kv_idle_point_reply_only;
           Alcotest.test_case "multi-key path allocation" `Quick
             test_kv_multi_alloc;
         ] );
