@@ -754,9 +754,12 @@ let idle ~opts () =
      by spawns — the allocation-free-spawn ratchet (ISSUE 9);
    - steal: direct Chase-Lev steal drain, per-element;
    - false_sharing: 2-domain ping-pong on two atomics allocated
-     back-to-back (same birth cache line) vs through Padding.atomic —
-     the isolated cost is the ratcheted number, the contended/isolated
-     separation shows what the padding sweep buys;
+     back-to-back vs through Padding.atomic, each pair promoted by a
+     minor GC first, as a run's long-lived cells are — the isolated
+     cost is the ratcheted number, the contended/isolated separation
+     shows what the padding sweep buys, and the isolated pair's
+     promoted distance is recorded (isolated_gap_bytes, isolated_apart
+     when it is at least a cache line);
    - inline_overhead: fib at the registry's Small size on 1 worker,
      Presets.Nowa over the serial elision, interleaved, min of 15 each.
      All but the spine's few spawns run inline, so the ratio of minima
@@ -779,7 +782,8 @@ let idle ~opts () =
    regression past NOWA_MICRO_TOLERANCE (default 10%) on the
    spawn_sync/exposed_spawn_sync/steal minima, alloc_per_spawn words,
    an exposed cell that inlined anything, or the isolated
-   false-sharing cost, a blown inline or anatomy budget, an unbalanced
+   false-sharing cost, padded cells less than a cache line apart once
+   promoted, a blown inline or anatomy budget, an unbalanced
    ledger, or a missed wedge fatal — the CI perf gate. *)
 
 (* [field] of the row tagged [kind] in a BENCH_micro.json row list. *)
@@ -946,13 +950,32 @@ let hotpath ~opts () =
     summarize !samples
   in
   (* Two domains hammer independent atomics.  Allocated back-to-back the
-     two words share their birth cache line and every incr invalidates
-     the sibling's line; through Padding.atomic the spacer lines keep
-     them apart.  The same pathology this repo sweeps out of the deque
-     top/bottom words, the Sleepers word and the per-worker metric
-     records. *)
+     two words share a cache line, at birth and after promotion, and
+     every incr invalidates the sibling's line; through Padding.atomic
+     the padding inside each block keeps them apart.  The same
+     pathology this repo sweeps out of the deque top/bottom words, the
+     Sleepers word and the per-worker metric records.  Each pair is
+     promoted before it is timed, as a run's cells outlive the first
+     minor collection. *)
   let false_sharing_cell () =
     let iters = 1_000_000 in
+    let promoted a b =
+      Gc.minor ();
+      (a, b)
+    in
+    (* A cell's int reading, doubled, is its field's address or a few
+       bytes below it (how the compiler folds the tag), and fields are
+       word-aligned: enough for distances and for the line a cell is on. *)
+    let addr c = 2 * (Obj.magic c : int) in
+    let gap a b = abs (addr a - addr b) in
+    (* Back-to-back cells stay 16 bytes apart once promoted, but one pair
+       in four straddles a line boundary: draw again until they share a
+       line, so the contended pair contends. *)
+    let rec sharing tries =
+      let a, b = promoted (Atomic.make 0) (Atomic.make 0) in
+      if (addr a + 7) / 64 = (addr b + 7) / 64 || tries = 0 then (a, b)
+      else sharing (tries - 1)
+    in
     let run_pair a b =
       let worker c () =
         for _ = 1 to iters do
@@ -968,20 +991,19 @@ let hotpath ~opts () =
     in
     (* Untimed warmup pair to absorb domain-spawn setup. *)
     ignore (run_pair (Atomic.make 0) (Atomic.make 0));
-    let contended = ref [] and isolated = ref [] in
+    let contended = ref [] and isolated = ref [] and isolated_gap = ref max_int in
     for _ = 1 to reps do
-      let a = Atomic.make 0 in
-      let b = Atomic.make 0 in
+      let a, b = sharing 16 in
       contended := run_pair a b :: !contended;
-      let a = Nowa_util.Padding.atomic 0 in
-      let b = Nowa_util.Padding.atomic 0 in
+      let a, b = promoted (Nowa_util.Padding.atomic 0) (Nowa_util.Padding.atomic 0) in
+      isolated_gap := Int.min !isolated_gap (gap a b);
       isolated := run_pair a b :: !isolated
     done;
     (* Report min-of-N for both: the ping-pong loop is deterministic, so
        anything above the minimum is host noise, not sharing cost. *)
     let cont, _ = summarize !contended in
     let isol, _ = summarize !isolated in
-    (cont, isol)
+    (cont, isol, !isolated_gap)
   in
   let fib_n = 24 (* fib's Registry.Small input *) in
   let inline_cell () =
@@ -1017,8 +1039,9 @@ let hotpath ~opts () =
   let flat2_min, flat2_p50, flat2_untaken = flat_cell 2 in
   let exp_min, exp_p50, exp_words, exp_inlined = exposed_cell () in
   let steal_min, steal_p50 = steal_cell () in
-  let fs_contended, fs_isolated = false_sharing_cell () in
+  let fs_contended, fs_isolated, fs_gap = false_sharing_cell () in
   let fs_sep = fs_contended /. Float.max 1e-9 fs_isolated in
+  let fs_apart = fs_gap >= 8 * Nowa_util.Padding.cache_line_words in
   let inl_nowa, inl_elision, inl_serial = inline_cell () in
   let inl_ratio = inl_nowa /. Float.max 1.0 inl_elision in
   let elision_tax = inl_elision /. Float.max 1.0 inl_serial in
@@ -1066,7 +1089,11 @@ let hotpath ~opts () =
     flat1_untaken flat2_untaken;
   Printf.printf "minor alloc per spawn: %.1f words (%.1f per exposed spawn)\n"
     alloc_words exp_words;
-  Printf.printf "false-sharing separation: %.2fx (contended/isolated)\n" fs_sep;
+  Printf.printf
+    "false-sharing separation: %.2fx (contended/isolated); isolated pair %d \
+     bytes apart once promoted (%s)\n"
+    fs_sep fs_gap
+    (if fs_apart then "apart" else "SHARES A LINE");
   Printf.printf
     "inline overhead (fib %d, 1 worker, min of 15): nowa %.2f ms / elision \
      %.2f ms = %.2fx (%s); elision tax over Fib.serial (%.3f ms): %.2fx\n"
@@ -1180,7 +1207,8 @@ let hotpath ~opts () =
     \  {\"kind\": \"steal\", \"p50_ns\": %.1f, \"min_ns\": %.1f},\n\
     \  {\"kind\": \"alloc_per_spawn\", \"words\": %.1f},\n\
     \  {\"kind\": \"false_sharing\", \"contended_ns\": %.1f, \
-     \"isolated_ns\": %.1f, \"separation\": %.2f},\n\
+     \"isolated_ns\": %.1f, \"separation\": %.2f, \"isolated_gap_bytes\": \
+     %d, \"isolated_apart\": %b},\n\
     \  {\"kind\": \"inline_overhead\", \"fib_n\": %d, \"min_nowa_ns\": %.0f, \
      \"min_elision_ns\": %.0f, \"min_serial_ns\": %.0f, \"ratio\": %.2f, \
      \"elision_tax\": %.2f, \"overhead_ok\": %b},\n\
@@ -1193,7 +1221,7 @@ let hotpath ~opts () =
     sp_p50 sp_min flat1_min flat1_untaken flat2_min flat2_untaken exp_p50 exp_min
     exp_words exp_inlined steal_p50 steal_min
     alloc_words fs_contended fs_isolated
-    fs_sep fib_n inl_nowa inl_elision inl_serial
+    fs_sep fs_gap fs_apart fib_n inl_nowa inl_elision inl_serial
     inl_ratio elision_tax inl_ok p50_off p50_on anatomy_pct anatomy_ok
     !violations !max_err watchdog_ms wedge_ms detected;
   close_out oc;
@@ -1213,6 +1241,12 @@ let hotpath ~opts () =
          ])
     @ (if exp_inlined = 0 then []
        else [ Printf.sprintf "exposed cell ran %d spawns inline" exp_inlined ])
+    @ (if fs_apart then []
+       else
+         [
+           Printf.sprintf "false_sharing: padded pair %d bytes apart once promoted"
+             fs_gap;
+         ])
     @ if detected then [] else [ "combiner wedge not detected" ]
   in
   if failures <> [] then begin

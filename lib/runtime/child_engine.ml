@@ -290,16 +290,18 @@ module Make
     let ring w = w.tr
     let make_ext _ groups = S.make_ext groups
 
+    (* [depth] is written twice per task: padded, as [Engine]'s. *)
     let make_worker conf ext ~id grp m tr =
-      {
-        id;
-        grp;
-        m;
-        tr;
-        tracing = tr.Ring.enabled;
-        depth = 0;
-        st = S.make conf ext grp ~id;
-      }
+      Nowa_util.Padding.isolate (fun () ->
+          {
+            id;
+            grp;
+            m;
+            tr;
+            tracing = tr.Ring.enabled;
+            depth = 0;
+            st = S.make conf ext grp ~id;
+          })
 
     let task_of_thunk = task_of_thunk
     let take = take

@@ -744,7 +744,8 @@ module Make
 
     let make_worker conf sp ~id grp m tr =
       (* Worker records hold hot mutable fields (spare slot, stack,
-         frame-list cursor); isolate each record's birth cache line. *)
+         frame-list cursor); one domain allocates them all, so each is
+         padded to keep its fields off its neighbours' lines. *)
       Nowa_util.Padding.isolate (fun () ->
           {
             id;

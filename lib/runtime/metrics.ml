@@ -37,8 +37,8 @@ type t = {
 }
 
 (* Worker records are written on every spawn/steal/sync by their owning
-   worker; isolating each record's birth cache line keeps one worker's
-   counter stores from invalidating a neighbour's line. *)
+   worker, and one domain allocates them all; padding each record keeps
+   one worker's counter stores from invalidating a neighbour's line. *)
 let make_worker ?(pool = "main") id =
   Nowa_util.Padding.isolate (fun () ->
       {

@@ -90,10 +90,10 @@ let foreign cl g f =
 
 (* The victim loops below run on every idle round, so they allocate
    nothing: the family's probe and start functions are closed top-level
-   functions that take the cluster and the thief as arguments, and the
-   loops are top-level recursions rather than local closures.  An
-   allocating idle loop triggers extra minor collections, each a
-   stop-the-world pause for the busy workers too. *)
+   functions that take the cluster and the thief as arguments, the
+   loops are top-level recursions, and [Xoshiro.int] keeps its state
+   unboxed.  An allocating idle loop triggers extra minor collections,
+   each a stop-the-world pause for the busy workers too. *)
 
 let rec mates_from g ~lid ~n ~sweep ~start attempt cl w i =
   if i >= sweep then begin

@@ -23,8 +23,6 @@ type t = {
   args2 : int array;  (* second argument (request id) per slot *)
   chk : int array;  (* mixed hash of the slot's four words, for live snapshots *)
   mutable head : int;  (* total events ever emitted (not wrapped) *)
-  _pre : int array;  (* Padding spacers: keep this worker's hot state *)
-  _post : int array;  (* on cache lines no other worker's ring shares *)
 }
 
 let disabled =
@@ -37,8 +35,6 @@ let disabled =
     args2 = [| 0 |];
     chk = [| 0 |];
     head = 0;
-    _pre = [||];
-    _post = [||];
   }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
@@ -47,28 +43,20 @@ let create ~capacity =
   if capacity <= 0 then disabled
   else begin
     let cap = pow2_at_least capacity 16 in
-    (* Allocation order matters: the spacers are born around the hot
-       arrays, separating consecutive workers' rings at minor-heap
-       layout time (same trick as {!Nowa_util.Padding.atomic}). *)
-    let pre = Nowa_util.Padding.int_array 1 in
-    let ts = Array.make cap 0 in
-    let kinds = Array.make cap 0 in
-    let args = Array.make cap 0 in
-    let args2 = Array.make cap 0 in
-    let chk = Array.make cap 0 in
-    let post = Nowa_util.Padding.int_array 1 in
-    {
-      enabled = true;
-      mask = cap - 1;
-      ts;
-      kinds;
-      args;
-      args2;
-      chk;
-      head = 0;
-      _pre = pre;
-      _post = post;
-    }
+    (* One domain allocates every worker's ring, so the records would
+       sit side by side once promoted: padding keeps each [head], written
+       on every emission, off its neighbours' lines. *)
+    Nowa_util.Padding.isolate (fun () ->
+        {
+          enabled = true;
+          mask = cap - 1;
+          ts = Array.make cap 0;
+          kinds = Array.make cap 0;
+          args = Array.make cap 0;
+          args2 = Array.make cap 0;
+          chk = Array.make cap 0;
+          head = 0;
+        })
   end
 
 let capacity r = if r.enabled then r.mask + 1 else 0

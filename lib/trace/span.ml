@@ -126,13 +126,15 @@ let create ?(tail = 64) ~capacity () =
     {
       on = true;
       cap;
-      next = Atomic.make 0;
+      (* The dispatcher bumps [next] per request and every finishing
+         worker reads [threshold]: padded, neither shares a line. *)
+      next = Nowa_util.Padding.atomic 0;
       overflow = Atomic.make 0;
       recs =
         Array.init (cap * stride) (fun i ->
             if i mod stride = o_combined then -1 else 0);
       tail = Array.init tail (fun _ -> Atomic.make 0);
-      threshold = Atomic.make 0;
+      threshold = Nowa_util.Padding.atomic 0;
     }
   end
 

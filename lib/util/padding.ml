@@ -1,29 +1,21 @@
 let cache_line_words = 8
 
-(* The spacers must survive long enough to keep their slots occupied until
-   the next minor collection; keeping the last few alive in a global root is
-   enough for the at-birth layout and costs a handful of words. *)
-let keep = Array.make 2 [||]
+(* [size] real fields, then the padding.  [Obj.new_block] fills every
+   field with [()], so the padding is scannable and keeps nothing alive. *)
+let padded_block size = Obj.new_block 0 (size + cache_line_words)
 
-let int_array n = Array.make (n * cache_line_words) 0
-
+(* An [Atomic.t] is a one-field, tag-0 block: get, set, CAS and
+   fetch-and-add address field 0 whatever the block's size. *)
 let atomic v =
-  let pre = int_array 1 in
-  let a = Atomic.make v in
-  let post = int_array 1 in
-  keep.(0) <- pre;
-  keep.(1) <- post;
-  a
+  let b = padded_block 1 in
+  Obj.set_field b 0 (Obj.repr v);
+  Obj.obj b
 
-(* [isolate] generalises [atomic] to arbitrary allocations: whatever [f]
-   allocates last (its returned block) is fenced by spacer lines on both
-   sides, so two records built through [isolate] never share a birth
-   cache line.  Used for per-worker records whose mutable counters are
-   written on every scheduler operation. *)
 let isolate f =
-  let pre = int_array 1 in
-  let v = f () in
-  let post = int_array 1 in
-  keep.(0) <- pre;
-  keep.(1) <- post;
-  v
+  let o = Obj.repr (f ()) in
+  if Obj.tag o <> 0 then invalid_arg "Padding.isolate: not a record";
+  let b = padded_block (Obj.size o) in
+  for i = 0 to Obj.size o - 1 do
+    Obj.set_field b i (Obj.field o i)
+  done;
+  Obj.obj b

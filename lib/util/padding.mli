@@ -1,26 +1,24 @@
-(** Allocation helpers that reduce false sharing between frequently written
-    atomic cells.
+(** Allocation helpers that keep frequently written cells off other
+    cells' cache lines.
 
-    OCaml 5.1 has no [Atomic.make_contended]; instead we allocate spacer
-    blocks around each atomic so that, on the minor heap, two atomics created
-    through this module do not share a cache line at birth.  This is a
-    best-effort mitigation (the GC may move values), which matches what
-    portable lock-free OCaml libraries do on this compiler version. *)
+    OCaml 5.1 has no [Atomic.make_contended].  Each helper returns a
+    block with {!cache_line_words} unused fields after its last real
+    field, as multicore-magic's [copy_as_padded] does, so the padding
+    moves with the block: the minor GC promotes one domain's young
+    blocks side by side into its size-classed pools, where spacer blocks
+    allocated around a cell would be gone.  The real fields of two padded
+    blocks end at least 72 bytes apart, in either order; an unpadded
+    block just before a padded one can still share its first line. *)
 
 val atomic : 'a -> 'a Atomic.t
-(** [atomic v] is a fresh atomic initialised to [v], surrounded by
-    cache-line-sized spacer allocations. *)
+(** [atomic v] is a fresh atomic initialised to [v], padded. *)
 
 val cache_line_words : int
 (** Number of OCaml words per assumed 64-byte cache line. *)
 
-val int_array : int -> int array
-(** [int_array n] is a fresh zero array of [n] cache lines worth of ints,
-    usable as an explicit spacer field inside records. *)
-
 val isolate : (unit -> 'a) -> 'a
-(** [isolate f] runs [f] and returns its result, allocating cache-line
-    spacer blocks immediately before and after the call so the returned
-    block does not share its birth cache line with neighbouring
-    allocations.  Use for per-worker mutable records (metric counters,
-    worker state) that are written on the hot path. *)
+(** [isolate f] is a padded copy of the record [f ()].  It is a copy, so
+    [f] must return a fresh record that nothing references yet; an
+    all-float record (a float array) raises [Invalid_argument].  Use for
+    per-worker mutable records (metric counters, worker state) written
+    on the hot path. *)

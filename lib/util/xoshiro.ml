@@ -1,11 +1,9 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The state words s0..s3 at byte offsets 0, 8, 16 and 24, read and
+   written with [Bytes.get_int64_le]/[set_int64_le] inside the inlined
+   [next]: no word is boxed, so [int] allocates nothing. *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* SplitMix64 seeding, as recommended by Blackman & Vigna. *)
 let splitmix64 state =
@@ -17,21 +15,21 @@ let splitmix64 state =
 
 let make ~seed =
   let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (splitmix64 st)
+  done;
+  t
 
-let next t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next t =
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 and s3 = Int64.logxor s3 s1 in
+  Bytes.set_int64_le t 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_le t 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_le t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
 let int t bound =

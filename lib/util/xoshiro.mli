@@ -3,7 +3,11 @@
     Each worker owns a private generator so that victim selection for
     randomised work stealing never synchronises between workers.  The
     generator is deterministic from its seed, which the test-suite and the
-    discrete-event simulator rely on. *)
+    discrete-event simulator rely on.
+
+    The state is four 64-bit words in one 32-byte [Bytes], unboxed, so
+    {!int}, drawn once per idle round under the random victim policy,
+    allocates nothing; {!next} and {!float} box only their result. *)
 
 type t
 

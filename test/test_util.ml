@@ -117,6 +117,41 @@ let test_xoshiro_split () =
   done;
   Alcotest.(check bool) "split independent" true (!equal_count < 4)
 
+(* Recorded from the generator with boxed [int64] state fields: [Wsim],
+   knapsack's inputs and the committed simulator tables depend on the
+   stream staying bit-identical. *)
+let test_xoshiro_stream_pinned () =
+  let r = Xoshiro.make ~seed:123 in
+  List.iter
+    (fun v -> Alcotest.(check int64) "next" v (Xoshiro.next r))
+    [
+      3628370374969813497L; -561292132998099618L; 8622752019489400367L;
+      2342437615205057030L; 6230968350287952094L; -1710872939911062L;
+      6972174322906985755L; -6333738554522461611L; -4408176657788248108L;
+      8031771363777928304L; -6415492878863288390L; -4323378339223746483L;
+      697772660079143621L; 5876297670408615156L; -6265409380721734544L;
+      3423084930429465363L;
+    ];
+  let r = Xoshiro.make ~seed:123 in
+  List.iteri
+    (fun i v -> Alcotest.(check int) "int" v (Xoshiro.int r ((i + 1) * 1000)))
+    [ 374; 999; 1091; 257; 3023; 2138; 4438; 4501; 8877; 2076; 9806; 11283;
+      12905; 5789; 4268; 6340 ];
+  let r = Xoshiro.make ~seed:77 in
+  let s = Xoshiro.split r in
+  Alcotest.(check int64) "split" (-2887341404766821762L) (Xoshiro.next s);
+  Alcotest.(check (float 0.)) "float" 0x1.d0c6ee094c48p-3 (Xoshiro.float r)
+
+(* The idle loop draws a victim per round under the random policy. *)
+let test_xoshiro_int_no_alloc () =
+  let r = Xoshiro.make ~seed:5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Sys.opaque_identity (Xoshiro.int r 97))
+  done;
+  Alcotest.(check (float 0.)) "minor words over 100,000 draws" 0.
+    (Gc.minor_words () -. w0)
+
 let prop_xoshiro_int_in_bounds =
   QCheck.Test.make ~name:"xoshiro int always within bound" ~count:500
     QCheck.(pair small_int (int_range 1 10_000))
@@ -215,8 +250,68 @@ let test_padding_atomic () =
   let a = Padding.atomic 41 in
   Atomic.incr a;
   Alcotest.(check int) "works as atomic" 42 (Atomic.get a);
-  Alcotest.(check bool) "int_array sized" true
-    (Array.length (Padding.int_array 2) = 2 * Padding.cache_line_words)
+  Alcotest.(check bool) "one field, then a line of padding" true
+    (Obj.size (Obj.repr a) = 1 + Padding.cache_line_words)
+
+(* Twenty fields, as [Metrics.worker] has. *)
+type wide = {
+  mutable w0 : int; w1 : int; w2 : int; w3 : int; w4 : int; w5 : int; w6 : int;
+  w7 : int; w8 : int; w9 : int; w10 : int; w11 : int; w12 : int; w13 : int;
+  w14 : int; w15 : int; w16 : int; w17 : int; w18 : int; mutable w19 : int;
+}
+
+let wide i =
+  { w0 = i; w1 = i; w2 = i; w3 = i; w4 = i; w5 = i; w6 = i; w7 = i; w8 = i;
+    w9 = i; w10 = i; w11 = i; w12 = i; w13 = i; w14 = i; w15 = i; w16 = i;
+    w17 = i; w18 = i; w19 = i }
+
+(* A value read as an int is its address halved, give or take a constant
+   that cancels in differences.  The minor GC promotes young blocks into
+   size-classed pools, packed together: spacer blocks allocated beside a
+   cell would be gone, and only padding inside the block keeps two cells
+   apart. *)
+let test_padding_apart_after_promotion () =
+  let cells = Array.init 64 Padding.atomic in
+  let records = Array.init 8 (fun i -> Padding.isolate (fun () -> wide i)) in
+  Gc.minor ();
+  let addr v = 2 * (Obj.magic v : int) in
+  (* First and last real field of each block. *)
+  let spans =
+    Array.append
+      (Array.map (fun c -> (addr c, addr c)) cells)
+      (Array.map (fun r -> (addr r, addr r + (8 * 19))) records)
+  in
+  let line = 8 * Padding.cache_line_words in
+  let closest = ref max_int in
+  Array.iteri
+    (fun i (lo, hi) ->
+      Array.iteri
+        (fun j (lo', hi') ->
+          if i < j then
+            closest := Int.min !closest (if lo' > hi then lo' - hi else lo - hi'))
+        spans)
+    spans;
+  Alcotest.(check bool)
+    (Printf.sprintf "closest real fields %d bytes apart, at least %d" !closest line)
+    true (!closest >= line);
+  Gc.full_major ();
+  Gc.compact ();
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) "get" i (Atomic.get c);
+      Atomic.set c (i + 1);
+      Alcotest.(check bool) "cas" true (Atomic.compare_and_set c (i + 1) (i + 2));
+      Alcotest.(check int) "fetch_and_add" (i + 2) (Atomic.fetch_and_add c 3);
+      Alcotest.(check int) "after add" (i + 5) (Atomic.get c))
+    cells;
+  Array.iteri
+    (fun i r ->
+      r.w19 <- r.w19 + r.w0;
+      Alcotest.(check (list int)) "fields copied" [ i; i; 2 * i ] [ r.w0; r.w10; r.w19 ])
+    records;
+  Alcotest.check_raises "a float array is not a record"
+    (Invalid_argument "Padding.isolate: not a record") (fun () ->
+      ignore (Padding.isolate (fun () -> [| 1.0; 2.0 |])))
 
 (* -- Cpu ------------------------------------------------------------- *)
 
@@ -355,6 +450,8 @@ let () =
           Alcotest.test_case "float range" `Quick test_xoshiro_float_range;
           Alcotest.test_case "distribution" `Quick test_xoshiro_distribution;
           Alcotest.test_case "split" `Quick test_xoshiro_split;
+          Alcotest.test_case "stream pinned" `Quick test_xoshiro_stream_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick test_xoshiro_int_no_alloc;
           qc prop_xoshiro_int_in_bounds;
         ] );
       ( "backoff",
@@ -373,7 +470,12 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "ragged" `Quick test_table_ragged_rows;
         ] );
-      ("padding", [ Alcotest.test_case "atomic" `Quick test_padding_atomic ]);
+      ( "padding",
+        [
+          Alcotest.test_case "atomic" `Quick test_padding_atomic;
+          Alcotest.test_case "apart after promotion" `Quick
+            test_padding_apart_after_promotion;
+        ] );
       ("cpu", [ Alcotest.test_case "cores" `Quick test_cpu ]);
       ( "splitmix",
         [
