@@ -611,8 +611,8 @@ let idle ~opts () =
   let parks_wakeups () =
     match R.last_metrics () with
     | Some m ->
-      ( Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.parks),
-        Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.wakeups) )
+      ( Nowa.Metrics.total m Nowa.Metrics.Parks,
+        Nowa.Metrics.total m Nowa.Metrics.Wakeups )
     | None -> (0, 0)
   in
   subsection
@@ -837,7 +837,7 @@ let hotpath ~opts () =
         batch
         *
         match R.last_metrics () with
-        | Some m -> Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.spawns)
+        | Some m -> Nowa.Metrics.total m Nowa.Metrics.Spawns
         | None -> 0
       in
       if spawns = 0 then None
@@ -878,7 +878,7 @@ let hotpath ~opts () =
       words := Float.min !words ((Gc.minor_words () -. w0) /. float_of_int n);
       (match R.last_metrics () with
       | Some m ->
-        inlined := !inlined + Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.inlined)
+        inlined := !inlined + Nowa.Metrics.total m Nowa.Metrics.Inlined
       | None -> ());
       dt /. float_of_int n
     in
@@ -910,10 +910,10 @@ let hotpath ~opts () =
       let untaken =
         match R.last_metrics () with
         | Some m ->
-          let total f = Nowa.Metrics.total m f in
-          total (fun w -> w.Nowa.Metrics.spawns)
-          - total (fun w -> w.Nowa.Metrics.inlined)
-          - total (fun w -> w.Nowa.Metrics.lost_continuations)
+          let total = Nowa.Metrics.total m in
+          total Nowa.Metrics.Spawns
+          - total Nowa.Metrics.Inlined
+          - total Nowa.Metrics.Lost_continuations
         | None -> 0
       in
       (float_of_int dt /. float_of_int n, untaken)

@@ -437,7 +437,7 @@ let main list bench runtime workers runs size madvise idle_policy steal_sweep
         | Some m when m.Nowa.Metrics.elapsed_s > 0.0 ->
           Printf.sprintf "%.0f"
             (float_of_int
-               (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals))
+               (Nowa.Metrics.total m Nowa.Metrics.Steals)
             /. m.Nowa.Metrics.elapsed_s)
         | _ -> "n/a"
       in

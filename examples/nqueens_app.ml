@@ -42,10 +42,10 @@ let main n runtime workers =
   match R.last_metrics () with
   | Some m ->
     Printf.printf "spawns=%d steals=%d steal-attempts=%d suspensions=%d\n"
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.spawns))
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals))
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steal_attempts))
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.suspensions))
+      (Nowa.Metrics.total m Nowa.Metrics.Spawns)
+      (Nowa.Metrics.total m Nowa.Metrics.Steals)
+      (Nowa.Metrics.total m Nowa.Metrics.Steal_attempts)
+      (Nowa.Metrics.total m Nowa.Metrics.Suspensions)
   | None -> ()
 
 open Cmdliner

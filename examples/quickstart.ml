@@ -37,8 +37,8 @@ let () =
     Printf.printf
       "runtime: %d workers, %d spawn points, %d steals, %.4f s\n"
       (Array.length m.Nowa.Metrics.workers)
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.spawns))
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals))
+      (Nowa.Metrics.total m Nowa.Metrics.Spawns)
+      (Nowa.Metrics.total m Nowa.Metrics.Steals)
       m.Nowa.Metrics.elapsed_s
   | None -> ());
   (* The same program runs unchanged on any baseline preset. *)

@@ -48,32 +48,38 @@ type task = Task of (unit -> unit)
 type 'st worker = {
   id : int;
   grp : Shell.group;
-  m : Metrics.worker;
+  counts : int array;  (* this worker's [Metrics.worker] counters *)
   tr : Ring.t;
-  tracing : bool;  (* [tr] is enabled; tested by [emit] *)
-  mutable depth : int;  (* task nesting (helping at a taskwait): only the
-                           outermost start/end delimits a busy slice *)
+  tracing : bool;  (* [tr] is enabled; tested by [emit] and [station] *)
   st : 'st;  (* the store's per-worker half *)
 }
 
 type ('st, 'ext) cluster = ('st worker, 'ext) Shell.cluster
 
-(* Every emission site goes through [emit], as in {!Engine.Make}, so
-   tracing off costs a load and a branch: under [-opaque] a bare
-   [Ring.emit] is a generic cross-module call even on the disabled ring.
-   A shared helper in another module would be such a call again. *)
+(* One call per station point, as in {!Engine.Make} and for the same
+   reason: a shared helper in another module would be a call again under
+   [-opaque]. *)
+let[@inline] count w k =
+  let c = w.counts and i = Metrics.index k in
+  Array.unsafe_set c i (Array.unsafe_get c i + 1)
+
 let[@inline] emit w kind arg = if w.tracing then Ring.emit w.tr kind arg
 
-(* Task bodies never raise ([spawn] and the routed wrapper catch), so
-   the depth bookkeeping needs no exception handling. *)
+let[@inline] station w k arg =
+  count w k;
+  if w.tracing then
+    match (Array.unsafe_get Metrics.table (Metrics.index k)).event with
+    | Some e -> Ring.emit w.tr e arg
+    | None -> ()
+
+(* Every task start is a station, a task helped at a taskwait too: its
+   slice nests inside its waiter's.  Task bodies never raise ([spawn]
+   and the routed wrapper catch). *)
 let run_task (_ : _ cluster) w (Task f) =
-  w.m.tasks <- w.m.tasks + 1;
   Health.Inject.task_start w.id;
-  w.depth <- w.depth + 1;
-  if w.depth = 1 then emit w Ev.Task_start 0;
+  station w Tasks 0;
   f ();
-  if w.depth = 1 then emit w Ev.Task_end 0;
-  w.depth <- w.depth - 1
+  emit w Ev.Task_end 0
 
 module Waiting = struct
   type t = Steal_anywhere | Local_only
@@ -138,17 +144,16 @@ module Deques
   let no_commit _ = ()
 
   (* A victim probe: [max] tasks under one acquisition (a batched,
-     [steal_half]-style grab) or a single steal when [max = 1]. *)
+     [steal_half]-style grab, one steal) or a single steal when
+     [max = 1]. *)
   let steal (cl : (t, ext) cluster) w ~max v =
-    w.m.steal_attempts <- w.m.steal_attempts + 1;
-    emit w Ev.Steal_attempt v;
+    station w Steal_attempts v;
     match Q.steal_batch cl.workers.(v).st.deque ~max ~on_commit:no_commit with
     | [] ->
       emit w Ev.Steal_abort v;
       None
     | head :: extra ->
-      w.m.steals <- w.m.steals + 1 + List.length extra;
-      emit w Ev.Steal_commit v;
+      station w Steals v;
       (* The surplus moves to the thief's own deque so the next LIFO pops
          serve it without touching the victim again.  Tasks are plain
          closures, so re-homing them is always legal. *)
@@ -200,7 +205,8 @@ module Fifo : STORE = struct
   let waiting = Waiting.Steal_anywhere
 
   (* Stash, then one batched grab of up to [Config.steal_sweep] tasks
-     from the pool's FIFO, oldest first. *)
+     from the pool's FIFO, oldest first: one steal, whose events carry
+     the pool's id. *)
   let own (cl : (t, ext) cluster) w =
     match w.st.stash with
     | t :: rest ->
@@ -208,15 +214,13 @@ module Fifo : STORE = struct
       Some t
     | [] -> (
       let gid = w.grp.gid in
-      w.m.steal_attempts <- w.m.steal_attempts + 1;
-      emit w Ev.Steal_attempt gid;
+      station w Steal_attempts gid;
       match Cq.pop_batch w.st.fifo ~max:(Int.max 1 cl.conf.Config.steal_sweep) with
       | [] ->
         emit w Ev.Steal_abort gid;
         None
       | head :: rest ->
-        w.m.steals <- w.m.steals + 1 + List.length rest;
-        emit w Ev.Steal_commit gid;
+        station w Steals gid;
         w.st.stash <- rest;
         Some head)
 
@@ -286,22 +290,12 @@ module Make
     let current = current
     let id w = w.id
     let group w = w.grp
-    let metrics w = w.m
+    let counts w = w.counts
     let ring w = w.tr
     let make_ext _ groups = S.make_ext groups
 
-    (* [depth] is written twice per task: padded, as [Engine]'s. *)
-    let make_worker conf ext ~id grp m tr =
-      Nowa_util.Padding.isolate (fun () ->
-          {
-            id;
-            grp;
-            m;
-            tr;
-            tracing = tr.Ring.enabled;
-            depth = 0;
-            st = S.make conf ext grp ~id;
-          })
+    let make_worker conf ext ~id grp counts tr =
+      { id; grp; counts; tr; tracing = tr.Ring.enabled; st = S.make conf ext grp ~id }
 
     let task_of_thunk = task_of_thunk
     let take = take
@@ -320,8 +314,7 @@ module Make
      and a waiter whose children run on pool-mates is waiting, not
      stalled. *)
   let wait_for cl w fr =
-    w.m.suspensions <- w.m.suspensions + 1;
-    emit w Ev.Suspend 0;
+    station w Suspensions 0;
     let bo = Nowa_util.Backoff.make () in
     while Atomic.get fr.pending > 0 do
       match help cl w with
@@ -329,14 +322,13 @@ module Make
         Nowa_util.Backoff.reset bo;
         run_task cl w t
       | None ->
-        w.m.idle_rounds <- w.m.idle_rounds + 1;
+        count w Idle_rounds;
         Nowa_util.Backoff.once bo
     done
 
   let sync fr =
     let cl, w = get_current () in
-    if Atomic.get fr.pending > 0 then wait_for cl w fr
-    else w.m.fast_syncs <- w.m.fast_syncs + 1;
+    if Atomic.get fr.pending > 0 then wait_for cl w fr else count w Fast_syncs;
     match Atomic.exchange fr.exn_slot None with
     | Some e -> raise e
     | None -> ()
@@ -357,12 +349,11 @@ module Make
      continuation-stealing engines; [body] lowers it when done. *)
   let push fr body =
     let _, w = get_current () in
-    w.m.spawns <- w.m.spawns + 1;
-    emit w Ev.Spawn 0;
+    station w Spawns 0;
     ignore (Atomic.fetch_and_add fr.pending 1);
     S.push w (Task body);
     (* One load when nobody sleeps; CAS + signal only for a sleeper. *)
-    if Sleepers.wake_one w.grp.gsleepers then w.m.wakeups <- w.m.wakeups + 1
+    if Sleepers.wake_one w.grp.gsleepers then count w Wakeups
 
   let spawn fr thunk =
     let p = Promise.make () in

@@ -168,9 +168,10 @@
     through [caml_applyN].  Three such calls are kept off the inline
     spawn and the sync of a frame that never exposed:
 
-    - every emission site goes through [emit], which tests the worker's
-      immutable [tracing] flag before calling [Ring.emit]: tracing off
-      is a load and a branch, not [caml_apply3] into a disabled ring;
+    - every station point is one [station] or [count] call, which tests
+      the worker's immutable [tracing] flag before calling [Ring.emit]:
+      tracing off is a load and a branch, not [caml_apply3] into a
+      disabled ring;
     - [sync_on] reads the join counter only when the frame's [exposed]
       flag is set: a frame that never exposed has never forked (the
       argument is at [sync_on]);
@@ -285,9 +286,9 @@ module Make
            on every scope and exposed spawn *)
     solo : bool;  (* alone in its pool: no pool-mate can raise [offer] *)
     rng : Nowa_util.Xoshiro.t;
-    m : Metrics.worker;
+    counts : int array;  (* this worker's [Metrics.worker] counters *)
     tr : Ring.t;  (* wait-free event ring; Ring.disabled when not tracing *)
-    tracing : bool;  (* [tr] is enabled; tested by [emit] *)
+    tracing : bool;  (* [tr] is enabled; tested by [emit] and [station] *)
     sp : Stack_pool.t;  (* this run's stack pool *)
     mutable epoch : int;
         (* bumped before this worker makes a continuation resumable
@@ -312,10 +313,24 @@ module Make
   (* The shell's run record; [ext] is this run's stack pool. *)
   type cluster = (worker, Stack_pool.t) Shell.cluster
 
-  (* Every emission site goes through [emit], so tracing off costs a
-     load and a branch: under [-opaque] a bare [Ring.emit] is a generic
+  (* One call per station point: [count] bumps the worker's counter of
+     kind [k] (a constant index), [station] also emits the event of
+     [k]'s [Metrics.table] row, and [emit] marks an event no counter
+     follows.  Tracing off costs a load
+     and a branch: under [-opaque] a bare [Ring.emit] is a generic
      cross-module call even on the disabled ring. *)
+  let[@inline] count w k =
+    let c = w.counts and i = Metrics.index k in
+    Array.unsafe_set c i (Array.unsafe_get c i + 1)
+
   let[@inline] emit w kind arg = if w.tracing then Ring.emit w.tr kind arg
+
+  let[@inline] station w k arg =
+    count w k;
+    if w.tracing then
+      match (Array.unsafe_get Metrics.table (Metrics.index k)).event with
+      | Some e -> Ring.emit w.tr e arg
+      | None -> ()
 
   (* The effect carries the untyped thunk and promise directly (the
      uniform-representation coercion confined to [spawn]/[spawn_unit]),
@@ -378,8 +393,7 @@ module Make
     | Some s -> s
     | None ->
       let s = Stack_pool.acquire w.sp ~worker:w.id in
-      w.m.stack_acquires <- w.m.stack_acquires + 1;
-      emit w Ev.Stack_acquire 0;
+      station w Stack_acquires 0;
       w.stack <- Some s;
       s
 
@@ -388,8 +402,7 @@ module Make
     | None -> ()
     | Some s ->
       Stack_pool.release w.sp ~worker:w.id s;
-      w.m.stack_releases <- w.m.stack_releases + 1;
-      emit w Ev.Stack_release 0;
+      station w Stack_releases 0;
       w.stack <- None
 
   (* Clear a task box we own and park it in the worker's spare slot for
@@ -430,8 +443,7 @@ module Make
     let stk = fr.susp_stack in
     fr.susp_k <- dummy_cont;
     fr.susp_stack <- None;
-    w.m.resumes <- w.m.resumes + 1;
-    emit w Ev.Resume 0;
+    station w Resumes 0;
     C.reset fr.counter;
     (match stk with
     | None -> ()
@@ -474,8 +486,7 @@ module Make
       (* The continuation was stolen: implicit sync. *)
       w.reexposed <- false;
       w.period <- reexpose_period_ns;
-      w.m.lost_continuations <- w.m.lost_continuations + 1;
-      emit w Ev.Lost_continuation 0;
+      station w Lost_continuations 0;
       if C.child_joined fr.counter then resume_frame w fr
     end
 
@@ -492,8 +503,7 @@ module Make
    fun fr thunk p k ->
     let w = frame_worker fr in
     fr.exposed <- true;
-    w.m.spawns <- w.m.spawns + 1;
-    emit w Ev.Spawn 0;
+    station w Spawns 0;
     (* Only exposed spawns touch a stack page: an inline child runs on
        the spawner's own frame, like the call it elides. *)
     (match w.stack with
@@ -517,7 +527,7 @@ module Make
        wait-free; the CAS + signal run only against an actual sleeper.
        Only the spawner's own pool is woken: foreign pools find spilled
        work through their pre-park sweep when spill-over is on. *)
-    if Sleepers.wake_one w.grp.Shell.gsleepers then w.m.wakeups <- w.m.wakeups + 1;
+    if Sleepers.wake_one w.grp.Shell.gsleepers then count w Wakeups;
     exec_child w fr thunk p
 
   (* Performed by [sync] right after validating [fr]'s stamp, like
@@ -533,7 +543,7 @@ module Make
          publication store and the resume exchange entirely. *)
       let ok = C.reach_sync fr.counter in
       assert ok;
-      w.m.fused_syncs <- w.m.fused_syncs + 1;
+      count w Fused_syncs;
       C.reset fr.counter;
       Effect.Deep.continue k ()
     end
@@ -557,10 +567,7 @@ module Make
       w.epoch <- w.epoch + 1;
       Atomic.set fr.susp_state 1;
       if C.reach_sync fr.counter then resume_frame w fr
-      else begin
-        w.m.suspensions <- w.m.suspensions + 1;
-        emit w Ev.Suspend 0
-      end
+      else station w Suspensions 0
     end
   (* returning without resuming = this strand is suspended; control goes
      back to the scheduler loop, which hunts for work. *)
@@ -631,12 +638,11 @@ module Make
      and the plain read and write race with the victim's own stores and
      other thieves', which at worst moves one re-exposure. *)
   let attempt (cl : cluster) w v =
-    w.m.steal_attempts <- w.m.steal_attempts + 1;
-    emit w Ev.Steal_attempt v;
+    station w Steal_attempts v;
     let victim = cl.Shell.workers.(v) in
     match Q.steal victim.deque ~on_commit with
     | Some _ as r ->
-      emit w Ev.Steal_commit v;
+      station w Steals v;
       r
     | None ->
       emit w Ev.Steal_abort v;
@@ -696,10 +702,9 @@ module Make
     { retc = ignore; exnc = root_exn; effc }
 
   let execute (_ : cluster) w (t : task) =
-    w.m.tasks <- w.m.tasks + 1;
     Health.Inject.task_start w.id;
     ignore (ensure_stack w);
-    emit w Ev.Task_start 0;
+    station w Tasks 0;
     (if t.kind == kind_root then begin
        let f = t.tfn in
        recycle_task w t;
@@ -710,7 +715,6 @@ module Make
        (* The box is ours after the steal/pop commit: strip it and hand
           it to this worker's spare slot before resuming. *)
        recycle_task w t;
-       w.m.steals <- w.m.steals + 1;
        (* A thief offers the loop it took at its next spawn. *)
        w.period <- reexpose_period_ns;
        w.reexpose_at <- 0;
@@ -738,11 +742,11 @@ module Make
     let current = current
     let id w = w.id
     let group w = w.grp
-    let metrics w = w.m
+    let counts w = w.counts
     let ring w = w.tr
     let make_ext conf _ = Stack_pool.create conf
 
-    let make_worker conf sp ~id grp m tr =
+    let make_worker conf sp ~id grp counts tr =
       (* Worker records hold hot mutable fields (spare slot, stack,
          frame-list cursor); one domain allocates them all, so each is
          padded to keep its fields off its neighbours' lines. *)
@@ -757,7 +761,7 @@ module Make
             reexpose_at = 0;
             solo = grp.Shell.ghi - grp.Shell.glo = 1;
             rng = Nowa_util.Xoshiro.make ~seed:(conf.Config.seed + (id * 7919) + 1);
-            m;
+            counts;
             tr;
             tracing = tr.Ring.enabled;
             sp;
@@ -820,7 +824,7 @@ module Make
              never-forked fast path below. *)
           let ok = C.reach_sync fr.counter in
           assert ok;
-          w.m.fused_syncs <- w.m.fused_syncs + 1;
+          count w Fused_syncs;
           C.reset fr.counter;
           w
         end
@@ -831,7 +835,7 @@ module Make
           worker_of fr
         end
       else begin
-        w.m.fast_syncs <- w.m.fast_syncs + 1;
+        count w Fast_syncs;
         w
       end
     in
@@ -901,9 +905,8 @@ module Make
      non-empty deque is the eager schedule. *)
   let[@inline] inline_spawn w fr =
     if Q.size w.deque > 0 || (fr.exposed && not_offered w) then begin
-      w.m.spawns <- w.m.spawns + 1;
-      w.m.inlined <- w.m.inlined + 1;
-      emit w Ev.Spawn 1;
+      count w Inlined;
+      station w Spawns 1;
       true
     end
     else false

@@ -3,8 +3,9 @@
     the full design; the short version:
 
     - progress is the worker's counters: the watchdog reads
-      {!Metrics.progress}, the sum of the event counts every scheduler
-      station point already bumps, so health adds no store to any path;
+      {!Metrics.progress}, the sum of the station counters every
+      scheduler station point already bumps, so health adds no store to
+      any path;
     - a monitor thread (owned by {!Runtime_guard}, at most one per
       process) samples progress and sleeper state each
       [watchdog_interval_ms], classifies workers as active / parked /

@@ -1,55 +1,74 @@
-(** Scheduler observability: per-worker event counters, written without
-    synchronisation by their owning worker and aggregated after the worker
-    domains have been joined. *)
+(** Scheduler observability.  A {e station point} is a place where the
+    scheduler records what it did (a spawn, a steal attempt, a task
+    start, a park); {!table} gives each {!kind} its Prometheus series,
+    HELP text and, if it traces, its event.  A worker's counters are one
+    int array indexed by kind, written without synchronisation by its
+    owning worker; everything below loops over the table, so adding a
+    counter adds one constructor and one row. *)
+
+type kind =
+  | Spawns  (** spawn points executed, inline ones included *)
+  | Inlined
+      (** spawn points whose child ran inline, exposing no continuation:
+          the worker's deque was non-empty (lazy exposure), or the frame
+          had exposed and no pool-mate was due the loop (see {!Engine},
+          "Re-exposure deadline").  Always 0 on the help-first family. *)
+  | Steals
+      (** successful steals committed: one per committed grab, whether
+          it took one continuation, a batch of a pool-mate's deque or a
+          batch of gomp's FIFO *)
+  | Steal_attempts  (** steal attempts including failures *)
+  | Lost_continuations  (** pops that lost their continuation to a thief *)
+  | Suspensions  (** explicit syncs that had to suspend (or wait) *)
+  | Fast_syncs  (** explicit syncs satisfied immediately *)
+  | Fused_syncs
+      (** explicit syncs that took the fused no-steal fast path: the
+          pending hint was zero, so publication, stack handover and the
+          resume exchange were all skipped *)
+  | Resumes  (** suspended frames resumed by this worker *)
+  | Tasks
+      (** tasks started, from the scheduler loop or, help-first, by a
+          strand waiting at a sync *)
+  | Stack_acquires  (** stack-pool acquisitions *)
+  | Stack_releases  (** stack-pool releases *)
+  | Parks  (** times this worker blocked on its condvar *)
+  | Parked_ns  (** nanoseconds spent parked, added at each unpark *)
+  | Wakeups  (** wake-ups this worker issued as a spawner or router *)
+  | Wake_retries
+      (** park cancellations that raced a wake; the stray token makes a
+          later park return immediately (lost-wakeup retry, benign) *)
+  | Routed  (** roots this worker pushed onto a pool's routed queue *)
+  | Idle_rounds
+      (** scheduling rounds that found no work: an empty round of the
+          shell's idle loop, or of a help-first taskwait *)
+
+external index : kind -> int = "%identity"
+(** The kind's slot in {!worker.counts}, in constructor order.  A
+    primitive, so a station's index is a constant in every module. *)
+
+type row = {
+  kind : kind;
+  label : string;  (** as {!pp} prints it *)
+  name : string;  (** [nowa_scheduler_<label>_total] *)
+  help : string;
+  event : Nowa_trace.Event.kind option;
+      (** emitted by a station of this kind while tracing; [None] for
+          the count-only kinds and [Parked_ns] *)
+  per_pool : bool;  (** also exported as [name{pool="p"}] per pool *)
+}
+
+val table : row array
+(** One row per kind, at index {!index}[ kind]. *)
 
 type worker = {
   id : int;  (** global worker index *)
   pool : string;
-      (** owning micropool's name; ["main"] in flat topologies.  When a
-          run has several pools the collector additionally emits
-          pool-labelled variants of the key [nowa_scheduler_*] series
-          ([...{pool="name"}]); the unlabelled aggregates are always
-          present with unchanged names. *)
-  mutable spawns : int;  (** spawn points executed, inline ones included *)
-  mutable inlined : int;
-      (** spawn points whose child ran inline, exposing no continuation,
-          for one of two reasons in [Engine.Make]: the worker's deque was
-          non-empty (lazy exposure), or the frame had exposed before and
-          no pool-mate was due the loop.  A pool-mate is due it once the
-          worker's re-exposure deadline has passed, as an idle mate's
-          failed steal reports by raising the worker's flag; a worker
-          alone in its pool, or with a mate asleep, reads the clock
-          instead.  The deadline moves on by the worker's period, which
-          starts at {!Engine.reexpose_period_ns}, doubles up to
-          {!Engine.reexpose_cap_ns} while re-exposed continuations come
-          back untaken, and resets when the worker loses or steals a
-          continuation.  Always 0 on the other engine families. *)
-  mutable steals : int;  (** successful steals committed *)
-  mutable steal_attempts : int;  (** steal attempts including failures *)
-  mutable lost_continuations : int;
-      (** pops that came back empty because a thief won (implicit syncs) *)
-  mutable suspensions : int;  (** explicit syncs that had to suspend *)
-  mutable fast_syncs : int;  (** explicit syncs satisfied immediately *)
-  mutable fused_syncs : int;
-      (** explicit syncs that took the fused no-steal fast path: the
-          pending hint was zero, so publication, stack handover and the
-          resume exchange were all skipped (fusion audit, ISSUE 9) *)
-  mutable resumes : int;  (** suspended frames resumed by this worker *)
-  mutable tasks : int;  (** tasks executed from the scheduler loop *)
-  mutable stack_acquires : int;
-  mutable stack_releases : int;
-  mutable parks : int;  (** times this worker blocked on its condvar *)
-  mutable parked_ns : int;  (** nanoseconds spent parked (zero CPU) *)
-  mutable wakeups : int;  (** wake-ups this worker issued as a spawner *)
-  mutable wake_retries : int;
-      (** park cancellations that raced a wake; the stray token makes a
-          later park return immediately (lost-wakeup retry, benign) *)
-  mutable routed : int;
-      (** [spawn_on]/[spawn_unit_on] roots this worker pushed onto a
-          pool's routed queue *)
-  mutable idle_rounds : int;
-      (** scheduling rounds that found no work: an empty round of the
-          shell's idle loop, or of a help-first taskwait *)
+      (** owning micropool's name; ["main"] in flat topologies.  A run
+          with several pools also exports the [per_pool] rows per pool;
+          the unlabelled aggregates keep their names. *)
+  counts : int array;
+      (** indexed by {!index}, written only by the owning worker; padded
+          past the table's length with zeros, so read it through {!get} *)
 }
 
 type stack_stats = {
@@ -76,11 +95,13 @@ type t = {
 }
 
 val make_worker : ?pool:string -> int -> worker
+(** Zeroed counters, padded with {!Nowa_util.Padding.isolate}. *)
+
+val get : worker -> kind -> int
 
 val progress : worker -> int
-(** The sum of the worker's event counts, the health watchdog's motion
-    signal: every scheduler station point (spawn, steal attempt, task,
-    sync, park, routed push, empty round) bumps one of them. *)
+(** The sum of the worker's station counters, the health watchdog's
+    motion signal: every scheduler station point bumps one of them. *)
 
 val make :
   ?stacks:stack_stats -> ?routed_abandoned:int -> worker array ->
@@ -91,10 +112,12 @@ val sweep_length : Nowa_obs.Histogram.t
 (** [nowa_scheduler_steal_sweep_length]: victims probed per steal round
     before success or give-up; observed by the engines per sweep. *)
 
-val total : t -> (worker -> int) -> int
+val total : t -> kind -> int
 (** Sum a counter over all workers. *)
 
 val pp : Format.formatter -> t -> unit
+(** Every row of {!table} as [label=total], then the stack pool's
+    statistics. *)
 
 val publish :
   ?stacks:(unit -> stack_stats) -> routed_abandoned:(unit -> int) ->
@@ -105,7 +128,7 @@ val publish :
     [nowa_routed_abandoned_total] metrics on
     {!Nowa_obs.Registry.default}.  Called by
     an engine when a run starts; scrapes then read the workers' plain
-    mutable counters relaxed, cross-domain — approximate while running,
+    counters relaxed, cross-domain — approximate while running,
     exact once the worker domains have joined.  Each call replaces the
     previous source; the last run's totals stay visible after the join
     so end-of-process dumps are meaningful. *)

@@ -11,24 +11,28 @@ let last_metrics () = !last_metrics_ref
 let last_trace () = None
 
 (* The single "worker"'s counters, the watchdog's progress: the running
-   [run]'s record, or [outside] (never written).  Outside a run a spawn
-   pays one load and one branch and stores nothing, so serial thunks on
-   several domains at once (a benchmark's Ts control) share no line. *)
-let outside = Metrics.make_worker 0
+   [run]'s, or [outside] (never written).  Outside a run a spawn pays one
+   load and one branch and stores nothing, so serial thunks on several
+   domains at once (a benchmark's Ts control) share no line. *)
+let outside = (Metrics.make_worker 0).counts
 let counters = ref outside
+
+let[@inline] count c k =
+  let i = Metrics.index k in
+  Array.unsafe_set c i (Array.unsafe_get c i + 1)
 
 (* A counted spawn is the elision's task start: the stall hook runs
    there, as in the engines. *)
 let[@inline] count_spawn () =
-  let m = !counters in
-  if m != outside then begin
-    m.Metrics.spawns <- m.Metrics.spawns + 1;
+  let c = !counters in
+  if c != outside then begin
+    count c Spawns;
     Health.Inject.task_start 0
   end
 
 let[@inline] count_routed () =
-  let m = !counters in
-  if m != outside then m.Metrics.routed <- m.Metrics.routed + 1
+  let c = !counters in
+  if c != outside then count c Routed
 
 let run ?conf main =
   let conf = match conf with Some c -> c | None -> Config.default () in
@@ -38,7 +42,7 @@ let run ?conf main =
      worker id instead of -1 under the elision. *)
   Nowa_trace.Current.set ~worker:0 Nowa_trace.Ring.disabled;
   let m = Metrics.make_worker 0 in
-  counters := m;
+  counters := m.counts;
   Runtime_guard.watch conf (Health.static_probe ~engine:name [| m |]);
   let t0 = Unix.gettimeofday () in
   Fun.protect

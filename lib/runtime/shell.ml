@@ -27,6 +27,19 @@
 
 module Ring = Nowa_trace.Ring
 
+(* The shell's station points (park, idle round, routed push, wake) are
+   off the spawn/sync path: [add] bumps a worker's counter of kind [k] by
+   [n], and [station] counts one and emits [k]'s event. *)
+let[@inline] add c k n =
+  let i = Metrics.index k in
+  Array.unsafe_set c i (Array.unsafe_get c i + n)
+
+let station c tr k =
+  add c k 1;
+  match Metrics.table.(Metrics.index k).event with
+  | Some e -> Ring.emit tr e 0
+  | None -> ()
+
 (* One named micropool: a contiguous slice of the global worker array
    with its own sleeper registry (local ids) and its own queue of
    [spawn_on]-routed roots.  The single-pool topology builds exactly one
@@ -158,13 +171,13 @@ module type POLICY = sig
 
   val id : worker -> int
   val group : worker -> group
-  val metrics : worker -> Metrics.worker
+  val counts : worker -> int array  (* its [Metrics.worker.counts] *)
   val ring : worker -> Ring.t
 
   val make_ext : Config.t -> group array -> ext
 
   val make_worker :
-    Config.t -> ext -> id:int -> group -> Metrics.worker -> Ring.t -> worker
+    Config.t -> ext -> id:int -> group -> int array -> Ring.t -> worker
 
   val task_of_thunk : worker -> (unit -> unit) -> task
   (** A root or routed thunk as a task that the given worker runs next.
@@ -263,14 +276,14 @@ end = struct
      the re-check found, bail out on shutdown, or block until a pusher
      posts a token.  Returns work if the re-check produced any. *)
   let park_round cl w =
-    let g = P.group w and m = P.metrics w and tr = P.ring w in
+    let g = P.group w and c = P.counts w and tr = P.ring w in
     let lid = P.id w - g.glo in
     ignore (Sleepers.announce g.gsleepers ~worker:lid);
     let cancel () =
       if not (Sleepers.cancel g.gsleepers ~worker:lid) then
         (* A waker claimed our bit first: its token is in flight and the
            next park will consume it immediately. *)
-        m.Metrics.wake_retries <- m.Metrics.wake_retries + 1
+        add c Wake_retries 1
     in
     match sweep_all cl w with
     | Some _ as r ->
@@ -279,11 +292,10 @@ end = struct
     | None ->
       if Atomic.get cl.finished then cancel ()
       else begin
-        m.Metrics.parks <- m.Metrics.parks + 1;
-        Ring.emit tr Ev.Park 0;
+        station c tr Parks;
         let t0 = Nowa_util.Clock.now_ns () in
         Sleepers.park g.gsleepers ~worker:lid;
-        m.Metrics.parked_ns <- m.Metrics.parked_ns + (Nowa_util.Clock.now_ns () - t0);
+        add c Parked_ns (Nowa_util.Clock.now_ns () - t0);
         Ring.emit tr Ev.Unpark 0
       end;
       None
@@ -301,7 +313,7 @@ end = struct
      local id can park.  An empty round is counted: it may make no steal
      attempt (a 1-worker pool), and the watchdog reads counters. *)
   let worker_loop cl w =
-    let m = P.metrics w in
+    let c = P.counts w in
     let bo = Nowa_util.Backoff.make () in
     let spin_budget, can_park =
       match cl.conf.Config.idle_policy with
@@ -321,7 +333,7 @@ end = struct
           go ()
         | None ->
           incr rounds;
-          m.Metrics.idle_rounds <- m.Metrics.idle_rounds + 1;
+          add c Idle_rounds 1;
           if !rounds <= spin_budget then begin
             if !rounds mod steal_attempts = 0 then
               Nowa_util.Backoff.once bo;
@@ -357,7 +369,7 @@ end = struct
      keyed by local ids, so every accessor translates the global index
      through the worker's group — two pools' worker 0s never alias into
      one sleeper slot or one verdict row. *)
-  let probe cl =
+  let probe cl (metrics : Metrics.worker array) =
     let grp i = P.group cl.workers.(i) in
     let lid i = i - (grp i).glo in
     let sum f = Array.fold_left (fun acc g -> acc + f g) 0 cl.groups in
@@ -365,7 +377,7 @@ end = struct
       Health.engine = P.name;
       workers = Array.length cl.workers;
       pool_of = (fun i -> ((grp i).gname, lid i));
-      progress = (fun i -> Metrics.progress (P.metrics cl.workers.(i)));
+      progress = (fun i -> Metrics.progress metrics.(i));
       announced = (fun i -> Sleepers.announced (grp i).gsleepers ~worker:(lid i));
       waiting = (fun i -> Sleepers.waiting (grp i).gsleepers ~worker:(lid i));
       ready =
@@ -415,6 +427,8 @@ end = struct
         specs
     in
     let ext = P.make_ext conf groups in
+    let group i = groups.(Topology.group_of specs i) in
+    let metrics = Array.init nw (fun i -> Metrics.make_worker ~pool:(group i).gname i) in
     let cl =
       {
         conf;
@@ -424,23 +438,17 @@ end = struct
         ext;
         workers =
           Array.init nw (fun i ->
-              let gi = Topology.group_of specs i in
-              let g = groups.(gi) in
-              P.make_worker conf ext ~id:i g
-                (Metrics.make_worker ~pool:g.gname i)
+              P.make_worker conf ext ~id:i (group i) metrics.(i).Metrics.counts
                 (ring_for i));
       }
     in
-    let metrics () = Array.map P.metrics cl.workers in
     let stack_stats = Option.map (fun f () -> f cl) P.stack_stats in
     (* Routed roots still queued once every worker has stopped: counted
        after the join, never run. *)
     let abandoned = ref 0 in
     (* Expose this run's counters live: scrapes read the worker records
        and the stack getters while the computation runs. *)
-    Metrics.publish ?stacks:stack_stats
-      ~routed_abandoned:(fun () -> !abandoned)
-      (metrics ());
+    Metrics.publish ?stacks:stack_stats ~routed_abandoned:(fun () -> !abandoned) metrics;
     (* Flight-recorder contributor: freeze the live rings' most recent
        window into a Perfetto file inside the bundle.  Registered even
        though the watchdog may be off — an explicit dump wants it too. *)
@@ -450,7 +458,7 @@ end = struct
           Nowa_trace.Perfetto.write_frozen_file ~window:4096
             (Filename.concat dir "trace.json") t)
     | None -> Health.Recorder.unregister ~name:"trace");
-    Runtime_guard.watch conf (probe cl);
+    Runtime_guard.watch conf (probe cl metrics);
     let result = ref None in
     let wake_everyone () =
       Array.iter (fun g -> Sleepers.wake_all g.gsleepers) cl.groups
@@ -520,7 +528,7 @@ end = struct
           Some
             (Metrics.make
                ?stacks:(Option.map (fun f -> f ()) stack_stats)
-               ~routed_abandoned:!abandoned (metrics ()) ~elapsed_s:elapsed));
+               ~routed_abandoned:!abandoned metrics ~elapsed_s:elapsed));
     match !result with
     | Some (Ok v) -> v
     | Some (Error e) -> raise e
@@ -549,14 +557,14 @@ end = struct
      the window where every potential runner is already parked.  It runs
      after the push, so a worker that announced before this load finds
      the root in its pre-park sweep. *)
-  let wake_routed cl m (g : pool) =
+  let wake_routed cl c (g : pool) =
     let wake g = if Sleepers.wake_one g.gsleepers then Some () else None in
     let woke =
       match wake g with
       | Some () -> true
       | None -> cl.spill && Option.is_some (foreign cl g wake)
     in
-    if woke then m.Metrics.wakeups <- m.Metrics.wakeups + 1
+    if woke then add c Wakeups 1
 
   (* The caller's thunk goes into the queue as it is: one node, no
      wrapper.  The engine that runs it catches its exception.  The push
@@ -564,10 +572,10 @@ end = struct
      no other station point. *)
   let spawn_unit_on (g : pool) thunk =
     let cl, w = get_current () in
-    let m = P.metrics w in
-    m.Metrics.routed <- m.Metrics.routed + 1;
+    let c = P.counts w in
+    add c Routed 1;
     Nowa_deque.Inject_queue.push g.ginject thunk;
-    wake_routed cl m g
+    wake_routed cl c g
 
   let spawn_on (g : pool) thunk =
     let p = Promise.make_remote () in

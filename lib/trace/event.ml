@@ -1,7 +1,8 @@
 (** Scheduler event vocabulary for the per-worker trace rings.
 
     Every event the engines emit maps to one of these kinds plus two
-    integer arguments.  [arg] carries the victim id for steal events or
+    integer arguments.  [arg] carries the victim id for steal events
+    (the pool id for gomp, whose workers share their pool's queue) or
     the shard id for request events; [arg2] carries the request id for
     the [Req_*] family and 0 everywhere else.  Kinds are stored in the
     ring as small ints so that the hot-path write touches only int
@@ -14,7 +15,9 @@ type kind =
       (** a fork point: continuation made stealable (arg = 0), or the
           child run inline with nothing exposed (arg = 1) *)
   | Steal_attempt  (** probe of a victim deque (arg = victim id) *)
-  | Steal_commit  (** successful steal (arg = victim id) *)
+  | Steal_commit
+      (** successful steal, one per committed grab however many tasks it
+          took (arg = victim id) *)
   | Steal_abort  (** failed attempt: victim empty or race lost *)
   | Lost_continuation  (** own pop missed: the continuation was stolen *)
   | Suspend  (** strand suspended at an explicit sync *)
@@ -31,66 +34,30 @@ type kind =
   | Req_apply  (** request's operation applied to the store *)
   | Req_done  (** reply observed by the injector; end of the span *)
 
-let to_int = function
-  | Task_start -> 0
-  | Task_end -> 1
-  | Spawn -> 2
-  | Steal_attempt -> 3
-  | Steal_commit -> 4
-  | Steal_abort -> 5
-  | Lost_continuation -> 6
-  | Suspend -> 7
-  | Resume -> 8
-  | Stack_acquire -> 9
-  | Stack_release -> 10
-  | Park -> 11
-  | Unpark -> 12
-  | Req_submit -> 13
-  | Req_claim -> 14
-  | Req_handoff -> 15
-  | Req_apply -> 16
-  | Req_done -> 17
+(* A constant constructor is its index in the type, so the ring stores
+   a kind as itself, and [to_int] is a primitive even across modules. *)
+external to_int : kind -> int = "%identity"
 
-let of_int = function
-  | 0 -> Task_start
-  | 1 -> Task_end
-  | 2 -> Spawn
-  | 3 -> Steal_attempt
-  | 4 -> Steal_commit
-  | 5 -> Steal_abort
-  | 6 -> Lost_continuation
-  | 7 -> Suspend
-  | 8 -> Resume
-  | 9 -> Stack_acquire
-  | 10 -> Stack_release
-  | 11 -> Park
-  | 12 -> Unpark
-  | 13 -> Req_submit
-  | 14 -> Req_claim
-  | 15 -> Req_handoff
-  | 16 -> Req_apply
-  | 17 -> Req_done
-  | n -> invalid_arg (Printf.sprintf "Event.of_int: %d" n)
+(* Every kind with its name, in constructor order. *)
+let table =
+  [| (Task_start, "task-start"); (Task_end, "task-end"); (Spawn, "spawn");
+     (Steal_attempt, "steal-attempt"); (Steal_commit, "steal-commit");
+     (Steal_abort, "steal-abort"); (Lost_continuation, "lost-continuation");
+     (Suspend, "suspend"); (Resume, "resume"); (Stack_acquire, "stack-acquire");
+     (Stack_release, "stack-release"); (Park, "park"); (Unpark, "unpark");
+     (Req_submit, "req-submit"); (Req_claim, "req-claim");
+     (Req_handoff, "req-handoff"); (Req_apply, "req-apply"); (Req_done, "req-done") |]
 
-let name = function
-  | Task_start -> "task-start"
-  | Task_end -> "task-end"
-  | Spawn -> "spawn"
-  | Steal_attempt -> "steal-attempt"
-  | Steal_commit -> "steal-commit"
-  | Steal_abort -> "steal-abort"
-  | Lost_continuation -> "lost-continuation"
-  | Suspend -> "suspend"
-  | Resume -> "resume"
-  | Stack_acquire -> "stack-acquire"
-  | Stack_release -> "stack-release"
-  | Park -> "park"
-  | Unpark -> "unpark"
-  | Req_submit -> "req-submit"
-  | Req_claim -> "req-claim"
-  | Req_handoff -> "req-handoff"
-  | Req_apply -> "req-apply"
-  | Req_done -> "req-done"
+let () =
+  Array.iteri
+    (fun i (k, _) -> if to_int k <> i then invalid_arg "Event.table: rows out of order")
+    table
+
+let of_int n =
+  if n >= 0 && n < Array.length table then fst table.(n)
+  else invalid_arg (Printf.sprintf "Event.of_int: %d" n)
+
+let name k = snd table.(to_int k)
 
 type t = {
   ts : int;  (** nanoseconds (wall or virtual) *)

@@ -56,10 +56,11 @@ let events_to_buffer ?(process_name = "nowa") ?(counters = []) (t : Trace.t)
     (fun w evs ->
       if Array.length evs > 0 then
         buf_meta b ~first ~name:"thread_name" ~pid ~tid:w (Trace.name t w);
-      (* Pair task-start/task-end into complete slices; a start lost to
-         ring overwrite leaves its end unmatched, which we drop rather
-         than emit a malformed slice. *)
-      let open_start = ref None in
+      (* Pair task-start/task-end into complete slices, innermost first:
+         a task helped at a help-first taskwait nests inside its
+         waiter's slice.  A start lost to ring overwrite leaves its end
+         unmatched, which we drop rather than emit a malformed slice. *)
+      let open_starts = ref [] in
       (* Park/unpark pair the same way into "parked" slices, so the idle
          troughs are visible as filled spans rather than instant pairs. *)
       let open_park = ref None in
@@ -67,14 +68,14 @@ let events_to_buffer ?(process_name = "nowa") ?(counters = []) (t : Trace.t)
         (fun e ->
           let ts_us = us_of_ns (e.Event.ts - t0) in
           match e.Event.kind with
-          | Event.Task_start -> open_start := Some ts_us
+          | Event.Task_start -> open_starts := ts_us :: !open_starts
           | Event.Task_end -> (
-            match !open_start with
-            | Some s ->
-              open_start := None;
+            match !open_starts with
+            | s :: outer ->
+              open_starts := outer;
               buf_event b ~first ~name:"task" ~ph:"X" ~ts_us:s ~pid ~tid:w
                 (Printf.sprintf ",\"dur\":%.3f" (Float.max 0.0 (ts_us -. s)))
-            | None -> ())
+            | [] -> ())
           | Event.Park -> open_park := Some ts_us
           | Event.Unpark -> (
             match !open_park with

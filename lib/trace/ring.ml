@@ -145,7 +145,7 @@ let snapshot ?(window = max_int) r ~worker =
       ok.(j) <-
         r.chk.(i) = slot_chk ts.(j) kinds.(j) args.(j) args2.(j)
         && kinds.(j) >= 0
-        && (match Event.of_int kinds.(j) with _ -> true | exception _ -> false)
+        && kinds.(j) < Array.length Event.table
     done;
     let h1 = r.head in
     (* First logical index that cannot have been recycled during the

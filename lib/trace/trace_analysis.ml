@@ -21,15 +21,10 @@ type worker_summary = {
   worker : int;
   events : int;
   dropped : int;
-  tasks : int;
-  spawns : int;
-  steals : int;
-  steal_attempts : int;
-  suspends : int;
-  parks : int;
+  counts : int array;
+      (** events of each kind, indexed by {!Event.to_int}; read through
+          {!count} *)
   parked_ns : int;  (** time spent blocked on the worker's condvar *)
-  req_submits : int;  (** serving-layer requests injected from this worker *)
-  req_claims : int;  (** requests this worker claimed as combiner *)
   busy_ns : int;
   sched_ns : int;
   utilization : float;  (** busy / span of the whole trace *)
@@ -50,6 +45,10 @@ type t = {
   steal_p99_ns : float;
   idle_histogram : (string * int) list;  (** log-decade idle-gap buckets *)
 }
+
+(* Events of kind [k] on the worker, a task whose start the ring
+   overwrote included. *)
+let count w k = w.counts.(Event.to_int k)
 
 let hist_buckets =
   [
@@ -78,69 +77,67 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
   let nev = Array.length evs in
   let first_ts = if nev > 0 then evs.(0).Event.ts else 0 in
   let last_ts = if nev > 0 then evs.(nev - 1).Event.ts else 0 in
-  let tasks = ref 0 and spawns = ref 0 and steals = ref 0 in
-  let attempts = ref 0 and suspends = ref 0 in
-  let parks = ref 0 and parked = ref 0 in
-  let submits = ref 0 and claims = ref 0 in
+  let counts = Array.make (Array.length Event.table) 0 in
+  let bump k = counts.(Event.to_int k) <- counts.(Event.to_int k) + 1 in
+  let parked = ref 0 in
   let busy = ref 0 in
+  (* Open task slices: a task helped at a help-first taskwait nests
+     inside its waiter's, and only the outermost one delimits busy
+     time. *)
+  let depth = ref 0 in
   let open_start = ref None in
   let park_since = ref None in
   let idle_since = ref None in
   let latencies = ref [] and gaps = ref [] in
   Array.iter
     (fun e ->
+      bump e.Event.kind;
       match e.Event.kind with
       | Event.Task_start ->
-        incr tasks;
-        (match !idle_since with
-        | Some t -> gaps := float_of_int (e.Event.ts - t) :: !gaps
-        | None -> ());
-        idle_since := None;
-        open_start := Some e.Event.ts
+        if !depth = 0 then begin
+          (match !idle_since with
+          | Some t -> gaps := float_of_int (e.Event.ts - t) :: !gaps
+          | None -> ());
+          idle_since := None;
+          open_start := Some e.Event.ts
+        end;
+        incr depth
       | Event.Task_end ->
-        (match !open_start with
-        | Some s ->
-          busy := !busy + (e.Event.ts - s);
-          open_start := None
-        | None ->
+        if !depth > 0 then decr depth
+        else if dropped > 0 then begin
           (* An end with no start in the surviving window: when the ring
              provably wrapped ([dropped > 0]) the matching [Task_start]
              was overwritten — a long serial task (e.g. a steal-free run
              whose spawn events alone lap the ring) looks exactly like
              this.  The slice covered at least the whole observed prefix,
-             so count from the window's first event; without drops an
+             which contains every slice counted so far; without drops an
              unmatched end is a malformed stream and stays ignored. *)
-          if dropped > 0 then begin
-            incr tasks;
-            busy := !busy + (e.Event.ts - first_ts)
-          end);
-        idle_since := Some e.Event.ts
-      | Event.Spawn -> incr spawns
+          bump Event.Task_start;
+          busy := e.Event.ts - first_ts
+        end;
+        if !depth = 0 then begin
+          (match !open_start with
+          | Some s ->
+            busy := !busy + (e.Event.ts - s);
+            open_start := None
+          | None -> ());
+          idle_since := Some e.Event.ts
+        end
       | Event.Steal_attempt ->
-        incr attempts;
         if !idle_since = None && !open_start = None then
           idle_since := Some e.Event.ts
-      | Event.Steal_commit ->
-        incr steals;
-        (match !idle_since with
+      | Event.Steal_commit -> (
+        match !idle_since with
         | Some t -> latencies := float_of_int (e.Event.ts - t) :: !latencies
         | None -> ())
-      | Event.Suspend -> incr suspends
-      | Event.Park ->
-        incr parks;
-        park_since := Some e.Event.ts
+      | Event.Park -> park_since := Some e.Event.ts
       | Event.Unpark ->
         (match !park_since with
         | Some t ->
           parked := !parked + (e.Event.ts - t);
           park_since := None
         | None -> ())
-      | Event.Req_submit -> incr submits
-      | Event.Req_claim -> incr claims
-      | Event.Steal_abort | Event.Lost_continuation | Event.Resume
-      | Event.Stack_acquire | Event.Stack_release | Event.Req_handoff
-      | Event.Req_apply | Event.Req_done ->
-        ())
+      | _ -> ())
     evs;
   (* A slice still open at the end of the window (live snapshot, or a
      worker cut down mid-task) was busy at least until its last observed
@@ -155,15 +152,8 @@ let summarize_worker ~span_ns ~t0 ~dropped w (evs : Event.t array) =
     worker = w;
     events = Array.length evs;
     dropped;
-    tasks = !tasks;
-    spawns = !spawns;
-    steals = !steals;
-    steal_attempts = !attempts;
-    suspends = !suspends;
-    parks = !parks;
+    counts;
     parked_ns = !parked;
-    req_submits = !submits;
-    req_claims = !claims;
     busy_ns = busy;
     sched_ns = Int.max 0 (span_ns - busy);
     utilization = float_of_int busy /. float_of_int span;
@@ -232,17 +222,18 @@ let pp ppf t =
   Format.fprintf ppf "@,";
   Array.iter
     (fun w ->
+      let n = count w in
       Format.fprintf ppf
         "  w%d: util=%5.1f%% tasks=%d spawns=%d steals=%d/%d suspends=%d \
          events=%d%s@,"
-        w.worker (100.0 *. w.utilization) w.tasks w.spawns w.steals
-        w.steal_attempts w.suspends w.events
-        ((if w.parks > 0 then
-            Printf.sprintf " parks=%d/%.2fms" w.parks
+        w.worker (100.0 *. w.utilization) (n Task_start) (n Spawn)
+        (n Steal_commit) (n Steal_attempt) (n Suspend) w.events
+        ((if n Park > 0 then
+            Printf.sprintf " parks=%d/%.2fms" (n Park)
               (float_of_int w.parked_ns /. 1e6)
           else "")
-        ^ (if w.req_claims > 0 || w.req_submits > 0 then
-             Printf.sprintf " reqs=%d/%d" w.req_submits w.req_claims
+        ^ (if n Req_claim > 0 || n Req_submit > 0 then
+             Printf.sprintf " reqs=%d/%d" (n Req_submit) (n Req_claim)
            else "")
         ^
         if w.dropped > 0 then Printf.sprintf " dropped=%d" w.dropped else ""))

@@ -17,8 +17,9 @@ val cache_line_words : int
 (** Number of OCaml words per assumed 64-byte cache line. *)
 
 val isolate : (unit -> 'a) -> 'a
-(** [isolate f] is a padded copy of the record [f ()].  It is a copy, so
-    [f] must return a fresh record that nothing references yet; an
-    all-float record (a float array) raises [Invalid_argument].  Use for
-    per-worker mutable records (metric counters, worker state) written
-    on the hot path. *)
+(** [isolate f] is a padded copy of the record or non-float array
+    [f ()]; a padded array's [Array.length] counts the padding, which
+    reads as [0] in an int array.  It is a copy, so [f] must return a
+    fresh block that nothing references yet; an all-float record (a
+    float array) raises [Invalid_argument].  Use for per-worker mutable
+    state written on the hot path (metric counters, worker records). *)

@@ -227,6 +227,11 @@ let http_get ~port =
       drain ();
       Buffer.contents buf)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let rec fib n =
   if n < 2 then n
   else
@@ -250,11 +255,6 @@ let test_server_scrape_during_run () =
           Domain.spawn (fun () ->
               let conf = Nowa.Config.with_workers 2 in
               Nowa.run ~conf (fun () -> fib 27))
-        in
-        let contains s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
         in
         let body = http_get ~port in
         Alcotest.(check bool) "HTTP 200" true
@@ -285,6 +285,55 @@ let test_server_scrape_during_run () =
         let body2 = http_get ~port in
         Alcotest.(check bool) "second scrape" true
           (contains body2 "nowa_scheduler_workers"))
+
+(* -- the scheduler's series -------------------------------------------- *)
+
+(* The benchmark reads a missing series as 0, so a renamed scheduler
+   series would silently zero its rows: the names are pinned here.  Two
+   pools add the pool-labelled variants of five of them. *)
+let scheduler_series =
+  let total = Printf.sprintf "nowa_scheduler_%s_total" in
+  [ "nowa_scheduler_workers"; "nowa_scheduler_steal_sweep_length" ]
+  @ List.map total
+      [ "spawns"; "inlined_spawns"; "steals"; "steal_attempts";
+        "lost_continuations"; "suspensions"; "fast_syncs"; "fused_syncs";
+        "resumes"; "tasks"; "stack_acquires"; "stack_releases"; "parks";
+        "parked_ns"; "wakeups"; "wake_retries"; "routed"; "idle_rounds" ]
+  @ List.concat_map
+      (fun s -> [ total s ^ "{pool=\"aux\"}"; total s ^ "{pool=\"main\"}" ])
+      [ "spawns"; "steals"; "tasks"; "parks"; "suspensions" ]
+
+let test_scheduler_series_golden () =
+  let conf =
+    { (Nowa.Config.default ()) with
+      Nowa.Config.pools =
+        [ Nowa.Config.pool "main" ~workers:1; Nowa.Config.pool "aux" ~workers:1 ] }
+  in
+  Alcotest.(check int) "result" 521
+    (Nowa.run ~conf (fun () ->
+         fib 12 + Nowa.await (Nowa.spawn_on (Nowa.pool "aux") (fun () -> fib 14))));
+  let m = Option.get (Nowa.last_metrics ()) in
+  let samples =
+    List.filter
+      (fun (s : Obs.Registry.sample) -> String.starts_with ~prefix:"nowa_scheduler_" s.name)
+      (Obs.Registry.snapshot ())
+  in
+  Alcotest.(check (list string)) "series names"
+    (List.sort String.compare scheduler_series)
+    (List.map (fun (s : Obs.Registry.sample) -> s.name) samples);
+  (* Every row's three views agree: the series, [Metrics.total] and the
+     [label=total] cell that [nowa_run --verbose] prints. *)
+  let printed = Format.asprintf "%a" Nowa.Metrics.pp m in
+  Array.iter
+    (fun (r : Nowa.Metrics.row) ->
+      let total = Nowa.Metrics.total m r.kind in
+      (match List.find (fun (s : Obs.Registry.sample) -> s.name = r.name) samples with
+      | { value = Obs.Registry.Counter v; _ } ->
+        Alcotest.(check int) r.name total (int_of_float v)
+      | _ -> Alcotest.failf "%s: not a counter" r.name);
+      let cell = Printf.sprintf " %s=%d" r.label total in
+      Alcotest.(check bool) ("pp prints" ^ cell) true (contains printed cell))
+    Nowa.Metrics.table
 
 let test_server_malformed_addr () =
   (match Obs.Server.parse_addr "notaport" with
@@ -319,6 +368,8 @@ let () =
       ( "expose",
         [
           Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
+          Alcotest.test_case "scheduler series golden" `Quick
+            test_scheduler_series_golden;
           Alcotest.test_case "serve latency buckets" `Quick
             test_serve_latency_buckets;
         ] );

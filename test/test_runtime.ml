@@ -220,7 +220,7 @@ let test_exception_from_child () =
             | None -> Alcotest.fail "metrics missing"
             | Some m ->
               Alcotest.(check int) (label ^ ": raising spawn ran inline") 1
-                (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.inlined)))
+                (Nowa.Metrics.total m Nowa.Metrics.Inlined))
         raising_shapes)
     presets
 
@@ -320,7 +320,7 @@ let test_forced_steal_roundtrip () =
       match R.last_metrics () with
       | Some m ->
         Alcotest.(check bool) (R.name ^ " recorded a steal") true
-          (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals) >= 1)
+          (Nowa.Metrics.total m Nowa.Metrics.Steals >= 1)
       | None -> ())
     [
       (module Nowa.Presets.Nowa : Nowa.RUNTIME);
@@ -392,7 +392,7 @@ let test_stamp_follows_migration () =
             (fun (w : Nowa.Metrics.worker) ->
               Alcotest.(check int)
                 (Printf.sprintf "%s worker %d spawns" R.name w.id)
-                noted.(w.id) w.spawns)
+                noted.(w.id) (Nowa.Metrics.get w Nowa.Metrics.Spawns))
             m.Nowa.Metrics.workers);
         (!moved, raised)
       in
@@ -454,9 +454,9 @@ let test_metrics_spawn_counts () =
   | Some m ->
     Alcotest.(check int) "spawns counted exactly"
       (Nowa_kernels.Fib.spawn_count n)
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.spawns));
+      (Nowa.Metrics.total m Nowa.Metrics.Spawns);
     Alcotest.(check int) "no steals on one worker" 0
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals));
+      (Nowa.Metrics.total m Nowa.Metrics.Steals);
     Alcotest.(check bool) "elapsed recorded" true (m.Nowa.Metrics.elapsed_s >= 0.0)
 
 let test_metrics_steals_with_workers () =
@@ -476,8 +476,8 @@ let test_metrics_steals_with_workers () =
   | Some m ->
     (* Lost continuations correspond one-to-one to committed steals. *)
     Alcotest.(check int) "steals = lost continuations"
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals))
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.lost_continuations))
+      (Nowa.Metrics.total m Nowa.Metrics.Steals)
+      (Nowa.Metrics.total m Nowa.Metrics.Lost_continuations)
 
 (* -- fusion audit (ISSUE 9) ---------------------------------------------- *)
 
@@ -504,33 +504,33 @@ let test_no_steal_invariant_single_worker () =
       match R.last_metrics () with
       | None -> Alcotest.fail "metrics missing"
       | Some m ->
-        let total f = Nowa.Metrics.total m f in
+        let total = Nowa.Metrics.total m in
         Alcotest.(check int)
           (R.name ^ " no lost continuations")
           0
-          (total (fun w -> w.Nowa.Metrics.lost_continuations));
+          (total Nowa.Metrics.Lost_continuations);
         Alcotest.(check int)
           (R.name ^ " no suspensions")
           0
-          (total (fun w -> w.Nowa.Metrics.suspensions));
+          (total Nowa.Metrics.Suspensions);
         Alcotest.(check int)
           (R.name ^ " no resumes")
           0
-          (total (fun w -> w.Nowa.Metrics.resumes));
+          (total Nowa.Metrics.Resumes);
         Alcotest.(check int)
           (R.name ^ " no steals")
           0
-          (total (fun w -> w.Nowa.Metrics.steals));
+          (total Nowa.Metrics.Steals);
         (* Never-forked frames take the cheap fast-sync branch; the fused
            post-steal branch cannot trigger without a steal. *)
         Alcotest.(check int)
           (R.name ^ " no fused syncs without steals")
           0
-          (total (fun w -> w.Nowa.Metrics.fused_syncs));
+          (total Nowa.Metrics.Fused_syncs);
         Alcotest.(check bool)
           (R.name ^ " fast syncs taken")
           true
-          (total (fun w -> w.Nowa.Metrics.fast_syncs) > 0))
+          (total Nowa.Metrics.Fast_syncs > 0))
     engine_presets;
   (* The child-stealing and central engines never lose continuations by
      construction (they do not steal continuations at all); their sync
@@ -554,7 +554,7 @@ let test_no_steal_invariant_single_worker () =
         Alcotest.(check int)
           (R.name ^ " no lost continuations")
           0
-          (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.lost_continuations)))
+          (Nowa.Metrics.total m Nowa.Metrics.Lost_continuations))
     [
       (module Nowa.Presets.Tbb : Nowa.RUNTIME);
       (module Nowa.Presets.Lomp_untied);
@@ -584,9 +584,9 @@ let test_lazy_exposure_single_worker () =
       match R.last_metrics () with
       | None -> Alcotest.fail "metrics missing"
       | Some m ->
-        let total f = Nowa.Metrics.total m f in
-        let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
-        let exposed = spawns - total (fun w -> w.Nowa.Metrics.inlined) in
+        let total = Nowa.Metrics.total m in
+        let spawns = total Nowa.Metrics.Spawns in
+        let exposed = spawns - total Nowa.Metrics.Inlined in
         Alcotest.(check int) (R.name ^ " every spawn point counted")
           (Nowa_kernels.Fib.spawn_count 20) spawns;
         if exposed < 1 || exposed > 20 then
@@ -616,11 +616,11 @@ let test_fused_sync_conservation () =
           match R.last_metrics () with
           | None -> Alcotest.fail "metrics missing"
           | Some m ->
-            let total f = Nowa.Metrics.total m f in
-            let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
-            let fast = total (fun w -> w.Nowa.Metrics.fast_syncs) in
-            let fused = total (fun w -> w.Nowa.Metrics.fused_syncs) in
-            let resumes = total (fun w -> w.Nowa.Metrics.resumes) in
+            let total = Nowa.Metrics.total m in
+            let spawns = total Nowa.Metrics.Spawns in
+            let fast = total Nowa.Metrics.Fast_syncs in
+            let fused = total Nowa.Metrics.Fused_syncs in
+            let resumes = total Nowa.Metrics.Resumes in
             Alcotest.(check int)
               (Printf.sprintf "%s w=%d: fast+fused+resumes = 2*spawns"
                  R.name workers)
@@ -657,10 +657,10 @@ let test_forced_steal_syncs_accounted () =
   match R.last_metrics () with
   | None -> Alcotest.fail "metrics missing"
   | Some m ->
-    let total f = Nowa.Metrics.total m f in
+    let total = Nowa.Metrics.total m in
     Alcotest.(check bool) "forked sync took fused or resume branch" true
-      (total (fun w -> w.Nowa.Metrics.fused_syncs)
-       + total (fun w -> w.Nowa.Metrics.resumes)
+      (total Nowa.Metrics.Fused_syncs
+       + total Nowa.Metrics.Resumes
        >= 1)
 
 (* -- re-exposure deadline ------------------------------------------------ *)
@@ -683,9 +683,9 @@ let test_reexposure_bounded () =
       match R.last_metrics () with
       | None -> Alcotest.fail "metrics missing"
       | Some m ->
-        let total f = Nowa.Metrics.total m f in
-        let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
-        let exposed = spawns - total (fun w -> w.Nowa.Metrics.inlined) in
+        let total = Nowa.Metrics.total m in
+        let spawns = total Nowa.Metrics.Spawns in
+        let exposed = spawns - total Nowa.Metrics.Inlined in
         let bound = 2 + (elapsed / Nowa_runtime.Engine.reexpose_period_ns) in
         Alcotest.(check int) (R.name ^ " every spawn point counted") n spawns;
         if exposed < 1 || exposed > bound then
@@ -760,10 +760,10 @@ let test_first_exposure_exempt () =
         match R.last_metrics () with
         | None -> Alcotest.fail "metrics missing"
         | Some m ->
-          let total f = Nowa.Metrics.total m f in
+          let total = Nowa.Metrics.total m in
           let exposed =
-            total (fun w -> w.Nowa.Metrics.spawns)
-            - total (fun w -> w.Nowa.Metrics.inlined)
+            total Nowa.Metrics.Spawns
+            - total Nowa.Metrics.Inlined
           in
           if exposed < 3 then
             Alcotest.failf "%s: %d exposed spawns, the loop never re-exposed"
@@ -813,9 +813,9 @@ let test_reexposure_backs_off () =
       match R.last_metrics () with
       | None -> Alcotest.fail "metrics missing"
       | Some m ->
-        let total f = Nowa.Metrics.total m f in
-        let spawns = total (fun w -> w.Nowa.Metrics.spawns) in
-        let exposed = spawns - total (fun w -> w.Nowa.Metrics.inlined) in
+        let total = Nowa.Metrics.total m in
+        let spawns = total Nowa.Metrics.Spawns in
+        let exposed = spawns - total Nowa.Metrics.Inlined in
         let bound =
           2
           + log2 (E.reexpose_cap_ns / E.reexpose_period_ns)
@@ -893,12 +893,12 @@ let test_reexposure_busy_mates () =
       match R.last_metrics () with
       | None -> Alcotest.fail "metrics missing"
       | Some m ->
-        let total f = Nowa.Metrics.total m f in
+        let total = Nowa.Metrics.total m in
         let exposed =
-          total (fun w -> w.Nowa.Metrics.spawns)
-          - total (fun w -> w.Nowa.Metrics.inlined)
+          total Nowa.Metrics.Spawns
+          - total Nowa.Metrics.Inlined
         in
-        let lost = total (fun w -> w.Nowa.Metrics.lost_continuations) in
+        let lost = total Nowa.Metrics.Lost_continuations in
         if exposed - lost > 8 then
           Alcotest.failf "%s: %d exposed spawns, %d stolen: %d untaken, expected <= 8"
             R.name exposed lost (exposed - lost))
@@ -951,7 +951,7 @@ let test_shutdown_wakes_parked_workers () =
   let parks () =
     match R.last_metrics () with
     | None -> Alcotest.fail "metrics missing"
-    | Some m -> Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.parks)
+    | Some m -> Nowa.Metrics.total m Nowa.Metrics.Parks
   in
   let rec go round =
     let r =
@@ -975,8 +975,8 @@ let test_park_metrics () =
     match R.last_metrics () with
     | None -> Alcotest.fail "metrics missing"
     | Some m ->
-      ( Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.parks),
-        Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.parked_ns) )
+      ( Nowa.Metrics.total m Nowa.Metrics.Parks,
+        Nowa.Metrics.total m Nowa.Metrics.Parked_ns )
   in
   (* On a loaded host a round can finish before the idle workers get any
      CPU; retry until parking was observed (same bound as the shutdown
@@ -1116,7 +1116,7 @@ let test_engine_populates_stack_metrics () =
   | None -> Alcotest.fail "metrics missing"
   | Some m ->
     Alcotest.(check bool) "every worker acquired a stack" true
-      (Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.stack_acquires) >= 1)
+      (Nowa.Metrics.total m Nowa.Metrics.Stack_acquires >= 1)
 
 (* -- madvise config plumbed through a real run --------------------------- *)
 
@@ -1154,7 +1154,7 @@ let test_serial_inline_semantics () =
 
 let spawns (module R : Nowa.RUNTIME) =
   match R.last_metrics () with
-  | Some m -> Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.spawns)
+  | Some m -> Nowa.Metrics.total m Nowa.Metrics.Spawns
   | None -> Alcotest.failf "%s: no metrics" R.name
 
 let registry_spawns () =

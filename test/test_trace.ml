@@ -199,17 +199,12 @@ let test_disabled_is_default () =
 
 let test_trace_events_against_metrics () =
   (* The trace and the aggregate counters must tell the same story on
-     every preset (rings large enough not to drop): each emission site
-     sits behind its worker's tracing flag, and none may lose an event
-     while tracing is on.  The help-first family does not count one
-     steal per commit event (a batched grab, from a deque or from gomp's
-     FIFO, counts each task it takes under one commit), counts helped
-     tasks that open no busy slice, and never resumes a frame or loses a
-     continuation, so those rows are checked where the continuation-
-     stealing family counts them: the presets that manage stacks.  On
-     the help-first presets steals bound commits from above, so a grab
-     that counts nothing fails. *)
-  let stealing = ref 0 and helping = ref 0 in
+     every preset (rings large enough not to drop): every station that
+     traces bumps its counter and emits its event in one call, so each
+     row of [Metrics.table] with an event must count exactly its events.
+     A committed grab is one steal on every preset, so steals never
+     exceed attempts. *)
+  let checked = ref 0 in
   List.iter
     (fun (module R : Nowa.RUNTIME) ->
       let conf =
@@ -220,50 +215,34 @@ let test_trace_events_against_metrics () =
       let label what = R.name ^ ": " ^ what in
       Alcotest.(check int) (label "nothing dropped") 0 (Trace.dropped tr);
       let m = Option.get (R.last_metrics ()) in
+      let total = Nowa.Metrics.total m in
+      let events = Trace.events tr in
       let count ?arg kind =
         Array.fold_left
-          (fun acc evs ->
-            Array.fold_left
-              (fun acc e ->
-                if e.Ev.kind = kind && Option.fold ~none:true ~some:(( = ) e.Ev.arg) arg
-                then acc + 1
-                else acc)
-              acc evs)
-          0 (Trace.per_worker_events tr)
+          (fun acc e ->
+            if e.Ev.kind = kind && Option.fold ~none:true ~some:(( = ) e.Ev.arg) arg
+            then acc + 1
+            else acc)
+          0 events
       in
-      let check what metric events =
-        Alcotest.(check int) (label what) (Nowa.Metrics.total m metric) events
-      in
-      check "spawn events = spawns metric" (fun w -> w.Nowa.Metrics.spawns) (count Ev.Spawn);
-      check "inline spawn events = inlined metric"
-        (fun w -> w.Nowa.Metrics.inlined)
-        (count ~arg:1 Ev.Spawn);
-      check "suspend events = suspensions metric"
-        (fun w -> w.Nowa.Metrics.suspensions)
-        (count Ev.Suspend);
-      if Option.is_some m.Nowa.Metrics.stacks then begin
-        incr stealing;
-        check "commit events = steals metric" (fun w -> w.Nowa.Metrics.steals)
-          (count Ev.Steal_commit);
-        check "resume events = resumes metric" (fun w -> w.Nowa.Metrics.resumes)
-          (count Ev.Resume);
-        check "lost-continuation events = lost_continuations metric"
-          (fun w -> w.Nowa.Metrics.lost_continuations)
-          (count Ev.Lost_continuation);
-        check "task-start events = tasks metric" (fun w -> w.Nowa.Metrics.tasks)
-          (count Ev.Task_start)
-      end
-      else begin
-        incr helping;
-        let steals = Nowa.Metrics.total m (fun w -> w.Nowa.Metrics.steals) in
-        let commits = count Ev.Steal_commit in
-        if steals < commits then
-          Alcotest.failf "%s: steals metric %d against %d commit events" R.name
-            steals commits
-      end)
+      Array.iter
+        (fun (r : Nowa.Metrics.row) ->
+          Option.iter
+            (fun ev ->
+              Alcotest.(check int)
+                (label (Ev.name ev ^ " events = " ^ r.label))
+                (total r.kind) (count ev))
+            r.event)
+        Nowa.Metrics.table;
+      Alcotest.(check int) (label "inline spawn events = inlined_spawns")
+        (total Inlined) (count ~arg:1 Ev.Spawn);
+      let steals = total Steals and attempts = total Steal_attempts in
+      if steals > attempts then
+        Alcotest.failf "%s: %d steals against %d steal attempts" R.name steals
+          attempts;
+      incr checked)
     Nowa.Presets.all;
-  Alcotest.(check int) "continuation-stealing presets checked" 5 !stealing;
-  Alcotest.(check int) "help-first presets checked" 4 !helping
+  Alcotest.(check int) "presets checked" 9 !checked
 
 (* -- a minimal JSON parser for the golden exporter check --------------- *)
 
@@ -485,6 +464,34 @@ let test_perfetto_unmatched_end_dropped () =
   let slices = List.filter (fun e -> Json.member "ph" e = Json.Str "X") evs in
   Alcotest.(check int) "one well-formed slice" 1 (List.length slices)
 
+let test_nested_task_slices () =
+  (* A help-first waiter's task (0..1000 ns) runs a helped task
+     (300..500) inside its slice: the exported slices nest, and busy
+     time counts the outer slice once. *)
+  let t = Trace.create ~workers:1 ~capacity:16 () in
+  List.iter
+    (fun (ts, k) -> Ring.emit_at (Trace.worker t 0) ~ts k 0)
+    [ (0, Ev.Task_start); (200, Ev.Suspend); (300, Ev.Task_start);
+      (500, Ev.Task_end); (1_000, Ev.Task_end) ];
+  let slices =
+    match Json.member "traceEvents" (Json.parse (Perfetto.to_string t)) with
+    | Json.List l ->
+      List.filter_map
+        (fun e ->
+          match (Json.member_opt "dur" e, Json.member_opt "ts" e) with
+          | Some (Json.Num dur), Some (Json.Num ts) -> Some (ts, dur)
+          | _ -> None)
+        l
+    | _ -> []
+  in
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "inner slice inside the outer" [ (0.0, 1.0); (0.3, 0.2) ]
+    (List.sort Stdlib.compare slices);
+  let w = (Analysis.summarize t).Analysis.workers.(0) in
+  Alcotest.(check int) "both tasks counted" 2 (Analysis.count w Ev.Task_start);
+  Alcotest.(check int) "busy is the outer slice" 1_000 w.Analysis.busy_ns;
+  Alcotest.(check int) "no idle gap inside it" 0 (List.length w.Analysis.idle_gaps_ns)
+
 let test_perfetto_req_flow () =
   (* Request lifecycle events become instants plus s/t/f flow events that
      share id = rid, so Perfetto draws arrows across worker tracks. *)
@@ -573,8 +580,8 @@ let test_analysis_synthetic () =
   Alcotest.(check int) "w1 busy" 400 w1s.Analysis.busy_ns;
   Alcotest.(check bool) "w0 util 100%" true (Float.abs (w0s.Analysis.utilization -. 1.0) < 1e-9);
   Alcotest.(check bool) "w1 util 40%" true (Float.abs (w1s.Analysis.utilization -. 0.4) < 1e-9);
-  Alcotest.(check int) "w1 tasks" 1 w1s.Analysis.tasks;
-  Alcotest.(check int) "w0 spawns" 1 w0s.Analysis.spawns;
+  Alcotest.(check int) "w1 tasks" 1 (Analysis.count w1s Ev.Task_start);
+  Alcotest.(check int) "w0 spawns" 1 (Analysis.count w0s Ev.Spawn);
   (* Steal latency: w1 idle from its first attempt (100) to commit (600). *)
   (match w1s.Analysis.steal_latencies_ns with
   | [ l ] -> Alcotest.(check bool) "latency 500" true (Float.abs (l -. 500.0) < 1e-9)
@@ -627,11 +634,8 @@ let test_wsim_trace () =
   (* And the trace agrees with the simulator's own steal count. *)
   let commits =
     Array.fold_left
-      (fun acc evs ->
-        Array.fold_left
-          (fun acc e -> if e.Ev.kind = Ev.Steal_commit then acc + 1 else acc)
-          acc evs)
-      0 (Trace.per_worker_events tr)
+      (fun acc w -> acc + Analysis.count w Ev.Steal_commit)
+      0 (Analysis.summarize tr).Analysis.workers
   in
   Alcotest.(check int) "steal commits = sim steals" r.Nowa_dag.Wsim.steals commits;
   (* Untraced simulation of the same DAG is unaffected (same makespan:
@@ -670,6 +674,7 @@ let () =
           Alcotest.test_case "unmatched end dropped" `Quick
             test_perfetto_unmatched_end_dropped;
           Alcotest.test_case "request flow events" `Quick test_perfetto_req_flow;
+          Alcotest.test_case "nested task slices" `Quick test_nested_task_slices;
         ] );
       ( "analysis",
         [

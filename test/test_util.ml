@@ -253,7 +253,7 @@ let test_padding_atomic () =
   Alcotest.(check bool) "one field, then a line of padding" true
     (Obj.size (Obj.repr a) = 1 + Padding.cache_line_words)
 
-(* Twenty fields, as [Metrics.worker] has. *)
+(* Twenty fields: a wide per-worker record. *)
 type wide = {
   mutable w0 : int; w1 : int; w2 : int; w3 : int; w4 : int; w5 : int; w6 : int;
   w7 : int; w8 : int; w9 : int; w10 : int; w11 : int; w12 : int; w13 : int;
@@ -273,13 +273,17 @@ let wide i =
 let test_padding_apart_after_promotion () =
   let cells = Array.init 64 Padding.atomic in
   let records = Array.init 8 (fun i -> Padding.isolate (fun () -> wide i)) in
+  (* A worker's counter array, padded the same way. *)
+  let counters = Array.init 8 (fun i -> (Nowa_runtime.Metrics.make_worker i).counts) in
+  let last_counter = 8 * (Array.length Nowa_runtime.Metrics.table - 1) in
   Gc.minor ();
   let addr v = 2 * (Obj.magic v : int) in
   (* First and last real field of each block. *)
   let spans =
-    Array.append
-      (Array.map (fun c -> (addr c, addr c)) cells)
-      (Array.map (fun r -> (addr r, addr r + (8 * 19))) records)
+    Array.concat
+      [ Array.map (fun c -> (addr c, addr c)) cells;
+        Array.map (fun r -> (addr r, addr r + (8 * 19))) records;
+        Array.map (fun c -> (addr c, addr c + last_counter)) counters ]
   in
   let line = 8 * Padding.cache_line_words in
   let closest = ref max_int in
