@@ -6,10 +6,10 @@ module Ev = Nowa_trace.Event
 type key = int
 type value = int
 
-(* The per-bucket tables, keyed by int.  The generic [Hashtbl] hashes
+(* The per-shard tables, keyed by int.  The generic [Hashtbl] hashes
    each key with [caml_hash] and compares it with [caml_compare], two C
-   calls per probe.  Identity is hash enough: a bucket's keys are picked
-   by their scrambled value ([bucket_of_key]), so the low bits that
+   calls per probe.  Identity is hash enough: a shard's keys are picked
+   by their scrambled value ([shard_of_hash]), so the low bits that
    index its table are spread for any dense key range, such as the
    workloads' preloaded records and fresh inserts. *)
 module H = Hashtbl.Make (struct
@@ -51,7 +51,7 @@ type shard = {
   mail : req list Atomic.t;  (* Treiber-style LIFO; drained by exchange *)
   depth : int Atomic.t;  (* requests in [mail], for admission control *)
   combining : bool Atomic.t;
-  tables : value H.t array;  (* one per bucket *)
+  table : value H.t;
   (* Holder-private state below: protected by [combining]. *)
   mutable claims : int;
       (* claims won so far, bumped by each winner while it holds the
@@ -62,7 +62,6 @@ type shard = {
 
 type t = {
   nshards : int;
-  nbuckets : int;
   queue_cap : int;
   log_on : bool;
   shards_ : shard array;
@@ -77,25 +76,34 @@ type t = {
   seen_ns : int array;
 }
 
+(* [shard_of_hash] multiplies 32 bits by the shard count, so the
+   product stays below 2^62, inside a positive OCaml int, up to 2^30
+   shards. *)
+let max_shards = 1 lsl 30
+
 let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
     ?(log = false) ?(span = Span.disabled) () =
-  if shards < 1 then invalid_arg "Kv.create: shards must be >= 1";
+  if shards < 1 || shards > max_shards then
+    invalid_arg "Kv.create: shards must be in [1, 2^30]";
   if buckets_per_shard < 1 then
     invalid_arg "Kv.create: buckets_per_shard must be >= 1";
+  (* 16 slots per bucket: at the defaults a shard's table takes 2,048
+     keys before it first resizes, where a 64-slot start resized four
+     times during the benchmark's 20,000-key preload. *)
+  let slots = 16 * buckets_per_shard in
   let mk_shard sid =
     {
       sid;
       mail = Nowa_util.Padding.atomic [];
       depth = Nowa_util.Padding.atomic 0;
       combining = Nowa_util.Padding.atomic false;
-      tables = Array.init buckets_per_shard (fun _ -> H.create 16);
+      table = H.create slots;
       claims = 0;
       log = [];
     }
   in
   {
     nshards = shards;
-    nbuckets = buckets_per_shard;
     queue_cap;
     log_on = log;
     shards_ = Array.init shards mk_shard;
@@ -112,11 +120,11 @@ let create ?(shards = 16) ?(buckets_per_shard = 64) ?(queue_cap = 65536)
   }
 
 (* Scrambled placement so that adjacent (e.g. zipf-hot) keys spread
-   over shards instead of piling into one bucket. *)
-let[@inline] shard_of_hash t h = h mod t.nshards
-let[@inline] bucket_of_hash t h = h / t.nshards mod t.nbuckets
-let[@inline] bucket_of_key t k = bucket_of_hash t (Nowa_util.Splitmix.scramble k)
-let shard_of_key t k = shard_of_hash t (Nowa_util.Splitmix.scramble k)
+   over shards instead of piling into one.  Multiply-shift maps the
+   scrambled value's low 32 bits onto [0, nshards) for any shard count,
+   with no division. *)
+let[@inline] shard_of_hash t h = ((h land 0xFFFF_FFFF) * t.nshards) lsr 32
+let[@inline] shard_of_key t k = shard_of_hash t (Nowa_util.Splitmix.scramble k)
 let shards t = t.nshards
 
 let[@inline] key_at op i =
@@ -150,6 +158,14 @@ let footprint t op =
   a
 
 let[@inline] new_shard foot i = i = 0 || foot.(i - 1) <> foot.(i)
+
+(* Tracing hooks: under dune's [-opaque] no call into [Span] or [Ring]
+   is inlined, so each tests its flag here and a store without them
+   pays one branch per hook. *)
+let[@inline] mark t rid phase = if t.span.Span.on then Span.mark t.span rid phase
+
+let[@inline] emit (ring : Ring.t) kind sid id =
+  if ring.Ring.enabled then Ring.emit2 ring kind sid id
 
 (* Callers test [t.log_on] first, so a store without a log builds none
    of the entry's arguments. *)
@@ -185,53 +201,52 @@ let apply_point t s ring ~id op =
   let o =
     match op with
     | Get k ->
-      let v = H.find_opt s.tables.(bucket_of_key t k) k in
+      let v = H.find_opt s.table k in
       if t.log_on then observe t s ~id ~k ~read:v ~wrote:None;
       (match v with Some v -> Hit v | None -> Miss)
     | Put (k, v) ->
-      let tbl = s.tables.(bucket_of_key t k) in
       if t.log_on then
-        observe t s ~id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
-      H.replace tbl k v;
+        observe t s ~id ~k ~read:(H.find_opt s.table k) ~wrote:(Some v);
+      H.replace s.table k v;
       Ack
     | Add (k, d) ->
-      let tbl = s.tables.(bucket_of_key t k) in
-      let prev = H.find_opt tbl k in
+      let prev = H.find_opt s.table k in
       let nv = match prev with Some v -> v + d | None -> d in
       if t.log_on then observe t s ~id ~k ~read:prev ~wrote:(Some nv);
-      H.replace tbl k nv;
+      H.replace s.table k nv;
       Hit nv
     | Multi_get _ | Multi_put _ -> assert false
   in
-  Span.mark t.span id Span.Exec;
-  Ring.emit2 ring Ev.Req_apply s.sid id;
+  mark t id Span.Exec;
+  emit ring Ev.Req_apply s.sid id;
   o
 
-(* The table of [k]'s bucket. *)
-let[@inline] table t k =
-  let h = Nowa_util.Splitmix.scramble k in
-  t.shards_.(shard_of_hash t h).tables.(bucket_of_hash t h)
+(* The table of [k]'s shard. *)
+let[@inline] table t k = t.shards_.(shard_of_key t k).table
 
 (* A multi-key op whose caller holds every footprint shard's flag,
-   logged to its home shard [s]. *)
+   logged to its home shard [s].  Loops, not [Array.map]/[Array.iter],
+   so no closure is built per request. *)
 let apply_multi t s ~id op =
   match op with
   | Multi_get keys ->
-    Many
-      (Array.map
-         (fun k ->
-           let v = H.find_opt (table t k) k in
-           if t.log_on then observe t s ~id ~k ~read:v ~wrote:None;
-           v)
-         keys)
+    let n = Array.length keys in
+    let res = Array.make n None in
+    for i = 0 to n - 1 do
+      let k = keys.(i) in
+      let v = H.find_opt (table t k) k in
+      if t.log_on then observe t s ~id ~k ~read:v ~wrote:None;
+      res.(i) <- v
+    done;
+    Many res
   | Multi_put kvs ->
-    Array.iter
-      (fun (k, v) ->
-        let tbl = table t k in
-        if t.log_on then
-          observe t s ~id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
-        H.replace tbl k v)
-      kvs;
+    for i = 0 to Array.length kvs - 1 do
+      let k, v = kvs.(i) in
+      let tbl = table t k in
+      if t.log_on then
+        observe t s ~id ~k ~read:(H.find_opt tbl k) ~wrote:(Some v);
+      H.replace tbl k v
+    done;
     Ack
   | Get _ | Put _ | Add _ -> assert false
 
@@ -272,8 +287,8 @@ let handle t (s : shard) (r : req) =
   let c = Domain.DLS.get Current.key in
   (* The request is now owned by this combiner, so the plain span
      stores are race-free. *)
-  if Span.tracked t.span r.id then Span.claim t.span r.id ~worker:c.worker;
-  Ring.emit2 c.ring Ev.Req_claim s.sid r.id;
+  if t.span.Span.on then Span.claim t.span r.id ~worker:c.worker;
+  emit c.ring Ev.Req_claim s.sid r.id;
   Atomic.set r.out (apply_point t s c.ring ~id:r.id r.op)
 
 (* Drain until the mailbox is empty, then release and re-check it.  The
@@ -284,13 +299,16 @@ let handle t (s : shard) (r : req) =
    kv_no_recheck row runs a generated copy without the re-check and
    finds the stranded request).  Every claim, whether a drained
    mailbox's, an idle point op's or a multi-key op's, is released
-   here. *)
+   here.  The mailbox is loaded before it is exchanged: only the holder
+   takes mail, so a non-empty load means a non-empty exchange, and
+   releasing a shard nobody queued on costs one locked instruction, the
+   flag's store. *)
 let rec combine t (s : shard) =
   if !wedge_armed then maybe_wedge s.sid;
-  (match Atomic.exchange s.mail [] with
-  | [] -> ()
-  | batch -> List.iter (handle t s) (List.rev batch));
-  if has_mail s then combine t s
+  if has_mail s then begin
+    List.iter (handle t s) (List.rev (Atomic.exchange s.mail []));
+    combine t s
+  end
   else begin
     Atomic.set s.combining false;
     if has_mail s then try_combine t s
@@ -370,8 +388,8 @@ let submit t (s : shard) (c : Current.ctx) ~rid (r : req) =
   (* Scheduled arrival -> here is pure scheduling: injector lag, the
      spawn, any steal or park-wake.  Bank it before the push so the
      mailbox CAS orders the store against the claiming combiner. *)
-  Span.mark t.span rid Span.Sched_wait;
-  Ring.emit2 c.ring Ev.Req_submit s.sid r.id;
+  mark t rid Span.Sched_wait;
+  emit c.ring Ev.Req_submit s.sid r.id;
   push s r;
   try_combine t s;
   outcome r
@@ -389,13 +407,13 @@ let[@inline] try_claim (s : shard) =
    Sched_wait and the claim bank from one clock read, so Mailbox_wait
    is exactly 0. *)
 let enter t (s : shard) (c : Current.ctx) ~rid ~id =
-  if Span.tracked t.span rid then begin
+  if t.span.Span.on && Span.tracked t.span rid then begin
     let ts = Nowa_util.Clock.now_ns () in
     Span.mark_at t.span rid Span.Sched_wait ~ts;
     Span.claim_at t.span rid ~worker:c.worker ~ts
   end;
-  Ring.emit2 c.ring Ev.Req_submit s.sid id;
-  Ring.emit2 c.ring Ev.Req_claim s.sid id
+  emit c.ring Ev.Req_submit s.sid id;
+  emit c.ring Ev.Req_claim s.sid id
 
 (* A point op whose caller won an idle shard's flag: it is its own
    combiner.  It applies its op, runs the same drain -> release ->
@@ -433,13 +451,13 @@ let exec_multi t (home : shard) (c : Current.ctx) ~rid ~id op foot =
     if new_shard foot i && claim t.shards_.(foot.(i)) then begin
       waited := true;
       ignore (Atomic.fetch_and_add t.handoffs_ 1);
-      Ring.emit2 c.ring Ev.Req_handoff foot.(i) id
+      emit c.ring Ev.Req_handoff foot.(i) id
     end
   done;
-  if !waited then Span.mark t.span rid Span.Handoff_wait;
+  if !waited then mark t rid Span.Handoff_wait;
   let o = apply_multi t home ~id op in
-  Span.mark t.span rid Span.Exec;
-  Ring.emit2 c.ring Ev.Req_apply home.sid id;
+  mark t rid Span.Exec;
+  emit c.ring Ev.Req_apply home.sid id;
   for i = 0 to Array.length foot - 1 do
     if new_shard foot i then combine t t.shards_.(foot.(i))
   done;
@@ -471,15 +489,8 @@ let exec ?(rid = -1) t op =
       exec_multi t home c ~rid ~id:(request_id t c rid) op foot
     end
 
-let size t =
-  Array.fold_left
-    (fun acc s -> Array.fold_left (fun acc tbl -> acc + H.length tbl) acc s.tables)
-    0 t.shards_
-
-let fold f t init =
-  Array.fold_left
-    (fun acc s -> Array.fold_left (fun acc tbl -> H.fold f tbl acc) acc s.tables)
-    init t.shards_
+let size t = Array.fold_left (fun acc s -> acc + H.length s.table) 0 t.shards_
+let fold f t init = Array.fold_left (fun acc s -> H.fold f s.table acc) init t.shards_
 
 let dropped t = Atomic.get t.dropped_
 let handoffs t = Atomic.get t.handoffs_

@@ -1,18 +1,21 @@
 (** Hash-sharded in-memory KV store with flat combining and ordered
     multi-key claims.
 
-    The store is split into [shards], each a set of hash buckets plus a
-    lock-free mailbox and a combining flag.  A shard's tables are only
-    ever touched by whoever holds its flag, so they need no per-key
-    locks.  A point op on an idle shard (empty mailbox, flag free)
-    claims the flag and applies itself; otherwise it is pushed onto the
-    mailbox, and whoever holds or next takes the flag drains the
-    mailbox and applies the batch (flat combining).  A multi-key op
+    The store is split into [shards], each one hash table plus a
+    lock-free mailbox and a combining flag.  A key's shard is picked by
+    multiply-shift of its scrambled value, with no division, for any
+    shard count.  A shard's table is only ever touched by whoever holds
+    its flag, so it needs no per-key locks.  A point op on an idle shard
+    (empty mailbox, flag free) claims the flag and applies itself;
+    otherwise it is pushed onto the mailbox, and whoever holds or next
+    takes the flag drains the mailbox and applies the batch (flat
+    combining).  A multi-key op
     claims the flag of every shard its keys live on, in ascending shard
     order, waiting behind a flag another caller holds, then reads or
     writes the tables in place.  Every holder releases a shard the same
-    way: drain the mailbox, release the flag, re-check the mailbox.  The
-    mcheck battery checks this protocol on this file.
+    way: drain the mailbox, release the flag, re-check the mailbox; a
+    drain that finds the mailbox empty only loads it.  The mcheck
+    battery checks this protocol on this file.
 
     Deadlock freedom is by ordered acquisition: a point op or a combiner
     never waits while it holds a flag, and a multi-key op waits only for
@@ -45,7 +48,7 @@ type outcome =
 
 (** One applied read/write step, for linearizability checking: [seq] is
     drawn from a global counter at the linearization point (while the
-    caller holds the bucket's shard flag), so replaying entries in
+    caller holds the key's shard flag), so replaying entries in
     [seq] order against a sequential reference must reproduce every
     [read] observation. *)
 type log_entry = {
@@ -64,10 +67,14 @@ val create :
   ?span:Nowa_trace.Span.t ->
   unit ->
   t
-(** Defaults: 16 shards, 64 buckets each, queue cap 65536, no log.
-    [queue_cap] bounds a shard's queued point requests: a request whose
-    shard (for a multi-key op, its lowest footprint shard) has that many
-    queued is rejected with [Dropped] (open-loop overload shedding).
+(** Defaults: 16 shards, queue cap 65536, no log.  [shards] must be
+    between 1 and 2^30: placement multiplies 32 hash bits by it, and
+    the product must stay below 2^62.  [buckets_per_shard] (default 64)
+    sizes each shard's table: it starts with 16 slots per bucket and
+    grows as keys arrive.  [queue_cap] bounds a shard's queued point requests: a
+    request whose shard (for a multi-key op, its lowest footprint shard)
+    has that many queued is rejected with [Dropped] (open-loop overload
+    shedding).
     [log:true] records every applied step for offline linearizability
     checking — test-only, it serialises on a global counter.  [span]
     attaches a request-phase ledger: stations inside the store (submit,
@@ -93,8 +100,10 @@ val exec : ?rid:int -> t -> op -> outcome
     Otherwise it goes through the mailbox (so does every point op while
     a wedge is armed, {!inject_wedge}).  A multi-key op claims every
     shard it touches in ascending shard order, waiting with backoff
-    behind a flag another caller holds, reads or writes the bucket
-    tables in place, then runs that loop on each shard. *)
+    behind a flag another caller holds, reads or writes the shard
+    tables in place, then runs that loop on each shard.  With tracing
+    off (no [span], the calling domain's trace ring off), each span
+    mark and ring event costs one branch. *)
 
 val shard_of_key : t -> key -> int
 (** Home shard of a key (exposed for tests and placement experiments). *)

@@ -143,10 +143,9 @@ let test_kv_idle_point_reply_only () =
    Multi_gets of 1 to 8 keys (4.5 per op) over a preloaded idle 16 x 64
    store, the benchmark's shape.  Per op: the footprint (1 + 4.5 words:
    one shard id per key, repeats kept), the result array (1 + 4.5) with
-   a [Some] per key (9), [Many] (2) and the closure that maps the keys.
-   It measured 28.0 words per op; the pin, set one small block (3 words)
-   above an earlier 28.1, stays. *)
-let multi_alloc_pin = 31.0
+   a [Some] per key (9), and [Many] (2).  It measured 22.0 words per op;
+   the pin is one small block (3 words) above that. *)
+let multi_alloc_pin = 25.0
 
 let test_kv_multi_alloc () =
   let kv = Kv.create ~shards:16 ~buckets_per_shard:64 () in
@@ -216,14 +215,45 @@ let random_op rng keyspace =
   | 7 | 8 -> Kv.Multi_get (multi 4)
   | _ -> Kv.Multi_put (Array.map (fun k -> (k, Sm.int rng 1000)) (multi 4))
 
+(* Also on 3 shards of one bucket each: a shard count that is not a
+   power of two, and the smallest table. *)
 let test_kv_log_replay_sequential () =
-  let kv = Kv.create ~shards:4 ~buckets_per_shard:4 ~log:true () in
-  let rng = Sm.make ~seed:7 in
-  for _ = 1 to 2_000 do
-    ignore (Kv.exec kv (random_op rng 100))
-  done;
-  let replay = replay_check (Kv.log kv) in
-  check_final_state kv replay
+  List.iter
+    (fun (shards, buckets_per_shard) ->
+      let kv = Kv.create ~shards ~buckets_per_shard ~log:true () in
+      let rng = Sm.make ~seed:7 in
+      for _ = 1 to 2_000 do
+        ignore (Kv.exec kv (random_op rng 100))
+      done;
+      let replay = replay_check (Kv.log kv) in
+      check_final_state kv replay)
+    [ (4, 4); (3, 1) ]
+
+(* Placement for any shard count, powers of two or not: every key lands
+   in [0, shards), and a dense run of 1,000 keys per shard, from an
+   arbitrary first key, gives every shard between half and twice its
+   share. *)
+let prop_placement =
+  QCheck.Test.make ~name:"placement in range and balanced (1-64 shards)"
+    ~count:200
+    QCheck.(pair (int_range 1 64) int)
+    (fun (shards, base) ->
+      let kv = Kv.create ~shards () in
+      let share = 1_000 in
+      let counts = Array.make shards 0 in
+      for i = 0 to (share * shards) - 1 do
+        let s = Kv.shard_of_key kv (base + i) in
+        if s < 0 || s >= shards then
+          Alcotest.failf "%d shards: key %d placed on shard %d" shards (base + i) s;
+        counts.(s) <- counts.(s) + 1
+      done;
+      Array.iteri
+        (fun s n ->
+          if n < share / 2 || n > 2 * share then
+            Alcotest.failf "%d shards from key %d: shard %d holds %d of %d keys"
+              shards base s n (share * shards))
+        counts;
+      true)
 
 (* Raw domains hammering the store: combining and ordered multi-key
    claims under real parallelism with no scheduler in the way. *)
@@ -672,6 +702,7 @@ let () =
             `Quick test_kv_idle_point_reply_only;
           Alcotest.test_case "multi-key path allocation" `Quick
             test_kv_multi_alloc;
+          QCheck_alcotest.to_alcotest prop_placement;
         ] );
       ( "linearizability",
         [
